@@ -8,19 +8,29 @@ through sparse factorizations on the masked block and by zero off it, so
 no dense graph basis is ever required (a dense relation is available for
 small grids as a cross-check).
 
+Every semigroup action — ``T(t)``, ``T(z)``, ``S(t)`` and whole
+trajectories — goes through one kernel, :meth:`DirichletGridRelation._exp_action`:
+a shift-and-invert Arnoldi basis of ``(I − γL)⁻¹`` (van den Eshof &
+Hochbruck, 2006) built on one cached sparse factorization per sweep, with
+all requested times evaluated from that basis.  Its convergence does not
+depend on ``‖L‖ ~ h⁻²``, and it stops on the a-posteriori residual bound of
+Botchev, Grimm & Hochbruck (2013).
+
 Operator norms are sup-norms throughout (max absolute row sums), matching
-the contraction and maximum-principle structure of the M-matrix stencil.
+the contraction and maximum-principle structure of the M-matrix stencil:
+the contraction certificate is one solve ``(λ − L)⁻¹ 1 > 0`` per λ.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as spla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spl
-from scipy.linalg import solve_triangular
 
 from .converge import ConvergenceReport, trotter_kato_report
 from .errors import (
@@ -31,10 +41,15 @@ from .errors import (
     VanishingMultiplier,
 )
 from .grids import DomainMask, Grid, disk, inscribed_polygon, mask_from_shapes, slit
+from .quadrature import gauss_legendre
 from .relation import LinearRelation
 from .subspace import Subspace
 
-DENSE_ROWSUM_LIMIT = 3000  # masked-block size up to which resolvents go dense
+log = logging.getLogger("relsemi")
+
+DENSE_ROWSUM_LIMIT = 3000  # largest masked block sector_uniformity inverts densely
+EXP_TOL = 1e-13            # exponential kernel error bound, relative to ‖b‖∞
+EXP_MAX_BASIS = 400        # Arnoldi vectors per column before SolverBreakdown
 
 
 def stencil_on_flags(grid: Grid, flags) -> sp.csr_matrix:
@@ -95,6 +110,7 @@ class DirichletGridRelation:
         self._shift_lus = {}
         self._op_lu = None
         self._dist_lu = None
+        self._integrated_memo = None
 
     # -- plumbing ---------------------------------------------------------
 
@@ -169,73 +185,108 @@ class DirichletGridRelation:
         sol = self._lu_solve(lu, real, fs[self.omega])
         return self._embed(sol, fs)
 
-    def semigroup_columns(self, t, fs):
+    def semigroup_trajectory(self, ts, fs):
+        """``T(t) f`` for every time ``t`` (or complex ``z``) in ``ts``.
+
+        Returns an array of shape ``(len(ts),) + fs.shape``; the values off
+        the mask are zero (the multivalued directions are killed at once).
+        """
         fs = np.asarray(fs)
-        if self.n_inside == 0 or t == 0:
-            out = np.zeros_like(fs, dtype=np.promote_types(fs.dtype, float))
-            out[self.omega] = fs[self.omega]
-            return out
-        w = spl.expm_multiply(float(t) * self.op, fs[self.omega])
-        return self._embed(w, fs)
+        w = self._exp_action(ts, fs[self.omega])
+        out = np.zeros((w.shape[0],) + fs.shape, dtype=w.dtype)
+        out[:, self.omega] = w
+        return out
+
+    def semigroup_columns(self, t, fs):
+        return self.semigroup_trajectory([float(t)], fs)[0]
 
     def holomorphic_columns(self, z, fs):
         z = complex(z)
         if z != 0 and z.real <= 0:
             raise OutsideSector(f"z={z!r} outside the right half-plane")
-        fs = np.asarray(fs)
-        if self.n_inside == 0 or z == 0:
-            out = np.zeros(fs.shape, dtype=np.promote_types(fs.dtype, complex))
-            out[self.omega] = fs[self.omega]
-            return out
-        w = spl.expm_multiply(z * self.op.astype(complex),
-                              fs[self.omega].astype(complex))
-        return self._embed(w, fs)
-
-    def integrated_columns(self, t, fs):
-        fs = np.asarray(fs)
-        if self.n_inside == 0 or t == 0:
-            return np.zeros_like(fs, dtype=np.promote_types(fs.dtype, float))
-        b = fs[self.omega]
-        w = spl.expm_multiply(float(t) * self.op, b)
-        sol = self._operator_lu().solve(np.ascontiguousarray(w - b))
-        return self._embed(sol, fs)
+        return self.semigroup_trajectory([z], fs)[0]
 
     def integrated_trajectory(self, ts, fs):
-        """All integrated-action values over a time grid in one sweep."""
+        """``S(t) f = L⁻¹(T(t) − I) f`` on the mask for every time in ``ts``.
+
+        The last grid and data are remembered, so a caller asking again for
+        the same trajectory (a report and its off-mask check) gets the
+        stored, read-only array instead of a second sweep.
+        """
         ts = np.asarray(ts, dtype=float)
         fs = np.asarray(fs)
         if np.any(ts < 0):
             raise InvalidInput("time grid must be nonnegative")
-        uniform = ts.size >= 2 and np.allclose(np.diff(ts), ts[1] - ts[0],
-                                               rtol=1e-12, atol=1e-14)
-        if self.n_inside == 0:
-            return np.zeros((ts.size,) + fs.shape)
-        if not uniform:
-            return np.stack([self.integrated_columns(t, fs) for t in ts])
+        memo = self._integrated_memo
+        if (memo is not None and np.array_equal(memo[0], ts)
+                and memo[1].dtype == fs.dtype and np.array_equal(memo[1], fs)):
+            return memo[2]
         b = fs[self.omega]
-        w = spl.expm_multiply(self.op, b, start=ts[0], stop=ts[-1],
-                              num=ts.size, endpoint=True)
-        lu = self._operator_lu()
-        out = np.zeros((ts.size,) + fs.shape,
-                       dtype=np.promote_types(fs.dtype, float))
-        for j in range(ts.size):
-            out[j][self.omega] = lu.solve(np.ascontiguousarray(w[j] - b))
+        w = self._exp_action(ts, b) - b
+        out = np.zeros((ts.size,) + fs.shape, dtype=w.dtype)
+        if self.n_inside:
+            cols = np.moveaxis(w, 0, -1).reshape(self.n_inside, -1)
+            sol = self._lu_solve(self._operator_lu(), True, cols)
+            out[:, self.omega] = np.moveaxis(sol.reshape(w.shape[1:] + (ts.size,)),
+                                             -1, 0)
+        out.setflags(write=False)
+        self._integrated_memo = (ts.copy(), fs.copy(), out)
         return out
 
-    def semigroup_trajectory(self, ts, u0):
-        ts = np.asarray(ts, dtype=float)
-        u0 = np.asarray(u0, dtype=float)
-        if self.n_inside == 0:
-            return np.zeros((ts.size,) + u0.shape)
-        uniform = ts.size >= 2 and np.allclose(np.diff(ts), ts[1] - ts[0],
-                                               rtol=1e-12, atol=1e-14)
-        if not uniform:
-            return np.stack([self.semigroup_columns(t, u0) for t in ts])
-        w = spl.expm_multiply(self.op, u0[self.omega], start=ts[0],
-                              stop=ts[-1], num=ts.size, endpoint=True)
-        out = np.zeros((ts.size,) + u0.shape)
-        for j in range(ts.size):
-            out[j][self.omega] = w[j]
+    def integrated_columns(self, t, fs):
+        return self.integrated_trajectory([float(t)], fs)[0].copy()
+
+    # -- exponential kernel ---------------------------------------------------
+
+    def _exp_action(self, times, b, max_basis: int = EXP_MAX_BASIS):
+        """``exp(t L) b`` on the masked block for every ``t`` in ``times``.
+
+        Times are real ``t ≥ 0`` or complex ``z`` with ``Re z ≥ 0``; ``b`` is
+        ``(n,)`` or ``(n, c)`` and the result is ``(len(times),) + b.shape``.
+        Each column gets one shift-and-invert Arnoldi basis of
+        ``(I − γL)⁻¹`` with ``γ = max|t| / 10``, built on the cached
+        factorization of ``γ⁻¹ − L``; every time is then evaluated from it
+        as ``β V_k exp(t T_k) e₁``, ``T_k = (I − H_k⁻¹)/γ``.  The basis
+        grows until the a-posteriori bound ``e^{t μ∞(L)} ∫₀ᵗ ‖r_k(s)‖∞ ds``
+        on the error of the largest time is at most ``EXP_TOL·‖b‖∞``
+        (``r_k`` is the residual of the ODE ``u' = L u``; for complex ``z``
+        the integral runs along ``[0, z]`` and is an estimate).  Raises
+        :class:`SolverBreakdown` when ``max_basis`` vectors do not suffice.
+        """
+        times = np.atleast_1d(np.asarray(times))
+        if times.ndim != 1 or np.any(times.real < 0):
+            raise InvalidInput("times must be a flat array with Re t >= 0")
+        b = np.asarray(b)
+        n = self.n_inside
+        out = np.zeros((times.size,) + b.shape,
+                       dtype=np.result_type(b, times, float))
+        tmax = float(np.max(np.abs(times), initial=0.0))
+        if n == 0 or tmax == 0.0:
+            out[...] = b
+            return out
+        cols = b.reshape(n, -1)
+        if np.iscomplexobj(cols):
+            cols = np.hstack([cols.real, cols.imag])  # the operator is real
+        gamma = tmax / 10.0
+        hit = complex(1.0 / gamma) in self._shift_lus
+        lu, _ = self._shift_lu(1.0 / gamma)
+        diag = self.op.diagonal()
+        mu = float(np.max(diag + np.asarray(abs(self.op).sum(axis=1)).ravel()
+                          - np.abs(diag)))
+        vals = np.empty((times.size, n, cols.shape[1]), dtype=out.dtype)
+        sizes, bounds = [], []
+        for j in range(cols.shape[1]):
+            vals[:, :, j], size, bound = _si_arnoldi_exp(
+                self.op, lu, gamma, mu, cols[:, j], times, max_basis)
+            sizes.append(size)
+            bounds.append(bound)
+        if np.iscomplexobj(b):
+            half = vals.shape[2] // 2
+            vals = vals[:, :, :half] + 1j * vals[:, :, half:]
+        out[...] = vals.reshape(out.shape)
+        log.debug("exp_action n=%d cols=%d gamma=%.4g basis=%d bound=%.3e lu=%s",
+                  n, len(sizes), gamma, max(sizes, default=0), max(bounds, default=0.0),
+                  "hit" if hit else "miss")
         return out
 
     # -- graph geometry -----------------------------------------------------
@@ -307,12 +358,95 @@ class DirichletGridRelation:
         stacked = np.vstack([top, bot])
         gram = np.eye(n) + (self.op.T @ self.op).toarray()
         chol = np.linalg.cholesky(gram)
-        ublock = solve_triangular(chol, stacked.T, lower=True).T
+        ublock = spla.solve_triangular(chol, stacked.T, lower=True).T
         off = np.setdiff1d(np.arange(big_n), self.omega)
         fblock = np.zeros((2 * big_n, big_n - n))
         fblock[big_n + off, np.arange(big_n - n)] = 1.0
         return LinearRelation.from_graph_subspace(
             Subspace(2 * big_n, np.hstack([ublock, fblock])))
+
+
+def _residual_integral(lam, weights, z) -> float:
+    """``∫₀^{|z|} |Σᵢ wᵢ exp(s ẑ λᵢ)| ds`` along the ray through ``z``.
+
+    Gauss–Legendre panels double in length away from 0, the first one
+    short enough (``|z| ρ 2⁻ᴶ ≤ 1``) to resolve the stiffest mode.
+    """
+    length = abs(z)
+    stiff = length * float(np.max(np.abs(lam)))
+    doublings = max(1, math.ceil(math.log2(max(stiff, 2.0))))
+    edges = length * np.concatenate([[0.0], np.exp2(np.arange(-doublings, 1))])
+    x, w = gauss_legendre(8)
+    half = np.diff(edges)[:, None] / 2.0
+    s = (edges[:-1, None] + half * (x + 1.0)).ravel()
+    psi = np.exp(np.outer(s * (z / length), lam)) @ weights
+    return float((half * w).ravel() @ np.abs(psi))
+
+
+def _si_arnoldi_exp(op, lu, gamma, mu, b, times, max_basis):
+    """One real column of :meth:`DirichletGridRelation._exp_action`.
+
+    ``lu`` factors ``γ⁻¹ I − L``.  Returns the values at ``times``, the
+    basis size and the final error bound.  With ``A = (I − γL)⁻¹`` the
+    Arnoldi relation ``A V_k = V_k H_k + h v_{k+1} e_kᵀ`` gives the
+    residual ``r_k(s) = (h β / γ) (e_kᵀ H_k⁻¹ exp(s T_k) e₁) (I − γL) v_{k+1}``
+    of the approximation ``β V_k exp(s T_k) e₁``.  Both that scalar factor
+    and the values go through the eigendecomposition ``H_k = X Θ X⁻¹``
+    (``T_k`` has eigenvalues ``(1 − 1/θ)/γ``), which must be well
+    conditioned; :class:`SolverBreakdown` is raised otherwise.
+    """
+    n = b.size
+    out = np.zeros((times.size, n), dtype=np.result_type(times, float))
+    scale = float(np.max(np.abs(b)))
+    if scale == 0.0:
+        return out, 0, 0.0
+    beta = float(np.linalg.norm(b))
+    # the bound grows along each ray, so its farthest point covers the rest
+    far = times[times != 0]
+    angles = np.angle(far)
+    ends = [far[angles == a][np.argmax(np.abs(far[angles == a]))]
+            for a in np.unique(angles)]
+    cap = min(max_basis, n)
+    basis = np.empty((cap + 1, n))
+    hess = np.zeros((cap + 1, cap))
+    basis[0] = b / beta
+    bound = math.inf
+    for k in range(cap):
+        w = lu.solve(basis[k]) / gamma
+        for _ in range(2):  # classical Gram–Schmidt, repeated once
+            c = basis[:k + 1] @ w
+            w -= c @ basis[:k + 1]
+            hess[:k + 1, k] += c
+        size = k + 1
+        hess[size, k] = np.linalg.norm(w)
+        # an invariant subspace makes the projection exact
+        exhausted = size == n or hess[size, k] <= 1e-14 * np.linalg.norm(hess[:size, :size])
+        if not exhausted:
+            basis[size] = w / hess[size, k]
+            if size % (1 << max(0, size.bit_length() - 4)) and size < cap:
+                continue  # check sizes 1…15, then every 2, 4, 8 … (≤ 1/8 overshoot)
+        theta, vecs = np.linalg.eig(hess[:size, :size])
+        lam = (1.0 - 1.0 / theta) / gamma
+        coef = np.linalg.solve(vecs, np.eye(size)[:, 0])
+        if exhausted:
+            bound = 0.0
+            break
+        v = basis[size]
+        resid = float(np.max(np.abs(v - gamma * (op @ v)))) * hess[size, k] * beta / gamma
+        weights = vecs[size - 1] / theta * coef
+        bound = max(math.exp(max(0.0, mu * abs(z))) * resid
+                    * _residual_integral(lam, weights, z) for z in ends)
+        if bound <= EXP_TOL * scale:
+            break
+    else:
+        raise SolverBreakdown(
+            f"exponential kernel: {cap} basis vectors leave the error bound "
+            f"{bound:.2e} above {EXP_TOL * scale:.2e}")
+    if np.linalg.cond(vecs) > 1e3:
+        raise SolverBreakdown("exponential kernel: ill-conditioned Ritz basis")
+    small = (np.exp(np.outer(times, lam)) * coef) @ vecs.T
+    out[...] = beta * ((small if np.iscomplexobj(out) else small.real) @ basis[:size])
+    return out, size, bound
 
 
 def build_dirichlet_relation(mask: DomainMask) -> DirichletGridRelation:
@@ -327,21 +461,21 @@ class ContractionCertificate:
     lams: tuple
     norms: tuple        # sup operator norms of lam * R(lam)
     method: str
-    resolvent_min: float  # most negative resolvent entry seen (positivity log)
+    resolvent_min: float  # smallest row sum of R(λ) ≥ 0 seen (positivity margin)
     tol: float
     ok: bool
 
 
 def supnorm_contraction(rel: DirichletGridRelation, lams=(0.1, 1.0, 10.0),
-                        tol: float = 1e-12,
-                        dense_limit: int = DENSE_ROWSUM_LIMIT) -> ContractionCertificate:
+                        tol: float = 1e-12) -> ContractionCertificate:
     """Certify ``‖λR(λ)‖_∞ ≤ 1 + tol`` on a positive λ-grid.
 
-    Small blocks get exact max absolute row sums of the dense resolvent;
-    larger ones use the single-solve bound valid for M-matrices (resolvent
-    entrywise nonnegative, so ``|R|`` row sums equal ``R @ 1``), with the
-    sign structure checked first.  Violations raise :class:`ContractFailed`
-    with the offending row.
+    One solve per λ: ``x = (λ − L)⁻¹ 1``.  When ``λ − L`` is a Z-matrix
+    (off-diagonal entries ≤ 0) and ``x > 0``, it is a nonsingular M-matrix
+    (Berman & Plemmons, ch. 6), so ``R(λ) ≥ 0`` entrywise and ``x`` holds
+    the exact row sums of ``|R(λ)|``.  A failed premise or a violated bound
+    raises :class:`ContractFailed` (with the offending row for the latter).
+    ``resolvent_min`` records the smallest row sum, the positivity margin.
     """
     norms = []
     min_entry = math.inf
@@ -354,21 +488,20 @@ def supnorm_contraction(rel: DirichletGridRelation, lams=(0.1, 1.0, 10.0),
         if n == 0:
             norms.append(0.0)
             continue
-        lu, _ = rel._shift_lu(lam)
-        if n <= dense_limit:
-            method = "dense-rowsums"
-            res = lu.solve(np.eye(n))
-            rowsums = np.abs(res).sum(axis=1)
-            min_entry = min(min_entry, float(res.min()))
-        else:
-            shifted = lam * sp.identity(n, format="csr") - rel.op
-            offdiag = shifted - sp.diags(shifted.diagonal())
-            if offdiag.nnz and offdiag.max() > 1e-14:
-                raise ContractFailed("shifted operator is not an M-matrix; "
-                                     "row-sum bound unavailable", lam=lam)
-            method = "mmatrix-solve"
-            rowsums = lu.solve(np.ones(n))
-            min_entry = min(min_entry, float(rowsums.min()))
+        shifted = lam * sp.identity(n, format="csr") - rel.op
+        offdiag = shifted - sp.diags(shifted.diagonal())
+        if offdiag.nnz and offdiag.max() > 1e-14:
+            raise ContractFailed("shifted operator is not a Z-matrix; "
+                                 "row-sum bound unavailable", lam=lam)
+        # factored here, not in the relation's cache: one solve per λ does
+        # not pay for keeping the factor alive with the relation
+        rowsums = spl.splu(shifted.tocsc()).solve(np.ones(n))
+        low = int(np.argmin(rowsums))
+        if not rowsums[low] > 0.0:
+            raise ContractFailed("shifted operator is not a nonsingular M-matrix: "
+                                 f"(λ − L)⁻¹ 1 = {rowsums[low]:.3e}", lam=lam, row=low)
+        method = "mmatrix-solve"
+        min_entry = min(min_entry, float(rowsums[low]))
         worst = int(np.argmax(rowsums))
         norm = lam * float(rowsums[worst])
         if norm > 1.0 + tol:
@@ -775,9 +908,9 @@ def heat_orbit(rel: DirichletGridRelation, u0, t_grid, fd_times=None,
     """Trajectory ``u(t) = T(t) u0`` with its defining checks.
 
     Membership is tested with Richardson-extrapolated central differences
-    at a few interior times (the raw pair ``(u, Lu)`` would be a tautology);
-    the orbit itself comes from one exponential sweep when the grid is
-    uniform.
+    at a few interior times (the raw pair ``(u, Lu)`` would be a tautology).
+    ``T(0)``, the orbit and every difference time come from one call of the
+    exponential kernel, so from one Krylov basis.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0 or np.any(t_grid <= 0) or np.any(np.diff(t_grid) <= 0):
@@ -785,29 +918,25 @@ def heat_orbit(rel: DirichletGridRelation, u0, t_grid, fd_times=None,
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (rel.state_dim,):
         raise InvalidInput("initial state has the wrong length")
-    states = rel.semigroup_trajectory(t_grid, u0)
+    if fd_times is None:
+        picks = sorted({t_grid.size // 2, t_grid.size - 1})
+        fd_times = tuple(float(t_grid[j]) for j in picks if t_grid[j] > 2 * fd_delta)
+    offsets = np.array([0.0, fd_delta, -fd_delta, fd_delta / 2, -fd_delta / 2])
+    fd_grid = (np.asarray(fd_times, dtype=float)[:, None] + offsets).ravel()
+    traj = rel.semigroup_trajectory(np.concatenate([[0.0], t_grid, fd_grid]), u0)
+    states = traj[1:t_grid.size + 1]
     pu0 = np.zeros_like(u0)
     pu0[rel.omega] = u0[rel.omega]
-    projection_defect = float(np.max(np.abs(
-        rel.semigroup_columns(0.0, u0[:, None])[:, 0] - pu0), initial=0.0))
+    projection_defect = float(np.max(np.abs(traj[0] - pu0), initial=0.0))
     initial_trace = np.array([
         float(np.linalg.norm(states[j][rel.omega] - u0[rel.omega]))
         for j in range(t_grid.size)])
     off_mask = np.ones(rel.state_dim, dtype=bool)
     off_mask[rel.omega] = False
     off_domain_max = float(np.max(np.abs(states[:, off_mask]), initial=0.0))
-    if fd_times is None:
-        picks = sorted({t_grid.size // 2, t_grid.size - 1})
-        fd_times = tuple(float(t_grid[j]) for j in picks if t_grid[j] > 2 * fd_delta)
     residuals = []
-    for tau in fd_times:
-        u_tau = rel.semigroup_columns(tau, u0[:, None])[:, 0]
-        diffs = {}
-        for d in (fd_delta, fd_delta / 2):
-            up = rel.semigroup_columns(tau + d, u0[:, None])[:, 0]
-            dn = rel.semigroup_columns(tau - d, u0[:, None])[:, 0]
-            diffs[d] = (up - dn) / (2 * d)
-        dudt = (4.0 * diffs[fd_delta / 2] - diffs[fd_delta]) / 3.0
+    for u_tau, up, dn, up2, dn2 in traj[t_grid.size + 1:].reshape(-1, 5, rel.state_dim):
+        dudt = (4.0 * (up2 - dn2) / fd_delta - (up - dn) / (2 * fd_delta)) / 3.0
         residuals.append(rel.graph_distance(u_tau, dudt))
     denom = max(float(np.max(np.abs(pu0), initial=0.0)), 1e-300)
     sup_ratio = float(np.max(np.abs(states), initial=0.0)) / denom

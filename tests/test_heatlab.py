@@ -129,12 +129,25 @@ def test_graph_distance_planted_pair(small_disk):
 
 def test_supnorm_contraction_certificate(small_disk):
     cert = supnorm_contraction(small_disk)
-    assert cert.ok and cert.method == "dense-rowsums"
+    assert cert.ok and cert.method == "mmatrix-solve"
     assert all(n <= 1.0 + 1e-12 for n in cert.norms)
-    assert cert.resolvent_min >= 0.0  # positivity of the resolvent kernel
-    forced = supnorm_contraction(small_disk, dense_limit=1)
-    assert forced.method == "mmatrix-solve"
-    assert np.allclose(forced.norms, cert.norms, atol=1e-12)
+    assert cert.resolvent_min > 0.0  # positivity of the resolvent kernel
+    # dense oracle: exact max absolute row sums of λ R(λ)
+    n = small_disk.n_inside
+    dense = [lam * np.abs(np.linalg.inv(lam * np.eye(n) - small_disk.op.toarray()))
+             .sum(axis=1).max() for lam in cert.lams]
+    assert np.allclose(cert.norms, dense, atol=1e-12)
+
+
+def test_supnorm_contraction_rejects_z_matrix_without_positivity():
+    # 1 − 1.5·I is a Z-matrix (no off-diagonal entries) but not an
+    # M-matrix: (λ − L)⁻¹ 1 = −2, which must not pass as a norm of −2
+    mask = disk_mask(Grid(96), 0.7)
+    n = mask.node_count
+    bad = DirichletGridRelation(mask, operator=1.5 * sp.identity(n, format="csr"))
+    with pytest.raises(ContractFailed) as exc:
+        supnorm_contraction(bad, lams=(1.0,))
+    assert exc.value.lam == 1.0
 
 
 def test_supnorm_contraction_rejects_expanding(small_disk):
@@ -146,7 +159,7 @@ def test_supnorm_contraction_rejects_expanding(small_disk):
     assert exc.value.lam == 10.0
     flipped = DirichletGridRelation(mask, operator=-small_disk.op)
     with pytest.raises(ContractFailed):
-        supnorm_contraction(flipped, lams=(1.0,), dense_limit=1)
+        supnorm_contraction(flipped, lams=(1.0,))
     with pytest.raises(InvalidInput):
         supnorm_contraction(small_disk, lams=(-1.0,))
 
@@ -281,6 +294,17 @@ def test_heat_orbit_validation(small_disk):
         heat_orbit(small_disk, u0, [1.0, 0.5])  # not increasing
     with pytest.raises(InvalidInput):
         heat_orbit(small_disk, np.ones(3), [1.0])
+
+
+@pytest.mark.parametrize("m", [32, 64, 128])
+def test_heat_orbit_membership_under_refinement(m):
+    # ‖L‖ grows like h⁻²; the membership check must not lose digits with it
+    grid = Grid(m)
+    rel = DirichletGridRelation(disk_mask(grid, 0.7))
+    orbit = heat_orbit(rel, bump_function(grid), np.arange(1, 21) * 0.05)
+    assert len(orbit.membership_residuals) == 2
+    assert max(orbit.membership_residuals) <= 1e-6
+    assert orbit.off_domain_max == 0.0 and orbit.projection_defect <= 1e-12
 
 
 def test_sector_uniformity_two_members():

@@ -1,0 +1,130 @@
+"""The heat lab's exponential kernel against dense ``scipy.linalg.expm``."""
+
+import cmath
+import logging
+
+import numpy as np
+import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from relsemi.errors import SolverBreakdown
+from relsemi.grids import DomainMask, Grid
+from relsemi.heatlab import (
+    DirichletGridRelation,
+    bump_function,
+    disk_mask,
+    perturbation_experiment,
+    polygon_family,
+)
+
+TOL = 1e-10
+
+masks = st.tuples(st.integers(4, 16), st.floats(0.2, 0.55))
+data_kinds = st.sampled_from(["ones", "bump", "random"])
+
+
+def _relation(m, radius, scaled, seed):
+    rel = DirichletGridRelation(disk_mask(Grid(m), radius))
+    if scaled:  # diag(m)·L: a multiplier operator, not symmetric
+        mult = np.random.default_rng(seed).uniform(0.5, 2.0, rel.n_inside)
+        rel = DirichletGridRelation(rel.mask, operator=sp.diags(mult) @ rel.op)
+    return rel
+
+
+def _data(kind, grid, seed):
+    if kind == "ones":
+        return np.ones(grid.n_nodes)
+    if kind == "bump":
+        return bump_function(grid)
+    return np.random.default_rng(seed).standard_normal(grid.n_nodes)
+
+
+def _dense_exp(rel, z, f):
+    """``exp(zL)`` on the mask and zero off it: the oracle."""
+    out = np.zeros(f.shape, dtype=np.result_type(f, z, float))
+    if rel.n_inside:
+        out[rel.omega] = sla.expm(z * rel.op.toarray()) @ f[rel.omega]
+    return out
+
+
+@given(mask=masks, kind=data_kinds, seed=st.integers(0, 10_000), scaled=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_trajectories_match_dense_expm(mask, kind, seed, scaled):
+    rel = _relation(*mask, scaled, seed)
+    f = _data(kind, rel.grid, seed)
+    # t = 0 plus a sorted non-uniform grid
+    ts = np.concatenate([[0.0], np.sort(np.random.default_rng(seed).uniform(0.0, 2.0, 5))])
+    traj = rel.semigroup_trajectory(ts, f)
+    integ = rel.integrated_trajectory(ts, f[:, None])
+    dense_op = rel.op.toarray()
+    for t, got, got_s in zip(ts, traj, integ):
+        want = _dense_exp(rel, t, f)
+        assert np.max(np.abs(got - want)) <= TOL
+        want_s = np.zeros(rel.state_dim)
+        if rel.n_inside:
+            want_s[rel.omega] = np.linalg.solve(dense_op, want[rel.omega] - f[rel.omega])
+        assert np.max(np.abs(got_s[:, 0] - want_s)) <= TOL
+
+
+@given(mask=masks, kind=data_kinds, seed=st.integers(0, 10_000), scaled=st.booleans(),
+       modulus=st.floats(0.01, 2.0), angle=st.floats(-1.5, 1.5))
+@settings(max_examples=40, deadline=None)
+def test_holomorphic_columns_match_dense_expm(mask, kind, seed, scaled, modulus, angle):
+    rel = _relation(*mask, scaled, seed)
+    f = _data(kind, rel.grid, seed)
+    fs = np.column_stack([f, (1.0 + 2.0j) * f[::-1]])  # one real, one complex column
+    z = modulus * cmath.exp(1j * angle)
+    got = rel.holomorphic_columns(z, fs)
+    assert np.max(np.abs(got - _dense_exp(rel, z, fs))) <= TOL
+
+
+def test_empty_mask_kernel():
+    grid = Grid(6)
+    rel = DirichletGridRelation(DomainMask(grid, np.zeros(grid.n_nodes, dtype=bool)))
+    f = np.ones(grid.n_nodes)
+    assert not rel.semigroup_trajectory([0.0, 0.5], f).any()
+    assert not rel.integrated_trajectory([0.5], f).any()
+    assert not rel.holomorphic_columns(1.0 + 1.0j, f[:, None]).any()
+
+
+def test_basis_cap_raises_solver_breakdown():
+    grid = Grid(12)
+    rel = DirichletGridRelation(disk_mask(grid, 0.7))
+    with pytest.raises(SolverBreakdown):
+        rel._exp_action([0.5, 1.0], bump_function(grid)[rel.omega], max_basis=2)
+
+
+def test_kernel_logs_one_debug_line_per_call(caplog):
+    grid = Grid(12)
+    rel = DirichletGridRelation(disk_mask(grid, 0.7))
+    with caplog.at_level(logging.DEBUG, logger="relsemi"):
+        rel.semigroup_trajectory([0.5, 1.0], np.ones(grid.n_nodes))
+        rel.semigroup_columns(1.0, np.ones((grid.n_nodes, 2)))
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("exp_action")]
+    assert len(lines) == 2
+    assert f"n={rel.n_inside} cols=1 gamma=0.1 " in lines[0] and "lu=miss" in lines[0]
+    assert "cols=2" in lines[1] and "lu=hit" in lines[1]
+    assert all("basis=" in line and "bound=" in line for line in lines)
+
+
+def test_perturbation_experiment_sweeps_each_mask_once(monkeypatch):
+    grid = Grid(16)
+    limit = disk_mask(grid, 0.7)
+    masks = polygon_family(grid, 0.7, sides=(3, 4, 6))
+    calls = []
+    kernel = DirichletGridRelation._exp_action
+
+    def counting(self, times, b, **kwargs):
+        calls.append(self.label)
+        return kernel(self, times, b, **kwargs)
+
+    monkeypatch.setattr(DirichletGridRelation, "_exp_action", counting)
+    f = np.ones((grid.n_nodes, 1))
+    perturbation_experiment(masks, limit, lambda_grid=[1.0],
+                            t_grid=np.linspace(0.0, 1.0, 5), f_set=f, tol=0.5,
+                            items=("i",), samples=0)
+    assert sorted(calls) == sorted([m.label for m in masks] + [limit.label])
