@@ -163,9 +163,8 @@ def cmd_semigroup_run(args) -> int:
                           field="--x")
     sd = decompose(rel)
     ts = _parse_time_grid(args.grid)
-    states = [semigroup_at(sd, t) @ x for t in ts]
-    cplx = any(np.iscomplexobj(u) for u in states)
-    if cplx:
+    states = semigroup_at(sd, ts) @ x
+    if np.iscomplexobj(states):
         cols = ["t"]
         for j in range(rel.state_dim):
             cols += [f"u_{j + 1}_re", f"u_{j + 1}_im"]

@@ -7,9 +7,11 @@ grid, at a single point, at one caller-supplied complex point (plus its
 range hypothesis), and graph convergence in the gap metric — and insists
 that their verdicts agree.
 
-Sequence members may be plain relations (evaluated densely) or any object
-implementing the small evaluator protocol (used by the heat lab to plug in
-sparse kernels and sup norms).
+Sequence members may be plain relations (evaluated densely by
+:class:`DenseEvaluator`) or any object implementing the evaluator protocol
+``PROTOCOL`` (the heat lab plugs in sparse kernels and sup norms).  The
+protocol works on arrays: one call evaluates every time, sector point or
+shift of a report's grid on a block of trial vectors.
 """
 
 from __future__ import annotations
@@ -42,13 +44,22 @@ from .semigroup import (
 from .spectral import ACCEPT_TOL, relation_from_resolvent, resolvent
 
 
-class DenseEvaluator:
-    """Evaluator protocol implementation for an explicit relation.
+PROTOCOL = ("state_dim", "resolvent", "semigroup", "integrated",
+            "range_shift_full", "vec_norm")
 
-    Protocol: ``state_dim``, ``relation`` (or None), ``m_dissipative_ok()``,
-    ``resolvent_columns(lam, fs)``, ``integrated_columns(t, fs)``,
-    ``semigroup_columns(t, fs)``, ``holomorphic_columns(z, fs)``,
-    ``range_shift_full(mu)`` and ``vec_norm(x)``.
+
+class DenseEvaluator:
+    """The evaluator protocol for an explicit relation, by dense matrices.
+
+    Protocol (``PROTOCOL``; :class:`relsemi.heatlab.DirichletGridRelation`
+    is the sparse implementation): ``state_dim``; ``resolvent(lams, F)``,
+    ``semigroup(zs, F)`` and ``integrated(ts, F)``, each returning the
+    stack ``(len(·),) + F.shape`` of ``R(λ) F``, ``T(z) F`` and ``S(t) F``
+    (``zs`` real ``t >= 0``, or complex inside the sector, else
+    :class:`OutsideSector`); ``range_shift_full(mu)``; and ``vec_norm(x)``,
+    the norms of ``x`` over its state axis (axis 0 of a vector, ``-2`` of
+    a column block or a stack).  Evaluators built from a relation also
+    carry it as ``relation``.
     """
 
     def __init__(self, rel: LinearRelation, norm: str = "l2"):
@@ -56,50 +67,40 @@ class DenseEvaluator:
         self.state_dim = rel.state_dim
         self._norm = norm
         self._sd = None
-        self._resolvents = {}
 
     def _data(self):
         if self._sd is None:
             self._sd = decompose(self.relation)
         return self._sd
 
-    def m_dissipative_ok(self) -> bool:
-        try:
-            self._data()
-            return True
-        except Exception:
-            return False
+    def resolvent(self, lams, fs: np.ndarray) -> np.ndarray:
+        return np.stack([resolvent(self.relation, lam).matrix @ fs
+                         for lam in np.atleast_1d(lams)])
 
-    def resolvent_columns(self, lam, fs: np.ndarray) -> np.ndarray:
-        key = complex(lam)
-        if key not in self._resolvents:
-            self._resolvents[key] = resolvent(self.relation, lam).matrix
-        return self._resolvents[key] @ fs
+    def semigroup(self, zs, fs: np.ndarray) -> np.ndarray:
+        zs = np.atleast_1d(zs)
+        at = holomorphic_at if np.iscomplexobj(zs) else semigroup_at
+        return at(self._data(), zs) @ fs
 
-    def integrated_columns(self, t: float, fs: np.ndarray) -> np.ndarray:
-        return integrated_at(self._data(), t) @ fs
-
-    def semigroup_columns(self, t: float, fs: np.ndarray) -> np.ndarray:
-        return semigroup_at(self._data(), t) @ fs
-
-    def holomorphic_columns(self, z, fs: np.ndarray) -> np.ndarray:
-        return holomorphic_at(self._data(), z) @ fs
+    def integrated(self, ts, fs: np.ndarray) -> np.ndarray:
+        return integrated_at(self._data(), np.atleast_1d(ts)) @ fs
 
     def range_shift_full(self, mu) -> bool:
         shifted = self.relation.shift(mu)
         return shifted.parts.range.dim == self.state_dim
 
-    def vec_norm(self, x: np.ndarray) -> float:
+    def vec_norm(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x)
+        axis = 0 if x.ndim == 1 else -2
         if self._norm == "sup":
-            return float(np.max(np.abs(x))) if x.size else 0.0
-        return float(np.linalg.norm(x))
+            return np.max(np.abs(x), axis=axis, initial=0.0)
+        return np.linalg.norm(x, axis=axis)
 
 
 def as_evaluator(obj, norm: str = "l2"):
     if isinstance(obj, LinearRelation):
         return DenseEvaluator(obj, norm)
-    needed = ("resolvent_columns", "integrated_columns", "vec_norm", "state_dim")
-    if all(hasattr(obj, a) for a in needed):
+    if all(hasattr(obj, a) for a in PROTOCOL):
         return obj
     raise InvalidInput(f"object {type(obj).__name__} implements no evaluator protocol")
 
@@ -240,41 +241,28 @@ def trotter_kato_report(family, limit, lambda_grid, t_grid, f_set=None,
         raise InvalidInput("mu must have positive real part")
 
     def col_err(a, b, ev):
-        return max(ev.vec_norm(a[:, j] - b[:, j]) for j in range(a.shape[1]))
+        return float(np.max(ev.vec_norm(a - b)))
 
     report = ConvergenceReport(labels, tol, None, {}, None, None, None, None, None)
     verdict_pool = {}
 
-    def s_table(ev):
-        # evaluators backed by a sparse exponential sweep expose a whole-grid
-        # trajectory; fall back to one call per time otherwise
-        if hasattr(ev, "integrated_trajectory"):
-            vals = ev.integrated_trajectory(t_grid, f_set)
-            return {t: vals[j] for j, t in enumerate(t_grid)}
-        return {t: ev.integrated_columns(t, f_set) for t in t_grid}
-
     if "i" in items:
-        lim_s = s_table(lim)
-        errs = np.zeros(len(evals))
-        for k, ev in enumerate(evals):
-            tab = s_table(ev)
-            errs[k] = max(col_err(tab[t], lim_s[t], ev) for t in t_grid)
-        report.integrated_sup = errs
-        verdict_pool["i"] = bool(errs[-1] <= tol)
+        lim_s = lim.integrated(t_grid, f_set)
+        report.integrated_sup = np.array([col_err(ev.integrated(t_grid, f_set), lim_s, ev)
+                                          for ev in evals])
+        verdict_pool["i"] = bool(report.integrated_sup[-1] <= tol)
 
     if "ii" in items or "iii" in items:
-        for lam in lambda_grid:
-            lim_r = lim.resolvent_columns(lam, f_set)
-            errs = np.array([col_err(ev.resolvent_columns(lam, f_set), lim_r, ev)
-                             for ev in evals])
-            report.resolvent_errors[lam] = errs
+        lim_r = lim.resolvent(lambda_grid, f_set)
+        # errs[k, j]: member k against the limit at lambda_grid[j], worst trial vector
+        errs = np.array([np.max(ev.vec_norm(ev.resolvent(lambda_grid, f_set) - lim_r),
+                                axis=-1) for ev in evals])
+        report.resolvent_errors = {lam: errs[:, j] for j, lam in enumerate(lambda_grid)}
         if "ii" in items:
-            verdict_pool["ii"] = bool(all(errs[-1] <= tol
-                                          for errs in report.resolvent_errors.values()))
+            verdict_pool["ii"] = bool(np.all(errs[-1] <= tol))
         if "iii" in items:
             report.single_lambda = lambda_grid[0]
-            verdict_pool["iii"] = bool(
-                report.resolvent_errors[lambda_grid[0]][-1] <= tol)
+            verdict_pool["iii"] = bool(errs[-1, 0] <= tol)
 
     if "iv" in items:
         mu = complex(mu)
@@ -284,13 +272,12 @@ def trotter_kato_report(family, limit, lambda_grid, t_grid, f_set=None,
         errs = np.full(len(evals), math.nan)
         norms = []
         try:
-            lim_r = lim.resolvent_columns(mu, f_set)
+            lim_r = lim.resolvent([mu], f_set)
             for k, ev in enumerate(evals):
-                cols = ev.resolvent_columns(mu, f_set)
+                cols = ev.resolvent([mu], f_set)
                 errs[k] = col_err(cols, lim_r, ev)
-                norms.append(max(ev.vec_norm(cols[:, j]) /
-                                 max(ev.vec_norm(f_set[:, j]), 1e-300)
-                                 for j in range(f_set.shape[1])))
+                norms.append(float(np.max(ev.vec_norm(cols)
+                                          / np.maximum(ev.vec_norm(f_set), 1e-300))))
         except NotInResolventSet:
             hyp["all_in_resolvent"] = False
         hyp["max_norm"] = max(norms) if norms else math.nan
@@ -393,15 +380,10 @@ def holomorphic_convergence_report(family, spec: SectorSpec, eps: float,
     if f_set is None:
         f_set = default_f_set(d, "complex")
     f_set = np.atleast_2d(np.asarray(f_set, dtype=complex))
-    errors = np.zeros(len(evs))
-    for k, ev in enumerate(evs):
-        worst = 0.0
-        for z in z_grid:
-            a = ev.holomorphic_columns(z, f_set)
-            b = lim_e.holomorphic_columns(z, f_set)
-            worst = max(worst, max(ev.vec_norm(a[:, j] - b[:, j])
-                                   for j in range(f_set.shape[1])))
-        errors[k] = worst
+    zs = np.asarray(z_grid, dtype=complex)
+    lim_vals = lim_e.semigroup(zs, f_set)
+    errors = np.array([float(np.max(ev.vec_norm(ev.semigroup(zs, f_set) - lim_vals)))
+                       for ev in evs])
     passed = bool(errors[-1] <= tol and errors[-1] <= errors[0] + 1e-15)
     return HolomorphicReport(tuple(labels), tuple(z_grid), errors, limit,
                              lim_ev, tol, passed)

@@ -8,8 +8,10 @@ through sparse factorizations on the masked block and by zero off it, so
 no dense graph basis is ever required (a dense relation is available for
 small grids as a cross-check).
 
-Every semigroup action — ``T(t)``, ``T(z)``, ``S(t)`` and whole
-trajectories — goes through one kernel, :meth:`DirichletGridRelation._exp_action`:
+The relation is an evaluator in the sense of :mod:`relsemi.converge`: its
+``resolvent``, ``semigroup`` and ``integrated`` methods take arrays of
+shifts or times.  Every semigroup action — ``T(t)``, ``T(z)`` and ``S(t)``
+on a whole grid — goes through one kernel, :meth:`DirichletGridRelation._exp_action`:
 a shift-and-invert Arnoldi basis of ``(I − γL)⁻¹`` (van den Eshof &
 Hochbruck, 2006) built on one cached sparse factorization per sweep, with
 all requested times evaluated from that basis.  Its convergence does not
@@ -89,10 +91,12 @@ def stencil_on_flags(grid: Grid, flags) -> sp.csr_matrix:
 class DirichletGridRelation:
     """Evaluator for the Dirichlet relation of one mask.
 
-    Implements the convergence-report protocol (``state_dim``,
-    ``resolvent_columns``, ``integrated_columns`` …) with sup-norm vector
-    norms.  ``operator`` overrides the plain stencil (used by multiplier
-    perturbations); it must act on the masked block in flat node order.
+    Implements the evaluator protocol of :mod:`relsemi.converge`
+    (``state_dim``, ``resolvent``, ``semigroup``, ``integrated``,
+    ``range_shift_full``, ``vec_norm``) on arrays of shifts and times, with
+    sup-norm vector norms.  ``operator`` overrides the plain stencil (used
+    by multiplier perturbations); it must act on the masked block in flat
+    node order.
     """
 
     def __init__(self, mask: DomainMask, operator=None, multiplier=None,
@@ -121,20 +125,19 @@ class DirichletGridRelation:
     def _restrict(self, arr):
         return np.asarray(arr)[self.omega]
 
-    def _embed(self, vals, like):
-        out = np.zeros((self.state_dim,) + vals.shape[1:],
-                       dtype=np.promote_types(vals.dtype, like.dtype))
-        out[self.omega] = vals
-        return out
+    def _factor_shift(self, lam):
+        """``(splu(λ − L), real)``, a real factor when ``λ`` is real."""
+        lam = complex(lam)
+        real = lam.imag == 0.0
+        dt = float if real else complex
+        mat = (lam.real if real else lam) * sp.identity(
+            self.n_inside, dtype=dt, format="csc") - self.op.astype(dt)
+        return spl.splu(mat.tocsc()), real
 
     def _shift_lu(self, lam):
         key = complex(lam)
         if key not in self._shift_lus:
-            real = key.imag == 0.0
-            dt = float if real else complex
-            mat = (key.real if real else key) * sp.identity(
-                self.n_inside, dtype=dt, format="csc") - self.op.astype(dt)
-            self._shift_lus[key] = (spl.splu(mat.tocsc()), real)
+            self._shift_lus[key] = self._factor_shift(key)
         return self._shift_lus[key]
 
     @staticmethod
@@ -153,9 +156,9 @@ class DirichletGridRelation:
 
     # -- evaluator protocol -------------------------------------------------
 
-    def vec_norm(self, x) -> float:
+    def vec_norm(self, x):
         x = np.asarray(x)
-        return float(np.max(np.abs(x))) if x.size else 0.0
+        return np.max(np.abs(x), axis=0 if x.ndim == 1 else -2, initial=0.0)
 
     def m_dissipative_ok(self) -> bool:
         try:
@@ -177,43 +180,45 @@ class DirichletGridRelation:
         res = np.linalg.norm(mu * x - self.op @ x - b) / math.sqrt(self.n_inside)
         return bool(res <= 1e-8)
 
-    def resolvent_columns(self, lam, fs):
+    def resolvent(self, lams, fs):
+        """``R(λ) F`` for every shift in ``lams``, one cached factor each."""
+        lams = np.atleast_1d(lams)
         fs = np.asarray(fs)
-        if self.n_inside == 0:
-            return np.zeros(fs.shape, dtype=np.promote_types(fs.dtype, type(lam)))
-        lu, real = self._shift_lu(lam)
-        sol = self._lu_solve(lu, real, fs[self.omega])
-        return self._embed(sol, fs)
+        out = np.zeros((lams.size,) + fs.shape, dtype=np.result_type(fs, lams))
+        if self.n_inside:
+            for k, lam in enumerate(lams):
+                lu, real = self._shift_lu(lam)
+                out[k, self.omega] = self._lu_solve(lu, real, fs[self.omega])
+        return out
 
-    def semigroup_trajectory(self, ts, fs):
-        """``T(t) f`` for every time ``t`` (or complex ``z``) in ``ts``.
+    def semigroup(self, zs, fs):
+        """``T(z) F`` for every real ``t ≥ 0`` or complex ``z`` in ``zs``.
 
-        Returns an array of shape ``(len(ts),) + fs.shape``; the values off
-        the mask are zero (the multivalued directions are killed at once).
+        The sector of the heat semigroup is the open right half-plane, so a
+        complex ``z ≠ 0`` with ``Re z ≤ 0`` raises :class:`OutsideSector`.
+        All points come from one kernel call; the values off the mask are
+        zero (the multivalued directions are killed at once).
         """
+        zs = np.atleast_1d(zs)
+        if np.iscomplexobj(zs):
+            outside = (zs != 0) & (zs.real <= 0)
+            if outside.any():
+                raise OutsideSector(f"z={complex(zs[outside][0])!r} outside the "
+                                    "right half-plane")
         fs = np.asarray(fs)
-        w = self._exp_action(ts, fs[self.omega])
+        w = self._exp_action(zs, fs[self.omega])
         out = np.zeros((w.shape[0],) + fs.shape, dtype=w.dtype)
         out[:, self.omega] = w
         return out
 
-    def semigroup_columns(self, t, fs):
-        return self.semigroup_trajectory([float(t)], fs)[0]
-
-    def holomorphic_columns(self, z, fs):
-        z = complex(z)
-        if z != 0 and z.real <= 0:
-            raise OutsideSector(f"z={z!r} outside the right half-plane")
-        return self.semigroup_trajectory([z], fs)[0]
-
-    def integrated_trajectory(self, ts, fs):
-        """``S(t) f = L⁻¹(T(t) − I) f`` on the mask for every time in ``ts``.
+    def integrated(self, ts, fs):
+        """``S(t) F = L⁻¹(T(t) − I) F`` on the mask for every time in ``ts``.
 
         The last grid and data are remembered, so a caller asking again for
-        the same trajectory (a report and its off-mask check) gets the
-        stored, read-only array instead of a second sweep.
+        the same times (a report and its off-mask check) gets the stored,
+        read-only array instead of a second sweep.
         """
-        ts = np.asarray(ts, dtype=float)
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
         fs = np.asarray(fs)
         if np.any(ts < 0):
             raise InvalidInput("time grid must be nonnegative")
@@ -232,9 +237,6 @@ class DirichletGridRelation:
         out.setflags(write=False)
         self._integrated_memo = (ts.copy(), fs.copy(), out)
         return out
-
-    def integrated_columns(self, t, fs):
-        return self.integrated_trajectory([float(t)], fs)[0].copy()
 
     # -- exponential kernel ---------------------------------------------------
 
@@ -301,12 +303,7 @@ class DirichletGridRelation:
     def _nearest_coeff(self, u, f):
         uin = np.asarray(u)[self.omega]
         fin = np.asarray(f)[self.omega]
-        rhs = uin + self.op.T @ fin
-        if np.iscomplexobj(rhs):
-            lu = self._distance_lu()
-            return lu.solve(np.ascontiguousarray(rhs.real)) \
-                + 1j * lu.solve(np.ascontiguousarray(rhs.imag))
-        return self._distance_lu().solve(np.ascontiguousarray(rhs))
+        return self._lu_solve(self._distance_lu(), True, uin + self.op.T @ fin)
 
     def graph_distance(self, u, f) -> float:
         """Euclidean distance from the pair ``(u, f)`` to the graph."""
@@ -515,19 +512,16 @@ def supnorm_contraction(rel: DirichletGridRelation, lams=(0.1, 1.0, 10.0),
 def surjective_solve(rel: DirichletGridRelation, f):
     """Solve ``A u ∋ f``: ``u`` vanishes off the mask, stencil matches on it."""
     f = np.asarray(f)
+    out = np.zeros_like(f, dtype=np.promote_types(f.dtype, float))
     if rel.n_inside == 0:
-        return np.zeros_like(f, dtype=np.promote_types(f.dtype, float))
-    lu = rel._operator_lu()
+        return out
     fin = f[rel.omega]
-    if np.iscomplexobj(fin):
-        sol = lu.solve(np.ascontiguousarray(fin.real)) \
-            + 1j * lu.solve(np.ascontiguousarray(fin.imag))
-    else:
-        sol = lu.solve(np.ascontiguousarray(fin))
+    sol = rel._lu_solve(rel._operator_lu(), True, fin)
     res = np.linalg.norm(rel.op @ sol - fin)
     if res > 1e-10 * max(np.linalg.norm(fin), 1.0):
         raise SolverBreakdown(f"stencil solve residual {res:.3e}")
-    return rel._embed(sol, f)
+    out[rel.omega] = sol
+    return out
 
 
 # -- eigenvalues ----------------------------------------------------------
@@ -715,13 +709,13 @@ class SectorUniformity:
 
 
 def sector_uniformity(labs, eps: float = 0.1, rays: int = 5, radii: int = 7,
-                      r_range=(1e-2, 1e3),
-                      dense_limit: int = DENSE_ROWSUM_LIMIT) -> SectorUniformity:
+                      r_range=(1e-2, 1e3)) -> SectorUniformity:
     """One sup-norm bound for ``λ R(λ)`` over right-half-plane rays.
 
     Samples ``λ = r e^{iθ}``, ``|θ| ≤ π/2 − eps``, and records the max of
     the exact row-sum norm per family member; the evidence is the max over
     the family (a single finite bound for the whole family at this grid).
+    Each ``λ − L`` is factored here, outside the members' factor caches.
     """
     labs = list(labs)
     if not labs:
@@ -732,14 +726,14 @@ def sector_uniformity(labs, eps: float = 0.1, rays: int = 5, radii: int = 7,
     for lab in labs:
         worst = 0.0
         n = lab.n_inside
-        if n > dense_limit:
+        if n > DENSE_ROWSUM_LIMIT:
             raise InvalidInput("family member too large for exact row sums")
         for th in thetas:
             for r in rs:
                 lam = complex(r * math.cos(th), r * math.sin(th))
                 if n == 0:
                     continue
-                lu, real = lab._shift_lu(lam)
+                lu, real = lab._factor_shift(lam)
                 res = lab._lu_solve(lu, real, np.eye(n, dtype=complex))
                 worst = max(worst, abs(lam) * float(np.abs(res).sum(axis=1).max()))
         per.append(worst)
@@ -865,7 +859,7 @@ def perturbation_experiment(masks, limit_mask: DomainMask, lambda_grid, t_grid,
     dists = np.zeros((len(labs), samples))
     if samples:
         g = rng.standard_normal((lim.state_dim, samples))
-        u = lim.resolvent_columns(1.0, g)
+        u = lim.resolvent([1.0], g)[0]
         f = u - g  # (u, f) lies on the limit graph: u - f = g = (1 - A)u
         for k, lab in enumerate(labs):
             dists[k] = [lab.graph_distance(u[:, s], f[:, s])
@@ -874,7 +868,7 @@ def perturbation_experiment(masks, limit_mask: DomainMask, lambda_grid, t_grid,
     f_set = np.atleast_2d(np.asarray(f_set))
     off_sup = np.zeros(len(labs))
     for k, lab in enumerate(labs):
-        traj = lab.integrated_trajectory(np.asarray(t_grid, dtype=float), f_set)
+        traj = lab.integrated(np.asarray(t_grid, dtype=float), f_set)
         off_sup[k] = float(np.max(np.abs(traj[:, off, :]))) if off.any() else 0.0
     header = {
         "norm": "sup",
@@ -923,7 +917,7 @@ def heat_orbit(rel: DirichletGridRelation, u0, t_grid, fd_times=None,
         fd_times = tuple(float(t_grid[j]) for j in picks if t_grid[j] > 2 * fd_delta)
     offsets = np.array([0.0, fd_delta, -fd_delta, fd_delta / 2, -fd_delta / 2])
     fd_grid = (np.asarray(fd_times, dtype=float)[:, None] + offsets).ravel()
-    traj = rel.semigroup_trajectory(np.concatenate([[0.0], t_grid, fd_grid]), u0)
+    traj = rel.semigroup(np.concatenate([[0.0], t_grid, fd_grid]), u0)
     states = traj[1:t_grid.size + 1]
     pu0 = np.zeros_like(u0)
     pu0[rel.omega] = u0[rel.omega]

@@ -132,7 +132,7 @@ class LinearRelation:
             v @ null_basis(u, tol, scale_floor=1.0), d, tol)
         return RelationParts(domain, rng, kernel, multivalued)
 
-    def is_operator(self, tol: float = 1e-9) -> bool:
+    def is_operator(self) -> bool:
         """True when the relation is single-valued on its domain."""
         return self.parts.multivalued.dim == 0
 

@@ -32,6 +32,8 @@ from .spectral import ACCEPT_TOL, NotInResolventSet, resolvent
 
 log = logging.getLogger("relsemi")
 
+EXPM_BLOCK = 64  # matrices per stacked expm call; bounds a quadrature's working set
+
 
 @dataclass(frozen=True)
 class SemigroupData:
@@ -109,50 +111,79 @@ def phi1(z: np.ndarray) -> np.ndarray:
     """Entire function ``phi1(Z) = Z^{-1} (e^Z - I)``, singularities removed.
 
     Evaluated as the top-right block of ``expm([[Z, I], [0, 0]])``, which
-    is well defined for singular ``Z`` as well.
+    is well defined for singular ``Z`` as well.  ``z`` may be a stack of
+    matrices ``(..., n, n)``.
     """
-    n = z.shape[0]
+    n = z.shape[-1]
     if n == 0:
         return z.copy()
-    aug = np.zeros((2 * n, 2 * n), dtype=np.result_type(z.dtype, float))
-    aug[:n, :n] = z
-    aug[:n, n:] = np.eye(n)
-    return spla.expm(aug)[:n, n:]
+    aug = np.zeros(z.shape[:-2] + (2 * n, 2 * n), dtype=np.result_type(z.dtype, float))
+    aug[..., :n, :n] = z
+    aug[..., :n, n:] = np.eye(n)
+    return spla.expm(aug)[..., :n, n:]
 
 
-def semigroup_at(sd: SemigroupData, t: float) -> np.ndarray:
-    """The degenerate semigroup ``T(t) = embed(exp(t M1)) P`` for ``t >= 0``."""
-    if t < 0:
+def _stacks(sd: SemigroupData, zs: np.ndarray, integrated: bool = False):
+    """``T(z)``, or ``S(z)`` when ``integrated``, for the flat array ``zs``.
+
+    Yields one ``(len(block), d, d)`` stack per block of ``EXPM_BLOCK``
+    times, each from one stacked ``expm``, so a long quadrature never holds
+    more than one block.  An empty domain needs no case: its blocks are 0 x 0.
+    """
+    for start in range(0, zs.size, EXPM_BLOCK):
+        z = zs[start:start + EXPM_BLOCK, None, None]
+        m = z * sd.generator_matrix
+        core = z * phi1(m) if integrated else spla.expm(m)
+        yield sd.domain_basis @ core @ sd.coord_map
+
+
+def _evaluate(sd: SemigroupData, zs: np.ndarray, integrated: bool = False) -> np.ndarray:
+    """All of :func:`_stacks` at once; a scalar ``zs`` gives one matrix.
+
+    Complex points are checked against the sector by :func:`holomorphic_at`.
+    """
+    if zs.ndim > 1 or zs.size == 0:
+        raise InvalidInput("times must be a scalar or a non-empty flat array")
+    if not np.iscomplexobj(zs) and np.any(zs < 0):
         raise InvalidInput("semigroup time must be nonnegative")
-    if sd.domain_dim == 0:
-        return np.zeros_like(sd.projector)
-    return sd.domain_basis @ spla.expm(t * sd.generator_matrix) @ sd.coord_map
+    out = np.concatenate(list(_stacks(sd, np.atleast_1d(zs), integrated)))
+    return out if zs.ndim else out[0]
 
 
-def integrated_at(sd: SemigroupData, t: float) -> np.ndarray:
-    """Once-integrated semigroup ``S(t) = integral_0^t T(r) dr``."""
-    if t < 0:
-        raise InvalidInput("semigroup time must be nonnegative")
-    if sd.domain_dim == 0 or t == 0.0:
-        return np.zeros_like(sd.projector)
-    block = t * phi1(t * sd.generator_matrix)
-    return sd.domain_basis @ block @ sd.coord_map
+def _weighted_sum(sd: SemigroupData, ts: np.ndarray, weights: np.ndarray,
+                  integrated: bool) -> np.ndarray:
+    """``sum_k weights[k] F(ts[k])`` with ``F = S`` or ``T``, blockwise."""
+    acc = np.zeros(sd.projector.shape, dtype=np.result_type(sd.projector, weights))
+    for k, stack in enumerate(_stacks(sd, ts, integrated)):
+        acc += np.tensordot(weights[k * EXPM_BLOCK:(k + 1) * EXPM_BLOCK], stack, axes=1)
+    return acc
+
+
+def semigroup_at(sd: SemigroupData, t) -> np.ndarray:
+    """The degenerate semigroup ``T(t) = embed(exp(t M1)) P`` for ``t >= 0``.
+
+    A flat array of times gives the stack ``(len(t), d, d)``.
+    """
+    return _evaluate(sd, np.asarray(t, dtype=float))
+
+
+def integrated_at(sd: SemigroupData, t) -> np.ndarray:
+    """Once-integrated semigroup ``S(t) = integral_0^t T(r) dr``.
+
+    A flat array of times gives the stack ``(len(t), d, d)``.
+    """
+    return _evaluate(sd, np.asarray(t, dtype=float), integrated=True)
 
 
 def semigroup_law_residual(sd: SemigroupData, t: float, s: float) -> float:
     """``||T(t+s) - T(t) T(s)||_2``."""
-    lhs = semigroup_at(sd, t + s)
-    rhs = semigroup_at(sd, t) @ semigroup_at(sd, s)
-    return float(np.linalg.norm(lhs - rhs, 2))
+    lhs, left, right = semigroup_at(sd, np.array([t + s, t, s]))
+    return float(np.linalg.norm(lhs - left @ right, 2))
 
 
 def _integral_of_integrated(sd, a, b, nodes_per_unit):
     ts, ws = panel_rule(a, b, nodes_per_unit)
-    d = sd.state_dim
-    acc = np.zeros((d, d), dtype=sd.projector.dtype)
-    for tk, wk in zip(ts, ws):
-        acc = acc + wk * integrated_at(sd, tk)
-    return acc
+    return _weighted_sum(sd, ts, ws, integrated=True)
 
 
 @dataclass(frozen=True)
@@ -170,7 +201,8 @@ class FunctionalEquationCheck:
 
 def functional_equation_residual(sd: SemigroupData, t: float, s: float,
                                  nodes_per_unit: int = 64) -> FunctionalEquationCheck:
-    prod = integrated_at(sd, t) @ integrated_at(sd, s)
+    left, right = integrated_at(sd, np.array([t, s]))
+    prod = left @ right
     win1 = _integral_of_integrated(sd, t, t + s, nodes_per_unit) \
         - _integral_of_integrated(sd, 0.0, s, nodes_per_unit)
     win2 = _integral_of_integrated(sd, s, t + s, nodes_per_unit) \
@@ -203,20 +235,17 @@ def laplace_residual(sd: SemigroupData, lam, horizon: float = 40.0,
     re = float(np.real(lam))
     if re <= 0:
         raise InvalidInput("Laplace comparison needs Re(lam) > 0")
-    ts, ws = panel_rule(0.0, horizon, nodes_per_unit)
-    d = sd.state_dim
-    acc = np.zeros((d, d), dtype=complex)
     if transform == "semigroup":
-        for tk, wk in zip(ts, ws):
-            acc += wk * np.exp(-lam * tk) * semigroup_at(sd, tk)
         bound = math.exp(-re * horizon) / re
     elif transform == "integrated":
-        for tk, wk in zip(ts, ws):
-            acc += wk * np.exp(-lam * tk) * integrated_at(sd, tk)
-        acc *= lam
         bound = abs(lam) * math.exp(-re * horizon) * (horizon / re + 1.0 / re ** 2)
     else:
         raise InvalidInput(f"unknown transform {transform!r}")
+    ts, ws = panel_rule(0.0, horizon, nodes_per_unit)
+    integrated = transform == "integrated"
+    acc = _weighted_sum(sd, ts, ws * np.exp(-lam * ts), integrated)
+    if integrated:
+        acc = lam * acc
     target = resolvent(sd.relation, lam, accept_tol).matrix
     return LaplaceCheck(float(np.linalg.norm(acc - target, 2)), bound)
 
@@ -242,27 +271,21 @@ def mild_solution(sd: SemigroupData, x, t_grid, nodes_per_unit: int = 16) -> Mil
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size == 0 or np.any(np.diff(ts) <= 0) or ts[0] < 0:
         raise InvalidInput("t_grid must be increasing and nonnegative")
-    d = sd.state_dim
-    states = np.empty((ts.size, d), dtype=x.dtype)
-    residuals = np.empty(ts.size)
-    graph = sd.relation.graph
-    running = np.zeros(d, dtype=x.dtype)
-    prev_t = 0.0
-    for k, t in enumerate(ts):
-        qs, qw = panel_rule(prev_t, t, nodes_per_unit)
-        for q, w in zip(qs, qw):
-            running = running + w * (integrated_at(sd, q) @ x)
-        prev_t = t
-        u = integrated_at(sd, t) @ x
-        states[k] = u
-        pair = np.concatenate([running, u - t * x])
-        residuals[k] = graph.member_distance(pair)
-    nx = float(np.linalg.norm(x))
-    defect = 0.0
-    for i in range(ts.size):
-        for j in range(i + 1, ts.size):
-            gapv = float(np.linalg.norm(states[i] - states[j]))
-            defect = max(defect, gapv - abs(ts[i] - ts[j]) * nx)
+    rules = [panel_rule(a, b, nodes_per_unit)
+             for a, b in zip(np.concatenate([[0.0], ts[:-1]]), ts)]
+    nodes = np.concatenate([q for q, _ in rules] + [ts])
+    weights = np.concatenate([w for _, w in rules])
+    vals = np.concatenate([stack @ x for stack in _stacks(sd, nodes, integrated=True)])
+    states = vals[weights.size:].copy()  # a view would keep every node value alive
+    # running integral of u up to each grid time, summed node by node in order
+    partial = np.cumsum(weights[:, None] * vals[:weights.size], axis=0)
+    ends = np.cumsum([q.size for q, _ in rules])
+    running = np.vstack([np.zeros((1, x.size), dtype=partial.dtype), partial])[ends]
+    pairs = np.vstack([running.T, (states - ts[:, None] * x).T])
+    residuals = np.linalg.norm(pairs - sd.relation.graph.project(pairs), axis=0)
+    gaps = np.linalg.norm(states[:, None] - states[None, :], axis=-1) \
+        - np.abs(ts[:, None] - ts[None, :]) * float(np.linalg.norm(x))
+    defect = float(np.max(gaps[np.triu_indices(ts.size, 1)], initial=0.0))
     return MildSolution(ts, states, residuals, defect)
 
 
@@ -287,25 +310,23 @@ def wellposedness_check(rel: LinearRelation, trial_xs=None, t_grid=None,
     spectral point in the open right half-plane, an explicit mild solution
     violating the Lipschitz bound is returned as a witness.
     """
-    ev = is_m_dissipative(rel)
     if t_grid is None:
         t_grid = np.linspace(0.1, 3.0, 10)
-    if ev.ok:
+    try:
         sd = decompose(rel)
-        if trial_xs is None:
-            trial_xs = list(np.eye(rel.state_dim, dtype=sd.projector.dtype).T)
-        worst_res, worst_lip = 0.0, 0.0
-        for x in trial_xs:
-            sol = mild_solution(sd, x, t_grid)
-            worst_res = max(worst_res, float(np.max(sol.membership_residuals)))
-            worst_lip = max(worst_lip, sol.lipschitz_defect)
-        ok = worst_res <= tol and worst_lip <= tol
-        reason = "" if ok else "mild-solution defect exceeded tolerance"
-        return WellPosednessVerdict(ok, True, reason, worst_res, worst_lip)
-    witness = _growth_witness(rel, t_grid)
-    return WellPosednessVerdict(False, False,
-                                ev.failure or "not m-dissipative",
-                                math.nan, math.nan, witness)
+    except NotMDissipative as exc:
+        return WellPosednessVerdict(False, False, str(exc), math.nan, math.nan,
+                                    _growth_witness(rel, t_grid))
+    if trial_xs is None:
+        trial_xs = list(np.eye(rel.state_dim, dtype=sd.projector.dtype).T)
+    worst_res, worst_lip = 0.0, 0.0
+    for x in trial_xs:
+        sol = mild_solution(sd, x, t_grid)
+        worst_res = max(worst_res, float(np.max(sol.membership_residuals)))
+        worst_lip = max(worst_lip, sol.lipschitz_defect)
+    ok = worst_res <= tol and worst_lip <= tol
+    reason = "" if ok else "mild-solution defect exceeded tolerance"
+    return WellPosednessVerdict(ok, True, reason, worst_res, worst_lip)
 
 
 def _growth_witness(rel: LinearRelation, t_grid):
@@ -420,30 +441,30 @@ def certified_sector_angle(sd: SemigroupData, samples: int = 64,
 def holomorphic_at(sd: SemigroupData, z, spec: Optional[SectorSpec] = None) -> np.ndarray:
     """Evaluate ``T(z)`` inside the certified sector.
 
+    A flat array of points gives the stack ``(len(z), d, d)``.
     ``z = 0`` returns the projector.  Points with ``|arg z|`` at or beyond
     the certified angle raise :class:`OutsideSector`.  When the norm of the
     result exceeds the conservative sector bound ``M (1 + 2 e pi / sin(eps))``
     a warning is logged (never raised): that bound is a coarse a-priori
     estimate and exceeding it signals a data problem upstream.
     """
-    z = complex(z)
-    if z == 0:
-        return sd.projector.astype(complex)
-    alpha = certified_sector_angle(sd)
-    arg = abs(math.atan2(z.imag, z.real))
-    if arg >= alpha:
+    zs = np.asarray(z, dtype=complex)
+    flat = np.atleast_1d(zs)
+    moving = flat != 0
+    alpha = certified_sector_angle(sd) if moving.any() else math.pi / 2
+    args = np.abs(np.angle(flat))
+    if np.any(moving & (args >= alpha)):
+        arg = float(np.max(args[moving]))
         raise OutsideSector(f"|arg z| = {arg:.6f} >= certified angle {alpha:.6f}")
-    if sd.domain_dim == 0:
-        return np.zeros(sd.projector.shape, dtype=complex)
-    out = sd.domain_basis.astype(complex) @ spla.expm(z * sd.generator_matrix.astype(complex)) \
-        @ sd.coord_map.astype(complex)
-    eps = alpha - arg
+    out = _evaluate(sd, zs)
     m_bound = spec.bound if spec is not None else 1.0
-    soft = m_bound * (1.0 + 2.0 * math.e * math.pi / math.sin(min(eps, math.pi / 2)))
-    norm = float(np.linalg.norm(out, 2))
-    if norm > soft:
-        log.warning("holomorphic evaluation at z=%s has norm %.3e beyond "
-                    "the sector estimate %.3e", z, norm, soft)
+    values = out.reshape(flat.shape + out.shape[-2:])
+    for zk, arg, value in zip(flat[moving], args[moving], values[moving]):
+        soft = m_bound * (1.0 + 2.0 * math.e * math.pi / math.sin(min(alpha - arg, math.pi / 2)))
+        norm = float(np.linalg.norm(value, 2))
+        if norm > soft:
+            log.warning("holomorphic evaluation at z=%s has norm %.3e beyond "
+                        "the sector estimate %.3e", complex(zk), norm, soft)
     return out
 
 

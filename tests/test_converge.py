@@ -100,26 +100,34 @@ def test_trotter_kato_rows_long_format():
     assert {r[0] for r in rows} == {1, 2, 3}
 
 
-class _ColumnsOnly:
-    """Implements the evaluator protocol minus the trajectory fast path."""
+class _ScalarEvaluator:
+    """The scalar evaluator ``x' = a x`` through the protocol alone, no relation."""
 
     def __init__(self, a):
         self.a = complex(a)
         self.state_dim = 1
 
-    def resolvent_columns(self, lam, f_set):
-        return np.asarray(f_set) / (lam - self.a)
+    def resolvent(self, lams, f_set):
+        lams = np.atleast_1d(lams)[:, None, None]
+        return np.asarray(f_set) / (lams - self.a)
 
-    def integrated_columns(self, t, f_set):
+    def semigroup(self, zs, f_set):
+        return np.asarray(f_set) * np.exp(self.a * np.atleast_1d(zs))[:, None, None]
+
+    def integrated(self, ts, f_set):
         a = self.a
-        return np.asarray(f_set) * ((np.exp(a * t) - 1.0) / a)
+        ts = np.atleast_1d(ts)[:, None, None]
+        return np.asarray(f_set) * ((np.exp(a * ts) - 1.0) / a)
+
+    def range_shift_full(self, mu):
+        return complex(mu) != self.a
 
     def vec_norm(self, v):
-        return float(np.linalg.norm(v))
+        return np.linalg.norm(v, axis=0 if np.ndim(v) == 1 else -2)
 
 
 def test_protocol_members_need_no_relation():
-    fam = [_ColumnsOnly(-1 - 1 / n) for n in (4, 16, 64)]
+    fam = [_ScalarEvaluator(-1 - 1 / n) for n in (4, 16, 64)]
     rep = trotter_kato_report(fam, scalar(-1.0), lambda_grid=[1.0],
                               t_grid=np.linspace(0.0, 3.0, 31), tol=0.05,
                               items=("i", "ii"))
@@ -127,7 +135,7 @@ def test_protocol_members_need_no_relation():
 
 
 def test_gap_item_requires_relations():
-    fam = [_ColumnsOnly(-1 - 1 / n) for n in (4, 16, 64)]
+    fam = [_ScalarEvaluator(-1 - 1 / n) for n in (4, 16, 64)]
     with pytest.raises(InvalidInput):
         trotter_kato_report(fam, scalar(-1.0), lambda_grid=[1.0],
                             t_grid=np.linspace(0.0, 3.0, 31), tol=0.05,

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spl
 
+from relsemi.converge import DenseEvaluator
 from relsemi.errors import ContractFailed, InvalidInput, VanishingMultiplier
 from relsemi.grids import Grid, disk, mask_from_shapes
 from relsemi.heatlab import (
@@ -97,7 +98,7 @@ def test_dense_sparse_resolvent_agree(small_disk):
     f = np.zeros((rel.state_dim, 1))
     f[rel.omega, 0] = np.linspace(1.0, 2.0, rel.n_inside)
     for lam in (0.5, 2.0, 1.0 + 1.0j):
-        sparse_u = rel.resolvent_columns(lam, f)
+        sparse_u = rel.resolvent([lam], f)[0]
         dense_u = resolvent(dense, lam).matrix @ f
         assert np.max(np.abs(sparse_u - dense_u)) < 1e-9
 
@@ -108,9 +109,14 @@ def test_dense_sparse_semigroup_agree(small_disk):
     f = np.zeros((rel.state_dim, 1))
     f[rel.omega, 0] = 1.0
     for t in (0.0, 0.05, 0.4):
-        sparse_u = rel.semigroup_columns(t, f)
+        sparse_u = rel.semigroup([t], f)[0]
         dense_u = semigroup_at(sd, t) @ f
         assert np.max(np.abs(sparse_u - dense_u)) < 1e-9
+    dense = DenseEvaluator(rel.dense_relation(), "sup")
+    ts = np.array([0.0, 0.05, 0.4])
+    assert np.max(rel.vec_norm(rel.integrated(ts, f) - dense.integrated(ts, f))) < 1e-9
+    zs = np.array([0.0, 0.05 + 0.02j, 0.4 - 0.3j])
+    assert np.max(rel.vec_norm(rel.semigroup(zs, f) - dense.semigroup(zs, f))) < 1e-9
 
 
 def test_graph_distance_planted_pair(small_disk):
@@ -203,7 +209,7 @@ def test_multiplier_positive_certificate(small_disk):
     assert scaled.evidence.contraction is not None and scaled.evidence.contraction.ok
     f = np.zeros(rel.state_dim)
     f[rel.omega] = 1.0
-    base = rel.resolvent_columns(1.0, f[:, None])
+    base = rel.resolvent([1.0], f[:, None])[0]
     assert np.isfinite(base).all()
 
 
@@ -318,6 +324,12 @@ def test_sector_uniformity_two_members():
     assert len(rep.per_label) == 2
     assert all(math.isfinite(v) for v in rep.per_label)
     assert rep.bound == max(rep.per_label)
+
+
+def test_sector_uniformity_keeps_no_factors():
+    lab = build_dirichlet_relation(disk_mask(Grid(16), 0.6))
+    sector_uniformity([lab])
+    assert lab._shift_lus == {}
 
 
 def test_perturbation_experiment_small():

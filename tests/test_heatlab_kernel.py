@@ -57,8 +57,8 @@ def test_trajectories_match_dense_expm(mask, kind, seed, scaled):
     f = _data(kind, rel.grid, seed)
     # t = 0 plus a sorted non-uniform grid
     ts = np.concatenate([[0.0], np.sort(np.random.default_rng(seed).uniform(0.0, 2.0, 5))])
-    traj = rel.semigroup_trajectory(ts, f)
-    integ = rel.integrated_trajectory(ts, f[:, None])
+    traj = rel.semigroup(ts, f)
+    integ = rel.integrated(ts, f[:, None])
     dense_op = rel.op.toarray()
     for t, got, got_s in zip(ts, traj, integ):
         want = _dense_exp(rel, t, f)
@@ -77,7 +77,7 @@ def test_holomorphic_columns_match_dense_expm(mask, kind, seed, scaled, modulus,
     f = _data(kind, rel.grid, seed)
     fs = np.column_stack([f, (1.0 + 2.0j) * f[::-1]])  # one real, one complex column
     z = modulus * cmath.exp(1j * angle)
-    got = rel.holomorphic_columns(z, fs)
+    got = rel.semigroup([z], fs)[0]
     assert np.max(np.abs(got - _dense_exp(rel, z, fs))) <= TOL
 
 
@@ -85,9 +85,9 @@ def test_empty_mask_kernel():
     grid = Grid(6)
     rel = DirichletGridRelation(DomainMask(grid, np.zeros(grid.n_nodes, dtype=bool)))
     f = np.ones(grid.n_nodes)
-    assert not rel.semigroup_trajectory([0.0, 0.5], f).any()
-    assert not rel.integrated_trajectory([0.5], f).any()
-    assert not rel.holomorphic_columns(1.0 + 1.0j, f[:, None]).any()
+    assert not rel.semigroup([0.0, 0.5], f).any()
+    assert not rel.integrated([0.5], f).any()
+    assert not rel.semigroup([1.0 + 1.0j], f[:, None]).any()
 
 
 def test_basis_cap_raises_solver_breakdown():
@@ -101,8 +101,8 @@ def test_kernel_logs_one_debug_line_per_call(caplog):
     grid = Grid(12)
     rel = DirichletGridRelation(disk_mask(grid, 0.7))
     with caplog.at_level(logging.DEBUG, logger="relsemi"):
-        rel.semigroup_trajectory([0.5, 1.0], np.ones(grid.n_nodes))
-        rel.semigroup_columns(1.0, np.ones((grid.n_nodes, 2)))
+        rel.semigroup([0.5, 1.0], np.ones(grid.n_nodes))
+        rel.semigroup([1.0], np.ones((grid.n_nodes, 2)))
     lines = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("exp_action")]
     assert len(lines) == 2

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg as spla
 
+import relsemi.semigroup as semigroup_module
+
 from relsemi.errors import InvalidInput, NotMDissipative, OutsideSector
 from relsemi.relation import LinearRelation
 from relsemi.sampling import random_m_dissipative
@@ -141,6 +143,22 @@ def test_wellposedness_verdicts():
     assert not bad.ok and not bad.m_dissipative
     assert bad.witness is not None
     assert bad.witness["lipschitz_ratio"] > 1.0
+
+
+def test_wellposedness_check_gathers_the_evidence_once(monkeypatch):
+    calls = []
+    check = semigroup_module.is_m_dissipative
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(semigroup_module, "is_m_dissipative", counting)
+    for mat, ok in (([[-1.0]], True), ([[1.0]], False)):
+        calls.clear()
+        verdict = wellposedness_check(graph_of(np.array(mat)))
+        assert verdict.m_dissipative is ok
+        assert len(calls) == 1
 
 
 def test_sector_verify_self_adjoint():

@@ -1,0 +1,114 @@
+"""Stacked semigroup evaluations against the per-time scalar calls."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from relsemi.quadrature import panel_rule
+from relsemi.sampling import random_m_dissipative
+from relsemi.semigroup import (
+    EXPM_BLOCK,
+    certified_sector_angle,
+    decompose,
+    holomorphic_at,
+    integrated_at,
+    laplace_residual,
+    mild_solution,
+    semigroup_at,
+)
+from relsemi.spectral import resolvent
+
+REL_TOL = 1e-13
+
+
+def _close(stack, singles):
+    scale = max(1.0, float(np.max(np.abs(singles), initial=0.0)))
+    return float(np.max(np.abs(stack - singles), initial=0.0)) <= REL_TOL * scale
+
+
+def _data(d, field, kind, seed):
+    rng = np.random.default_rng(seed)
+    dom = {"zero": 0, "partial": int(rng.integers(1, d)), "full": d}[kind]
+    return decompose(random_m_dissipative(rng, d, field, dom_dim=dom)), rng
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("kind", ["zero", "partial", "full"])
+@given(d=st.integers(2, 6), seed=st.integers(0, 10_000),
+       count=st.integers(EXPM_BLOCK + 1, EXPM_BLOCK + 9))
+@settings(max_examples=6, deadline=None)
+def test_stacked_calls_match_scalar_calls(field, kind, d, seed, count):
+    sd, rng = _data(d, field, kind, seed)
+    assert (kind == "zero") == (sd.domain_dim == 0)
+    assert (kind == "full") == (sd.domain_dim == d)
+    ts = np.concatenate([[0.0], rng.uniform(0.0, 3.0, count - 1)])  # > one block
+    for fn in (semigroup_at, integrated_at):
+        stack = fn(sd, ts)
+        assert stack.shape == (count, d, d)
+        assert _close(stack, np.array([fn(sd, float(t)) for t in ts]))
+    alpha = certified_sector_angle(sd)
+    angles = rng.uniform(-0.9 * alpha, 0.9 * alpha, count - 1)
+    zs = np.concatenate([[0.0], rng.uniform(0.01, 3.0, count - 1) * np.exp(1j * angles)])
+    stack = holomorphic_at(sd, zs)
+    assert stack.shape == (count, d, d)
+    assert _close(stack, np.array([holomorphic_at(sd, complex(z)) for z in zs]))
+
+
+def test_scalar_time_gives_one_matrix():
+    sd, _ = _data(3, "real", "partial", 1)
+    assert semigroup_at(sd, 0.5).shape == (3, 3)
+    assert integrated_at(sd, np.float64(0.5)).shape == (3, 3)
+    assert holomorphic_at(sd, 0.5 + 0.1j).shape == (3, 3)
+    assert semigroup_at(sd, [0.5]).shape == (1, 3, 3)
+    assert math.isclose(float(np.abs(semigroup_at(sd, [0.0])[0] - sd.projector).max()),
+                        0.0, abs_tol=1e-15)
+
+
+# -- quadratures against the per-node loops they replaced ---------------------
+
+
+def _loop_laplace_difference(sd, lam, transform, horizon):
+    ts, ws = panel_rule(0.0, horizon, 64)
+    fn = semigroup_at if transform == "semigroup" else integrated_at
+    acc = np.zeros(sd.projector.shape, dtype=complex)
+    for t, w in zip(ts, ws):
+        acc += w * np.exp(-lam * t) * fn(sd, float(t))
+    if transform == "integrated":
+        acc *= lam
+    return float(np.linalg.norm(acc - resolvent(sd.relation, lam).matrix, 2))
+
+
+def _loop_mild(sd, x, ts, nodes_per_unit=16):
+    states, pairs = [], []
+    running, prev = np.zeros(x.size, dtype=x.dtype), 0.0
+    for t in ts:
+        for q, w in zip(*panel_rule(prev, t, nodes_per_unit)):
+            running = running + w * (integrated_at(sd, float(q)) @ x)
+        prev = t
+        states.append(integrated_at(sd, float(t)) @ x)
+        pairs.append(np.concatenate([running, states[-1] - t * x]))
+    residuals = [sd.relation.graph.member_distance(p) for p in pairs]
+    defect = max((np.linalg.norm(states[i] - states[j]) - abs(ts[i] - ts[j]) * np.linalg.norm(x)
+                  for i in range(len(ts)) for j in range(i + 1, len(ts))), default=0.0)
+    return np.array(states), np.array(residuals), max(defect, 0.0)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("seed", [3, 4])
+def test_quadratures_match_the_node_loops(field, seed):
+    sd, rng = _data(4, field, "partial", seed)
+    for transform in ("semigroup", "integrated"):
+        for lam in (1.0, 0.7 + 0.4j):
+            # 512 nodes: eight stacked blocks
+            got = laplace_residual(sd, lam, horizon=8.0, transform=transform).difference
+            assert abs(got - _loop_laplace_difference(sd, lam, transform, 8.0)) <= 1e-13
+    x = rng.standard_normal(4)
+    ts = np.linspace(0.0, 3.0, 13)
+    sol = mild_solution(sd, x, ts)
+    states, residuals, defect = _loop_mild(sd, x, ts)
+    assert _close(sol.states, states)
+    assert np.max(np.abs(sol.membership_residuals - residuals)) <= 1e-13
+    assert abs(sol.lipschitz_defect - defect) <= 1e-13
