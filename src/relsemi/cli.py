@@ -134,9 +134,11 @@ def cmd_spec_scan(args) -> int:
     lams = _parse_time_grid(args.grid) + 1j * args.imag
     rows = _chunked(lambda c: resolvent_set_scan(rel, c, accept_tol=args.tol),
                     lams, args.jobs)
+    scanned = np.array([r.lam for r in rows], dtype=complex)
     text = render_csv(
         ["lambda_re", "lambda_im", "in_resolvent_set", "norm_R", "residual"],
-        [(r.lam.real, r.lam.imag, r.in_set, r.norm, r.residual) for r in rows])
+        [scanned.real, scanned.imag, [r.in_set for r in rows], [r.norm for r in rows],
+         [r.residual for r in rows]])
     _emit(text, args.out, "scan.csv")
     return 0
 
@@ -164,20 +166,15 @@ def cmd_semigroup_run(args) -> int:
     sd = decompose(rel)
     ts = _parse_time_grid(args.grid)
     states = semigroup_at(sd, ts) @ x
-    if np.iscomplexobj(states):
-        cols = ["t"]
-        for j in range(rel.state_dim):
-            cols += [f"u_{j + 1}_re", f"u_{j + 1}_im"]
-        rows = []
-        for t, u in zip(ts, states):
-            row = [t]
-            for v in u:
-                row += [float(np.real(v)), float(np.imag(v))]
-            rows.append(row)
-    else:
-        cols = ["t"] + [f"u_{j + 1}" for j in range(rel.state_dim)]
-        rows = [[t, *map(float, u)] for t, u in zip(ts, states)]
-    _emit(render_csv(cols, rows), args.out, "trajectory.csv")
+    names, columns = ["t"], [ts]
+    for j, u in enumerate(states.T, start=1):
+        if np.iscomplexobj(states):
+            names += [f"u_{j}_re", f"u_{j}_im"]
+            columns += [u.real, u.imag]
+        else:
+            names.append(f"u_{j}")
+            columns.append(u)
+    _emit(render_csv(names, columns), args.out, "trajectory.csv")
     if args.out:
         norms = [float(np.linalg.norm(u)) for u in states]
         series = [("norm", ts, norms)]
@@ -237,7 +234,7 @@ def cmd_converge_tk(args) -> int:
                "mu_hypothesis": rep.mu_hypothesis,
                "final_integrated_error": None if rep.integrated_sup is None
                else float(rep.integrated_sup[-1])}
-    _emit(render_csv(["n", "kind", "param", "error"], rep.rows()),
+    _emit(render_csv(["n", "kind", "param", "error"], rep.columns()),
           args.out, "errors.csv")
     if args.out:
         write_json(os.path.join(args.out, "summary.json"), summary)
@@ -313,19 +310,15 @@ def cmd_heat_converge(args) -> int:
     conv = rep.convergence
     out = args.out
     write_csv(os.path.join(out, "errors.csv"),
-              ["n", "kind", "param", "error"], conv.rows())
+              ["n", "kind", "param", "error"], conv.columns())
     crit = rep.criterion
-    crit_rows = []
-    for i, lab in enumerate(conv.labels):
-        crit_rows.append((lab, crit.surplus_counts[i], crit.surplus_eigs[i],
-                          crit.surplus_measure[i], crit.deficit_counts[i],
-                          crit.deficit_eigs[i],
-                          float(rep.nearest_distances[i].max(initial=0.0)),
-                          rep.off_limit_sup[i]))
     write_csv(os.path.join(out, "criterion.csv"),
               ["label", "surplus_nodes", "surplus_eig", "surplus_measure",
                "deficit_nodes", "deficit_eig", "nearest_pair_max",
-               "off_limit_sup"], crit_rows)
+               "off_limit_sup"],
+              [list(conv.labels), crit.surplus_counts, crit.surplus_eigs,
+               crit.surplus_measure, crit.deficit_counts, crit.deficit_eigs,
+               rep.nearest_distances.max(axis=1, initial=0.0), rep.off_limit_sup])
     summary = {
         "header": rep.header,
         "labels": list(conv.labels),
@@ -377,12 +370,11 @@ def cmd_heat_orbit(args) -> int:
     else:
         u0 = np.ones(lab.state_dim)
     orbit = heatlab.heat_orbit(lab, u0, ts)
-    rows = []
-    for j, t in enumerate(orbit.times):
-        for node in range(lab.state_dim):
-            rows.append((float(t), node, float(orbit.states[j, node])))
+    n = lab.state_dim
     write_csv(os.path.join(args.out, "trajectory.csv"),
-              ["t", "node_index", "value"], rows)
+              ["t", "node_index", "value"],
+              [np.repeat(orbit.times, n), np.tile(np.arange(n), orbit.times.size),
+               orbit.states.ravel()])
     checks = {
         "projection_defect": orbit.projection_defect,
         "off_domain_max": orbit.off_domain_max,

@@ -176,19 +176,24 @@ class ConvergenceReport:
     verdicts: dict = field(default_factory=dict)
     consistent: bool = True
 
-    def rows(self):
-        """Rows ``(n, kind, param, error)`` for CSV export."""
-        out = []
+    def columns(self):
+        """Long-format columns ``[n, kind, param, error]`` for CSV export."""
+        out = [[], [], [], []]
+
+        def add(n, kind, param, error):
+            for col, v in zip(out, (n, kind, param, float(error))):
+                col.append(v)
+
         for i, n in enumerate(self.labels):
             if self.integrated_sup is not None:
-                out.append((n, "integrated_sup", "", float(self.integrated_sup[i])))
+                add(n, "integrated_sup", "", self.integrated_sup[i])
             for lam, errs in sorted(self.resolvent_errors.items(),
                                     key=lambda kv: (kv[0].real, kv[0].imag)):
-                out.append((n, "resolvent", repr(lam), float(errs[i])))
+                add(n, "resolvent", repr(lam), errs[i])
             if self.mu_errors is not None:
-                out.append((n, "mu_resolvent", repr(self.mu), float(self.mu_errors[i])))
+                add(n, "mu_resolvent", repr(self.mu), self.mu_errors[i])
             if self.gaps is not None:
-                out.append((n, "gap", "", float(self.gaps[i])))
+                add(n, "gap", "", self.gaps[i])
         return out
 
 

@@ -3,7 +3,10 @@
 Identical inputs must produce byte-identical files: floats are written in
 shortest round-trip form, JSON keys are sorted, nothing embeds timestamps
 or machine identity, and files land atomically (temp + rename) so a
-crashed run never leaves a half-written artifact.
+crashed run never leaves a half-written artifact.  CSV tables are given
+column-wise and streamed to the temp file in blocks of ``CSV_BLOCK`` rows,
+so a long table is never held as one Python object per cell or as one
+string; the temp + rename is the same.
 """
 
 from __future__ import annotations
@@ -31,32 +34,76 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def atomic_write(path: str, text: str):
+def _replace_atomically(path: str, chunks):
+    """Write the text chunks to a temp file beside ``path``, then rename it over.
+
+    Whatever goes wrong before the rename (a failing chunk iterator
+    included) removes the temp file and leaves ``path`` as it was.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
-def render_csv(columns, rows, schema: str | None = None) -> str:
-    """CSV text with a '#'-prefixed schema declaration line."""
-    lines = [f"# schema: {schema or ', '.join(columns)}"]
-    lines.append(",".join(columns))
-    for row in rows:
-        if len(row) != len(columns):
-            raise InvalidInput("row width does not match the declared columns")
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+def atomic_write(path: str, text: str):
+    """Replace ``path`` with ``text`` through a temp file and a rename."""
+    _replace_atomically(path, (text,))
 
 
-def write_csv(path, columns, rows, schema=None):
-    atomic_write(path, render_csv(columns, rows, schema))
+CSV_BLOCK = 4096  # rows formatted per chunk; bounds the text held while writing
+
+
+def _format_cells(col) -> list:
+    """The cells of one column block, as :func:`_fmt` writes them.
+
+    Float64, integer and bool arrays are converted a whole block at a time;
+    anything else goes through :func:`_fmt` cell by cell.
+    """
+    if isinstance(col, np.ndarray):
+        if col.dtype == np.float64:
+            return list(map(repr, col.tolist()))
+        if col.dtype.kind in "iu":
+            return list(map(str, col.tolist()))
+        if col.dtype.kind == "b":
+            return ["true" if v else "false" for v in col.tolist()]
+    return [_fmt(v) for v in col]
+
+
+def _csv_chunks(names, columns, schema):
+    """CSV text in chunks: a '#'-prefixed schema line, the header, the rows.
+
+    ``columns`` holds one 1-D array or list per name, all of one length.
+    """
+    cols = [c if isinstance(c, np.ndarray) else list(c) for c in columns]
+    if len(cols) != len(names):
+        raise InvalidInput("column count does not match the declared names")
+    if any(np.ndim(c) != 1 for c in cols if isinstance(c, np.ndarray)):
+        raise InvalidInput("CSV columns must be one-dimensional")
+    n_rows = len(cols[0]) if cols else 0
+    if any(len(c) != n_rows for c in cols):
+        raise InvalidInput("columns differ in length")
+    yield f"# schema: {schema or ', '.join(names)}\n{','.join(names)}\n"
+    for start in range(0, n_rows, CSV_BLOCK):
+        cells = [_format_cells(c[start:start + CSV_BLOCK]) for c in cols]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def render_csv(names, columns, schema: str | None = None) -> str:
+    """CSV text of ``columns`` (one 1-D array or list per name)."""
+    return "".join(_csv_chunks(names, columns, schema))
+
+
+def write_csv(path, names, columns, schema=None):
+    """Stream :func:`render_csv`'s text to ``path``, atomically."""
+    _replace_atomically(path, _csv_chunks(names, columns, schema))
 
 
 def sanitize(obj):

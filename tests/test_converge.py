@@ -94,10 +94,10 @@ def test_trotter_kato_rows_long_format():
     fam, lim = shrinking_family()
     rep = trotter_kato_report(fam, lim, lambda_grid=[1.0],
                               t_grid=np.linspace(0.0, 3.0, 31), tol=0.05)
-    rows = rep.rows()
-    kinds = {r[1] for r in rows}
-    assert kinds == {"integrated_sup", "resolvent", "mu_resolvent", "gap"}
-    assert {r[0] for r in rows} == {1, 2, 3}
+    labels, kinds, params, errors = rep.columns()
+    assert set(kinds) == {"integrated_sup", "resolvent", "mu_resolvent", "gap"}
+    assert set(labels) == {1, 2, 3}
+    assert len(labels) == len(kinds) == len(params) == len(errors)
 
 
 class _ScalarEvaluator:

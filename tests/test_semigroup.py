@@ -161,6 +161,35 @@ def test_wellposedness_check_gathers_the_evidence_once(monkeypatch):
         assert len(calls) == 1
 
 
+def test_wellposedness_check_evaluates_the_nodes_once(monkeypatch, rng):
+    rel = random_m_dissipative(rng, 6, "complex", dom_dim=4)
+    sd = decompose(rel)
+    ts = np.linspace(0.1, 3.0, 10)  # the default grid
+    per_vector = [mild_solution(sd, x, ts) for x in np.eye(6, dtype=sd.projector.dtype)]
+    inputs = []
+    expm = spla.expm
+
+    def counting(a, *args, **kwargs):
+        inputs.append(a.shape[0] if a.ndim == 3 else 1)
+        return expm(a, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "expm", counting)
+    verdict = wellposedness_check(rel)
+    # 160 quadrature nodes and 10 grid times, for all six trial vectors
+    # together; one mild solution per vector evaluates 6 x 170 = 1020
+    assert sum(inputs) == 170
+    assert verdict.ok
+    assert verdict.max_membership_residual == max(
+        float(np.max(sol.membership_residuals)) for sol in per_vector)
+    assert verdict.lipschitz_defect == max(sol.lipschitz_defect for sol in per_vector)
+
+
+def test_decompose_keeps_only_the_domain_rows(rng):
+    sd = decompose(random_m_dissipative(rng, 8, "real", dom_dim=5))
+    assert sd.coord_map.shape == (5, 8)
+    assert sd.coord_map.base is None  # not a view pinning the whole inverse
+
+
 def test_sector_verify_self_adjoint():
     # -I is self-adjoint negative: ||lam R|| <= 1/sin(eps) on the wide sector
     spec = SectorSpec(alpha=math.pi / 2 - 0.05, bound=1.0)
