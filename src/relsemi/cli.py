@@ -84,25 +84,6 @@ def _grid_field(obj, key, default=None):
     return np.asarray([float(v) for v in spec])
 
 
-def _chunked(fn, items, jobs: int):
-    """Apply ``fn`` to chunks of ``items``, optionally on a thread pool.
-
-    Results are concatenated in input order, so the worker count never
-    shows in the output.
-    """
-    if jobs < 1:
-        raise ConfigError("--jobs must be at least 1", field="--jobs")
-    chunks = [c for c in np.array_split(np.asarray(items), min(jobs, len(items)))
-              if len(c)]
-    if jobs == 1 or len(chunks) <= 1:
-        parts = [fn(c) for c in chunks]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            parts = list(ex.map(fn, chunks))
-    return [row for part in parts for row in part]
-
-
 def _emit(text: str, out_dir, filename: str):
     if out_dir:
         path = os.path.join(out_dir, filename)
@@ -132,8 +113,7 @@ def cmd_rel_parts(args) -> int:
 def cmd_spec_scan(args) -> int:
     rel = _load_relation(args.relation)
     lams = _parse_time_grid(args.grid) + 1j * args.imag
-    rows = _chunked(lambda c: resolvent_set_scan(rel, c, accept_tol=args.tol),
-                    lams, args.jobs)
+    rows = resolvent_set_scan(rel, lams, accept_tol=args.tol)
     scanned = np.array([r.lam for r in rows], dtype=complex)
     text = render_csv(
         ["lambda_re", "lambda_im", "in_resolvent_set", "norm_R", "residual"],
@@ -402,14 +382,9 @@ def cmd_heat_orbit(args) -> int:
 # -- wiring ------------------------------------------------------------------
 
 
-def _common(p, out_required=False):
-    p.add_argument("--tol", type=float, default=None, help="override tolerance")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="upper bound on worker threads (results are "
-                        "order-stable, so the count never changes output)")
-    p.add_argument("--out", required=out_required, default=None,
-                   help="output directory" + ("" if out_required
+def _out(p, required=False):
+    p.add_argument("--out", required=required, default=None,
+                   help="output directory" + ("" if required
                                               else " (default: stdout)"))
 
 
@@ -422,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="cmd", required=True)
     p = rel.add_parser("parts", help="print dom/ran/ker/mul dimensions")
     p.add_argument("relation", help="relation JSON file")
-    _common(p)
+    _out(p)
     p.set_defaults(func=cmd_rel_parts)
 
     spec = sub.add_parser("spec", help="spectral scans").add_subparsers(
@@ -431,15 +406,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("relation")
     p.add_argument("--grid", required=True, help="a:step:b for Re(lambda)")
     p.add_argument("--imag", type=float, default=0.0, help="constant Im(lambda)")
-    _common(p)
-    p.set_defaults(func=lambda a: cmd_spec_scan(_default_tol(a, ACCEPT_TOL)))
+    p.add_argument("--tol", type=float, default=ACCEPT_TOL,
+                   help=f"acceptance residual (default {ACCEPT_TOL:g})")
+    _out(p)
+    p.set_defaults(func=cmd_spec_scan)
 
     dis = sub.add_parser("dissip", help="dissipativity checks").add_subparsers(
         dest="cmd", required=True)
     p = dis.add_parser("check", help="certify or refute dissipativity")
     p.add_argument("relation")
     p.add_argument("--norm", choices=("l2", "sup"), default="l2")
-    _common(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="RNG seed of the sup-norm sampling (default 0)")
+    _out(p)
     p.set_defaults(func=cmd_dissip_check)
 
     sg = sub.add_parser("semigroup", help="orbits").add_subparsers(
@@ -448,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("relation")
     p.add_argument("--x", required=True, help="state vector JSON")
     p.add_argument("--grid", default="0:0.1:3")
-    _common(p)
+    _out(p)
     p.set_defaults(func=cmd_semigroup_run)
 
     cv = sub.add_parser("converge", help="approximation studies").add_subparsers(
@@ -456,28 +435,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = cv.add_parser("tk", help="equivalent convergence criteria table")
     p.add_argument("--family", required=True, help="family spec JSON")
     p.add_argument("--limit", default=None, help="limit relation JSON")
-    _common(p)
+    p.add_argument("--tol", type=float, default=None,
+                   help="override the family's tolerance")
+    _out(p)
     p.set_defaults(func=cmd_converge_tk)
 
     heat = sub.add_parser("heat", help="grid Dirichlet experiments").add_subparsers(
         dest="cmd", required=True)
     p = heat.add_parser("converge", help="domain perturbation experiment")
     p.add_argument("--family", required=True, help="mask family JSON")
-    _common(p, out_required=True)
+    p.add_argument("--tol", type=float, default=None,
+                   help="override the family's tolerance")
+    p.add_argument("--seed", type=int, default=0,
+                   help="RNG seed of the nearest-pair samples (default 0)")
+    _out(p, required=True)
     p.set_defaults(func=cmd_heat_converge)
     p = heat.add_parser("orbit", help="heat orbit with checks")
     p.add_argument("--mask", required=True, help="mask spec JSON")
     p.add_argument("--grid", default="0.05:0.05:1")
     p.add_argument("--u0", default=None, help="initial state JSON")
-    _common(p, out_required=True)
+    _out(p, required=True)
     p.set_defaults(func=cmd_heat_orbit)
     return ap
-
-
-def _default_tol(args, value):
-    if args.tol is None:
-        args.tol = value
-    return args
 
 
 def main(argv=None) -> int:

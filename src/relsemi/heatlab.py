@@ -18,6 +18,12 @@ all requested times evaluated from that basis.  Its convergence does not
 depend on ``‖L‖ ~ h⁻²``, and it stops on the a-posteriori residual bound of
 Botchev, Grimm & Hochbruck (2013).
 
+Every solve in the lab — resolvents, ``S(t) = L⁻¹(T(t) − I)``, the
+Krylov shift, the contraction and sector certificates, the graph-distance
+Gram matrix, the inverse-power eigenvalue and the interval solve — goes
+through one sparse factorization of ``σI − op``, :func:`_factor`; only the
+relation's shift cache and its Gram factor keep factors alive.
+
 Operator norms are sup-norms throughout (max absolute row sums), matching
 the contraction and maximum-principle structure of the M-matrix stencil:
 the contraction certificate is one solve ``(λ − L)⁻¹ 1 > 0`` per λ.
@@ -52,6 +58,30 @@ log = logging.getLogger("relsemi")
 DENSE_ROWSUM_LIMIT = 3000  # largest masked block sector_uniformity inverts densely
 EXP_TOL = 1e-13            # exponential kernel error bound, relative to ‖b‖∞
 EXP_MAX_BASIS = 400        # Arnoldi vectors per column before SolverBreakdown
+
+
+def _factor(op, sigma):
+    """Solve with ``σI − op`` for real or complex right-hand sides.
+
+    Returns ``solve(b)`` over one sparse LU factorization.  A real ``σ``
+    gives a real factor, which takes a complex ``b`` as two real solves.
+    """
+    sigma = complex(sigma)
+    real = sigma.imag == 0.0
+    dt = float if real else complex
+    mat = (sigma.real if real else sigma) * sp.identity(
+        op.shape[0], dtype=dt, format="csc") - op.astype(dt)
+    lu = spl.splu(mat.tocsc())
+
+    def solve(b):
+        if real and np.iscomplexobj(b):
+            return lu.solve(np.ascontiguousarray(b.real)) \
+                + 1j * lu.solve(np.ascontiguousarray(b.imag))
+        if not real:
+            b = np.asarray(b, dtype=complex)
+        return lu.solve(np.ascontiguousarray(b))
+
+    return solve
 
 
 def stencil_on_flags(grid: Grid, flags) -> sp.csr_matrix:
@@ -112,7 +142,6 @@ class DirichletGridRelation:
         self.multiplier = multiplier
         self.label = label if label is not None else (mask.label or "mask")
         self._shift_lus = {}
-        self._op_lu = None
         self._dist_lu = None
         self._integrated_memo = None
 
@@ -122,37 +151,12 @@ class DirichletGridRelation:
     def n_inside(self) -> int:
         return self.omega.size
 
-    def _restrict(self, arr):
-        return np.asarray(arr)[self.omega]
-
-    def _factor_shift(self, lam):
-        """``(splu(λ − L), real)``, a real factor when ``λ`` is real."""
-        lam = complex(lam)
-        real = lam.imag == 0.0
-        dt = float if real else complex
-        mat = (lam.real if real else lam) * sp.identity(
-            self.n_inside, dtype=dt, format="csc") - self.op.astype(dt)
-        return spl.splu(mat.tocsc()), real
-
     def _shift_lu(self, lam):
+        """The cached :func:`_factor` solve with ``λ − L``."""
         key = complex(lam)
         if key not in self._shift_lus:
-            self._shift_lus[key] = self._factor_shift(key)
+            self._shift_lus[key] = _factor(self.op, key)
         return self._shift_lus[key]
-
-    @staticmethod
-    def _lu_solve(lu, real_factor, b):
-        if real_factor and np.iscomplexobj(b):
-            return lu.solve(np.ascontiguousarray(b.real)) \
-                + 1j * lu.solve(np.ascontiguousarray(b.imag))
-        if not real_factor:
-            b = np.asarray(b, dtype=complex)
-        return lu.solve(np.ascontiguousarray(b))
-
-    def _operator_lu(self):
-        if self._op_lu is None:
-            self._op_lu = spl.splu(self.op.tocsc().astype(float))
-        return self._op_lu
 
     # -- evaluator protocol -------------------------------------------------
 
@@ -174,10 +178,8 @@ class DirichletGridRelation:
         if self.n_inside == 0:
             return True
         mu = complex(mu)
-        lu, real = self._shift_lu(mu)
-        b = np.ones(self.n_inside)
-        x = self._lu_solve(lu, real, b)
-        res = np.linalg.norm(mu * x - self.op @ x - b) / math.sqrt(self.n_inside)
+        x = self.resolvent([mu], np.ones(self.state_dim))[0, self.omega]
+        res = np.linalg.norm(mu * x - self.op @ x - 1.0) / math.sqrt(self.n_inside)
         return bool(res <= 1e-8)
 
     def resolvent(self, lams, fs):
@@ -187,8 +189,7 @@ class DirichletGridRelation:
         out = np.zeros((lams.size,) + fs.shape, dtype=np.result_type(fs, lams))
         if self.n_inside:
             for k, lam in enumerate(lams):
-                lu, real = self._shift_lu(lam)
-                out[k, self.omega] = self._lu_solve(lu, real, fs[self.omega])
+                out[k, self.omega] = self._shift_lu(lam)(fs[self.omega])
         return out
 
     def semigroup(self, zs, fs):
@@ -227,11 +228,11 @@ class DirichletGridRelation:
                 and memo[1].dtype == fs.dtype and np.array_equal(memo[1], fs)):
             return memo[2]
         b = fs[self.omega]
-        w = self._exp_action(ts, b) - b
+        w = b - self._exp_action(ts, b)  # S(t) b solves (0 − L) x = b − T(t) b
         out = np.zeros((ts.size,) + fs.shape, dtype=w.dtype)
         if self.n_inside:
             cols = np.moveaxis(w, 0, -1).reshape(self.n_inside, -1)
-            sol = self._lu_solve(self._operator_lu(), True, cols)
+            sol = self._shift_lu(0.0)(cols)
             out[:, self.omega] = np.moveaxis(sol.reshape(w.shape[1:] + (ts.size,)),
                                              -1, 0)
         out.setflags(write=False)
@@ -271,7 +272,7 @@ class DirichletGridRelation:
             cols = np.hstack([cols.real, cols.imag])  # the operator is real
         gamma = tmax / 10.0
         hit = complex(1.0 / gamma) in self._shift_lus
-        lu, _ = self._shift_lu(1.0 / gamma)
+        solve = self._shift_lu(1.0 / gamma)
         diag = self.op.diagonal()
         mu = float(np.max(diag + np.asarray(abs(self.op).sum(axis=1)).ravel()
                           - np.abs(diag)))
@@ -279,7 +280,7 @@ class DirichletGridRelation:
         sizes, bounds = [], []
         for j in range(cols.shape[1]):
             vals[:, :, j], size, bound = _si_arnoldi_exp(
-                self.op, lu, gamma, mu, cols[:, j], times, max_basis)
+                self.op, solve, gamma, mu, cols[:, j], times, max_basis)
             sizes.append(size)
             bounds.append(bound)
         if np.iscomplexobj(b):
@@ -293,17 +294,12 @@ class DirichletGridRelation:
 
     # -- graph geometry -----------------------------------------------------
 
-    def _distance_lu(self):
-        if self._dist_lu is None:
-            n = self.n_inside
-            gram = sp.identity(n, format="csc") + (self.op.T @ self.op).tocsc()
-            self._dist_lu = spl.splu(gram)
-        return self._dist_lu
-
     def _nearest_coeff(self, u, f):
+        if self._dist_lu is None:  # the Gram matrix I + LᵀL, kept for reuse
+            self._dist_lu = _factor(-(self.op.T @ self.op), 1.0)
         uin = np.asarray(u)[self.omega]
         fin = np.asarray(f)[self.omega]
-        return self._lu_solve(self._distance_lu(), True, uin + self.op.T @ fin)
+        return self._dist_lu(uin + self.op.T @ fin)
 
     def graph_distance(self, u, f) -> float:
         """Euclidean distance from the pair ``(u, f)`` to the graph."""
@@ -380,10 +376,10 @@ def _residual_integral(lam, weights, z) -> float:
     return float((half * w).ravel() @ np.abs(psi))
 
 
-def _si_arnoldi_exp(op, lu, gamma, mu, b, times, max_basis):
+def _si_arnoldi_exp(op, solve, gamma, mu, b, times, max_basis):
     """One real column of :meth:`DirichletGridRelation._exp_action`.
 
-    ``lu`` factors ``γ⁻¹ I − L``.  Returns the values at ``times``, the
+    ``solve`` solves with ``γ⁻¹ I − L``.  Returns the values at ``times``, the
     basis size and the final error bound.  With ``A = (I − γL)⁻¹`` the
     Arnoldi relation ``A V_k = V_k H_k + h v_{k+1} e_kᵀ`` gives the
     residual ``r_k(s) = (h β / γ) (e_kᵀ H_k⁻¹ exp(s T_k) e₁) (I − γL) v_{k+1}``
@@ -409,7 +405,7 @@ def _si_arnoldi_exp(op, lu, gamma, mu, b, times, max_basis):
     basis[0] = b / beta
     bound = math.inf
     for k in range(cap):
-        w = lu.solve(basis[k]) / gamma
+        w = solve(basis[k]) / gamma
         for _ in range(2):  # classical Gram–Schmidt, repeated once
             c = basis[:k + 1] @ w
             w -= c @ basis[:k + 1]
@@ -477,22 +473,23 @@ def supnorm_contraction(rel: DirichletGridRelation, lams=(0.1, 1.0, 10.0),
     norms = []
     min_entry = math.inf
     method = "empty"
+    n = rel.n_inside
+    # the off-diagonal part of λ − L is that of −L, whatever λ is
+    offdiag = sp.diags(rel.op.diagonal()) - rel.op
+    z_matrix = not (offdiag.nnz and offdiag.max() > 1e-14)
     for lam in lams:
         lam = float(lam)
         if lam <= 0:
             raise InvalidInput("contraction grid must be positive")
-        n = rel.n_inside
         if n == 0:
             norms.append(0.0)
             continue
-        shifted = lam * sp.identity(n, format="csr") - rel.op
-        offdiag = shifted - sp.diags(shifted.diagonal())
-        if offdiag.nnz and offdiag.max() > 1e-14:
+        if not z_matrix:
             raise ContractFailed("shifted operator is not a Z-matrix; "
                                  "row-sum bound unavailable", lam=lam)
         # factored here, not in the relation's cache: one solve per λ does
         # not pay for keeping the factor alive with the relation
-        rowsums = spl.splu(shifted.tocsc()).solve(np.ones(n))
+        rowsums = _factor(rel.op, lam)(np.ones(n))
         low = int(np.argmin(rowsums))
         if not rowsums[low] > 0.0:
             raise ContractFailed("shifted operator is not a nonsingular M-matrix: "
@@ -516,7 +513,7 @@ def surjective_solve(rel: DirichletGridRelation, f):
     if rel.n_inside == 0:
         return out
     fin = f[rel.omega]
-    sol = rel._lu_solve(rel._operator_lu(), True, fin)
+    sol = rel._shift_lu(0.0)(-fin)
     res = np.linalg.norm(rel.op @ sol - fin)
     if res > 1e-10 * max(np.linalg.norm(fin), 1.0):
         raise SolverBreakdown(f"stencil solve residual {res:.3e}")
@@ -535,13 +532,13 @@ def _smallest_eigenvalue(lap: sp.csr_matrix, tol: float, maxiter: int = 3000) ->
     a = (-lap).tocsc()
     if n == 1:
         return float(a[0, 0])
-    lu = spl.splu(a)
+    solve = _factor(lap, 0.0)
     v = np.full(n, 1.0 / math.sqrt(n))
     lam = float(v @ (a @ v))
     # the Rayleigh value converges one order faster than the iterate, so a
     # change threshold well below tol leaves the remaining error negligible
     for _ in range(maxiter):
-        w = lu.solve(v)
+        w = solve(v)
         w /= np.linalg.norm(w)
         new = float(w @ (a @ w))
         done = abs(new - lam) <= 1e-3 * tol * max(1.0, abs(new))
@@ -596,8 +593,7 @@ def interval_eigenvalue_closed_form(m: int, length: float = 1.0, k: int = 1) -> 
 def interval_solve(m: int, f, length: float = 1.0) -> np.ndarray:
     """1-D counterpart of :func:`surjective_solve` on the full interval."""
     f = np.asarray(f, dtype=float)
-    lu = spl.splu(interval_stencil(m, length).tocsc())
-    return lu.solve(f)
+    return _factor(interval_stencil(m, length), 0.0)(-f)
 
 
 # -- multiplier perturbations ----------------------------------------------
@@ -676,23 +672,16 @@ def max_principle_check(rel: DirichletGridRelation, samples: int = 500,
     if rel.n_inside == 0:
         return MaxPrincipleReport(0, samples, math.inf)
     us = rng.standard_normal((rel.n_inside, samples))
+    # u vanishes off the mask, so a positive max lies on it; omega is sorted,
+    # so the first maximal row is the lowest flat index.  argmax over axis 0
+    # copies the block, so it runs before fs exists.
+    top = np.argmax(us, axis=0)
+    cols = np.arange(samples)
+    used = us[top, cols] > 0
     fs = rel.op @ us
-    used = 0
-    skipped = 0
-    slack = math.inf
-    inside = np.zeros(rel.state_dim, dtype=bool)
-    inside[rel.omega] = True
-    for j in range(samples):
-        u = np.zeros(rel.state_dim)
-        u[rel.omega] = us[:, j]
-        x0 = int(np.argmax(u))
-        if u[x0] <= 0 or not inside[x0]:
-            skipped += 1
-            continue
-        f0 = fs[np.searchsorted(rel.omega, x0), j]
-        slack = min(slack, -float(f0))
-        used += 1
-    return MaxPrincipleReport(used, skipped, slack)
+    slack = float(np.min(-fs[top, cols][used], initial=math.inf))
+    count = int(np.count_nonzero(used))
+    return MaxPrincipleReport(count, samples - count, slack)
 
 
 # -- sector uniformity --------------------------------------------------------
@@ -733,8 +722,7 @@ def sector_uniformity(labs, eps: float = 0.1, rays: int = 5, radii: int = 7,
                 lam = complex(r * math.cos(th), r * math.sin(th))
                 if n == 0:
                     continue
-                lu, real = lab._factor_shift(lam)
-                res = lab._lu_solve(lu, real, np.eye(n, dtype=complex))
+                res = _factor(lab.op, lam)(np.eye(n, dtype=complex))
                 worst = max(worst, abs(lam) * float(np.abs(res).sum(axis=1).max()))
         per.append(worst)
     return SectorUniformity(eps, tuple(lab.label for lab in labs), tuple(per),

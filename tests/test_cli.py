@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from relsemi.cli import main
+from relsemi.cli import build_parser, main
 from relsemi.relation import LinearRelation
 from relsemi.report import vector_to_json, write_json
 
@@ -50,14 +51,6 @@ def test_spec_scan_csv(rel_file, capsys):
         assert row.split(",")[2] == "true"  # spectrum is in the left half-plane
 
 
-def test_spec_scan_jobs_stable(rel_file, capsys):
-    assert main(["spec", "scan", rel_file, "--grid=-3:0.5:3", "--jobs", "1"]) == 0
-    one = capsys.readouterr().out
-    assert main(["spec", "scan", rel_file, "--grid=-3:0.5:3", "--jobs", "4"]) == 0
-    four = capsys.readouterr().out
-    assert one == four
-
-
 def test_spec_scan_flags_eigenvalue(tmp_path, capsys):
     rel = LinearRelation.from_operator(np.diag([-1.0, -3.0]))
     path = tmp_path / "d.json"
@@ -72,7 +65,6 @@ def test_spec_scan_flags_eigenvalue(tmp_path, capsys):
 
 def test_config_errors_exit_2(rel_file):
     assert main(["spec", "scan", rel_file, "--grid", "bad"]) == 2
-    assert main(["spec", "scan", rel_file, "--grid", "0:1:2", "--jobs", "0"]) == 2
     assert main(["rel", "parts", "/nonexistent.json"]) == 2
 
 
@@ -247,3 +239,68 @@ def test_heat_out_is_required(tmp_path):
     mask.write_text("{}")
     with pytest.raises(SystemExit):
         main(["heat", "orbit", "--mask", str(mask)])
+
+
+# every settable flag each subcommand reads, with a value it accepts
+READ_FLAGS = {
+    ("rel", "parts"): {"--out": "o"},
+    ("spec", "scan"): {"--grid": "0:1:2", "--imag": 0.5, "--tol": 1e-6,
+                       "--out": "o"},
+    ("dissip", "check"): {"--norm": "sup", "--seed": 3, "--out": "o"},
+    ("semigroup", "run"): {"--x": "x.json", "--grid": "0:1:2", "--out": "o"},
+    ("converge", "tk"): {"--family": "f.json", "--limit": "l.json",
+                         "--tol": 0.1, "--out": "o"},
+    ("heat", "converge"): {"--family": "f.json", "--tol": 0.1, "--seed": 3,
+                           "--out": "o"},
+    ("heat", "orbit"): {"--mask": "m.json", "--grid": "0.1:0.1:1",
+                        "--u0": "u.json", "--out": "o"},
+}
+POSITIONAL = {("rel", "parts"), ("spec", "scan"), ("dissip", "check"),
+              ("semigroup", "run")}
+UNREAD = [(cmd, flag) for cmd in READ_FLAGS
+          for flag in ("--tol", "--seed", "--jobs") if flag not in READ_FLAGS[cmd]]
+
+
+def _argv(cmd, flags):
+    argv = [*cmd, *(["rel.json"] if cmd in POSITIONAL else [])]
+    for flag, value in flags.items():
+        argv += [flag, str(value)]
+    return argv
+
+
+def _subcommands(parser):
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _flags(parser, cmd):
+    for name in cmd:
+        parser = _subcommands(parser)[name]
+    return {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+
+
+@pytest.mark.parametrize("cmd", list(READ_FLAGS), ids=" ".join)
+def test_subcommand_reads_its_flags(cmd):
+    parser = build_parser()
+    assert _flags(parser, cmd) == set(READ_FLAGS[cmd])
+    args = parser.parse_args(_argv(cmd, READ_FLAGS[cmd]))
+    for flag, value in READ_FLAGS[cmd].items():
+        assert getattr(args, flag[2:]) == value
+
+
+def test_cli_has_23_flags():
+    parser = build_parser()
+    cmds = [(group, name) for group, sub in _subcommands(parser).items()
+            for name in _subcommands(sub)]
+    assert set(cmds) == set(READ_FLAGS)
+    assert sum(len(_flags(parser, cmd)) for cmd in cmds) == 23
+
+
+@pytest.mark.parametrize("cmd,flag", UNREAD, ids=lambda v: v if isinstance(v, str)
+                         else " ".join(v))
+def test_unread_flag_exits_2(cmd, flag, capsys):
+    argv = _argv(cmd, READ_FLAGS[cmd]) + [flag, "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err

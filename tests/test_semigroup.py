@@ -6,6 +6,7 @@ import scipy.linalg as spla
 
 import relsemi.semigroup as semigroup_module
 
+from relsemi.dissipative import is_m_dissipative
 from relsemi.errors import InvalidInput, NotMDissipative, OutsideSector
 from relsemi.relation import LinearRelation
 from relsemi.sampling import random_m_dissipative
@@ -205,6 +206,20 @@ def test_sector_verify_collects_failures():
     ev = sector_verify(graph_of(np.array([[1.0]])), spec, eps=0.2, radii=10, rays=5)
     assert not ev.passed
     assert len(ev.failures) > 0
+
+
+@pytest.mark.xfail(strict=True, reason="the acceptance residual ACCEPT_TOL = 1e-9 "
+                   "is absolute, so large |lambda| refuses resolvent points")
+def test_sector_verify_accepts_far_points_of_an_m_dissipative_relation():
+    # m-dissipative, worst sampled norm 1.27 < 2, yet two points at
+    # |lambda| = 1e6 are refused with residuals 1.35e-9 and 1.05e-9
+    rel = random_m_dissipative(np.random.default_rng([101, 32, 0, 4, 2]), 32,
+                               "real", dom_dim=21)
+    assert is_m_dissipative(rel).ok
+    ev = sector_verify(rel, SectorSpec(math.pi / 4, 2.0), math.pi / 2,
+                       radii=13, rays=7)
+    assert ev.worst_norm < 2.0
+    assert ev.passed, ev.failures
 
 
 def test_sector_spec_validation():
