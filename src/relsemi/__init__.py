@@ -46,7 +46,6 @@ from .converge import trotter_kato_report, holomorphic_convergence_report
 from .grids import Box, DomainMask, Grid, mask_from_shapes
 from .heatlab import (
     DirichletGridRelation,
-    build_dirichlet_relation,
     heat_orbit,
     perturbation_experiment,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "SolverBreakdown",
     "Subspace",
     "VanishingMultiplier",
-    "build_dirichlet_relation",
     "decompose",
     "dissipativity_l2",
     "dissipativity_sampled",

@@ -70,9 +70,9 @@ def _load_relation(path: str) -> LinearRelation:
     return LinearRelation.from_json(_load_json(path))
 
 
-def _grid_field(obj, key, default=None):
+def _grid_field(obj, key):
     """Time grids in config files: either a list or {start, stop, num}."""
-    spec = obj.get(key, default)
+    spec = obj.get(key)
     if spec is None:
         return None
     if isinstance(spec, dict):
@@ -128,7 +128,7 @@ def cmd_dissip_check(args) -> int:
     if args.norm == "l2":
         cert = dissipativity_l2(rel)
     else:
-        cert = dissipativity_sampled(rel, norm="sup", seed=args.seed)
+        cert = dissipativity_sampled(rel, seed=args.seed)
     verdict = asdict(cert)
     text = render_json(verdict)
     if args.out:

@@ -29,7 +29,6 @@ from .errors import (
     NotInResolventSet,
     ResolventNotConvergent,
     SectorHypothesisFailed,
-    UnboundedResolventFamily,
 )
 from .relation import LinearRelation, gap_relations
 from .sampling import random_matrix
@@ -108,49 +107,46 @@ def as_evaluator(obj, norm: str = "l2"):
 # -- limits ------------------------------------------------------------------
 
 
-def empirical_limit(rels: Sequence[LinearRelation], cauchy_tol: float = 1e-8,
-                    window: int = 3):
+CAUCHY_WINDOW = 3  # trailing members a Cauchy certificate compares with the last one
+
+
+def empirical_limit(rels: Sequence[LinearRelation], cauchy_tol: float = 1e-8):
     """Last element of a gap-metric Cauchy sequence, with its certificate.
 
-    The trailing ``window`` members must each be within ``cauchy_tol`` of
-    the final one; otherwise :class:`NotCauchy` reports the worst pair.
+    The trailing ``CAUCHY_WINDOW`` members must each be within ``cauchy_tol``
+    of the final one; otherwise :class:`NotCauchy` reports the worst pair.
     """
     rels = list(rels)
-    if len(rels) < window + 1:
-        raise InvalidInput(f"need at least {window + 1} members, got {len(rels)}")
+    if len(rels) < CAUCHY_WINDOW + 1:
+        raise InvalidInput(f"need at least {CAUCHY_WINDOW + 1} members, got {len(rels)}")
     last = rels[-1]
     trace = [gap_relations(r, last) for r in rels[:-1]]
-    tail = trace[-window:]
+    tail = trace[-CAUCHY_WINDOW:]
     worst = max(tail)
     if worst > cauchy_tol:
-        k = len(rels) - 1 - window + int(np.argmax(tail))
+        k = len(rels) - 1 - CAUCHY_WINDOW + int(np.argmax(tail))
         raise NotCauchy(
             f"gap(A_{k}, A_last) = {worst:.3e} > {cauchy_tol:.1e}")
-    return last, {"gap_trace": trace, "worst_tail_gap": worst, "window": window}
+    return last, {"gap_trace": trace, "worst_tail_gap": worst, "window": CAUCHY_WINDOW}
 
 
-def limit_from_resolvents(lam0, rels: Sequence[LinearRelation],
-                          accept_tol: float = ACCEPT_TOL, window: int = 3,
-                          norm_bound: Optional[float] = None):
+def limit_from_resolvents(lam0, rels: Sequence[LinearRelation]):
     """Reconstruct the limit relation from resolvent samples at ``lam0``.
 
     All members must have ``lam0`` in their resolvent set.  The sample
-    matrices must be Cauchy (trailing window, spectral norm); the limit is
-    rebuilt from the final sample.  When ``norm_bound`` is supplied the
-    family must stay below it, else :class:`UnboundedResolventFamily`.
+    matrices must be Cauchy (the trailing ``CAUCHY_WINDOW``, spectral norm,
+    within ``10 ACCEPT_TOL`` relative to the largest norm); the limit is
+    rebuilt from the final sample.
     """
     rels = list(rels)
-    if len(rels) < window + 1:
-        raise InvalidInput(f"need at least {window + 1} members, got {len(rels)}")
-    mats = [resolvent(r, lam0, accept_tol).matrix for r in rels]
+    if len(rels) < CAUCHY_WINDOW + 1:
+        raise InvalidInput(f"need at least {CAUCHY_WINDOW + 1} members, got {len(rels)}")
+    mats = [resolvent(r, lam0).matrix for r in rels]
     norms = [float(np.linalg.norm(m, 2)) for m in mats]
-    if norm_bound is not None and max(norms) > norm_bound:
-        raise UnboundedResolventFamily(
-            f"max resolvent norm {max(norms):.3e} exceeds bound {norm_bound:.3e}")
     last = mats[-1]
     trace = [float(np.linalg.norm(m - last, 2)) for m in mats[:-1]]
-    worst = max(trace[-window:])
-    if worst > accept_tol * max(1.0, max(norms)) * 10:
+    worst = max(trace[-CAUCHY_WINDOW:])
+    if worst > ACCEPT_TOL * max(1.0, max(norms)) * 10:
         raise ResolventNotConvergent(
             f"trailing resolvent gap {worst:.3e} at lam0={lam0!r}")
     limit = relation_from_resolvent(lam0, last)
@@ -197,11 +193,11 @@ class ConvergenceReport:
         return out
 
 
-def default_f_set(d: int, field_tag: str = "real", extra: int = 3, seed: int = 0):
-    """Canonical basis plus a few seeded random unit vectors, as columns."""
-    rng = np.random.default_rng(seed)
+def default_f_set(d: int, field_tag: str = "real"):
+    """Canonical basis plus three random unit vectors (seed 0), as columns."""
+    rng = np.random.default_rng(0)
     cols = [np.eye(d, dtype=complex if field_tag == "complex" else float)]
-    for _ in range(extra):
+    for _ in range(3):
         v = random_matrix(rng, d, 1, field_tag)
         cols.append(v / np.linalg.norm(v))
     return np.hstack(cols)
@@ -348,7 +344,7 @@ class HolomorphicReport:
 
 
 def holomorphic_convergence_report(family, spec: SectorSpec, eps: float,
-                                   z_grid, f_set=None, lam0: float = 1.0,
+                                   z_grid, f_set=None,
                                    tol: float = 1e-3, labels=None,
                                    radii: int = 13, rays: int = 7,
                                    limit=None, norm: str = "l2") -> HolomorphicReport:
@@ -356,7 +352,7 @@ def holomorphic_convergence_report(family, spec: SectorSpec, eps: float,
 
     Every family member must pass :func:`sector_verify` for the common
     ``spec`` (else :class:`SectorHypothesisFailed`).  The limit is rebuilt
-    from resolvent samples at ``lam0`` unless supplied explicitly; it must
+    from resolvent samples at ``lam0 = 1`` unless supplied explicitly; it must
     pass the same sector check.  Errors are ``max_z max_f ||T_n(z) f -
     T(z) f||``; the tail must not grow (last <= first) and the final error
     must be below ``tol``.
@@ -371,7 +367,7 @@ def holomorphic_convergence_report(family, spec: SectorSpec, eps: float,
             if not ev.passed:
                 raise SectorHypothesisFailed(idx, f"worst norm {ev.worst_norm:.4g}")
         if limit is None:
-            limit, _ = limit_from_resolvents(lam0, rel_members)
+            limit, _ = limit_from_resolvents(1.0, rel_members)
         lim_ev = sector_verify(limit, spec, eps, radii=radii, rays=rays)
         if not lim_ev.passed:
             raise SectorHypothesisFailed(-1, "limit fails the sector bound")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -20,11 +20,16 @@ from .relation import LinearRelation
 from .spectral import resolvent
 from .subspace import complement
 
-#: Default slack allowed on exact certificates.
+#: Slack allowed on exact certificates.
 CERT_TOL = 1e-10
 
 #: Decades of ``lam`` on which m-dissipativity evidence is collected.
 LAMBDA_DECADES = tuple(10.0 ** k for k in range(-3, 7))
+
+EVIDENCE_ACCEPT_TOL = 1e-8  # acceptance residual of the resolvents on LAMBDA_DECADES
+SAMPLED_PAIRS = 200         # random graph pairs of the sampled sup-norm check,
+SAMPLED_LAMBDAS = np.logspace(-3, 3, 13)  # its lam grid
+SAMPLED_TOL = 1e-12         # and its slack
 
 
 @dataclass(frozen=True)
@@ -44,67 +49,51 @@ class DissipativityCertificate:
     detail: Optional[dict] = None
 
 
-def dissipativity_l2(rel: LinearRelation, cert_tol: float = CERT_TOL) -> DissipativityCertificate:
+def dissipativity_l2(rel: LinearRelation) -> DissipativityCertificate:
     """Exact Euclidean-norm certificate.
 
     Dissipativity in the Euclidean norm is ``lam_max(Herm(U^H V)) <= 0``
     for the graph-basis blocks ``U, V``; the certificate accepts up to
-    ``cert_tol`` of eigensolver slack.
+    ``CERT_TOL`` of eigensolver slack.
     """
     u, v = rel.blocks()
     if rel.dim == 0:
-        return DissipativityCertificate(True, "l2-exact", "l2", -math.inf, cert_tol)
+        return DissipativityCertificate(True, "l2-exact", "l2", -math.inf, CERT_TOL)
     form = u.conj().T @ v
     herm = (form + form.conj().T) / 2.0
     witness = float(np.linalg.eigvalsh(herm)[-1])
-    return DissipativityCertificate(witness <= cert_tol, "l2-exact", "l2",
-                                    witness, cert_tol)
+    return DissipativityCertificate(witness <= CERT_TOL, "l2-exact", "l2",
+                                    witness, CERT_TOL)
 
 
-def _norm_fn(norm) -> Callable[[np.ndarray], float]:
-    if callable(norm):
-        return norm
-    if norm == "l2":
-        return lambda x: float(np.linalg.norm(x))
-    if norm == "sup":
-        return lambda x: float(np.max(np.abs(x))) if x.size else 0.0
-    raise ValueError(f"unknown norm {norm!r}")
+def dissipativity_sampled(rel: LinearRelation, seed: int = 0) -> DissipativityCertificate:
+    """One-sided sampled check in the sup norm.
 
-
-def dissipativity_sampled(rel: LinearRelation, norm="sup", samples: int = 200,
-                          lambda_grid=None, seed: int = 0,
-                          cert_tol: float = 1e-12) -> DissipativityCertificate:
-    """One-sided sampled check in an arbitrary norm.
-
-    Draws random graph pairs and tests ``||lam*x - y|| - ||lam*x|| >= 0``
-    on a positive ``lam`` grid.  A negative worst margin disproves
-    dissipativity in that norm; a nonnegative one is only evidence.  The
-    witness records the attaining sample, ``lam``, and (for the sup norm)
-    the lowest coordinate index attaining the sup.
+    Draws ``SAMPLED_PAIRS`` random graph pairs, scales each by the sup norm
+    of its ``x`` (pairs with ``x = 0`` say nothing and are skipped), and
+    tests ``||lam*x - y|| - ||lam*x|| >= 0`` for every ``lam`` in
+    ``SAMPLED_LAMBDAS``.  A negative worst margin disproves dissipativity in
+    the sup norm; a nonnegative one is only evidence.  The witness records
+    the first attaining sample and ``lam`` (samples outer, ``lam`` inner)
+    and the lowest coordinate index attaining the sup.
     """
-    nf = _norm_fn(norm)
-    if lambda_grid is None:
-        lambda_grid = np.logspace(-3, 3, 13)
-    rng = np.random.default_rng(seed)
-    xs, ys = rel.sample_pairs(rng, samples)
-    worst = math.inf
-    detail = None
-    for k in range(xs.shape[1]):
-        x, y = xs[:, k], ys[:, k]
-        sx = nf(x)
-        if sx == 0.0:
-            continue
-        x, y = x / sx, y / sx  # scale-invariant margins
-        for lam in lambda_grid:
-            margin = nf(lam * x - y) - nf(lam * x)
-            if margin < worst:
-                worst = margin
-                att = int(np.argmax(np.abs(lam * x - y)))  # lowest index on ties
-                detail = {"sample": k, "lam": float(lam), "attaining_index": att}
-    norm_name = norm if isinstance(norm, str) else getattr(norm, "__name__", "custom")
-    return DissipativityCertificate(worst >= -cert_tol, "sampled", norm_name,
-                                    -worst if math.isfinite(worst) else -math.inf,
-                                    cert_tol, detail)
+    xs, ys = rel.sample_pairs(np.random.default_rng(seed), SAMPLED_PAIRS)
+    sx = np.max(np.abs(xs), axis=0, initial=0.0)
+    used = np.flatnonzero(sx != 0.0)
+    worst, detail = math.inf, None
+    if used.size:
+        x, y = xs[:, used] / sx[used], ys[:, used] / sx[used]  # scale-invariant
+        lx = SAMPLED_LAMBDAS[:, None, None] * x
+        # margins[k, j]: sample used[k] at lam_j
+        margins = (np.max(np.abs(lx - y), axis=1) - np.max(np.abs(lx), axis=1)).T
+        k, j = np.unravel_index(np.argmin(margins), margins.shape)
+        worst = margins[k, j]
+        att = int(np.argmax(np.abs(lx[j, :, k] - y[:, k])))  # lowest index on ties
+        detail = {"sample": int(used[k]), "lam": float(SAMPLED_LAMBDAS[j]),
+                  "attaining_index": att}
+    return DissipativityCertificate(bool(worst >= -SAMPLED_TOL), "sampled", "sup",
+                                    -float(worst) if math.isfinite(worst) else -math.inf,
+                                    SAMPLED_TOL, detail)
 
 
 @dataclass(frozen=True)
@@ -117,16 +106,15 @@ class MDissipativityEvidence:
     failure: Optional[str] = None
 
 
-def is_m_dissipative(rel: LinearRelation, cert_tol: float = CERT_TOL,
-                     accept_tol: float = 1e-8) -> MDissipativityEvidence:
+def is_m_dissipative(rel: LinearRelation) -> MDissipativityEvidence:
     """Check m-dissipativity and collect resolvent-bound evidence.
 
     The decision is ``dissipative + ran(1 - A) = K^d``; the evidence then
-    verifies ``||lam R(lam, A)||_2 <= 1 + cert_tol`` on a decade grid of
-    positive ``lam``, which must hold automatically and guards against
-    implementation drift.
+    verifies ``||lam R(lam, A)||_2 <= 1 + CERT_TOL`` on the decades
+    ``LAMBDA_DECADES`` (resolvents accepted at ``EVIDENCE_ACCEPT_TOL``),
+    which must hold automatically and guards against implementation drift.
     """
-    cert = dissipativity_l2(rel, cert_tol)
+    cert = dissipativity_l2(rel)
     shifted = rel.shift(1.0)
     range_full = shifted.parts.range.dim == rel.state_dim
     if not (cert.dissipative and range_full):
@@ -136,14 +124,14 @@ def is_m_dissipative(rel: LinearRelation, cert_tol: float = CERT_TOL,
     defect = -math.inf
     for lam in LAMBDA_DECADES:
         try:
-            sample = resolvent(rel, lam, accept_tol)
+            sample = resolvent(rel, lam, EVIDENCE_ACCEPT_TOL)
         except NotInResolventSet as exc:
             return MDissipativityEvidence(False, cert, range_full, tuple(checks),
                                           math.nan, f"lam={lam:g}: {exc}")
         norm = float(np.linalg.norm(lam * sample.matrix, 2))
         checks.append((lam, norm))
         defect = max(defect, norm - 1.0)
-    ok = defect <= cert_tol
+    ok = defect <= CERT_TOL
     failure = None if ok else f"resolvent bound defect {defect:.3e}"
     return MDissipativityEvidence(ok, cert, range_full, tuple(checks), defect, failure)
 
@@ -156,9 +144,7 @@ class InversionEvidence:
     resolvent_residual: float
 
 
-def lumer_phillips_invert(rel: LinearRelation,
-                          cert_tol: float = CERT_TOL,
-                          accept_tol: float = 1e-9) -> InversionEvidence:
+def lumer_phillips_invert(rel: LinearRelation) -> InversionEvidence:
     """Invert a dissipative relation with full range.
 
     For a dissipative relation whose range is all of ``K^d``, zero belongs
@@ -166,12 +152,12 @@ def lumer_phillips_invert(rel: LinearRelation,
     (``A^{-1}`` is the graph of ``Q``) and satisfies
     ``||Q||_2 <= 1 / injectivity_modulus(A)``.
     """
-    cert = dissipativity_l2(rel, cert_tol)
+    cert = dissipativity_l2(rel)
     if not cert.dissipative:
-        raise NotDissipative(f"Hermitian form witness {cert.witness:.3e} > {cert_tol:.1e}")
+        raise NotDissipative(f"Hermitian form witness {cert.witness:.3e} > {CERT_TOL:.1e}")
     if rel.parts.range.dim < rel.state_dim:
         raise NotSurjective("range of the relation is a proper subspace")
-    sample = resolvent(rel, 0.0, accept_tol)
+    sample = resolvent(rel, 0.0)
     q = -sample.matrix  # R(0, A) = (0 - A)^{-1} = -A^{-1}
     margin = rel.injectivity_modulus()
     return InversionEvidence(q, float(np.linalg.norm(q, 2)), float(margin),
@@ -197,14 +183,3 @@ def maximal_dissipative_extension(rel: LinearRelation) -> LinearRelation:
     ys = np.hstack([v.astype(dt), -w.astype(dt)])
     return LinearRelation.from_pairs(xs, ys, rel.rank_tol)
 
-
-def kernel_adjoint_pairing(rel: LinearRelation, u: np.ndarray) -> float:
-    """Norm of the projection of ``u`` onto ``ker(adjoint)``.
-
-    For an m-dissipative relation with ``u`` a nonzero kernel vector this
-    is strictly positive: some adjoint-kernel vector pairs nontrivially
-    with ``u``.
-    """
-    adj = rel.adjoint()
-    ker_adj = adj.parts.kernel
-    return float(np.linalg.norm(ker_adj.project(np.asarray(u))))

@@ -82,10 +82,6 @@ class ResolventNotConvergent(RelsemiError):
     """Resolvent samples of a sequence failed the Cauchy certificate."""
 
 
-class UnboundedResolventFamily(RelsemiError):
-    """Resolvent norms exceeded the caller-supplied uniform bound."""
-
-
 class InconsistentEquivalence(RelsemiError):
     """Convergence criteria that are provably equivalent disagreed.
 

@@ -56,8 +56,13 @@ from .subspace import Subspace
 log = logging.getLogger("relsemi")
 
 DENSE_ROWSUM_LIMIT = 3000  # largest masked block sector_uniformity inverts densely
+DENSE_MAX_NODES = 2500     # largest grid dense_relation assembles
 EXP_TOL = 1e-13            # exponential kernel error bound, relative to ‖b‖∞
 EXP_MAX_BASIS = 400        # Arnoldi vectors per column before SolverBreakdown
+EIG_TOL = 1e-8             # relative accuracy of the inverse-power eigenvalues
+MULTIPLIER_MIN = 1e-8      # smallest |m| a multiplier may take on the mask
+CRITERION_MARGINS = (1, 2, 3)  # node rings of domain_convergence_check's interiors
+FD_DELTA = 1e-3            # step of heat_orbit's finite-difference membership check
 
 
 def _factor(op, sigma):
@@ -317,8 +322,9 @@ class DirichletGridRelation:
 
     def nearest_pair(self, u, f):
         """Orthogonal projection of ``(u, f)`` onto the graph."""
-        u = np.asarray(u, dtype=float)
-        f = np.asarray(f, dtype=float)
+        dt = np.result_type(u, f, float)
+        u = np.asarray(u, dtype=dt)
+        f = np.asarray(f, dtype=dt)
         ustar = np.zeros_like(u)
         fstar = f.copy()
         if self.n_inside:
@@ -329,17 +335,17 @@ class DirichletGridRelation:
 
     # -- dense cross-check ---------------------------------------------------
 
-    def dense_relation(self, max_dim: int = 2500) -> LinearRelation:
-        """Explicit relation on the full node space; small grids only.
+    def dense_relation(self) -> LinearRelation:
+        """Explicit relation on the full node space of at most ``DENSE_MAX_NODES``.
 
         The graph basis is assembled blockwise: the ``(e_j, L e_j)`` block
         is orthonormalized through a Cholesky factor of ``I + L^T L``, and
         the free off-mask block is already orthonormal and orthogonal to it.
         """
         big_n = self.state_dim
-        if big_n > max_dim:
+        if big_n > DENSE_MAX_NODES:
             raise InvalidInput(
-                f"dense relation with {big_n} nodes exceeds max_dim={max_dim}")
+                f"dense relation with {big_n} nodes exceeds {DENSE_MAX_NODES}")
         n = self.n_inside
         if n == 0:
             basis = np.vstack([np.zeros((big_n, big_n)), np.eye(big_n)])
@@ -442,10 +448,6 @@ def _si_arnoldi_exp(op, solve, gamma, mu, b, times, max_basis):
     return out, size, bound
 
 
-def build_dirichlet_relation(mask: DomainMask) -> DirichletGridRelation:
-    return DirichletGridRelation(mask)
-
-
 # -- certificates ---------------------------------------------------------
 
 
@@ -524,8 +526,8 @@ def surjective_solve(rel: DirichletGridRelation, f):
 # -- eigenvalues ----------------------------------------------------------
 
 
-def _smallest_eigenvalue(lap: sp.csr_matrix, tol: float, maxiter: int = 3000) -> float:
-    """Smallest eigenvalue of ``-lap`` by inverse-power iteration."""
+def _smallest_eigenvalue(lap: sp.csr_matrix) -> float:
+    """Smallest eigenvalue of ``-lap`` by inverse-power iteration (``EIG_TOL``)."""
     n = lap.shape[0]
     if n == 0:
         return math.inf
@@ -536,26 +538,26 @@ def _smallest_eigenvalue(lap: sp.csr_matrix, tol: float, maxiter: int = 3000) ->
     v = np.full(n, 1.0 / math.sqrt(n))
     lam = float(v @ (a @ v))
     # the Rayleigh value converges one order faster than the iterate, so a
-    # change threshold well below tol leaves the remaining error negligible
-    for _ in range(maxiter):
+    # change threshold well below EIG_TOL leaves the remaining error negligible
+    for _ in range(3000):
         w = solve(v)
         w /= np.linalg.norm(w)
         new = float(w @ (a @ w))
-        done = abs(new - lam) <= 1e-3 * tol * max(1.0, abs(new))
+        done = abs(new - lam) <= 1e-3 * EIG_TOL * max(1.0, abs(new))
         v, lam = w, new
         if done:
             return lam
     raise SolverBreakdown("inverse-power iteration did not settle")
 
 
-def first_eigenvalue(grid: Grid, node_set, tol: float = 1e-8) -> float:
+def first_eigenvalue(grid: Grid, node_set) -> float:
     """Smallest Dirichlet eigenvalue of the node set; +inf when empty."""
     flags = np.asarray(node_set)
     if flags.dtype != bool:
         full = np.zeros(grid.n_nodes, dtype=bool)
         full[np.asarray(node_set, dtype=np.int64)] = True
         flags = full
-    return _smallest_eigenvalue(stencil_on_flags(grid, flags), tol)
+    return _smallest_eigenvalue(stencil_on_flags(grid, flags))
 
 
 # -- 1-D interval helpers --------------------------------------------------
@@ -580,9 +582,8 @@ def interval_nodes(m: int, length: float = 1.0) -> np.ndarray:
     return h * (np.arange(m) + 1)
 
 
-def interval_first_eigenvalue(m: int, length: float = 1.0,
-                              tol: float = 1e-8) -> float:
-    return _smallest_eigenvalue(interval_stencil(m, length), tol)
+def interval_first_eigenvalue(m: int, length: float = 1.0) -> float:
+    return _smallest_eigenvalue(interval_stencil(m, length))
 
 
 def interval_eigenvalue_closed_form(m: int, length: float = 1.0, k: int = 1) -> float:
@@ -607,15 +608,14 @@ class MultiplierEvidence:
     contraction: ContractionCertificate | None
 
 
-def multiplier_relation(m_values, rel: DirichletGridRelation,
-                        m_min: float = 1e-8,
-                        samples: int = 60, seed: int = 0) -> DirichletGridRelation:
+def multiplier_relation(m_values, rel: DirichletGridRelation) -> DirichletGridRelation:
     """Output-scaled relation ``(u, m·f)`` for a nonvanishing multiplier.
 
-    ``m_values`` may live on the whole grid or only on the masked nodes.
+    ``m_values`` may live on the whole grid or only on the masked nodes;
+    ``|m| < MULTIPLIER_MIN`` on the mask raises :class:`VanishingMultiplier`.
     For strictly positive multipliers the sup-norm contraction certificate
-    is re-derived on the scaled stencil; sampled dissipativity is recorded
-    either way (one-sided evidence).
+    is re-derived on the scaled stencil; sampled dissipativity (60 seeded
+    graph pairs) is recorded either way (one-sided evidence).
     """
     m_values = np.asarray(m_values, dtype=float).ravel()
     if m_values.size == rel.state_dim:
@@ -626,17 +626,17 @@ def multiplier_relation(m_values, rel: DirichletGridRelation,
         raise InvalidInput("multiplier length matches neither grid nor mask")
     if rel.n_inside:
         worst = int(np.argmin(np.abs(mvals)))
-        if abs(mvals[worst]) < m_min:
+        if abs(mvals[worst]) < MULTIPLIER_MIN:
             raise VanishingMultiplier(node=int(rel.omega[worst]),
                                       value=float(mvals[worst]))
     scaled = DirichletGridRelation(rel.mask, operator=sp.diags(mvals) @ rel.op,
                                    multiplier=mvals,
                                    label=rel.label + "*m")
     # one-sided sampled evidence: ‖λu‖_∞ ≤ ‖λu − f‖_∞ on random graph pairs
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     margin = math.inf
     if rel.n_inside:
-        us = rng.standard_normal((rel.n_inside, samples))
+        us = rng.standard_normal((rel.n_inside, 60))
         fs = scaled.op @ us
         for lam in (0.1, 1.0, 10.0):
             lhs = np.max(np.abs(lam * us), axis=0)
@@ -697,20 +697,21 @@ class SectorUniformity:
     radii: int
 
 
-def sector_uniformity(labs, eps: float = 0.1, rays: int = 5, radii: int = 7,
-                      r_range=(1e-2, 1e3)) -> SectorUniformity:
+def sector_uniformity(labs, eps: float = 0.1, rays: int = 5,
+                      radii: int = 7) -> SectorUniformity:
     """One sup-norm bound for ``λ R(λ)`` over right-half-plane rays.
 
-    Samples ``λ = r e^{iθ}``, ``|θ| ≤ π/2 − eps``, and records the max of
-    the exact row-sum norm per family member; the evidence is the max over
-    the family (a single finite bound for the whole family at this grid).
+    Samples ``λ = r e^{iθ}``, ``|θ| ≤ π/2 − eps``, ``r`` log-spaced in
+    ``[1e-2, 1e3]``, and records the max of the exact row-sum norm per
+    family member; the evidence is the max over the family (a single
+    finite bound for the whole family at this grid).
     Each ``λ − L`` is factored here, outside the members' factor caches.
     """
     labs = list(labs)
     if not labs:
         raise InvalidInput("empty family")
     thetas = np.linspace(-(math.pi / 2 - eps), math.pi / 2 - eps, rays)
-    rs = np.logspace(math.log10(r_range[0]), math.log10(r_range[1]), radii)
+    rs = np.logspace(-2.0, 3.0, radii)
     per = []
     for lab in labs:
         worst = 0.0
@@ -762,17 +763,16 @@ def _direction_ok(trace, direction: str) -> bool:
     raise InvalidInput(f"unknown direction {direction!r}")
 
 
-def domain_convergence_check(masks, limit: DomainMask, margins=(1, 2, 3),
-                             tol: float = 1e-8,
+def domain_convergence_check(masks, limit: DomainMask,
                              expected_direction: str = "to_infinity") -> DomainConvergence:
     """Discrete compact-inclusion and surplus-eigenvalue traces.
 
-    Condition (a): for each margin, the limit's deep-interior node set must
-    lie in every member from some index on.  Condition (b): the raw first
-    eigenvalue of each member's surplus node set (off the limit's closure);
-    the pass direction is configuration, defaulting to growth (vanishing
-    surplus).  Deficit traces are recorded alongside as the inner-family
-    counterpart.
+    Condition (a): for each margin of ``CRITERION_MARGINS``, the limit's
+    deep-interior node set must lie in every member from some index on.
+    Condition (b): the raw first eigenvalue of each member's surplus node
+    set (off the limit's closure); the pass direction is configuration,
+    defaulting to growth (vanishing surplus).  Deficit traces are recorded
+    alongside as the inner-family counterpart.
     """
     masks = list(masks)
     if not masks:
@@ -781,7 +781,7 @@ def domain_convergence_check(masks, limit: DomainMask, margins=(1, 2, 3),
     if any(mk.grid != grid for mk in masks):
         raise InvalidInput("family and limit must share one grid")
     n0 = {}
-    for margin in margins:
+    for margin in CRITERION_MARGINS:
         kset = limit.interior_margin(margin)
         covered = [not np.any(kset & ~mk.values) for mk in masks]
         if not covered[-1]:
@@ -794,12 +794,12 @@ def domain_convergence_check(masks, limit: DomainMask, margins=(1, 2, 3),
     closure = limit.closure()
     surplus = [mk.values & ~closure for mk in masks]
     deficit = [limit.values & ~mk.values for mk in masks]
-    s_eigs = np.array([first_eigenvalue(grid, s, tol) for s in surplus])
-    d_eigs = np.array([first_eigenvalue(grid, d, tol) for d in deficit])
+    s_eigs = np.array([first_eigenvalue(grid, s) for s in surplus])
+    d_eigs = np.array([first_eigenvalue(grid, d) for d in deficit])
     s_counts = np.array([int(s.sum()) for s in surplus])
     d_counts = np.array([int(d.sum()) for d in deficit])
     ok = _direction_ok(s_eigs, expected_direction)
-    return DomainConvergence(tuple(margins), n0, s_counts, s_eigs,
+    return DomainConvergence(CRITERION_MARGINS, n0, s_counts, s_eigs,
                              s_counts * grid.h ** 2, d_counts, d_eigs,
                              expected_direction, ok)
 
@@ -820,7 +820,7 @@ class PerturbationReport:
 def perturbation_experiment(masks, limit_mask: DomainMask, lambda_grid, t_grid,
                             f_set, tol: float = 0.05, mu: complex = 1 + 1j,
                             items=("i", "ii", "iii", "iv"), samples: int = 4,
-                            seed: int = 0, margins=(1, 2, 3),
+                            seed: int = 0,
                             expected_direction: str = "to_infinity") -> PerturbationReport:
     """Domain-perturbation convergence study in the sup norm.
 
@@ -841,7 +841,7 @@ def perturbation_experiment(masks, limit_mask: DomainMask, lambda_grid, t_grid,
     report = trotter_kato_report(labs, lim, lambda_grid, t_grid, f_set=f_set,
                                  tol=tol, mu=mu, items=items, norm="sup",
                                  labels=tuple(lab.label for lab in labs))
-    criterion = domain_convergence_check(masks, limit_mask, margins=margins,
+    criterion = domain_convergence_check(masks, limit_mask,
                                          expected_direction=expected_direction)
     rng = np.random.default_rng(seed)
     dists = np.zeros((len(labs), samples))
@@ -885,12 +885,12 @@ class HeatOrbit:
     nodewise_decreasing: bool
 
 
-def heat_orbit(rel: DirichletGridRelation, u0, t_grid, fd_times=None,
-               fd_delta: float = 1e-3) -> HeatOrbit:
+def heat_orbit(rel: DirichletGridRelation, u0, t_grid) -> HeatOrbit:
     """Trajectory ``u(t) = T(t) u0`` with its defining checks.
 
     Membership is tested with Richardson-extrapolated central differences
-    at a few interior times (the raw pair ``(u, Lu)`` would be a tautology).
+    (step ``FD_DELTA``) at the middle and last grid times, where they exceed
+    ``2 FD_DELTA`` (the raw pair ``(u, Lu)`` would be a tautology).
     ``T(0)``, the orbit and every difference time come from one call of the
     exponential kernel, so from one Krylov basis.
     """
@@ -900,10 +900,9 @@ def heat_orbit(rel: DirichletGridRelation, u0, t_grid, fd_times=None,
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (rel.state_dim,):
         raise InvalidInput("initial state has the wrong length")
-    if fd_times is None:
-        picks = sorted({t_grid.size // 2, t_grid.size - 1})
-        fd_times = tuple(float(t_grid[j]) for j in picks if t_grid[j] > 2 * fd_delta)
-    offsets = np.array([0.0, fd_delta, -fd_delta, fd_delta / 2, -fd_delta / 2])
+    picks = sorted({t_grid.size // 2, t_grid.size - 1})
+    fd_times = tuple(float(t_grid[j]) for j in picks if t_grid[j] > 2 * FD_DELTA)
+    offsets = np.array([0.0, FD_DELTA, -FD_DELTA, FD_DELTA / 2, -FD_DELTA / 2])
     fd_grid = (np.asarray(fd_times, dtype=float)[:, None] + offsets).ravel()
     traj = rel.semigroup(np.concatenate([[0.0], t_grid, fd_grid]), u0)
     states = traj[1:t_grid.size + 1]
@@ -918,13 +917,13 @@ def heat_orbit(rel: DirichletGridRelation, u0, t_grid, fd_times=None,
     off_domain_max = float(np.max(np.abs(states[:, off_mask]), initial=0.0))
     residuals = []
     for u_tau, up, dn, up2, dn2 in traj[t_grid.size + 1:].reshape(-1, 5, rel.state_dim):
-        dudt = (4.0 * (up2 - dn2) / fd_delta - (up - dn) / (2 * fd_delta)) / 3.0
+        dudt = (4.0 * (up2 - dn2) / FD_DELTA - (up - dn) / (2 * FD_DELTA)) / 3.0
         residuals.append(rel.graph_distance(u_tau, dudt))
     denom = max(float(np.max(np.abs(pu0), initial=0.0)), 1e-300)
     sup_ratio = float(np.max(np.abs(states), initial=0.0)) / denom
     decreasing = bool(np.all(states[1:] <= states[:-1] + 1e-12))
     return HeatOrbit(t_grid, states, projection_defect, initial_trace,
-                     off_domain_max, tuple(fd_times), tuple(residuals),
+                     off_domain_max, fd_times, tuple(residuals),
                      sup_ratio, float(states.min(initial=0.0)), decreasing)
 
 

@@ -71,18 +71,13 @@ class LinearRelation:
             d, Subspace.from_spanning(np.vstack([xs, ys]), 2 * d, rank_tol))
 
     @staticmethod
-    def from_operator(mat, rank_tol: float = RANK_TOL) -> "LinearRelation":
+    def from_operator(mat) -> "LinearRelation":
         """Graph of a (single-valued, everywhere defined) matrix operator."""
         mat = np.atleast_2d(np.asarray(mat))
         if mat.shape[0] != mat.shape[1]:
             raise InvalidInput("operator matrix must be square")
         d = mat.shape[0]
-        return LinearRelation.from_pairs(np.eye(d, dtype=mat.dtype), mat, rank_tol)
-
-    @staticmethod
-    def zero_operator(d: int, field: str = "real") -> "LinearRelation":
-        dtype = np.complex128 if field == "complex" else np.float64
-        return LinearRelation.from_operator(np.zeros((d, d), dtype=dtype))
+        return LinearRelation.from_pairs(np.eye(d, dtype=mat.dtype), mat)
 
     @staticmethod
     def from_graph_subspace(graph: Subspace) -> "LinearRelation":
@@ -131,10 +126,6 @@ class LinearRelation:
         multivalued = Subspace.from_spanning(
             v @ null_basis(u, tol, scale_floor=1.0), d, tol)
         return RelationParts(domain, rng, kernel, multivalued)
-
-    def is_operator(self) -> bool:
-        """True when the relation is single-valued on its domain."""
-        return self.parts.multivalued.dim == 0
 
     def sample_pairs(self, rng: np.random.Generator, count: int):
         """Draw ``count`` random graph elements; returns ``(X, Y)`` columns."""

@@ -77,7 +77,7 @@ def _format_cells(col) -> list:
     return [_fmt(v) for v in col]
 
 
-def _csv_chunks(names, columns, schema):
+def _csv_chunks(names, columns):
     """CSV text in chunks: a '#'-prefixed schema line, the header, the rows.
 
     ``columns`` holds one 1-D array or list per name, all of one length.
@@ -90,20 +90,20 @@ def _csv_chunks(names, columns, schema):
     n_rows = len(cols[0]) if cols else 0
     if any(len(c) != n_rows for c in cols):
         raise InvalidInput("columns differ in length")
-    yield f"# schema: {schema or ', '.join(names)}\n{','.join(names)}\n"
+    yield f"# schema: {', '.join(names)}\n{','.join(names)}\n"
     for start in range(0, n_rows, CSV_BLOCK):
         cells = [_format_cells(c[start:start + CSV_BLOCK]) for c in cols]
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
-def render_csv(names, columns, schema: str | None = None) -> str:
+def render_csv(names, columns) -> str:
     """CSV text of ``columns`` (one 1-D array or list per name)."""
-    return "".join(_csv_chunks(names, columns, schema))
+    return "".join(_csv_chunks(names, columns))
 
 
-def write_csv(path, names, columns, schema=None):
+def write_csv(path, names, columns):
     """Stream :func:`render_csv`'s text to ``path``, atomically."""
-    _replace_atomically(path, _csv_chunks(names, columns, schema))
+    _replace_atomically(path, _csv_chunks(names, columns))
 
 
 def sanitize(obj):
@@ -167,10 +167,11 @@ def _svg_num(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _ticks(lo: float, hi: float, count: int = 5):
+def _ticks(lo: float, hi: float):
+    """About five round tick values covering ``[lo, hi]``."""
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         return [lo]
-    raw = (hi - lo) / max(count - 1, 1)
+    raw = (hi - lo) / 4
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if mag * mult >= raw:
@@ -186,8 +187,8 @@ def _ticks(lo: float, hi: float, count: int = 5):
 
 
 def line_chart(series, title: str, xlabel: str, ylabel: str,
-               log_y: bool = False, width: int = 640, height: int = 420) -> str:
-    """Static SVG line chart; ``series`` is a list of (label, xs, ys).
+               log_y: bool = False) -> str:
+    """Static 640 x 420 SVG line chart; ``series`` is a list of (label, xs, ys).
 
     Non-finite points are dropped per series.  With ``log_y`` the y-axis is
     log10 (all plotted values must be positive; nonpositive points are
@@ -216,6 +217,7 @@ def line_chart(series, title: str, xlabel: str, ylabel: str,
         y_hi = y_lo + 1.0
     pad_y = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad_y, y_hi + pad_y
+    width, height = 640, 420
     left, right, top, bottom = 70, 20, 40, 55
 
     def sx(x):

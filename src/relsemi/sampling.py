@@ -1,4 +1,4 @@
-"""Seeded random generators for subspaces and relations.
+"""Seeded random generators for matrices and relations.
 
 These are part of the public API because acceptance batteries and user
 experiments need reproducible instances.  All functions take an explicit
@@ -15,7 +15,6 @@ from .subspace import Subspace
 __all__ = [
     "random_matrix",
     "random_unitary",
-    "random_subspace",
     "random_relation",
     "random_m_dissipative",
     "random_dissipative_surjective",
@@ -36,11 +35,6 @@ def random_unitary(rng: np.random.Generator, n: int, field: str = "real"):
     d = np.diagonal(r).copy()
     d[d == 0] = 1.0
     return q * (d / np.abs(d))
-
-
-def random_subspace(rng: np.random.Generator, ambient: int, dim: int,
-                    field: str = "real") -> Subspace:
-    return Subspace.from_spanning(random_matrix(rng, ambient, dim, field), ambient)
 
 
 def random_relation(rng: np.random.Generator, d: int, field: str = "real",

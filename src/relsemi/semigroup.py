@@ -28,11 +28,16 @@ from .errors import (
 )
 from .quadrature import panel_rule
 from .relation import LinearRelation
-from .spectral import ACCEPT_TOL, NotInResolventSet, resolvent
+from .spectral import NotInResolventSet, resolvent
 
 log = logging.getLogger("relsemi")
 
 EXPM_BLOCK = 64  # matrices per stacked expm call; bounds a quadrature's working set
+NODES_PER_UNIT = 64       # Gauss nodes per unit time of the Laplace and law checks
+MILD_NODES_PER_UNIT = 16  # the same for the running integral of a mild solution
+WELLPOSED_TOL = 1e-8      # largest mild-solution defect of a well-posed verdict
+SECTOR_SLACK = 1e-8       # slack of sector_verify's norm bound
+SECTOR_BISECTIONS = 40    # certified_sector_angle steps: (pi/2) / 2**40 = 1.4e-12 rad
 
 
 @dataclass(frozen=True)
@@ -62,7 +67,7 @@ class SemigroupData:
         return self.domain_basis.shape[1]
 
 
-def decompose(rel: LinearRelation, cert_tol: float = CERT_TOL) -> SemigroupData:
+def decompose(rel: LinearRelation) -> SemigroupData:
     """Split the state space and extract the generator matrix.
 
     Raises :class:`NotMDissipative` when the evidence check fails and
@@ -70,7 +75,7 @@ def decompose(rel: LinearRelation, cert_tol: float = CERT_TOL) -> SemigroupData:
     not span ``K^d`` (which cannot happen for a genuinely m-dissipative
     input and indicates inconsistent data).
     """
-    ev = is_m_dissipative(rel, cert_tol)
+    ev = is_m_dissipative(rel)
     if not ev.ok:
         raise NotMDissipative(ev.failure or "m-dissipativity evidence failed")
     d = rel.state_dim
@@ -98,7 +103,7 @@ def decompose(rel: LinearRelation, cert_tol: float = CERT_TOL) -> SemigroupData:
         y1 = projector @ (v @ coef)
         m1 = b1.conj().T @ y1
         herm_top = float(np.linalg.eigvalsh((m1 + m1.conj().T) / 2.0)[-1])
-        if herm_top > 10 * max(cert_tol, 1e-12):
+        if herm_top > 10 * CERT_TOL:
             raise DecompositionFailure(
                 f"operator part is not dissipative (Herm top {herm_top:.2e})")
     else:
@@ -180,8 +185,8 @@ def semigroup_law_residual(sd: SemigroupData, t: float, s: float) -> float:
     return float(np.linalg.norm(lhs - left @ right, 2))
 
 
-def _integral_of_integrated(sd, a, b, nodes_per_unit):
-    ts, ws = panel_rule(a, b, nodes_per_unit)
+def _integral_of_integrated(sd, a, b):
+    ts, ws = panel_rule(a, b, NODES_PER_UNIT)
     return _weighted_sum(sd, ts, ws, integrated=True)
 
 
@@ -198,14 +203,12 @@ class FunctionalEquationCheck:
     residual_swapped: float
 
 
-def functional_equation_residual(sd: SemigroupData, t: float, s: float,
-                                 nodes_per_unit: int = 64) -> FunctionalEquationCheck:
+def functional_equation_residual(sd: SemigroupData, t: float,
+                                 s: float) -> FunctionalEquationCheck:
     left, right = integrated_at(sd, np.array([t, s]))
     prod = left @ right
-    win1 = _integral_of_integrated(sd, t, t + s, nodes_per_unit) \
-        - _integral_of_integrated(sd, 0.0, s, nodes_per_unit)
-    win2 = _integral_of_integrated(sd, s, t + s, nodes_per_unit) \
-        - _integral_of_integrated(sd, 0.0, t, nodes_per_unit)
+    win1 = _integral_of_integrated(sd, t, t + s) - _integral_of_integrated(sd, 0.0, s)
+    win2 = _integral_of_integrated(sd, s, t + s) - _integral_of_integrated(sd, 0.0, t)
     return FunctionalEquationCheck(
         float(np.linalg.norm(prod - win1, 2)),
         float(np.linalg.norm(prod - win2, 2)))
@@ -222,8 +225,7 @@ class LaplaceCheck:
 
 
 def laplace_residual(sd: SemigroupData, lam, horizon: float = 40.0,
-                     nodes_per_unit: int = 64, transform: str = "semigroup",
-                     accept_tol: float = ACCEPT_TOL) -> LaplaceCheck:
+                     transform: str = "semigroup") -> LaplaceCheck:
     """Compare the truncated Laplace transform with the resolvent.
 
     ``transform="semigroup"`` integrates ``e^{-lam t} T(t)``;
@@ -240,12 +242,12 @@ def laplace_residual(sd: SemigroupData, lam, horizon: float = 40.0,
         bound = abs(lam) * math.exp(-re * horizon) * (horizon / re + 1.0 / re ** 2)
     else:
         raise InvalidInput(f"unknown transform {transform!r}")
-    ts, ws = panel_rule(0.0, horizon, nodes_per_unit)
+    ts, ws = panel_rule(0.0, horizon, NODES_PER_UNIT)
     integrated = transform == "integrated"
     acc = _weighted_sum(sd, ts, ws * np.exp(-lam * ts), integrated)
     if integrated:
         acc = lam * acc
-    target = resolvent(sd.relation, lam, accept_tol).matrix
+    target = resolvent(sd.relation, lam).matrix
     return LaplaceCheck(float(np.linalg.norm(acc - target, 2)), bound)
 
 
@@ -259,7 +261,7 @@ class MildSolution:
     lipschitz_defect: float           # max ||u(t)-u(s)|| - |t-s| ||x||
 
 
-def mild_solution(sd: SemigroupData, x, t_grid, nodes_per_unit: int = 16) -> MildSolution:
+def mild_solution(sd: SemigroupData, x, t_grid) -> MildSolution:
     """Evaluate the mild solution with datum ``x`` along ``t_grid``.
 
     The membership residual certifies ``(integral_0^t u, u(t) - t x)`` as a
@@ -267,12 +269,11 @@ def mild_solution(sd: SemigroupData, x, t_grid, nodes_per_unit: int = 16) -> Mil
     between consecutive grid points (grid must be increasing, start >= 0).
     """
     ts = np.asarray(t_grid, dtype=float)
-    states, residuals, defects = _mild_block(sd, np.asarray(x)[:, None], ts,
-                                             nodes_per_unit)
+    states, residuals, defects = _mild_block(sd, np.asarray(x)[:, None], ts)
     return MildSolution(ts, states[..., 0], residuals[:, 0], float(defects[0]))
 
 
-def _mild_block(sd: SemigroupData, xs, ts: np.ndarray, nodes_per_unit: int = 16):
+def _mild_block(sd: SemigroupData, xs, ts: np.ndarray):
     """Mild solutions for every column of the ``(d, c)`` block ``xs`` at once.
 
     ``S(t)`` is evaluated once per quadrature node and applied to the whole
@@ -282,7 +283,7 @@ def _mild_block(sd: SemigroupData, xs, ts: np.ndarray, nodes_per_unit: int = 16)
     xs = np.asarray(xs, dtype=np.result_type(sd.projector.dtype, xs.dtype))
     if ts.ndim != 1 or ts.size == 0 or np.any(np.diff(ts) <= 0) or ts[0] < 0:
         raise InvalidInput("t_grid must be increasing and nonnegative")
-    rules = [panel_rule(a, b, nodes_per_unit)
+    rules = [panel_rule(a, b, MILD_NODES_PER_UNIT)
              for a, b in zip(np.concatenate([[0.0], ts[:-1]]), ts)]
     nodes = np.concatenate([q for q, _ in rules] + [ts])
     weights = np.concatenate([w for _, w in rules])
@@ -313,16 +314,17 @@ class WellPosednessVerdict:
     witness: Optional[dict] = None
 
 
-def wellposedness_check(rel: LinearRelation, trial_xs=None, t_grid=None,
-                        tol: float = 1e-8) -> WellPosednessVerdict:
+def wellposedness_check(rel: LinearRelation, trial_xs=None,
+                        t_grid=None) -> WellPosednessVerdict:
     """Decide well-posedness of ``u' in A u`` via the generation machinery.
 
     m-dissipative relations produce unique Lipschitz mild solutions (the
     projected evolution is a linear ODE whose propagator is invertible);
     the verdict then records the worst membership and Lipschitz defects on
-    the trial set.  For non-m-dissipative single-valued inputs with a
-    spectral point in the open right half-plane, an explicit mild solution
-    violating the Lipschitz bound is returned as a witness.
+    the trial set, which must be at most ``WELLPOSED_TOL``.  For
+    non-m-dissipative single-valued inputs with a spectral point in the
+    open right half-plane, an explicit mild solution violating the
+    Lipschitz bound is returned as a witness.
     """
     if t_grid is None:
         t_grid = np.linspace(0.1, 3.0, 10)
@@ -337,7 +339,7 @@ def wellposedness_check(rel: LinearRelation, trial_xs=None, t_grid=None,
     _, residuals, defects = _mild_block(sd, xs, np.asarray(t_grid, dtype=float))
     worst_res = float(np.max(residuals, initial=0.0))
     worst_lip = float(np.max(defects, initial=0.0))
-    ok = worst_res <= tol and worst_lip <= tol
+    ok = worst_res <= WELLPOSED_TOL and worst_lip <= WELLPOSED_TOL
     reason = "" if ok else "mild-solution defect exceeded tolerance"
     return WellPosednessVerdict(ok, True, reason, worst_res, worst_lip)
 
@@ -387,14 +389,13 @@ class SectorEvidence:
 
 
 def sector_verify(rel: LinearRelation, spec: SectorSpec, eps: float,
-                  radii: int = 25, rays: int = 13,
-                  slack: float = 1e-8) -> SectorEvidence:
+                  radii: int = 25, rays: int = 13) -> SectorEvidence:
     """Sample the enlarged sector and test ``||lam R(lam)||_2 <= M / sin(eps)``.
 
     ``lam`` ranges over log-spaced radii in ``[1e-3, 1e6]`` on rays
     ``|arg lam| <= alpha + pi/2 - eps`` (endpoints included).  Failures
-    (points not in the resolvent set, or bound violations) are collected
-    rather than raised.
+    (points not in the resolvent set, or norms beyond the bound by more
+    than ``SECTOR_SLACK``) are collected rather than raised.
     """
     if not 0 < eps < spec.alpha + math.pi / 2:
         raise InvalidInput("eps must lie in (0, alpha + pi/2)")
@@ -415,51 +416,57 @@ def sector_verify(rel: LinearRelation, spec: SectorSpec, eps: float,
             norm = float(np.linalg.norm(lam * sample.matrix, 2))
             if norm > worst_norm:
                 worst_norm, worst_lam = norm, lam
-            if norm > bound + slack:
+            if norm > bound + SECTOR_SLACK:
                 failures.append((lam, f"norm {norm:.6g} > {bound:.6g}"))
     return SectorEvidence(not failures, bound, worst_norm, worst_lam,
                           tuple(failures))
 
 
-def certified_sector_angle(sd: SemigroupData, samples: int = 64,
-                           zero_tol: float = 1e-12) -> float:
+def certified_sector_angle(sd: SemigroupData) -> float:
     """Holomorphy half-angle from the numerical range of the generator.
 
-    The numerical-range boundary of ``M1`` is sampled at ``samples``
-    rotation angles; with ``theta_W`` the largest ``|arg(-w)|`` over
-    boundary points ``w`` (ignoring those at the origin), the certified
-    angle is ``pi/2 - theta_W``, clamped at 0.
+    ``h(psi) = lam_max(Herm(e^{i psi} M1))`` is the support function of the
+    numerical range ``W(M1)`` (Johnson 1978).  An angle ``psi`` is accepted
+    when ``max(h(psi), h(-psi)) <= 1e-12 ||M1||_2``, that is when ``W(M1)``
+    lies in the sector ``|arg(-w)| <= pi/2 - psi``.  ``W(M1)`` is convex and
+    ``h(0) <= 0``, so the accepted angles form an interval ``[0, alpha]``:
+    the result is ``pi/2`` when accepted, else the last angle accepted in
+    ``SECTOR_BISECTIONS`` bisection steps on ``[0, pi/2]`` (0 if none).
     """
     m1 = sd.generator_matrix
-    n = m1.shape[0]
-    if n == 0:
+    if m1.shape[0] == 0:
         return math.pi / 2
     scale = float(np.linalg.norm(m1, 2))
     if scale == 0.0:
         return math.pi / 2
-    m1c = m1.astype(complex)
-    theta_w = 0.0
-    for phi in np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False):
-        h = np.exp(1j * phi) * m1c
-        h = (h + h.conj().T) / 2.0
-        vals, vecs = np.linalg.eigh(h)
-        vtop = vecs[:, -1]
-        w = complex(vtop.conj() @ (m1c @ vtop))
-        if abs(w) <= zero_tol * scale:
-            continue
-        theta_w = max(theta_w, abs(math.atan2((-w).imag, (-w).real)))
-    return max(0.0, math.pi / 2 - theta_w)
+
+    def accepted(psi):
+        rot = np.exp([1j * psi, -1j * psi])[:, None, None] * m1
+        herm = (rot + rot.conj().transpose(0, 2, 1)) / 2.0
+        return np.max(np.linalg.eigvalsh(herm)[:, -1]) <= 1e-12 * scale
+
+    if accepted(math.pi / 2):
+        return math.pi / 2
+    lo, hi = 0.0, math.pi / 2
+    for _ in range(SECTOR_BISECTIONS):
+        mid = (lo + hi) / 2.0
+        if accepted(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
-def holomorphic_at(sd: SemigroupData, z, spec: Optional[SectorSpec] = None) -> np.ndarray:
+def holomorphic_at(sd: SemigroupData, z) -> np.ndarray:
     """Evaluate ``T(z)`` inside the certified sector.
 
     A flat array of points gives the stack ``(len(z), d, d)``.
     ``z = 0`` returns the projector.  Points with ``|arg z|`` at or beyond
     the certified angle raise :class:`OutsideSector`.  When the norm of the
-    result exceeds the conservative sector bound ``M (1 + 2 e pi / sin(eps))``
-    a warning is logged (never raised): that bound is a coarse a-priori
-    estimate and exceeding it signals a data problem upstream.
+    result exceeds the conservative sector bound ``1 + 2 e pi / sin(eps)``
+    (``eps`` the distance of ``arg z`` to the certified angle) a warning is
+    logged (never raised): that bound is a coarse a-priori estimate and
+    exceeding it signals a data problem upstream.
     """
     zs = np.asarray(z, dtype=complex)
     flat = np.atleast_1d(zs)
@@ -470,17 +477,12 @@ def holomorphic_at(sd: SemigroupData, z, spec: Optional[SectorSpec] = None) -> n
         arg = float(np.max(args[moving]))
         raise OutsideSector(f"|arg z| = {arg:.6f} >= certified angle {alpha:.6f}")
     out = _evaluate(sd, zs)
-    m_bound = spec.bound if spec is not None else 1.0
     values = out.reshape(flat.shape + out.shape[-2:])
     for zk, arg, value in zip(flat[moving], args[moving], values[moving]):
-        soft = m_bound * (1.0 + 2.0 * math.e * math.pi / math.sin(min(alpha - arg, math.pi / 2)))
+        soft = 1.0 + 2.0 * math.e * math.pi / math.sin(min(alpha - arg, math.pi / 2))
         norm = float(np.linalg.norm(value, 2))
         if norm > soft:
             log.warning("holomorphic evaluation at z=%s has norm %.3e beyond "
                         "the sector estimate %.3e", complex(zk), norm, soft)
     return out
 
-
-def shift_generator(rel: LinearRelation, omega: float) -> LinearRelation:
-    """The relation ``A - omega`` (no renorming of the state space)."""
-    return rel.shift(omega).scale_output(-1.0)

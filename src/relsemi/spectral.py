@@ -21,10 +21,11 @@ from .errors import (
     NotInResolventSet,
 )
 from .relation import LinearRelation
-from .subspace import RANK_TOL, Subspace
+from .subspace import Subspace, null_basis
 
 #: Default bound on the verification residual of an accepted sample.
 ACCEPT_TOL = 1e-9
+PSEUDO_TOL = 1e-10  # resolvent-identity residual a pseudo-resolvent table may carry
 
 
 @dataclass(frozen=True)
@@ -79,9 +80,9 @@ def resolvent(rel: LinearRelation, lam, accept_tol: float = ACCEPT_TOL) -> Resol
     return ResolventSample(complex(lam), rmat, residual)
 
 
-def in_resolvent_set(rel: LinearRelation, lam, accept_tol: float = ACCEPT_TOL) -> bool:
+def in_resolvent_set(rel: LinearRelation, lam) -> bool:
     try:
-        resolvent(rel, lam, accept_tol)
+        resolvent(rel, lam)
         return True
     except NotInResolventSet:
         return False
@@ -93,12 +94,12 @@ def resolvent_identity_residual(s1: ResolventSample, s2: ResolventSample) -> flo
     return float(np.linalg.norm(diff, 2))
 
 
-def neumann_extend(base: ResolventSample, lam, max_terms: int = 500,
-                   term_tol: float = 1e-15) -> np.ndarray:
+def neumann_extend(base: ResolventSample, lam) -> np.ndarray:
     """Resolvent at ``lam`` by the series around ``base.lam``.
 
     Requires ``|lam - base.lam| * ||R(base.lam)||_2 < 1``; otherwise the
-    series diverges and :class:`DivergentSeries` is raised.
+    series diverges and :class:`DivergentSeries` is raised.  Summation stops
+    at the first term of 2-norm below 1e-15, or after 500 terms.
     """
     r0 = base.matrix
     norm0 = float(np.linalg.norm(r0, 2))
@@ -109,16 +110,15 @@ def neumann_extend(base: ResolventSample, lam, max_terms: int = 500,
     step = (base.lam - lam) * r0  # dtype promotes to complex when needed
     term = np.array(r0, dtype=step.dtype)
     total = term.copy()
-    for _ in range(max_terms):
+    for _ in range(500):
         term = term @ step
         total = total + term
-        if np.linalg.norm(term, 2) < term_tol:
+        if np.linalg.norm(term, 2) < 1e-15:
             break
     return total
 
 
-def relation_from_resolvent(lam0, q: np.ndarray,
-                            rank_tol: float = RANK_TOL) -> LinearRelation:
+def relation_from_resolvent(lam0, q: np.ndarray) -> LinearRelation:
     """The unique relation with ``lam0`` in its resolvent set and resolvent ``q``.
 
     Its graph is ``{(q u, lam0 * q u - u) : u in K^d}``.
@@ -128,25 +128,21 @@ def relation_from_resolvent(lam0, q: np.ndarray,
         raise InvalidInput("resolvent matrix must be square")
     d = q.shape[0]
     eye = np.eye(d, dtype=q.dtype)
-    return LinearRelation.from_pairs(q, lam0 * q - eye, rank_tol)
+    return LinearRelation.from_pairs(q, lam0 * q - eye)
 
 
-def mul_from_resolvent(sample: ResolventSample, rank_tol: float = RANK_TOL) -> Subspace:
+def mul_from_resolvent(sample: ResolventSample) -> Subspace:
     """Multivalued part recovered as the nullspace of a resolvent value."""
-    from .subspace import null_basis
-
-    d = sample.matrix.shape[0]
-    return Subspace(d, null_basis(sample.matrix, rank_tol), rank_tol)
+    return Subspace(sample.matrix.shape[0], null_basis(sample.matrix))
 
 
-def relation_from_pseudo_resolvent(table, tol: float = 1e-10,
-                                   rank_tol: float = RANK_TOL) -> LinearRelation:
+def relation_from_pseudo_resolvent(table) -> LinearRelation:
     """Reconstruct a relation from a table of pseudo-resolvent samples.
 
     ``table`` is a sequence of ``(lam, matrix)`` pairs (ResolventSample
     works too).  Every pair of entries must satisfy the resolvent identity
-    within ``tol``; the relation built from the first entry must then
-    reproduce all others within ``10 * tol``.
+    within ``PSEUDO_TOL``; the relation built from the first entry must then
+    reproduce all others within ``10 * PSEUDO_TOL``.
     """
     entries = []
     for item in table:
@@ -162,14 +158,14 @@ def relation_from_pseudo_resolvent(table, tol: float = 1e-10,
             li, ri = entries[i]
             lj, rj = entries[j]
             res = float(np.linalg.norm(ri - rj - (lj - li) * (ri @ rj), 2))
-            if res > tol:
+            if res > PSEUDO_TOL:
                 raise NotAPseudoResolvent((li, lj), res)
     lam0, r0 = entries[0]
-    rel = relation_from_resolvent(lam0, r0, rank_tol)
+    rel = relation_from_resolvent(lam0, r0)
     for lam, mat in entries[1:]:
-        sample = resolvent(rel, lam, accept_tol=max(10 * tol, ACCEPT_TOL))
+        sample = resolvent(rel, lam)
         err = float(np.linalg.norm(sample.matrix - mat, 2))
-        if err > 10 * tol:
+        if err > 10 * PSEUDO_TOL:
             raise InconsistentTable(lam, err)
     return rel
 

@@ -133,10 +133,6 @@ class Subspace:
     def field(self) -> str:
         return "complex" if np.iscomplexobj(self.basis) else "real"
 
-    def projector(self) -> np.ndarray:
-        """Dense orthogonal projector ``B B^H`` onto the subspace."""
-        return self.basis @ self.basis.conj().T
-
     def project(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v)
         return self.basis @ (self.basis.conj().T @ v)
@@ -148,8 +144,8 @@ class Subspace:
             raise InvalidInput("vector length does not match ambient dimension")
         return float(np.linalg.norm(v - self.project(v)))
 
-    def contains(self, v, tol: float = 1e-9) -> bool:
-        return self.member_distance(v) <= tol
+    def contains(self, v) -> bool:
+        return self.member_distance(v) <= 1e-9
 
     # -- serialization -----------------------------------------------------
 

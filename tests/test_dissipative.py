@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from relsemi.dissipative import (
+    DissipativityCertificate,
     dissipativity_l2,
     dissipativity_sampled,
     is_m_dissipative,
@@ -16,6 +17,7 @@ from relsemi.sampling import (
     random_dissipative_nonmaximal,
     random_dissipative_surjective,
     random_m_dissipative,
+    random_relation,
 )
 from relsemi.spectral import in_resolvent_set, resolvent
 from relsemi.subspace import Subspace, intersect
@@ -44,12 +46,46 @@ def test_pure_multivalued_is_dissipative():
 
 
 def test_sampled_sup_norm_agrees_on_easy_cases(rng):
-    good = dissipativity_sampled(graph_of(-np.eye(3)), norm="sup", seed=3)
+    good = dissipativity_sampled(graph_of(-np.eye(3)), seed=3)
     assert good.dissipative
-    bad = dissipativity_sampled(graph_of(np.eye(3)), norm="sup", seed=3)
+    bad = dissipativity_sampled(graph_of(np.eye(3)), seed=3)
     assert not bad.dissipative
     assert bad.witness > 0.9  # worst violation ||lam x - x|| - ||lam x|| -> -1
     assert "attaining_index" in bad.detail
+
+
+def _loop_sampled(rel, seed):
+    """The sup-norm sampled check one pair and one λ at a time (reference)."""
+    xs, ys = rel.sample_pairs(np.random.default_rng(seed), 200)
+    sup = lambda v: float(np.max(np.abs(v))) if v.size else 0.0
+    worst, detail = math.inf, None
+    for k in range(xs.shape[1]):
+        x, y = xs[:, k], ys[:, k]
+        sx = sup(x)
+        if sx == 0.0:
+            continue
+        x, y = x / sx, y / sx
+        for lam in np.logspace(-3, 3, 13):
+            margin = sup(lam * x - y) - sup(lam * x)
+            if margin < worst:
+                worst = margin
+                att = int(np.argmax(np.abs(lam * x - y)))
+                detail = {"sample": k, "lam": float(lam), "attaining_index": att}
+    return DissipativityCertificate(worst >= -1e-12, "sampled", "sup",
+                                    -worst if math.isfinite(worst) else -math.inf,
+                                    1e-12, detail)
+
+
+def test_sampled_check_matches_the_pairwise_loop():
+    rels = [graph_of(-np.eye(3)), graph_of(np.eye(3)),
+            LinearRelation.from_pairs(np.zeros((3, 2)), np.eye(3)[:, :2])]
+    rels += [random_relation(np.random.default_rng([5, d, c]), d, field)
+             for d in range(1, 9) for c, field in enumerate(("real", "complex"))]
+    for k, rel in enumerate(rels):
+        seed = k % 4
+        assert dissipativity_sampled(rel, seed=seed) == _loop_sampled(rel, seed)
+    multivalued = dissipativity_sampled(rels[2])
+    assert multivalued.witness == -math.inf and multivalued.detail is None
 
 
 def test_m_dissipative_evidence(m_dissipative_battery):

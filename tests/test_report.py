@@ -45,8 +45,6 @@ def test_csv_schema_and_rows():
     assert lines[2] == "1,2.5"
     assert lines[3] == "true,nan"
     assert text.endswith("\n")
-    custom = render_csv(["a"], [[]], schema="custom words")
-    assert custom.splitlines()[0] == "# schema: custom words"
 
 
 def test_csv_rejects_ragged_rows():
@@ -63,9 +61,9 @@ def test_csv_complex_format():
     assert "1.0+2.0j" in text and "1.0-2.0j" in text
 
 
-def _rowwise_csv(names, columns, schema=None):
+def _rowwise_csv(names, columns):
     """The per-cell reference: one row at a time, every cell through ``_fmt``."""
-    lines = [f"# schema: {schema or ', '.join(names)}", ",".join(names)]
+    lines = [f"# schema: {', '.join(names)}", ",".join(names)]
     lines += [",".join(_fmt(v) for v in row) for row in zip(*columns)]
     return "\n".join(lines) + "\n"
 

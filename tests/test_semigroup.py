@@ -233,6 +233,18 @@ def test_certified_angle_self_adjoint(degenerate):
     assert certified_sector_angle(degenerate) > math.pi / 2 - 1e-6
 
 
+@pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 1.95])
+def test_certified_angle_encloses_the_numerical_range(a):
+    # W([[-1, a], [0, -1]]) is the disk of radius a/2 about -1, which the
+    # origin sees under the half-angle arcsin(a/2); 64 sampled support
+    # points overshoot this angle by 2e-4 to 2e-3 rad
+    sd = decompose(graph_of(np.array([[-1.0, a], [0.0, -1.0]])))
+    exact = math.pi / 2 - math.asin(a / 2)
+    assert abs(certified_sector_angle(sd) - exact) <= 1e-9
+    with pytest.raises(OutsideSector):
+        holomorphic_at(sd, 0.3 * np.exp(1j * (exact + 1e-4)))
+
+
 def test_holomorphic_evaluation(degenerate):
     z = 0.5 * np.exp(1j * math.pi / 6)
     tz = holomorphic_at(degenerate, z)
