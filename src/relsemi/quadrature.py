@@ -18,22 +18,25 @@ def gauss_legendre(n: int):
     return _CACHE[n]
 
 
-def panel_rule(a: float, b: float, nodes_per_unit: int = 64):
-    """Composite rule on [a, b] split into panels of length at most 1.
+def panel_edges(a: float, b: float) -> np.ndarray:
+    """Edges of the equal panels of length at most 1 that split [a, b].
 
-    Returns ``(t, w)`` with ``sum(w * f(t)) ~ integral_a^b f``.
+    An empty interval has no panels: its only edge is ``a``.
     """
     if b < a:
         raise InvalidInput("integration interval is reversed")
-    if b == a:
-        return np.array([]), np.array([])
-    npanels = max(1, math.ceil(b - a - 1e-12))
-    edges = np.linspace(a, b, npanels + 1)
+    npanels = max(1, math.ceil(b - a - 1e-12)) if b > a else 0
+    return np.linspace(a, b, npanels + 1)
+
+
+def panel_rule(a: float, b: float, nodes_per_unit: int = 64):
+    """Composite rule on the panels of :func:`panel_edges`.
+
+    Returns ``(t, w)`` with ``sum(w * f(t)) ~ integral_a^b f``; the node
+    ``lo + half (x + 1)`` of a panel ``[lo, lo + 2 half]`` is its start
+    plus a node of the template rule on ``[0, 2 half]``.
+    """
+    edges = panel_edges(a, b)
     x, w = gauss_legendre(nodes_per_unit)
-    ts, ws = [], []
-    for k in range(npanels):
-        lo, hi = edges[k], edges[k + 1]
-        half = (hi - lo) / 2.0
-        ts.append(lo + half * (x + 1.0))
-        ws.append(half * w)
-    return np.concatenate(ts), np.concatenate(ws)
+    half = np.diff(edges)[:, None] / 2.0
+    return (edges[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel()

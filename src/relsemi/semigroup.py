@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -26,7 +27,7 @@ from .errors import (
     NotMDissipative,
     OutsideSector,
 )
-from .quadrature import panel_rule
+from .quadrature import gauss_legendre, panel_edges, panel_rule
 from .relation import LinearRelation
 from .spectral import NotInResolventSet, resolvent
 
@@ -65,6 +66,11 @@ class SemigroupData:
     @property
     def domain_dim(self) -> int:
         return self.domain_basis.shape[1]
+
+    @cached_property
+    def sector_angle(self) -> float:
+        """:func:`certified_sector_angle`, computed once per decomposition."""
+        return certified_sector_angle(self)
 
 
 def decompose(rel: LinearRelation) -> SemigroupData:
@@ -154,13 +160,44 @@ def _evaluate(sd: SemigroupData, zs: np.ndarray, integrated: bool = False) -> np
     return out if zs.ndim else out[0]
 
 
-def _weighted_sum(sd: SemigroupData, ts: np.ndarray, weights: np.ndarray,
-                  integrated: bool) -> np.ndarray:
-    """``sum_k weights[k] F(ts[k])`` with ``F = S`` or ``T``, blockwise."""
-    acc = np.zeros(sd.projector.shape, dtype=np.result_type(sd.projector, weights))
-    for k, stack in enumerate(_stacks(sd, ts, integrated)):
-        acc += np.tensordot(weights[k * EXPM_BLOCK:(k + 1) * EXPM_BLOCK], stack, axes=1)
-    return acc
+def _panel_sums(sd: SemigroupData, windows, lam, integrated: bool) -> np.ndarray:
+    """``sum_k w_k e^{-lam t_k} F(t_k)`` over ``panel_rule(a, b)`` for each window.
+
+    ``F = S`` when ``integrated``, else ``T``; the result is the stack
+    ``(len(windows), d, d)``.  Each node is a panel start ``a`` plus a node
+    ``s_j`` of the template rule for the panel's length ``h``, so the laws
+    ``T(a + s) = T(a) T(s)`` and ``S(a + s) = S(a) + T(a) S(s)`` turn the
+    panel's share into ``e^{-lam a} (c_h S(a) + T(a) Q_h)`` with
+    ``c_h = sum_j w_j e^{-lam s_j}`` and ``Q_h = sum_j w_j e^{-lam s_j} F(s_j)``
+    (no ``S(a)`` term when ``F = T``).  Lengths are grouped by exact float
+    equality, so the nodes are those of ``panel_rule``.  Each template is
+    evaluated once, one stack at a time, and every panel start directly: no
+    powers, so no error builds up over the panels.
+    """
+    edges = [panel_edges(a, b) for a, b in windows]
+    starts = np.concatenate([e[:-1] for e in edges])
+    if starts.size == 0:
+        return np.zeros((len(edges),) + sd.projector.shape)
+    owner = np.repeat(np.arange(len(edges)), [e.size - 1 for e in edges])
+    lengths, template = np.unique(np.concatenate([np.diff(e) for e in edges]),
+                                  return_inverse=True)
+    x, w = gauss_legendre(NODES_PER_UNIT)
+    q, c = [], []
+    for h in lengths:
+        nodes = h / 2.0 * (x + 1.0)
+        weights = h / 2.0 * w * np.exp(-lam * nodes)
+        q.append(np.tensordot(weights, _evaluate(sd, nodes, integrated), axes=1))
+        c.append(weights.sum())
+    scale = np.exp(-lam * starts)
+    share = scale[:, None, None] * (_evaluate(sd, starts) @ np.array(q)[template])
+    if integrated:
+        share += (scale * np.array(c)[template])[:, None, None] * _evaluate(sd, starts, True)
+    sums = np.zeros((len(edges),) + share.shape[1:], dtype=share.dtype)
+    np.add.at(sums, owner, share)
+    log.debug("panel_sums windows=%d panels=%d templates=%d matrices=%d",
+              len(edges), starts.size, lengths.size,
+              lengths.size * NODES_PER_UNIT + starts.size * (1 + integrated))
+    return sums
 
 
 def semigroup_at(sd: SemigroupData, t) -> np.ndarray:
@@ -185,11 +222,6 @@ def semigroup_law_residual(sd: SemigroupData, t: float, s: float) -> float:
     return float(np.linalg.norm(lhs - left @ right, 2))
 
 
-def _integral_of_integrated(sd, a, b):
-    ts, ws = panel_rule(a, b, NODES_PER_UNIT)
-    return _weighted_sum(sd, ts, ws, integrated=True)
-
-
 @dataclass(frozen=True)
 class FunctionalEquationCheck:
     """Residuals of the two orderings of the integrated composition law.
@@ -207,8 +239,9 @@ def functional_equation_residual(sd: SemigroupData, t: float,
                                  s: float) -> FunctionalEquationCheck:
     left, right = integrated_at(sd, np.array([t, s]))
     prod = left @ right
-    win1 = _integral_of_integrated(sd, t, t + s) - _integral_of_integrated(sd, 0.0, s)
-    win2 = _integral_of_integrated(sd, s, t + s) - _integral_of_integrated(sd, 0.0, t)
+    sums = _panel_sums(sd, [(t, t + s), (0.0, s), (s, t + s), (0.0, t)], 0.0, True)
+    win1 = sums[0] - sums[1]
+    win2 = sums[2] - sums[3]
     return FunctionalEquationCheck(
         float(np.linalg.norm(prod - win1, 2)),
         float(np.linalg.norm(prod - win2, 2)))
@@ -242,9 +275,8 @@ def laplace_residual(sd: SemigroupData, lam, horizon: float = 40.0,
         bound = abs(lam) * math.exp(-re * horizon) * (horizon / re + 1.0 / re ** 2)
     else:
         raise InvalidInput(f"unknown transform {transform!r}")
-    ts, ws = panel_rule(0.0, horizon, NODES_PER_UNIT)
     integrated = transform == "integrated"
-    acc = _weighted_sum(sd, ts, ws * np.exp(-lam * ts), integrated)
+    acc = _panel_sums(sd, [(0.0, horizon)], lam, integrated)[0]
     if integrated:
         acc = lam * acc
     target = resolvent(sd.relation, lam).matrix
@@ -471,7 +503,7 @@ def holomorphic_at(sd: SemigroupData, z) -> np.ndarray:
     zs = np.asarray(z, dtype=complex)
     flat = np.atleast_1d(zs)
     moving = flat != 0
-    alpha = certified_sector_angle(sd) if moving.any() else math.pi / 2
+    alpha = sd.sector_angle if moving.any() else math.pi / 2
     args = np.abs(np.angle(flat))
     if np.any(moving & (args >= alpha)):
         arg = float(np.max(args[moving]))

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -111,6 +112,9 @@ def test_functional_equation_both_orderings(degenerate):
     chk = functional_equation_residual(degenerate, 0.7, 1.1)
     assert chk.residual < 1e-8
     assert chk.residual_swapped < 1e-8
+    # t = s = 0: every window is empty and S(0) = 0
+    empty = functional_equation_residual(degenerate, 0.0, 0.0)
+    assert empty.residual == empty.residual_swapped == 0.0
 
 
 def test_laplace_residual_both_transforms(degenerate):
@@ -162,11 +166,8 @@ def test_wellposedness_check_gathers_the_evidence_once(monkeypatch):
         assert len(calls) == 1
 
 
-def test_wellposedness_check_evaluates_the_nodes_once(monkeypatch, rng):
-    rel = random_m_dissipative(rng, 6, "complex", dom_dim=4)
-    sd = decompose(rel)
-    ts = np.linspace(0.1, 3.0, 10)  # the default grid
-    per_vector = [mild_solution(sd, x, ts) for x in np.eye(6, dtype=sd.projector.dtype)]
+def _count_expm_inputs(monkeypatch):
+    """Patch ``scipy.linalg.expm`` to record how many matrices each call takes."""
     inputs = []
     expm = spla.expm
 
@@ -175,6 +176,15 @@ def test_wellposedness_check_evaluates_the_nodes_once(monkeypatch, rng):
         return expm(a, *args, **kwargs)
 
     monkeypatch.setattr(spla, "expm", counting)
+    return inputs
+
+
+def test_wellposedness_check_evaluates_the_nodes_once(monkeypatch, rng):
+    rel = random_m_dissipative(rng, 6, "complex", dom_dim=4)
+    sd = decompose(rel)
+    ts = np.linspace(0.1, 3.0, 10)  # the default grid
+    per_vector = [mild_solution(sd, x, ts) for x in np.eye(6, dtype=sd.projector.dtype)]
+    inputs = _count_expm_inputs(monkeypatch)
     verdict = wellposedness_check(rel)
     # 160 quadrature nodes and 10 grid times, for all six trial vectors
     # together; one mild solution per vector evaluates 6 x 170 = 1020
@@ -183,6 +193,42 @@ def test_wellposedness_check_evaluates_the_nodes_once(monkeypatch, rng):
     assert verdict.max_membership_residual == max(
         float(np.max(sol.membership_residuals)) for sol in per_vector)
     assert verdict.lipschitz_defect == max(sol.lipschitz_defect for sol in per_vector)
+
+
+def test_panel_quadratures_evaluate_templates_and_panel_starts(monkeypatch, rng, caplog):
+    sd = decompose(random_m_dissipative(rng, 6, "complex", dom_dim=4))
+    inputs = _count_expm_inputs(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="relsemi"):
+        chk = laplace_residual(sd, 1.0, transform="integrated")
+        laplace_count = sum(inputs)
+        functional_equation_residual(sd, 0.3, 1.0)
+    # horizon 40: one 64-node template, T and S at 40 panel starts, where
+    # one evaluation per node takes 2560
+    assert laplace_count <= 144
+    assert chk.total <= 1e-9
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("panel_sums")]
+    # the four windows have the lengths 1.0, 1.3 - 1.0 and 0.3
+    assert lines == ["panel_sums windows=1 panels=40 templates=1 matrices=144",
+                     "panel_sums windows=4 panels=4 templates=3 matrices=200"]
+    assert sum(inputs) == 144 + 2 + 200  # and S(0.3), S(1.0) for the product
+
+
+def test_sector_angle_is_certified_once_per_decomposition(monkeypatch, rng):
+    sd = decompose(random_m_dissipative(rng, 5, "complex", dom_dim=3))
+    angle = certified_sector_angle(sd)
+    calls = []
+    certify = semigroup_module.certified_sector_angle
+
+    def counting(data):
+        calls.append(data)
+        return certify(data)
+
+    monkeypatch.setattr(semigroup_module, "certified_sector_angle", counting)
+    for z in (0.5, 2.0, 0.3 + 0.1j):
+        holomorphic_at(sd, z)
+    assert len(calls) == 1
+    assert sd.sector_angle == angle
 
 
 def test_decompose_keeps_only_the_domain_rows(rng):

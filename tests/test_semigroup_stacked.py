@@ -11,8 +11,10 @@ from relsemi.quadrature import panel_rule
 from relsemi.sampling import random_m_dissipative
 from relsemi.semigroup import (
     EXPM_BLOCK,
+    _panel_sums,
     certified_sector_angle,
     decompose,
+    functional_equation_residual,
     holomorphic_at,
     integrated_at,
     laplace_residual,
@@ -81,6 +83,16 @@ def _loop_laplace_difference(sd, lam, transform, horizon):
     return float(np.linalg.norm(acc - resolvent(sd.relation, lam).matrix, 2))
 
 
+def _node_sums(sd, a, b, lams, fn):
+    """``sum_k w_k e^{-lam t_k} F(t_k)`` for each ``lam``, one value per node."""
+    ts, ws = panel_rule(a, b, 64)
+    sums = [np.zeros(sd.projector.shape, dtype=complex) for _ in lams]
+    for t, w, value in zip(ts, ws, fn(sd, ts)):
+        for acc, lam in zip(sums, lams):
+            acc += w * np.exp(-lam * t) * value
+    return sums
+
+
 def _loop_mild(sd, x, ts, nodes_per_unit=16):
     states, pairs = [], []
     running, prev = np.zeros(x.size, dtype=x.dtype), 0.0
@@ -102,7 +114,7 @@ def test_quadratures_match_the_node_loops(field, seed):
     sd, rng = _data(4, field, "partial", seed)
     for transform in ("semigroup", "integrated"):
         for lam in (1.0, 0.7 + 0.4j):
-            # 512 nodes: eight stacked blocks
+            # 512 nodes: eight panels of one template
             got = laplace_residual(sd, lam, horizon=8.0, transform=transform).difference
             assert abs(got - _loop_laplace_difference(sd, lam, transform, 8.0)) <= 1e-13
     x = rng.standard_normal(4)
@@ -112,3 +124,31 @@ def test_quadratures_match_the_node_loops(field, seed):
     assert _close(sol.states, states)
     assert np.max(np.abs(sol.membership_residuals - residuals)) <= 1e-13
     assert abs(sol.lipschitz_defect - defect) <= 1e-13
+
+
+@pytest.mark.parametrize("field,kind", [("real", "partial"), ("complex", "full"),
+                                        ("complex", "zero")])
+def test_template_panel_sums_match_the_node_sums(field, kind):
+    sd, _ = _data(4, field, kind, 5)
+    lams = (1.0, 0.7 + 0.4j)
+    for transform, fn in (("semigroup", semigroup_at), ("integrated", integrated_at)):
+        integrated = transform == "integrated"
+        for horizon in (1.0, 2.0, 40.0):  # 1, 2 and 40 panels
+            for lam, ref in zip(lams, _node_sums(sd, 0.0, horizon, lams, fn)):
+                assert _close(_panel_sums(sd, [(0.0, horizon)], lam, integrated)[0], ref)
+                quad = lam * ref if integrated else ref
+                want = np.linalg.norm(quad - resolvent(sd.relation, lam).matrix, 2)
+                got = laplace_residual(sd, lam, horizon, transform).difference
+                assert abs(got - want) <= 1e-13
+    # the functional equation's windows at (t, s) = (0.3, 1.0): 1.3 - 1.0 and
+    # 0.3 are different panel lengths, so each keeps its own template
+    windows = [(0.3, 1.3), (0.0, 1.0), (1.0, 1.3), (0.0, 0.3)]
+    sums = _panel_sums(sd, windows, 0.0, True)
+    refs = [_node_sums(sd, a, b, (0.0,), integrated_at)[0] for a, b in windows]
+    for got, ref in zip(sums, refs):
+        assert _close(got, ref)
+    left, right = integrated_at(sd, np.array([0.3, 1.0]))
+    chk = functional_equation_residual(sd, 0.3, 1.0)
+    assert abs(chk.residual - np.linalg.norm(left @ right - refs[0] + refs[1], 2)) <= 1e-13
+    assert abs(chk.residual_swapped
+               - np.linalg.norm(left @ right - refs[2] + refs[3], 2)) <= 1e-13
