@@ -40,7 +40,13 @@ from .semigroup import (
     sector_verify,
     semigroup_at,
 )
-from .spectral import ACCEPT_TOL, relation_from_resolvent, resolvent
+from .spectral import (
+    ACCEPT_TOL,
+    accepted,
+    relation_from_resolvent,
+    resolvent,
+    resolvent_points,
+)
 
 
 PROTOCOL = ("state_dim", "resolvent", "semigroup", "integrated",
@@ -73,8 +79,9 @@ class DenseEvaluator:
         return self._sd
 
     def resolvent(self, lams, fs: np.ndarray) -> np.ndarray:
-        return np.stack([resolvent(self.relation, lam).matrix @ fs
-                         for lam in np.atleast_1d(lams)])
+        # each block is reduced to R(lam) F; the (k, d, d) stack is never built
+        return np.stack(accepted(resolvent_points(self.relation, np.atleast_1d(lams),
+                                                  lambda block: block.matrices @ fs)))
 
     def semigroup(self, zs, fs: np.ndarray) -> np.ndarray:
         zs = np.atleast_1d(zs)

@@ -15,9 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NotDissipative, NotInResolventSet, NotSurjective
+from .errors import NotDissipative, NotSurjective
 from .relation import LinearRelation
-from .spectral import resolvent
+from .spectral import ResolventBlock, resolvent, resolvent_points
 from .subspace import complement
 
 #: Slack allowed on exact certificates.
@@ -122,13 +122,13 @@ def is_m_dissipative(rel: LinearRelation) -> MDissipativityEvidence:
         return MDissipativityEvidence(False, cert, range_full, (), math.nan, why)
     checks = []
     defect = -math.inf
-    for lam in LAMBDA_DECADES:
-        try:
-            sample = resolvent(rel, lam, EVIDENCE_ACCEPT_TOL)
-        except NotInResolventSet as exc:
+    points = resolvent_points(rel, LAMBDA_DECADES, ResolventBlock.scaled_norms,
+                              EVIDENCE_ACCEPT_TOL)
+    for lam, refusal, norm in points:
+        if refusal is not None:
             return MDissipativityEvidence(False, cert, range_full, tuple(checks),
-                                          math.nan, f"lam={lam:g}: {exc}")
-        norm = float(np.linalg.norm(lam * sample.matrix, 2))
+                                          math.nan, f"lam={lam:g}: {refusal}")
+        norm = float(norm)
         checks.append((lam, norm))
         defect = max(defect, norm - 1.0)
     ok = defect <= CERT_TOL

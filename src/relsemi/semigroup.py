@@ -29,7 +29,7 @@ from .errors import (
 )
 from .quadrature import gauss_legendre, panel_edges, panel_rule
 from .relation import LinearRelation
-from .spectral import NotInResolventSet, resolvent
+from .spectral import ResolventBlock, resolvent, resolvent_points
 
 log = logging.getLogger("relsemi")
 
@@ -435,21 +435,18 @@ def sector_verify(rel: LinearRelation, spec: SectorSpec, eps: float,
     bound = spec.bound / math.sin(eps)
     rs = np.logspace(-3, 6, radii)
     thetas = np.linspace(-theta_max, theta_max, rays)
+    lams = [r * complex(math.cos(th), math.sin(th)) for th in thetas for r in rs]
     worst_norm, worst_lam = -math.inf, complex("nan")
     failures = []
-    for th in thetas:
-        for r in rs:
-            lam = r * complex(math.cos(th), math.sin(th))
-            try:
-                sample = resolvent(rel, lam)
-            except NotInResolventSet as exc:
-                failures.append((lam, f"resolvent: {exc}"))
-                continue
-            norm = float(np.linalg.norm(lam * sample.matrix, 2))
-            if norm > worst_norm:
-                worst_norm, worst_lam = norm, lam
-            if norm > bound + SECTOR_SLACK:
-                failures.append((lam, f"norm {norm:.6g} > {bound:.6g}"))
+    for lam, refusal, norm in resolvent_points(rel, lams, ResolventBlock.scaled_norms):
+        if refusal is not None:
+            failures.append((lam, f"resolvent: {refusal}"))
+            continue
+        norm = float(norm)
+        if norm > worst_norm:
+            worst_norm, worst_lam = norm, lam
+        if norm > bound + SECTOR_SLACK:
+            failures.append((lam, f"norm {norm:.6g} > {bound:.6g}"))
     return SectorEvidence(not failures, bound, worst_norm, worst_lam,
                           tuple(failures))
 

@@ -9,6 +9,8 @@ trust a sample without re-deriving it.
 
 from __future__ import annotations
 
+import itertools
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,22 +28,132 @@ from .subspace import Subspace, null_basis
 #: Default bound on the verification residual of an accepted sample.
 ACCEPT_TOL = 1e-9
 PSEUDO_TOL = 1e-10  # resolvent-identity residual a pseudo-resolvent table may carry
+#: Bound on the entries ``k * d**2`` of one stacked block of ``k`` resolvents.
+BLOCK_ENTRIES = 4096
+
+log = logging.getLogger("relsemi")
 
 
 @dataclass(frozen=True)
 class ResolventSample:
-    """A certified resolvent value.
+    """A certified resolvent value, or a stack of them.
 
     ``residual`` is the maximum, over canonical basis vectors ``e_i``, of
     the distance from ``(R e_i, lam * R e_i - e_i)`` to the graph plus the
     backward error of the linear solve for that column (the raw solve
     residual grows like ``|lam|`` even for perfect arithmetic, so it is
-    normalized by ``‖lam U - V‖ ‖c‖ + 1``).
+    normalized by ``‖lam U - V‖ ‖c‖ + 1``).  For a flat array of ``k``
+    points, ``lam`` is the complex array, ``matrix`` the stack
+    ``(k, d, d)`` and ``residual`` the array of the ``k`` residuals.
     """
 
     lam: complex
     matrix: np.ndarray
     residual: float
+
+
+@dataclass(frozen=True)
+class ResolventBlock:
+    """Consecutive points of a sequence of ``lam``, certified as one stack.
+
+    ``lams`` are the caller's own objects, in order; ``refusals`` holds the
+    :class:`NotInResolventSet` each point earned (built, never raised), or
+    ``None`` where it was accepted.  ``values``, ``matrices`` and
+    ``residuals`` list the accepted points only, in order: ``lam`` as a
+    number, the stack ``(a, d, d)`` of ``R(lam)`` and the residuals.
+    """
+
+    lams: list
+    refusals: list
+    values: np.ndarray
+    matrices: np.ndarray
+    residuals: np.ndarray
+
+    def norms(self) -> np.ndarray:
+        """``||R(lam)||_2`` at the accepted points, by one stacked SVD."""
+        return np.linalg.norm(self.matrices, 2, axis=(1, 2))
+
+    def scaled_norms(self) -> np.ndarray:
+        """``||lam R(lam)||_2`` at the accepted points, by one stacked SVD."""
+        return np.linalg.norm(self.values[:, None, None] * self.matrices, 2, axis=(1, 2))
+
+
+def _certify(rel: LinearRelation, lams: list, accept_tol: float) -> ResolventBlock:
+    """One block: stacked ranks, per-point solves, stacked verification."""
+    d = rel.state_dim
+    u, v = rel.blocks()
+    vals = np.asarray(lams)
+    if rel.dim != d:
+        reason = f"graph dimension {rel.dim} differs from state dimension {d}"
+        refusals = [NotInResolventSet(lam, reason=reason, rank=None) for lam in lams]
+        return ResolventBlock(lams, refusals, vals[:0], np.empty((0, d, d)), np.empty(0))
+    refusals = [None] * len(lams)
+    m = vals[:, None, None] * u - v
+    s = np.linalg.svd(m, compute_uv=False)
+    rank = np.sum(s > rel.rank_tol * s[:, :1], axis=1)
+    for i in np.flatnonzero(rank < d):
+        refusals[i] = NotInResolventSet(
+            lams[i], reason=f"rank(lam*U - V) = {rank[i]} < {d}", rank=int(rank[i]))
+    full = np.flatnonzero(rank == d)
+    eye = np.eye(d, dtype=m.dtype)
+    coef = np.empty((full.size, d, d), dtype=m.dtype)
+    for j, i in enumerate(full):  # lstsq solves one 2-D system per call
+        coef[j] = np.linalg.lstsq(m[i], eye, rcond=None)[0]
+    rmat = u @ coef
+    scale = s[full, :1] * np.linalg.norm(coef, axis=1) + 1.0
+    solve_res = np.linalg.norm(m[full] @ coef - eye, axis=1) / scale
+    stacked = np.concatenate([rmat, vals[full, None, None] * rmat - eye], axis=1)
+    basis = rel.graph.basis
+    member_res = np.linalg.norm(stacked - basis @ (basis.conj().T @ stacked), axis=1)
+    residual = np.max(member_res + solve_res, axis=1)
+    over = residual > accept_tol
+    for j in np.flatnonzero(over):
+        res = float(residual[j])
+        refusals[full[j]] = NotInResolventSet(
+            lams[full[j]], reason=f"residual {res:.3e} exceeds {accept_tol:.1e}",
+            residual=res)
+    return ResolventBlock(lams, refusals, vals[full[~over]], rmat[~over], residual[~over])
+
+
+def _is_complex(lam) -> bool:
+    return isinstance(lam, (complex, np.complexfloating))
+
+
+def resolvent_points(rel: LinearRelation, lams, reduce, accept_tol: float = ACCEPT_TOL):
+    """Certify ``R(lam, A)`` on a flat sequence of ``lam``, block by block.
+
+    Returns ``(lam, refusal, kept)`` for every point in order: ``refusal``
+    is the :class:`NotInResolventSet` the point earned (``kept`` is then
+    ``None``), else ``None``, and ``kept`` is the point's entry of
+    ``reduce(block)``, a sequence with one entry per accepted point of the
+    :class:`ResolventBlock`.  Each block stacks at most ``BLOCK_ENTRIES //
+    d**2`` points (at least one) and is reduced before the next one is
+    evaluated, so only one block's matrices are held at a time.  Real and
+    complex points never share a block, so every point gets the arithmetic
+    it gets alone: real points on a real relation stay real.
+    """
+    lams = list(lams)
+    step = max(1, BLOCK_ENTRIES // max(rel.state_dim ** 2, 1))
+    points, blocks = [], 0
+    for _, run in itertools.groupby(lams, key=_is_complex):
+        run = list(run)
+        for start in range(0, len(run), step):
+            block = _certify(rel, run[start:start + step], accept_tol)
+            blocks += 1
+            kept = iter(reduce(block))
+            points += [(lam, refusal, None if refusal is not None else next(kept))
+                       for lam, refusal in zip(block.lams, block.refusals)]
+    log.debug("resolvent_stack lams=%d blocks=%d refused=%d", len(lams), blocks,
+              sum(refusal is not None for _, refusal, _ in points))
+    return points
+
+
+def accepted(points) -> list:
+    """The ``kept`` entries of :func:`resolvent_points`; the first refusal raises."""
+    for _, refusal, _ in points:
+        if refusal is not None:
+            raise refusal
+    return [kept for _, _, kept in points]
 
 
 def resolvent(rel: LinearRelation, lam, accept_tol: float = ACCEPT_TOL) -> ResolventSample:
@@ -50,34 +162,21 @@ def resolvent(rel: LinearRelation, lam, accept_tol: float = ACCEPT_TOL) -> Resol
     The certificate has two stages: ``lam*U - V`` (graph-basis blocks) must
     have full rank ``d`` together with ``dim(graph) == d``, and the
     reconstructed columns must lie on the graph within ``accept_tol``.
+    ``lam`` is one point or a flat array of them, evaluated in stacked
+    blocks (:func:`resolvent_points`); an array gives the stacked sample,
+    and the first refused point raises.
     """
-    d = rel.state_dim
-    u, v = rel.blocks()
-    r = rel.dim
-    if r != d:
-        raise NotInResolventSet(
-            lam, reason=f"graph dimension {r} differs from state dimension {d}",
-            rank=None)
-    m = lam * u - v
-    s = np.linalg.svd(m, compute_uv=False)
-    rank = 0 if (s.size == 0 or s[0] == 0.0) else int(np.sum(s > rel.rank_tol * s[0]))
-    if rank < d:
-        raise NotInResolventSet(
-            lam, reason=f"rank(lam*U - V) = {rank} < {d}", rank=rank)
-    eye = np.eye(d, dtype=m.dtype)
-    coef, *_ = np.linalg.lstsq(m, eye, rcond=None)
-    rmat = u @ coef
-    scale = s[0] * np.linalg.norm(coef, axis=0) + 1.0
-    solve_res = np.linalg.norm(m @ coef - eye, axis=0) / scale
-    stacked = np.vstack([rmat, lam * rmat - eye])
-    proj = rel.graph.basis @ (rel.graph.basis.conj().T @ stacked)
-    member_res = np.linalg.norm(stacked - proj, axis=0)
-    residual = float(np.max(member_res + solve_res))
-    if residual > accept_tol:
-        raise NotInResolventSet(
-            lam, reason=f"residual {residual:.3e} exceeds {accept_tol:.1e}",
-            residual=residual)
-    return ResolventSample(complex(lam), rmat, residual)
+    one = np.ndim(lam) == 0
+    flat = [lam] if one else list(lam)
+    kept = accepted(resolvent_points(rel, flat,
+                                     lambda block: zip(block.matrices, block.residuals),
+                                     accept_tol))
+    if one:
+        matrix, residual = kept[0]
+        return ResolventSample(complex(lam), matrix, float(residual))
+    return ResolventSample(np.array([complex(x) for x in flat]),
+                           np.stack([matrix for matrix, _ in kept]),
+                           np.array([residual for _, residual in kept]))
 
 
 def in_resolvent_set(rel: LinearRelation, lam) -> bool:
@@ -162,9 +261,13 @@ def relation_from_pseudo_resolvent(table) -> LinearRelation:
                 raise NotAPseudoResolvent((li, lj), res)
     lam0, r0 = entries[0]
     rel = relation_from_resolvent(lam0, r0)
-    for lam, mat in entries[1:]:
-        sample = resolvent(rel, lam)
-        err = float(np.linalg.norm(sample.matrix - mat, 2))
+    later = entries[1:]
+    points = resolvent_points(rel, [lam for lam, _ in later],
+                              lambda block: block.matrices)
+    for (lam, mat), (_, refusal, matrix) in zip(later, points):
+        if refusal is not None:
+            raise refusal
+        err = float(np.linalg.norm(matrix - mat, 2))
         if err > 10 * PSEUDO_TOL:
             raise InconsistentTable(lam, err)
     return rel
@@ -181,13 +284,13 @@ class ScanRow:
 def resolvent_set_scan(rel: LinearRelation, grid, accept_tol: float = ACCEPT_TOL):
     """Classify each grid point; rows are CSV-ready in grid order."""
     rows = []
-    for lam in grid:
-        try:
-            sample = resolvent(rel, lam, accept_tol)
-            rows.append(ScanRow(complex(lam), True,
-                                float(np.linalg.norm(sample.matrix, 2)),
-                                sample.residual))
-        except NotInResolventSet as exc:
-            res = float(exc.residual) if exc.residual is not None else float("nan")
+    points = resolvent_points(rel, grid, lambda block: zip(block.norms(), block.residuals),
+                              accept_tol)
+    for lam, refusal, kept in points:
+        if refusal is None:
+            norm, residual = kept
+            rows.append(ScanRow(complex(lam), True, float(norm), float(residual)))
+        else:
+            res = float(refusal.residual) if refusal.residual is not None else float("nan")
             rows.append(ScanRow(complex(lam), False, float("nan"), res))
     return rows

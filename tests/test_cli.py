@@ -1,9 +1,14 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relsemi
 from relsemi.cli import build_parser, main
 from relsemi.relation import LinearRelation
 from relsemi.report import vector_to_json, write_json
@@ -61,6 +66,23 @@ def test_spec_scan_flags_eigenvalue(tmp_path, capsys):
     assert by_re[-3.0][2] == "false" and by_re[-1.0][2] == "false"
     assert by_re[-2.0][2] == "true"
     assert float(by_re[-2.0][3]) == pytest.approx(1.0)  # dist to spectrum 1
+
+
+def test_spec_scan_debug_line_goes_to_stderr_only(tmp_path, capsys):
+    rel = LinearRelation.from_operator(np.diag([-1.0, -3.0]))
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(rel.to_json()))
+    argv = ["spec", "scan", str(path), "--grid=-3:0.5:1", "--imag", "0.25"]
+    assert main(argv) == 0
+    quiet = capsys.readouterr().out
+    src = str(Path(relsemi.__file__).resolve().parents[1])
+    env = {**os.environ, "RELSEMI_LOG": "debug",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "relsemi.cli", *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == quiet
+    assert proc.stderr.splitlines() == [
+        "DEBUG relsemi: resolvent_stack lams=9 blocks=1 refused=0"]
 
 
 def test_config_errors_exit_2(rel_file):

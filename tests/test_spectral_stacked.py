@@ -1,0 +1,323 @@
+"""Stacked resolvents against the per-point scalar certificate, bit for bit."""
+
+import importlib
+import logging
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import relsemi.dissipative as dissipative
+from relsemi.dissipative import LAMBDA_DECADES, is_m_dissipative
+from relsemi.errors import NotInResolventSet
+from relsemi.heatlab import interval_relation
+from relsemi.relation import LinearRelation
+from relsemi.sampling import random_m_dissipative, random_relation
+from relsemi.semigroup import SECTOR_SLACK, SectorSpec, sector_verify
+from relsemi.spectral import (
+    ACCEPT_TOL,
+    BLOCK_ENTRIES,
+    ScanRow,
+    resolvent,
+    resolvent_points,
+    resolvent_set_scan,
+)
+
+try:  # the module whose ``svd`` numpy.linalg.norm calls
+    _linalg = importlib.import_module("numpy.linalg._linalg")
+except ImportError:  # NumPy 1.x
+    _linalg = importlib.import_module("numpy.linalg.linalg")
+
+
+# -- the per-point references ------------------------------------------------
+
+
+def _reference(rel, lam, accept_tol=ACCEPT_TOL):
+    """The scalar certificate, one ``lam`` at a time (the pre-stacking body)."""
+    d = rel.state_dim
+    u, v = rel.blocks()
+    r = rel.dim
+    if r != d:
+        raise NotInResolventSet(
+            lam, reason=f"graph dimension {r} differs from state dimension {d}",
+            rank=None)
+    m = lam * u - v
+    s = np.linalg.svd(m, compute_uv=False)
+    rank = 0 if (s.size == 0 or s[0] == 0.0) else int(np.sum(s > rel.rank_tol * s[0]))
+    if rank < d:
+        raise NotInResolventSet(
+            lam, reason=f"rank(lam*U - V) = {rank} < {d}", rank=rank)
+    eye = np.eye(d, dtype=m.dtype)
+    coef, *_ = np.linalg.lstsq(m, eye, rcond=None)
+    rmat = u @ coef
+    scale = s[0] * np.linalg.norm(coef, axis=0) + 1.0
+    solve_res = np.linalg.norm(m @ coef - eye, axis=0) / scale
+    stacked = np.vstack([rmat, lam * rmat - eye])
+    proj = rel.graph.basis @ (rel.graph.basis.conj().T @ stacked)
+    member_res = np.linalg.norm(stacked - proj, axis=0)
+    residual = float(np.max(member_res + solve_res))
+    if residual > accept_tol:
+        raise NotInResolventSet(
+            lam, reason=f"residual {residual:.3e} exceeds {accept_tol:.1e}",
+            residual=residual)
+    return rmat, residual
+
+
+def _reference_sector(rel, spec, eps, radii, rays):
+    theta_max = spec.alpha + math.pi / 2 - eps
+    bound = spec.bound / math.sin(eps)
+    worst_norm, worst_lam = -math.inf, complex("nan")
+    failures = []
+    for th in np.linspace(-theta_max, theta_max, rays):
+        for r in np.logspace(-3, 6, radii):
+            lam = r * complex(math.cos(th), math.sin(th))
+            try:
+                matrix, _ = _reference(rel, lam)
+            except NotInResolventSet as exc:
+                failures.append((lam, f"resolvent: {exc}"))
+                continue
+            norm = float(np.linalg.norm(lam * matrix, 2))
+            if norm > worst_norm:
+                worst_norm, worst_lam = norm, lam
+            if norm > bound + SECTOR_SLACK:
+                failures.append((lam, f"norm {norm:.6g} > {bound:.6g}"))
+    return not failures, bound, worst_norm, worst_lam, tuple(failures)
+
+
+def _reference_scan(rel, grid, accept_tol=ACCEPT_TOL):
+    rows = []
+    for lam in grid:
+        try:
+            matrix, residual = _reference(rel, lam, accept_tol)
+            rows.append(ScanRow(complex(lam), True, float(np.linalg.norm(matrix, 2)),
+                                residual))
+        except NotInResolventSet as exc:
+            res = float(exc.residual) if exc.residual is not None else float("nan")
+            rows.append(ScanRow(complex(lam), False, float("nan"), res))
+    return rows
+
+
+def _reference_checks(rel):
+    """``is_m_dissipative``'s decade loop: ``(checks, defect, failure)``."""
+    checks, defect = [], -math.inf
+    for lam in LAMBDA_DECADES:
+        try:
+            matrix, _ = _reference(rel, lam, dissipative.EVIDENCE_ACCEPT_TOL)
+        except NotInResolventSet as exc:
+            return tuple(checks), math.nan, f"lam={lam:g}: {exc}"
+        norm = float(np.linalg.norm(lam * matrix, 2))
+        checks.append((lam, norm))
+        defect = max(defect, norm - 1.0)
+    return tuple(checks), defect, None
+
+
+# -- resolvent itself ------------------------------------------------------------
+
+
+def _same_refusal(got, want):
+    assert type(got) is type(want)
+    assert str(got) == str(want)
+    assert repr(got.lam) == repr(want.lam)
+    assert (got.rank, got.residual) == (want.rank, want.residual)
+
+
+def _matches_reference(rel, lams, accept_tol=ACCEPT_TOL):
+    """Compare every point with the scalar body; return the refused flags."""
+    points = list(resolvent_points(rel, lams, lambda b: zip(b.matrices, b.residuals),
+                                   accept_tol))
+    assert len(points) == len(lams)
+    refused = []
+    for lam, (obj, refusal, kept) in zip(lams, points):
+        assert repr(obj) == repr(lam)
+        try:
+            want_matrix, want_residual = _reference(rel, lam, accept_tol)
+        except NotInResolventSet as exc:
+            assert kept is None
+            _same_refusal(refusal, exc)
+            refused.append(True)
+            continue
+        assert refusal is None
+        matrix, residual = kept
+        assert matrix.dtype == want_matrix.dtype
+        assert np.array_equal(matrix, want_matrix)
+        assert residual == want_residual
+        refused.append(False)
+    return refused
+
+
+def _diagonal_relation(d, field):
+    eig = -np.arange(1.0, d + 1)
+    if field == "complex":
+        eig = eig + 0.5j * np.arange(d)
+    return LinearRelation.from_operator(np.diag(eig)), eig
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("d", range(1, 17))
+def test_stacked_resolvents_match_the_scalar_certificate(d, field):
+    rng = np.random.default_rng([7, d, field == "complex"])
+    count = BLOCK_ENTRIES // d ** 2 + 3  # more than one block
+    rel = random_m_dissipative(rng, d, field, dom_dim=int(rng.integers(0, d + 1)))
+    if field == "real":
+        lams = rng.uniform(-3.0, 3.0, count) * 10.0 ** rng.uniform(-3, 6, count)
+    else:
+        lams = (rng.uniform(0.0, 3.0, count) * 10.0 ** rng.uniform(-3, 6, count)
+                * np.exp(1j * rng.uniform(-3.0, 3.0, count)))
+    refused = _matches_reference(rel, lams)
+
+    # the public form: the stack, real where lam and the relation are real
+    accepted = lams[~np.array(refused)]
+    sample = resolvent(rel, accepted)
+    assert sample.matrix.dtype == (np.float64 if field == "real" else np.complex128)
+    for k, lam in enumerate(accepted):
+        matrix, residual = _reference(rel, lam)
+        assert np.array_equal(sample.matrix[k], matrix)
+        assert sample.residual[k] == residual and sample.lam[k] == complex(lam)
+
+    # residual refusals under a tight tolerance, in order
+    tight = max(_reference(rel, lam, math.inf)[1] for lam in lams[:40]) / 2
+    assert any(_matches_reference(rel, list(lams[:40]), tight))
+
+    # rank refusals at exact eigenvalues, spread over the blocks; the
+    # public form raises the first
+    diag, eig = _diagonal_relation(d, field)
+    at = list(lams[:count])
+    for k in range(0, count, max(1, count // 5)):
+        at[k] = eig[k % d]
+    refused = _matches_reference(diag, at)
+    assert any(refused)
+    with pytest.raises(NotInResolventSet) as exc:
+        resolvent(diag, np.array(at))
+    with pytest.raises(NotInResolventSet) as want:
+        _reference(diag, at[refused.index(True)])
+    _same_refusal(exc.value, want.value)
+
+    # graph-dimension refusals: every point, with the caller's objects
+    wrong = random_relation(rng, d, field, graph_dim=d + 1)
+    assert _matches_reference(wrong, [0.5, 1, 2.0 + 1j]) == [True] * 3
+
+
+def test_refusals_keep_the_callers_lambda():
+    rel = LinearRelation.from_operator(np.diag([1e-3, 2.0]))
+    with pytest.raises(NotInResolventSet) as exc:
+        resolvent(rel, 0.001)
+    assert str(exc.value).startswith("lambda=0.001 is not certified")
+    lams = (0.001, 1, 2.0)
+    objs = [obj for obj, _, _ in resolvent_points(rel, lams, lambda b: b.residuals)]
+    assert all(obj is lam for obj, lam in zip(objs, lams))
+
+
+# -- the callers -------------------------------------------------------------
+
+
+def _callers_battery():
+    rng = np.random.default_rng(11)
+    rels = [random_m_dissipative(rng, d, field, dom_dim=dom)
+            for d, field, dom in ((1, "real", 1), (3, "complex", 1), (8, "real", 5),
+                                  (8, "complex", 8), (13, "real", 4), (13, "complex", 0))]
+    rels += [random_relation(rng, 4, "real", graph_dim=4),   # not dissipative
+             random_relation(rng, 3, "complex", graph_dim=2),  # graph dim != d
+             _diagonal_relation(5, "real")[0]]
+    return rels
+
+
+@pytest.mark.parametrize("rel", _callers_battery(), ids=lambda rel: f"d{rel.state_dim}")
+def test_callers_match_their_per_point_loops(rel, monkeypatch):
+    # repr compares floats exactly and treats NaN as equal to NaN
+    for spec, eps, radii, rays in ((SectorSpec(math.pi / 4, 2.0), math.pi / 2, 13, 7),
+                                   (SectorSpec(math.pi / 3, 1.0), 0.2, 25, 13)):
+        ev = sector_verify(rel, spec, eps, radii=radii, rays=rays)
+        got = (ev.passed, ev.bound_used, ev.worst_norm, ev.worst_lambda, ev.failures)
+        assert repr(got) == repr(_reference_sector(rel, spec, eps, radii, rays))
+    grid = np.linspace(-2.0, 2.0, 41)
+    assert repr(resolvent_set_scan(rel, grid)) == repr(_reference_scan(rel, grid))
+    mixed = [-5.0, -4, 0.5 + 0.25j, 3.0, 2.0j, 1.5]  # each point in its own dtype
+    for tol in (ACCEPT_TOL, 1e-14):
+        assert repr(resolvent_set_scan(rel, mixed, tol)) == \
+            repr(_reference_scan(rel, mixed, tol))
+
+    ev = is_m_dissipative(rel)
+    if ev.certificate.dissipative and ev.range_full:
+        assert repr((ev.lambda_checks, ev.defect, ev.failure)) == \
+            repr(_reference_checks(rel))
+        # a tight acceptance refuses some decades; the first one is reported
+        monkeypatch.setattr(dissipative, "EVIDENCE_ACCEPT_TOL", 1e-16)
+        ev = is_m_dissipative(rel)
+        assert not ev.ok
+        assert repr((ev.lambda_checks, ev.defect, ev.failure)) == \
+            repr(_reference_checks(rel))
+
+
+# -- work and memory ---------------------------------------------------------------
+
+
+def _count_inputs(monkeypatch, module, name, *more):
+    """Patch ``module.name`` (and the same name in ``more``) to record inputs."""
+    inputs = []
+    original = getattr(module, name)
+
+    def counting(a, *args, **kwargs):
+        inputs.append(a.shape[0] if a.ndim == 3 else 1)
+        return original(a, *args, **kwargs)
+
+    for mod in (module, *more):
+        monkeypatch.setattr(mod, name, counting)
+    return inputs
+
+
+def test_sector_verify_stacks_ranks_and_norms(monkeypatch, caplog):
+    rel = random_m_dissipative(np.random.default_rng(5), 8, "complex", dom_dim=5)
+    svds = _count_inputs(monkeypatch, np.linalg, "svd", _linalg)
+    solves = _count_inputs(monkeypatch, np.linalg, "lstsq")
+    with caplog.at_level(logging.DEBUG, logger="relsemi"):
+        ev = sector_verify(rel, SectorSpec(math.pi / 4, 2.0), math.pi / 2,
+                           radii=13, rays=7)
+        assert ev.passed
+        # 91 points in blocks of 4096 // 64 = 64: one stacked SVD per block
+        # for the ranks and one for the norms, where one per point and
+        # stage takes 182 calls; one solve per full-rank point
+        assert svds == [64, 64, 27, 27]
+        assert len(solves) == 91
+        is_m_dissipative(rel)
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("resolvent_stack")]
+    assert lines == ["resolvent_stack lams=91 blocks=2 refused=0",
+                     "resolvent_stack lams=10 blocks=1 refused=0"]
+
+
+def _peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_sector_verify_holds_one_block_of_matrices():
+    # 325 points of a d = 99 relation, about 2 MB one block at a time:
+    # an unblocked stack peaks near 560 MB, and blocks that are all kept
+    # until the end above 50 MB
+    rel = interval_relation(99)
+    spec = SectorSpec(alpha=math.pi / 4, bound=1.0)
+    peak = _peak_mb(lambda: sector_verify(rel, spec, 0.75 * math.pi * 0.02,
+                                          radii=25, rays=13))
+    assert peak <= 8.0
+
+
+def test_dense_bundle_holds_one_block_of_matrices():
+    # one d = 32 complex relation through the spectral calls of a
+    # benchmark item; keeping every block's matrices peaks above 2 MB
+    rng = np.random.default_rng([101, 32, 1, 3, 0])
+    rel = random_m_dissipative(rng, 32, "complex", dom_dim=16)
+
+    def bundle():
+        rel.adjoint().parts
+        rel.surjectivity_modulus()
+        is_m_dissipative(rel)
+        sector_verify(rel, SectorSpec(math.pi / 4, 2.0), math.pi / 2, radii=13, rays=7)
+        resolvent_set_scan(rel, np.linspace(-2.0, 2.0, 41))
+
+    bundle()  # warm-up: first-call caches are not the bundle's working memory
+    assert _peak_mb(bundle) <= 1.5
