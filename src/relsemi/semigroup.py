@@ -6,7 +6,8 @@ An m-dissipative relation ``A`` on ``K^d`` splits the space into its
 ``T(t) = embed(exp(t M1)) P`` with ``P`` the projection onto ``X1`` along
 ``X0`` — a *degenerate* semigroup: ``T(0) = P`` rather than the identity.
 Its primitive ``S(t) = integral_0^t T`` is the once-integrated semigroup
-that carries the mild solutions of ``u' in A u``.
+that carries the mild solutions of ``u' in A u``; its primitive ``V(t)`` is
+``embed(t^2 phi2(t M1)) P``, with ``phi_k(Z) = sum_j Z^j / (j + k)!``.
 """
 
 from __future__ import annotations
@@ -27,15 +28,13 @@ from .errors import (
     NotMDissipative,
     OutsideSector,
 )
-from .quadrature import gauss_legendre, panel_edges, panel_rule
+from .quadrature import gauss_legendre, panel_edges
 from .relation import LinearRelation
 from .spectral import ResolventBlock, resolvent, resolvent_points
 
 log = logging.getLogger("relsemi")
 
-EXPM_BLOCK = 64  # matrices per stacked expm call; bounds a quadrature's working set
 NODES_PER_UNIT = 64       # Gauss nodes per unit time of the Laplace and law checks
-MILD_NODES_PER_UNIT = 16  # the same for the running integral of a mild solution
 WELLPOSED_TOL = 1e-8      # largest mild-solution defect of a well-posed verdict
 SECTOR_SLACK = 1e-8       # slack of sector_verify's norm bound
 SECTOR_BISECTIONS = 40    # certified_sector_angle steps: (pi/2) / 2**40 = 1.4e-12 rad
@@ -117,46 +116,45 @@ def decompose(rel: LinearRelation) -> SemigroupData:
     return SemigroupData(rel, projector, b1, b0, m1, coord_map, ev)
 
 
-def phi1(z: np.ndarray) -> np.ndarray:
-    """Entire function ``phi1(Z) = Z^{-1} (e^Z - I)``, singularities removed.
+def _phis(z: np.ndarray, k: int) -> list:
+    """``[e^Z, phi1(Z), ..., phi_k(Z)]`` for a stack ``z`` of shape ``(..., n, n)``.
 
-    Evaluated as the top-right block of ``expm([[Z, I], [0, 0]])``, which
-    is well defined for singular ``Z`` as well.  ``z`` may be a stack of
-    matrices ``(..., n, n)``.
+    The top block row of ``expm`` of the ``(k + 1) n``-square matrix with
+    ``Z`` in the corner and identities on the block superdiagonal (Van Loan
+    1978), so singular ``Z`` needs no case.
     """
     n = z.shape[-1]
-    if n == 0:
-        return z.copy()
-    aug = np.zeros(z.shape[:-2] + (2 * n, 2 * n), dtype=np.result_type(z.dtype, float))
+    if n == 0:  # an empty domain: no expm call
+        return [z.copy() for _ in range(k + 1)]
+    size = (k + 1) * n
+    aug = np.zeros(z.shape[:-2] + (size, size), dtype=np.result_type(z.dtype, float))
     aug[..., :n, :n] = z
-    aug[..., :n, n:] = np.eye(n)
-    return spla.expm(aug)[..., :n, n:]
+    for j in range(k):
+        aug[..., j * n:(j + 1) * n, (j + 1) * n:(j + 2) * n] = np.eye(n)
+    top = spla.expm(aug)[..., :n, :]
+    return [top[..., j * n:(j + 1) * n] for j in range(k + 1)]
 
 
-def _stacks(sd: SemigroupData, zs: np.ndarray, integrated: bool = False):
-    """``T(z)``, or ``S(z)`` when ``integrated``, for the flat array ``zs``.
-
-    Yields one ``(len(block), d, d)`` stack per block of ``EXPM_BLOCK``
-    times, each from one stacked ``expm``, so a long quadrature never holds
-    more than one block.  An empty domain needs no case: its blocks are 0 x 0.
-    """
-    for start in range(0, zs.size, EXPM_BLOCK):
-        z = zs[start:start + EXPM_BLOCK, None, None]
-        m = z * sd.generator_matrix
-        core = z * phi1(m) if integrated else spla.expm(m)
-        yield sd.domain_basis @ core @ sd.coord_map
+def phi1(z: np.ndarray) -> np.ndarray:
+    """Entire function ``phi1(Z) = Z^{-1} (e^Z - I)``, singularities removed."""
+    return _phis(z, 1)[1]
 
 
 def _evaluate(sd: SemigroupData, zs: np.ndarray, integrated: bool = False) -> np.ndarray:
-    """All of :func:`_stacks` at once; a scalar ``zs`` gives one matrix.
+    """``T(z)``, or ``S(z)`` when ``integrated``, from one stacked ``expm``.
 
-    Complex points are checked against the sector by :func:`holomorphic_at`.
+    A scalar ``zs`` gives one matrix.  Complex points are checked against
+    the sector by :func:`holomorphic_at`.
     """
     if zs.ndim > 1 or zs.size == 0:
         raise InvalidInput("times must be a scalar or a non-empty flat array")
     if not np.iscomplexobj(zs) and np.any(zs < 0):
         raise InvalidInput("semigroup time must be nonnegative")
-    out = np.concatenate(list(_stacks(sd, np.atleast_1d(zs), integrated)))
+    z = np.atleast_1d(zs)[:, None, None]
+    core = _phis(z * sd.generator_matrix, int(integrated))[-1]
+    if integrated:
+        core = z * core
+    out = sd.domain_basis @ core @ sd.coord_map
     return out if zs.ndim else out[0]
 
 
@@ -289,7 +287,7 @@ class MildSolution:
 
     times: np.ndarray
     states: np.ndarray               # shape (len(times), d)
-    membership_residuals: np.ndarray  # distance of (int_0^t u, u - t x) to graph
+    membership_residuals: np.ndarray  # distance of (V(t) x, u - t x) to graph
     lipschitz_defect: float           # max ||u(t)-u(s)|| - |t-s| ||x||
 
 
@@ -297,8 +295,8 @@ def mild_solution(sd: SemigroupData, x, t_grid) -> MildSolution:
     """Evaluate the mild solution with datum ``x`` along ``t_grid``.
 
     The membership residual certifies ``(integral_0^t u, u(t) - t x)`` as a
-    graph element; the integral is accumulated with panel quadrature
-    between consecutive grid points (grid must be increasing, start >= 0).
+    graph element; the integral is ``V(t) x`` in closed form, so it carries
+    no quadrature error (grid must be increasing, start >= 0).
     """
     ts = np.asarray(t_grid, dtype=float)
     states, residuals, defects = _mild_block(sd, np.asarray(x)[:, None], ts)
@@ -308,24 +306,20 @@ def mild_solution(sd: SemigroupData, x, t_grid) -> MildSolution:
 def _mild_block(sd: SemigroupData, xs, ts: np.ndarray):
     """Mild solutions for every column of the ``(d, c)`` block ``xs`` at once.
 
-    ``S(t)`` is evaluated once per quadrature node and applied to the whole
-    block.  Returns the states ``(len(ts), d, c)``, the membership residuals
-    ``(len(ts), c)`` and the Lipschitz defects ``(c,)``.
+    ``S(t)`` and ``V(t)`` come from one ``3 dim(dom)``-square ``expm`` per
+    grid time, applied to the whole block.  Returns the states
+    ``(len(ts), d, c)``, the membership residuals ``(len(ts), c)`` and the
+    Lipschitz defects ``(c,)``.
     """
     xs = np.asarray(xs, dtype=np.result_type(sd.projector.dtype, xs.dtype))
     if ts.ndim != 1 or ts.size == 0 or np.any(np.diff(ts) <= 0) or ts[0] < 0:
         raise InvalidInput("t_grid must be increasing and nonnegative")
-    rules = [panel_rule(a, b, MILD_NODES_PER_UNIT)
-             for a, b in zip(np.concatenate([[0.0], ts[:-1]]), ts)]
-    nodes = np.concatenate([q for q, _ in rules] + [ts])
-    weights = np.concatenate([w for _, w in rules])
-    vals = np.concatenate([stack @ xs for stack in _stacks(sd, nodes, integrated=True)])
-    states = vals[weights.size:].copy()  # a view would keep every node value alive
-    # running integral of u up to each grid time, summed node by node in order
-    partial = np.cumsum(weights[:, None, None] * vals[:weights.size], axis=0)
-    ends = np.cumsum([q.size for q, _ in rules])
-    running = np.concatenate([np.zeros((1,) + xs.shape, dtype=partial.dtype),
-                              partial])[ends]
+    z = ts[:, None, None]
+    _, p1, p2 = _phis(z * sd.generator_matrix, 2)
+    states = sd.domain_basis @ (z * p1) @ sd.coord_map @ xs
+    running = sd.domain_basis @ (z * z * p2) @ sd.coord_map @ xs  # V(t) x
+    log.debug("mild_block times=%d columns=%d matrices=%d",
+              ts.size, xs.shape[1], ts.size)
     # one (2d, len(ts)) block of graph pairs per datum
     pairs = np.ascontiguousarray(np.concatenate(
         [running, states - ts[:, None, None] * xs], axis=1).transpose(2, 1, 0))

@@ -105,7 +105,7 @@ def _certify(rel: LinearRelation, lams: list, accept_tol: float) -> ResolventBlo
     stacked = np.concatenate([rmat, vals[full, None, None] * rmat - eye], axis=1)
     basis = rel.graph.basis
     member_res = np.linalg.norm(stacked - basis @ (basis.conj().T @ stacked), axis=1)
-    residual = np.max(member_res + solve_res, axis=1)
+    residual = np.max(member_res + solve_res, axis=1, initial=0.0)  # d = 0: no columns
     over = residual > accept_tol
     for j in np.flatnonzero(over):
         res = float(residual[j])

@@ -150,6 +150,28 @@ def test_wellposedness_verdicts():
     assert bad.witness["lipschitz_ratio"] > 1.0
 
 
+def _stiff(scale):
+    """Dissipative, ``||M|| ~ scale``, with modes from ``-scale`` to ``-1``."""
+    return graph_of(np.diag([-scale, -1.0, -scale / 2]) + np.triu(np.ones((3, 3)), 1))
+
+
+def test_wellposedness_check_accepts_a_stiff_generator():
+    verdict = wellposedness_check(_stiff(1e4))
+    assert verdict.ok, verdict
+    assert verdict.max_membership_residual <= 1e-11
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e4, 1e5])
+def test_mild_solution_membership_on_stiff_generators(scale):
+    sd = decompose(_stiff(scale))
+    assert math.isclose(np.linalg.norm(sd.generator_matrix, 2), scale, rel_tol=0.01)
+    ts = np.arange(0.0, 3.0 + 1e-12, 0.1)
+    for x in np.eye(3):
+        sol = mild_solution(sd, x, ts)
+        assert np.max(sol.membership_residuals) <= 1e-11
+        assert sol.lipschitz_defect <= 1e-9
+
+
 def test_wellposedness_check_gathers_the_evidence_once(monkeypatch):
     calls = []
     check = semigroup_module.is_m_dissipative
@@ -166,13 +188,18 @@ def test_wellposedness_check_gathers_the_evidence_once(monkeypatch):
         assert len(calls) == 1
 
 
-def _count_expm_inputs(monkeypatch):
-    """Patch ``scipy.linalg.expm`` to record how many matrices each call takes."""
+def _count_expm_inputs(monkeypatch, sizes=None):
+    """Patch ``scipy.linalg.expm`` to record how many matrices each call takes.
+
+    ``sizes``, when given, also collects each call's matrix size.
+    """
     inputs = []
     expm = spla.expm
 
     def counting(a, *args, **kwargs):
         inputs.append(a.shape[0] if a.ndim == 3 else 1)
+        if sizes is not None:
+            sizes.append(a.shape[-1])
         return expm(a, *args, **kwargs)
 
     monkeypatch.setattr(spla, "expm", counting)
@@ -184,15 +211,28 @@ def test_wellposedness_check_evaluates_the_nodes_once(monkeypatch, rng):
     sd = decompose(rel)
     ts = np.linspace(0.1, 3.0, 10)  # the default grid
     per_vector = [mild_solution(sd, x, ts) for x in np.eye(6, dtype=sd.projector.dtype)]
-    inputs = _count_expm_inputs(monkeypatch)
+    sizes = []
+    inputs = _count_expm_inputs(monkeypatch, sizes)
     verdict = wellposedness_check(rel)
-    # 160 quadrature nodes and 10 grid times, for all six trial vectors
-    # together; one mild solution per vector evaluates 6 x 170 = 1020
-    assert sum(inputs) == 170
+    # one augmented 3 dim(dom)-square matrix per grid time, for all six
+    # trial vectors together; a 16-node running quadrature evaluated 170
+    assert inputs == [10]
+    assert sizes == [3 * sd.domain_dim]
     assert verdict.ok
     assert verdict.max_membership_residual == max(
         float(np.max(sol.membership_residuals)) for sol in per_vector)
     assert verdict.lipschitz_defect == max(sol.lipschitz_defect for sol in per_vector)
+
+
+def test_mild_solutions_log_one_line_per_block(rng, caplog):
+    sd = decompose(random_m_dissipative(rng, 5, "real", dom_dim=3))
+    with caplog.at_level(logging.DEBUG, logger="relsemi"):
+        mild_solution(sd, np.ones(5), np.arange(0.0, 3.0 + 1e-12, 0.1))
+        wellposedness_check(sd.relation)
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("mild_block")]
+    assert lines == ["mild_block times=31 columns=1 matrices=31",
+                     "mild_block times=10 columns=5 matrices=10"]
 
 
 def test_panel_quadratures_evaluate_templates_and_panel_starts(monkeypatch, rng, caplog):

@@ -4,14 +4,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relsemi.quadrature import panel_rule
 from relsemi.sampling import random_m_dissipative
 from relsemi.semigroup import (
-    EXPM_BLOCK,
     _panel_sums,
+    _phis,
     certified_sector_angle,
     decompose,
     functional_equation_residual,
@@ -40,13 +41,13 @@ def _data(d, field, kind, seed):
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("kind", ["zero", "partial", "full"])
 @given(d=st.integers(2, 6), seed=st.integers(0, 10_000),
-       count=st.integers(EXPM_BLOCK + 1, EXPM_BLOCK + 9))
+       count=st.integers(65, 73))
 @settings(max_examples=6, deadline=None)
 def test_stacked_calls_match_scalar_calls(field, kind, d, seed, count):
     sd, rng = _data(d, field, kind, seed)
     assert (kind == "zero") == (sd.domain_dim == 0)
     assert (kind == "full") == (sd.domain_dim == d)
-    ts = np.concatenate([[0.0], rng.uniform(0.0, 3.0, count - 1)])  # > one block
+    ts = np.concatenate([[0.0], rng.uniform(0.0, 3.0, count - 1)])
     for fn in (semigroup_at, integrated_at):
         stack = fn(sd, ts)
         assert stack.shape == (count, d, d)
@@ -57,6 +58,76 @@ def test_stacked_calls_match_scalar_calls(field, kind, d, seed, count):
     stack = holomorphic_at(sd, zs)
     assert stack.shape == (count, d, d)
     assert _close(stack, np.array([holomorphic_at(sd, complex(z)) for z in zs]))
+
+
+def _blocked_phi1(z):
+    """``phi1`` as the top-right block of ``expm([[Z, I], [0, 0]])``."""
+    n = z.shape[-1]
+    if n == 0:
+        return z.copy()
+    aug = np.zeros(z.shape[:-2] + (2 * n, 2 * n), dtype=np.result_type(z.dtype, float))
+    aug[..., :n, :n] = z
+    aug[..., :n, n:] = np.eye(n)
+    return spla.expm(aug)[..., :n, n:]
+
+
+def _blocked_evaluate(sd, zs, integrated=False):
+    """``T(z)`` or ``S(z)`` in stacked ``expm`` calls of at most 64 matrices."""
+    out = []
+    for start in range(0, zs.size, 64):
+        z = zs[start:start + 64, None, None]
+        m = z * sd.generator_matrix
+        core = z * _blocked_phi1(m) if integrated else spla.expm(m)
+        out.append(sd.domain_basis @ core @ sd.coord_map)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("kind", ["zero", "partial", "full"])
+@given(d=st.integers(2, 6), seed=st.integers(0, 10_000), count=st.integers(1, 140))
+@settings(max_examples=8, deadline=None)
+def test_evaluations_are_bit_identical_to_blocked_calls(field, kind, d, seed, count):
+    sd, rng = _data(d, field, kind, seed)
+    ts = np.concatenate([[0.0], rng.uniform(0.0, 5.0, count - 1)])
+    assert np.array_equal(semigroup_at(sd, ts), _blocked_evaluate(sd, ts))
+    assert np.array_equal(integrated_at(sd, ts), _blocked_evaluate(sd, ts, True))
+    assert np.array_equal(integrated_at(sd, ts[-1]), _blocked_evaluate(sd, ts[-1:], True)[0])
+    alpha = certified_sector_angle(sd)
+    zs = rng.uniform(0.01, 3.0, count) * np.exp(1j * rng.uniform(-0.9, 0.9, count) * alpha)
+    assert np.array_equal(holomorphic_at(sd, zs), _blocked_evaluate(sd, zs))
+
+
+def _taylor_phi2(z, terms=12):
+    """``sum_k Z^k / (k + 2)!`` for one matrix ``z``."""
+    acc, power = np.zeros_like(z), np.eye(z.shape[0], dtype=z.dtype)
+    for k in range(terms):
+        acc = acc + power / math.factorial(k + 2)
+        power = power @ z
+    return acc
+
+
+@given(n=st.integers(1, 6), seed=st.integers(0, 10_000),
+       norm=st.floats(1e-12, 1e-3), field=st.sampled_from(["real", "complex"]))
+@settings(max_examples=40, deadline=None)
+def test_phi2_block_matches_the_taylor_series(n, seed, norm, field):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, n))
+    if field == "complex":
+        z = z + 1j * rng.standard_normal((n, n))
+    z *= norm / np.linalg.norm(z, 2)
+    expz, p1, p2 = _phis(z, 2)
+    ulps = 8 * np.finfo(float).eps  # a few roundings of entries of size <= 1
+    assert np.max(np.abs(p2 - _taylor_phi2(z))) <= ulps
+    assert np.max(np.abs(p1 - (np.eye(n) + z @ _taylor_phi2(z)))) <= ulps
+    assert np.max(np.abs(expz - spla.expm(z))) <= ulps
+
+
+def test_phi2_of_zero_is_half_the_identity():
+    for dtype in (float, complex):
+        expz, p1, p2 = _phis(np.zeros((2, 3, 3), dtype=dtype), 2)
+        assert np.array_equal(expz, np.broadcast_to(np.eye(3), (2, 3, 3)))
+        assert np.array_equal(p1, expz)
+        assert np.array_equal(p2, expz / 2)
 
 
 def test_scalar_time_gives_one_matrix():
@@ -106,6 +177,24 @@ def _loop_mild(sd, x, ts, nodes_per_unit=16):
     defect = max((np.linalg.norm(states[i] - states[j]) - abs(ts[i] - ts[j]) * np.linalg.norm(x)
                   for i in range(len(ts)) for j in range(i + 1, len(ts))), default=0.0)
     return np.array(states), np.array(residuals), max(defect, 0.0)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("kind", ["zero", "partial", "full"])
+@given(d=st.integers(2, 5), seed=st.integers(0, 10_000),
+       steps=st.lists(st.floats(0.05, 2.5), min_size=1, max_size=6))
+@settings(max_examples=6, deadline=None)
+def test_mild_solution_matches_the_node_loop(field, kind, d, seed, steps):
+    sd, rng = _data(d, field, kind, seed)
+    x = rng.standard_normal(d)
+    if field == "complex":
+        x = x + 1j * rng.standard_normal(d)
+    ts = np.concatenate([[0.0], np.cumsum(steps)])  # steps over 1 take several panels
+    sol = mild_solution(sd, x, ts)
+    states, residuals, defect = _loop_mild(sd, x, ts)
+    assert _close(sol.states, states)
+    assert abs(sol.lipschitz_defect - defect) <= REL_TOL * max(1.0, np.abs(states).max())
+    assert np.max(sol.membership_residuals) <= max(1e-12, np.max(residuals))
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])

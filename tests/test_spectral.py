@@ -52,6 +52,16 @@ def test_multivalued_relation_resolvent():
     assert abs(sample.matrix[0, 0]) < 1e-14
 
 
+def test_resolvent_of_the_zero_dimensional_relation_is_empty():
+    rel = LinearRelation.from_operator(np.zeros((0, 0)))
+    sample = resolvent(rel, 1.0)
+    assert sample.matrix.shape == (0, 0)
+    assert sample.residual == 0.0
+    stacked = resolvent(rel, np.array([1.0, 2.0 + 1.0j]))
+    assert stacked.matrix.shape == (2, 0, 0)
+    assert np.array_equal(stacked.residual, np.zeros(2))
+
+
 def test_resolvent_identity(m_dissipative_battery):
     for rel in m_dissipative_battery[:12]:
         s1 = resolvent(rel, 0.5)
