@@ -8,6 +8,10 @@ An m-dissipative relation ``A`` on ``K^d`` splits the space into its
 Its primitive ``S(t) = integral_0^t T`` is the once-integrated semigroup
 that carries the mild solutions of ``u' in A u``; its primitive ``V(t)`` is
 ``embed(t^2 phi2(t M1)) P``, with ``phi_k(Z) = sum_j Z^j / (j + k)!``.
+Every integral the checks need (mild solutions, the truncated Laplace
+transforms of ``T`` and ``S``, the window of the integrated composition
+law) is a block of one ``expm`` of an augmented matrix (Van Loan 1978), so
+no check uses quadrature.
 """
 
 from __future__ import annotations
@@ -28,13 +32,11 @@ from .errors import (
     NotMDissipative,
     OutsideSector,
 )
-from .quadrature import gauss_legendre, panel_edges
 from .relation import LinearRelation
 from .spectral import ResolventBlock, resolvent, resolvent_points
 
 log = logging.getLogger("relsemi")
 
-NODES_PER_UNIT = 64       # Gauss nodes per unit time of the Laplace and law checks
 WELLPOSED_TOL = 1e-8      # largest mild-solution defect of a well-posed verdict
 SECTOR_SLACK = 1e-8       # slack of sector_verify's norm bound
 SECTOR_BISECTIONS = 40    # certified_sector_angle steps: (pi/2) / 2**40 = 1.4e-12 rad
@@ -47,11 +49,11 @@ class SemigroupData:
     ``projector`` is ``P`` (projection onto the domain along the
     multivalued part, oblique in general), ``generator_matrix`` is ``M1``
     in the coordinates of ``domain_basis``, and ``coord_map`` is the matrix
-    ``E`` with ``P = domain_basis @ E``.
+    ``E`` with ``P = domain_basis @ E``.  ``P`` is formed on first use, so
+    a decomposition that never needs it does not hold a ``d x d`` matrix.
     """
 
     relation: LinearRelation
-    projector: np.ndarray
     domain_basis: np.ndarray
     null_basis: np.ndarray
     generator_matrix: np.ndarray
@@ -65,6 +67,10 @@ class SemigroupData:
     @property
     def domain_dim(self) -> int:
         return self.domain_basis.shape[1]
+
+    @cached_property
+    def projector(self) -> np.ndarray:
+        return self.domain_basis @ self.coord_map
 
     @cached_property
     def sector_angle(self) -> float:
@@ -98,14 +104,13 @@ def decompose(rel: LinearRelation) -> SemigroupData:
             f"domain and multivalued part are nearly dependent "
             f"(sigma_min {sing[-1]:.2e})")
     coord_map = np.linalg.inv(basis)[:d1].copy()  # a view would pin the whole inverse
-    projector = b1 @ coord_map if d1 else np.zeros((d, d), dtype=dt)
     # operator part: solve (b1_j, y) in A with y in X1
     u, v = rel.blocks()
     if d1:
         coef, *_ = np.linalg.lstsq(u, b1, rcond=None)
         if np.linalg.norm(u @ coef - b1) > 1e-8:
             raise DecompositionFailure("domain basis is not reachable in the graph")
-        y1 = projector @ (v @ coef)
+        y1 = (b1 @ coord_map) @ (v @ coef)
         m1 = b1.conj().T @ y1
         herm_top = float(np.linalg.eigvalsh((m1 + m1.conj().T) / 2.0)[-1])
         if herm_top > 10 * CERT_TOL:
@@ -113,7 +118,7 @@ def decompose(rel: LinearRelation) -> SemigroupData:
                 f"operator part is not dissipative (Herm top {herm_top:.2e})")
     else:
         m1 = np.zeros((0, 0), dtype=dt)
-    return SemigroupData(rel, projector, b1, b0, m1, coord_map, ev)
+    return SemigroupData(rel, b1, b0, m1, coord_map, ev)
 
 
 def _phis(z: np.ndarray, k: int) -> list:
@@ -158,46 +163,6 @@ def _evaluate(sd: SemigroupData, zs: np.ndarray, integrated: bool = False) -> np
     return out if zs.ndim else out[0]
 
 
-def _panel_sums(sd: SemigroupData, windows, lam, integrated: bool) -> np.ndarray:
-    """``sum_k w_k e^{-lam t_k} F(t_k)`` over ``panel_rule(a, b)`` for each window.
-
-    ``F = S`` when ``integrated``, else ``T``; the result is the stack
-    ``(len(windows), d, d)``.  Each node is a panel start ``a`` plus a node
-    ``s_j`` of the template rule for the panel's length ``h``, so the laws
-    ``T(a + s) = T(a) T(s)`` and ``S(a + s) = S(a) + T(a) S(s)`` turn the
-    panel's share into ``e^{-lam a} (c_h S(a) + T(a) Q_h)`` with
-    ``c_h = sum_j w_j e^{-lam s_j}`` and ``Q_h = sum_j w_j e^{-lam s_j} F(s_j)``
-    (no ``S(a)`` term when ``F = T``).  Lengths are grouped by exact float
-    equality, so the nodes are those of ``panel_rule``.  Each template is
-    evaluated once, one stack at a time, and every panel start directly: no
-    powers, so no error builds up over the panels.
-    """
-    edges = [panel_edges(a, b) for a, b in windows]
-    starts = np.concatenate([e[:-1] for e in edges])
-    if starts.size == 0:
-        return np.zeros((len(edges),) + sd.projector.shape)
-    owner = np.repeat(np.arange(len(edges)), [e.size - 1 for e in edges])
-    lengths, template = np.unique(np.concatenate([np.diff(e) for e in edges]),
-                                  return_inverse=True)
-    x, w = gauss_legendre(NODES_PER_UNIT)
-    q, c = [], []
-    for h in lengths:
-        nodes = h / 2.0 * (x + 1.0)
-        weights = h / 2.0 * w * np.exp(-lam * nodes)
-        q.append(np.tensordot(weights, _evaluate(sd, nodes, integrated), axes=1))
-        c.append(weights.sum())
-    scale = np.exp(-lam * starts)
-    share = scale[:, None, None] * (_evaluate(sd, starts) @ np.array(q)[template])
-    if integrated:
-        share += (scale * np.array(c)[template])[:, None, None] * _evaluate(sd, starts, True)
-    sums = np.zeros((len(edges),) + share.shape[1:], dtype=share.dtype)
-    np.add.at(sums, owner, share)
-    log.debug("panel_sums windows=%d panels=%d templates=%d matrices=%d",
-              len(edges), starts.size, lengths.size,
-              lengths.size * NODES_PER_UNIT + starts.size * (1 + integrated))
-    return sums
-
-
 def semigroup_at(sd: SemigroupData, t) -> np.ndarray:
     """The degenerate semigroup ``T(t) = embed(exp(t M1)) P`` for ``t >= 0``.
 
@@ -224,9 +189,12 @@ def semigroup_law_residual(sd: SemigroupData, t: float, s: float) -> float:
 class FunctionalEquationCheck:
     """Residuals of the two orderings of the integrated composition law.
 
-    ``residual`` uses windows ``[t, t+s]`` and ``[0, s]``; ``residual_swapped``
-    uses ``[s, t+s]`` and ``[0, t]``.  Both vanish in exact arithmetic, so
-    both are reported and tested.
+    ``residual`` compares ``S(t) S(s)`` and ``residual_swapped`` compares
+    ``S(s) S(t)`` with the window ``integral_t^{t+s} S - integral_0^s S``.
+    In closed form the swapped window ``integral_s^{t+s} S - integral_0^t S``
+    is the same expression, ``V(t+s) - V(t) - V(s)``, so both products meet
+    one window.  Both vanish in exact arithmetic, so both are reported and
+    tested.
     """
 
     residual: float
@@ -235,14 +203,23 @@ class FunctionalEquationCheck:
 
 def functional_equation_residual(sd: SemigroupData, t: float,
                                  s: float) -> FunctionalEquationCheck:
-    left, right = integrated_at(sd, np.array([t, s]))
-    prod = left @ right
-    sums = _panel_sums(sd, [(t, t + s), (0.0, s), (s, t + s), (0.0, t)], 0.0, True)
-    win1 = sums[0] - sums[1]
-    win2 = sums[2] - sums[3]
+    """Check ``S(t) S(s) = integral_t^{t+s} S - integral_0^s S``.
+
+    ``S = z phi1(z M1)`` and its primitive ``V = z^2 phi2(z M1)`` (both
+    embedded) at ``z = t, s, t + s`` come from one stacked ``expm``, so the
+    window ``V(t+s) - V(t) - V(s)`` carries no quadrature error.
+    """
+    if min(t, s) < 0:
+        raise InvalidInput("semigroup time must be nonnegative")
+    z = np.array([t, s, t + s], dtype=float)[:, None, None]
+    _, p1, p2 = _phis(z * sd.generator_matrix, 2)
+    s_t, s_s, _ = sd.domain_basis @ (z * p1) @ sd.coord_map
+    v_t, v_s, v_ts = sd.domain_basis @ (z * z * p2) @ sd.coord_map
+    window = v_ts - v_t - v_s
+    log.debug("functional_equation matrices=3 size=%d", 3 * sd.domain_dim)
     return FunctionalEquationCheck(
-        float(np.linalg.norm(prod - win1, 2)),
-        float(np.linalg.norm(prod - win2, 2)))
+        float(np.linalg.norm(s_t @ s_s - window, 2)),
+        float(np.linalg.norm(s_s @ s_t - window, 2)))
 
 
 @dataclass(frozen=True)
@@ -259,24 +236,39 @@ def laplace_residual(sd: SemigroupData, lam, horizon: float = 40.0,
                      transform: str = "semigroup") -> LaplaceCheck:
     """Compare the truncated Laplace transform with the resolvent.
 
-    ``transform="semigroup"`` integrates ``e^{-lam t} T(t)``;
-    ``transform="integrated"`` integrates ``lam e^{-lam t} S(t)``.  Both
-    quadratures must reproduce ``R(lam, A)``; the truncation tail is
-    bounded using ``||T(t)|| <= 1`` (resp. ``||S(t)|| <= t``).
+    ``transform="semigroup"`` integrates ``e^{-lam t} T(t)`` over
+    ``[0, horizon]``: that is ``embed(H phi1(H (M1 - lam I))) P`` with
+    ``H = horizon``.  ``transform="integrated"`` integrates
+    ``lam e^{-lam t} S(t)``: with ``B = [[M1, I], [0, 0]] - lam I`` the
+    matrix ``e^{tB}`` carries ``e^{-lam t} S(t)`` (unembedded) in its
+    top-right block, so the integral is that block of ``H phi1(H B)``.
+    Either is one ``expm`` of an augmented matrix, with no quadrature error.
+    Both must reproduce ``R(lam, A)``; the truncation tail is bounded using
+    ``||T(t)|| <= 1`` (resp. ``||S(t)|| <= t``).
     """
     re = float(np.real(lam))
     if re <= 0:
         raise InvalidInput("Laplace comparison needs Re(lam) > 0")
+    if horizon < 0:
+        raise InvalidInput("Laplace horizon must be nonnegative")
     if transform == "semigroup":
         bound = math.exp(-re * horizon) / re
+        gen = sd.generator_matrix
     elif transform == "integrated":
         bound = abs(lam) * math.exp(-re * horizon) * (horizon / re + 1.0 / re ** 2)
+        n = sd.domain_dim
+        gen = np.zeros((2 * n, 2 * n), dtype=sd.generator_matrix.dtype)
+        gen[:n, :n] = sd.generator_matrix
+        gen[:n, n:] = np.eye(n)
     else:
         raise InvalidInput(f"unknown transform {transform!r}")
-    integrated = transform == "integrated"
-    acc = _panel_sums(sd, [(0.0, horizon)], lam, integrated)[0]
-    if integrated:
+    size = gen.shape[0]
+    gen = gen - lam * np.eye(size)
+    core = horizon * _phis(horizon * gen, 1)[1][:sd.domain_dim, size - sd.domain_dim:]
+    acc = sd.domain_basis @ core @ sd.coord_map
+    if transform == "integrated":
         acc = lam * acc
+    log.debug("laplace transform=%s matrices=1 size=%d", transform, 2 * size)
     target = resolvent(sd.relation, lam).matrix
     return LaplaceCheck(float(np.linalg.norm(acc - target, 2)), bound)
 
@@ -311,7 +303,7 @@ def _mild_block(sd: SemigroupData, xs, ts: np.ndarray):
     ``(len(ts), d, c)``, the membership residuals ``(len(ts), c)`` and the
     Lipschitz defects ``(c,)``.
     """
-    xs = np.asarray(xs, dtype=np.result_type(sd.projector.dtype, xs.dtype))
+    xs = np.asarray(xs, dtype=np.result_type(sd.coord_map.dtype, xs.dtype))
     if ts.ndim != 1 or ts.size == 0 or np.any(np.diff(ts) <= 0) or ts[0] < 0:
         raise InvalidInput("t_grid must be increasing and nonnegative")
     z = ts[:, None, None]
@@ -360,7 +352,7 @@ def wellposedness_check(rel: LinearRelation, trial_xs=None,
         return WellPosednessVerdict(False, False, str(exc), math.nan, math.nan,
                                     _growth_witness(rel, t_grid))
     if trial_xs is None:
-        trial_xs = np.eye(rel.state_dim, dtype=sd.projector.dtype)
+        trial_xs = np.eye(rel.state_dim, dtype=sd.coord_map.dtype)
     xs = np.reshape(np.asarray(trial_xs), (-1, rel.state_dim)).T
     _, residuals, defects = _mild_block(sd, xs, np.asarray(t_grid, dtype=float))
     worst_res = float(np.max(residuals, initial=0.0))

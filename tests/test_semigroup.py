@@ -172,6 +172,19 @@ def test_mild_solution_membership_on_stiff_generators(scale):
         assert sol.lipschitz_defect <= 1e-9
 
 
+@pytest.mark.parametrize("scale", [1e3, 1e4, 1e5])
+def test_laplace_and_functional_equation_on_stiff_generators(scale):
+    # a panel quadrature with 64 nodes per unit time cannot resolve
+    # e^{-scale t}: it read 9.2e-10 at 1e3 and 7.2e-5 at 1e4
+    sd = decompose(_stiff(scale))
+    for transform in ("semigroup", "integrated"):
+        for lam in (1.0, 2.0 + 1.0j):
+            assert laplace_residual(sd, lam, transform=transform).total <= 1e-11
+    chk = functional_equation_residual(sd, 0.3, 1.0)
+    assert chk.residual <= 1e-12
+    assert chk.residual_swapped <= 1e-12
+
+
 def test_wellposedness_check_gathers_the_evidence_once(monkeypatch):
     calls = []
     check = semigroup_module.is_m_dissipative
@@ -235,23 +248,29 @@ def test_mild_solutions_log_one_line_per_block(rng, caplog):
                      "mild_block times=10 columns=5 matrices=10"]
 
 
-def test_panel_quadratures_evaluate_templates_and_panel_starts(monkeypatch, rng, caplog):
+def test_closed_form_checks_make_one_expm_call_each(monkeypatch, rng, caplog, capsys):
     sd = decompose(random_m_dissipative(rng, 6, "complex", dom_dim=4))
-    inputs = _count_expm_inputs(monkeypatch)
+    n = sd.domain_dim
+    runs = (("integrated", lambda: laplace_residual(sd, 1.0, transform="integrated"), 1, 4),
+            ("semigroup", lambda: laplace_residual(sd, 1.0, transform="semigroup"), 1, 2),
+            ("functional", lambda: functional_equation_residual(sd, 0.3, 1.0), 3, 3))
+    sizes = []
+    inputs = _count_expm_inputs(monkeypatch, sizes)
     with caplog.at_level(logging.DEBUG, logger="relsemi"):
-        chk = laplace_residual(sd, 1.0, transform="integrated")
-        laplace_count = sum(inputs)
-        functional_equation_residual(sd, 0.3, 1.0)
-    # horizon 40: one 64-node template, T and S at 40 panel starts, where
-    # one evaluation per node takes 2560
-    assert laplace_count <= 144
-    assert chk.total <= 1e-9
+        for name, run, matrices, blocks in runs:
+            inputs.clear()
+            sizes.clear()
+            run()
+            # one augmented matrix per integral, where a 64-node panel
+            # quadrature evaluated 144 (Laplace) and 202 (functional equation)
+            assert inputs == [matrices], name
+            assert sizes == [blocks * n], name
     lines = [r.getMessage() for r in caplog.records
-             if r.getMessage().startswith("panel_sums")]
-    # the four windows have the lengths 1.0, 1.3 - 1.0 and 0.3
-    assert lines == ["panel_sums windows=1 panels=40 templates=1 matrices=144",
-                     "panel_sums windows=4 panels=4 templates=3 matrices=200"]
-    assert sum(inputs) == 144 + 2 + 200  # and S(0.3), S(1.0) for the product
+             if r.getMessage().startswith(("laplace", "functional_equation"))]
+    assert lines == [f"laplace transform=integrated matrices=1 size={4 * n}",
+                     f"laplace transform=semigroup matrices=1 size={2 * n}",
+                     f"functional_equation matrices=3 size={3 * n}"]
+    assert capsys.readouterr().out == ""
 
 
 def test_sector_angle_is_certified_once_per_decomposition(monkeypatch, rng):
@@ -275,6 +294,18 @@ def test_decompose_keeps_only_the_domain_rows(rng):
     sd = decompose(random_m_dissipative(rng, 8, "real", dom_dim=5))
     assert sd.coord_map.shape == (5, 8)
     assert sd.coord_map.base is None  # not a view pinning the whole inverse
+
+
+@pytest.mark.parametrize("dom_dim", [0, 3])
+def test_projector_is_formed_on_first_use(rng, dom_dim):
+    sd = decompose(random_m_dissipative(rng, 5, "complex", dom_dim=dom_dim))
+    mild_solution(sd, np.ones(5), np.linspace(0.0, 1.0, 4))
+    laplace_residual(sd, 1.0, transform="integrated")
+    functional_equation_residual(sd, 0.3, 1.0)
+    assert "projector" not in vars(sd)
+    assert np.array_equal(sd.projector, sd.domain_basis @ sd.coord_map)
+    assert sd.projector.shape == (5, 5) and sd.projector.dtype == complex
+    assert sd.projector is sd.projector
 
 
 def test_sector_verify_self_adjoint():

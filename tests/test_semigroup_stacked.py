@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as spla
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from relsemi.quadrature import panel_rule
+from relsemi.quadrature import gauss_legendre
 from relsemi.sampling import random_m_dissipative
 from relsemi.semigroup import (
-    _panel_sums,
     _phis,
     certified_sector_angle,
     decompose,
@@ -34,7 +33,8 @@ def _close(stack, singles):
 
 def _data(d, field, kind, seed):
     rng = np.random.default_rng(seed)
-    dom = {"zero": 0, "partial": int(rng.integers(1, d)), "full": d}[kind]
+    partial = int(rng.integers(1, d)) if d > 1 else None  # d = 1 has no partial domain
+    dom = {"zero": 0, "partial": partial, "full": d}[kind]
     return decompose(random_m_dissipative(rng, d, field, dom_dim=dom)), rng
 
 
@@ -140,7 +140,20 @@ def test_scalar_time_gives_one_matrix():
                         0.0, abs_tol=1e-15)
 
 
-# -- quadratures against the per-node loops they replaced ---------------------
+# -- closed forms against the per-node loops they replaced --------------------
+
+
+def panel_rule(a, b, nodes_per_unit):
+    """Composite Gauss rule on equal panels of length at most 1 that split [a, b].
+
+    Returns ``(t, w)`` with ``sum(w * f(t)) ~ integral_a^b f``; an empty
+    interval has no nodes.
+    """
+    npanels = max(1, math.ceil(b - a - 1e-12)) if b > a else 0
+    edges = np.linspace(a, b, npanels + 1)
+    x, w = gauss_legendre(nodes_per_unit)
+    half = np.diff(edges)[:, None] / 2.0
+    return (edges[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
 
 
 def _loop_laplace_difference(sd, lam, transform, horizon):
@@ -158,7 +171,7 @@ def _node_sums(sd, a, b, lams, fn):
     """``sum_k w_k e^{-lam t_k} F(t_k)`` for each ``lam``, one value per node."""
     ts, ws = panel_rule(a, b, 64)
     sums = [np.zeros(sd.projector.shape, dtype=complex) for _ in lams]
-    for t, w, value in zip(ts, ws, fn(sd, ts)):
+    for t, w, value in zip(ts, ws, fn(sd, ts) if ts.size else ()):
         for acc, lam in zip(sums, lams):
             acc += w * np.exp(-lam * t) * value
     return sums
@@ -219,25 +232,40 @@ def test_quadratures_match_the_node_loops(field, seed):
                                         ("complex", "zero")])
 def test_template_panel_sums_match_the_node_sums(field, kind):
     sd, _ = _data(4, field, kind, 5)
-    lams = (1.0, 0.7 + 0.4j)
+    _assert_laplace_matches_the_node_sums(sd, (1.0, 0.7 + 0.4j), (1.0, 2.0, 40.0))
+    _assert_functional_equation_matches_the_node_sums(sd, 0.3, 1.0)
+
+
+def _assert_laplace_matches_the_node_sums(sd, lams, horizons):
+    """Both transforms' differences against the node sums on 64-node panels."""
     for transform, fn in (("semigroup", semigroup_at), ("integrated", integrated_at)):
-        integrated = transform == "integrated"
-        for horizon in (1.0, 2.0, 40.0):  # 1, 2 and 40 panels
+        for horizon in horizons:
             for lam, ref in zip(lams, _node_sums(sd, 0.0, horizon, lams, fn)):
-                assert _close(_panel_sums(sd, [(0.0, horizon)], lam, integrated)[0], ref)
-                quad = lam * ref if integrated else ref
+                quad = lam * ref if transform == "integrated" else ref
                 want = np.linalg.norm(quad - resolvent(sd.relation, lam).matrix, 2)
                 got = laplace_residual(sd, lam, horizon, transform).difference
                 assert abs(got - want) <= 1e-13
-    # the functional equation's windows at (t, s) = (0.3, 1.0): 1.3 - 1.0 and
-    # 0.3 are different panel lengths, so each keeps its own template
-    windows = [(0.3, 1.3), (0.0, 1.0), (1.0, 1.3), (0.0, 0.3)]
-    sums = _panel_sums(sd, windows, 0.0, True)
+
+
+def _assert_functional_equation_matches_the_node_sums(sd, t, s):
+    """Both residuals against their windows ``[t, t+s] - [0, s]`` and
+    ``[s, t+s] - [0, t]`` summed node by node."""
+    windows = [(t, t + s), (0.0, s), (s, t + s), (0.0, t)]
     refs = [_node_sums(sd, a, b, (0.0,), integrated_at)[0] for a, b in windows]
-    for got, ref in zip(sums, refs):
-        assert _close(got, ref)
-    left, right = integrated_at(sd, np.array([0.3, 1.0]))
-    chk = functional_equation_residual(sd, 0.3, 1.0)
+    left, right = integrated_at(sd, np.array([t, s]))
+    chk = functional_equation_residual(sd, t, s)
     assert abs(chk.residual - np.linalg.norm(left @ right - refs[0] + refs[1], 2)) <= 1e-13
     assert abs(chk.residual_swapped
-               - np.linalg.norm(left @ right - refs[2] + refs[3], 2)) <= 1e-13
+               - np.linalg.norm(right @ left - refs[2] + refs[3], 2)) <= 1e-13
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("kind", ["zero", "partial", "full"])
+@given(d=st.integers(1, 6), seed=st.integers(0, 10_000),
+       t=st.floats(0.0, 2.5), s=st.floats(0.0, 2.5))
+@settings(max_examples=8, deadline=None)
+def test_closed_forms_match_the_node_loops(field, kind, d, seed, t, s):
+    assume(kind != "partial" or d > 1)
+    sd, _ = _data(d, field, kind, seed)
+    _assert_laplace_matches_the_node_sums(sd, (1.0, 0.7 + 0.4j, 3.0), (1.0, 2.0, 8.0))
+    _assert_functional_equation_matches_the_node_sums(sd, t, s)
