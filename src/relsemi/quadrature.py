@@ -1,14 +1,6 @@
-"""Gauss-Legendre rules."""
+"""Empty: the package's one Gauss rule is ``heatlab.GAUSS8``.
 
-from __future__ import annotations
-
-import numpy as np
-
-_CACHE: dict = {}
-
-
-def gauss_legendre(n: int):
-    """Nodes and weights on [-1, 1], cached per order."""
-    if n not in _CACHE:
-        _CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _CACHE[n]
+The module stays importable because ``perfbench/tracing.py`` lists it
+among the modules of the ``semigroup`` layer; it goes when that list
+drops it.
+"""

@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spl
 
 from relsemi.converge import DenseEvaluator
 from relsemi.errors import ContractFailed, InvalidInput, VanishingMultiplier
+from relsemi import heatlab
 from relsemi.grids import Grid, disk, mask_from_shapes
 from relsemi.heatlab import (
     DirichletGridRelation,
@@ -241,6 +242,12 @@ def test_first_eigenvalue_block_closed_form():
     want = 8.0 / g.h ** 2 * math.sin(math.pi / (2 * (k + 1))) ** 2
     assert abs(lam - want) < 1e-8 * want
     assert first_eigenvalue(g, np.zeros(49, dtype=bool)) == math.inf
+    # an index array would read as flags over its own length, so it is refused
+    with pytest.raises(InvalidInput):
+        first_eigenvalue(g, np.flatnonzero(v))
+    for size in (9, 50):
+        with pytest.raises(InvalidInput):
+            first_eigenvalue(g, np.ones(size, dtype=bool))
 
 
 def test_multiplier_identity(small_disk):
@@ -369,7 +376,7 @@ def test_sector_uniformity_two_members():
     labs = [DirichletGridRelation(disk_mask(g, 0.6)),
             DirichletGridRelation(mask_from_shapes(
                 g, [disk((0.0, 0.0), 0.5)], label="small"))]
-    rep = sector_uniformity(labs, eps=0.2, rays=3, radii=5)
+    rep = sector_uniformity(labs, eps=0.2)
     assert set(rep.labels) == {"disk", "small"}
     assert math.isfinite(rep.bound) and rep.bound >= 1.0
     assert len(rep.per_label) == 2
@@ -377,10 +384,82 @@ def test_sector_uniformity_two_members():
     assert rep.bound == max(rep.per_label)
 
 
-def test_sector_uniformity_keeps_no_factors():
-    lab = DirichletGridRelation(disk_mask(Grid(16), 0.6))
-    sector_uniformity([lab])
+def test_sector_uniformity_keeps_no_factors(monkeypatch):
+    # the m = 96 disk has 3632 nodes; the bound reads signs, so it makes no
+    # factorization and no solve at any mesh size
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(heatlab, "_factor", counting("_factor", heatlab._factor))
+    monkeypatch.setattr(spl, "splu", counting("splu", spl.splu))
+    monkeypatch.setattr(spl, "spsolve", counting("spsolve", spl.spsolve))
+    monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
+    monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
+    lab = DirichletGridRelation(disk_mask(Grid(96), 0.7))
+    assert lab.n_inside == 3632
+    rep = sector_uniformity([lab])
+    assert rep.bound == 1.0 / math.sin(0.1)
+    assert rep.per_label == (rep.bound,)
+    assert calls == []
     assert lab._shift_lus == {}
+
+
+def test_sector_uniformity_refuses_broken_premises():
+    rel = DirichletGridRelation(disk_mask(Grid(12), 0.6))
+    n = rel.n_inside
+    # a positive shift makes the interior row sums 0.5 > 0: e^{tL} grows
+    shifted = DirichletGridRelation(rel.mask, operator=rel.op + 0.5 * sp.identity(n),
+                                    label="shifted")
+    with pytest.raises(ContractFailed, match="shifted") as exc:
+        sector_uniformity([rel, shifted])
+    assert exc.value.row is not None and exc.value.row >= 0
+    # m = -1 flips every off-diagonal sign; the spectrum is in Re > 0
+    flipped = multiplier_relation(-np.ones(rel.state_dim), rel)
+    with pytest.raises(ContractFailed, match=r"disk\*m") as exc:
+        sector_uniformity([flipped])
+    assert exc.value.row == 0
+    for eps in (0.0, -0.1, math.pi / 2 + 1e-9, math.nan):
+        with pytest.raises(InvalidInput):
+            sector_uniformity([rel], eps=eps)
+    with pytest.raises(InvalidInput):
+        sector_uniformity([])
+    assert sector_uniformity([rel], eps=math.pi / 2).bound == 1.0
+
+
+def _sampled_sector_norm(lab, eps, rays=5, radii=7):
+    """Largest exact ``‖λR(λ)‖∞`` over sampled ``λ = r e^{iθ}``, by dense inversion."""
+    n = lab.n_inside
+    dense = lab.op.toarray()
+    worst = 0.0
+    for th in np.linspace(-(math.pi / 2 - eps), math.pi / 2 - eps, rays):
+        for r in np.logspace(-2.0, 3.0, radii):
+            lam = r * complex(math.cos(th), math.sin(th))
+            res = np.linalg.inv(lam * np.eye(n) - dense)
+            worst = max(worst, abs(lam) * float(np.abs(res).sum(axis=1).max()))
+    return worst
+
+
+@pytest.mark.parametrize("m", [12, 16])
+def test_sector_uniformity_encloses_the_dense_samples(m):
+    grid = Grid(m)
+    base = DirichletGridRelation(disk_mask(grid, 0.7))
+    weights = np.random.default_rng(m).uniform(0.5, 2.0, grid.n_nodes)
+    labs = [base,
+            DirichletGridRelation(polygon_family(grid, 0.7, sides=(6,))[0]),
+            DirichletGridRelation(slit_family(grid, 0.7, widths=(1,),
+                                              inner_x=(0.56,))[0]),
+            multiplier_relation(weights, base)]
+    assert all(lab.n_inside for lab in labs)
+    for eps in (0.1, 0.2, 0.5):
+        rep = sector_uniformity(labs, eps=eps)
+        assert rep.bound == 1.0 / math.sin(eps)
+        for lab, bound in zip(labs, rep.per_label):
+            assert _sampled_sector_norm(lab, eps) <= bound
 
 
 def test_perturbation_experiment_small():
