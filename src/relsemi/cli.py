@@ -285,8 +285,7 @@ def cmd_heat_converge(args) -> int:
     rep = heatlab.perturbation_experiment(
         masks, limit, lam_grid, t_grid, _f_columns(grid, cfg.get("f")),
         tol=tol, mu=mu, items=items, samples=int(cfg.get("samples", 4)),
-        seed=args.seed, expected_direction=cfg.get("criterion_direction",
-                                                   "to_infinity"))
+        seed=args.seed)
     conv = rep.convergence
     out = args.out
     write_csv(os.path.join(out, "errors.csv"),
@@ -312,7 +311,7 @@ def cmd_heat_converge(args) -> int:
                       "n0": {str(k): v for k, v in crit.n0.items()},
                       "surplus_eigs": crit.surplus_eigs,
                       "deficit_eigs": crit.deficit_eigs,
-                      "expected_direction": crit.expected_direction,
+                      "expected_direction": "to_infinity",
                       "ok": crit.ok},
         "contraction_norms": {k: v.norms for k, v in rep.contraction.items()},
     }

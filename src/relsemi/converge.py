@@ -49,8 +49,7 @@ from .spectral import (
 )
 
 
-PROTOCOL = ("state_dim", "resolvent", "semigroup", "integrated",
-            "range_shift_full", "vec_norm")
+PROTOCOL = ("state_dim", "resolvent", "semigroup", "integrated", "vec_norm")
 
 
 class DenseEvaluator:
@@ -61,9 +60,9 @@ class DenseEvaluator:
     ``semigroup(zs, F)`` and ``integrated(ts, F)``, each returning the
     stack ``(len(·),) + F.shape`` of ``R(λ) F``, ``T(z) F`` and ``S(t) F``
     (``zs`` real ``t >= 0``, or complex inside the sector, else
-    :class:`OutsideSector`); ``range_shift_full(mu)``; and ``vec_norm(x)``,
-    the norms of ``x`` over its state axis (axis 0 of a vector, ``-2`` of
-    a column block or a stack).  Evaluators built from a relation also
+    :class:`OutsideSector`); and ``vec_norm(x)``, the norms of ``x`` over
+    its state axis (axis 0 of a vector, ``-2`` of a column block or a
+    stack).  Evaluators built from a relation also
     carry it as ``relation``.
     """
 
@@ -90,10 +89,6 @@ class DenseEvaluator:
 
     def integrated(self, ts, fs: np.ndarray) -> np.ndarray:
         return integrated_at(self._data(), np.atleast_1d(ts)) @ fs
-
-    def range_shift_full(self, mu) -> bool:
-        shifted = self.relation.shift(mu)
-        return shifted.parts.range.dim == self.state_dim
 
     def vec_norm(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
@@ -220,7 +215,8 @@ def trotter_kato_report(family, limit, lambda_grid, t_grid, f_set=None,
     trial vectors; (ii) resolvent errors at each positive ``lambda_grid``
     point; (iii) the first grid point alone; (iv) resolvent errors at the
     caller-supplied complex ``mu`` with ``Re mu > 0``, whose hypothesis
-    (full range of ``mu - A`` and a uniform resolvent bound) is recorded;
+    (full range of ``mu - A``, read from whether the limit's resolvent at
+    ``mu`` is certified, and a uniform resolvent bound) is recorded;
     (v) graph convergence in the gap metric (only for explicit relations).
 
     A verdict per criterion compares the final error against ``tol``; the
@@ -275,10 +271,8 @@ def trotter_kato_report(family, limit, lambda_grid, t_grid, f_set=None,
     if "iv" in items:
         mu = complex(mu)
         report.mu = mu
-        hyp = {"range_full": lim.range_shift_full(mu), "max_norm": None,
-               "all_in_resolvent": True}
         errs = np.full(len(evals), math.nan)
-        norms = []
+        norms, lim_r = [], None
         try:
             lim_r = lim.resolvent([mu], f_set)
             for k, ev in enumerate(evals):
@@ -287,11 +281,14 @@ def trotter_kato_report(family, limit, lambda_grid, t_grid, f_set=None,
                 norms.append(float(np.max(ev.vec_norm(cols)
                                           / np.maximum(ev.vec_norm(f_set), 1e-300))))
         except NotInResolventSet:
-            hyp["all_in_resolvent"] = False
-        hyp["max_norm"] = max(norms) if norms else math.nan
+            pass
+        # ran(mu - A) = X is the rank stage of the limit's certificate at mu
+        hyp = {"range_full": lim_r is not None,
+               "max_norm": max(norms) if norms else math.nan,
+               "all_in_resolvent": len(norms) == len(evals)}
         report.mu_errors = errs
         report.mu_hypothesis = hyp
-        if hyp["range_full"] and hyp["all_in_resolvent"]:
+        if hyp["all_in_resolvent"]:
             verdict_pool["iv"] = bool(errs[-1] <= tol)
 
     if "v" in items:

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NotDissipative, NotSurjective
+from .errors import NotDissipative, NotInResolventSet, NotSurjective
 from .relation import LinearRelation
 from .spectral import ResolventBlock, resolvent, resolvent_points
 from .subspace import complement
@@ -109,21 +109,25 @@ class MDissipativityEvidence:
 def is_m_dissipative(rel: LinearRelation) -> MDissipativityEvidence:
     """Check m-dissipativity and collect resolvent-bound evidence.
 
-    The decision is ``dissipative + ran(1 - A) = K^d``; the evidence then
-    verifies ``||lam R(lam, A)||_2 <= 1 + CERT_TOL`` on the decades
-    ``LAMBDA_DECADES`` (resolvents accepted at ``EVIDENCE_ACCEPT_TOL``),
-    which must hold automatically and guards against implementation drift.
+    The decision is ``dissipative + ran(1 - A) = K^d``; the range condition
+    is the rank stage of the resolvent certificate at ``lam = 1``, one of
+    the decades ``LAMBDA_DECADES`` on which the evidence then verifies
+    ``||lam R(lam, A)||_2 <= 1 + CERT_TOL`` (resolvents accepted at
+    ``EVIDENCE_ACCEPT_TOL``), which must hold automatically and guards
+    against implementation drift.
     """
     cert = dissipativity_l2(rel)
-    shifted = rel.shift(1.0)
-    range_full = shifted.parts.range.dim == rel.state_dim
+    lams = LAMBDA_DECADES if cert.dissipative else (1.0,)
+    points = resolvent_points(rel, lams, ResolventBlock.scaled_norms,
+                              EVIDENCE_ACCEPT_TOL)
+    at_one = points[lams.index(1.0)][1]
+    # a residual refusal comes after the rank stage passed: the range is full
+    range_full = at_one is None or at_one.residual is not None
     if not (cert.dissipative and range_full):
         why = "not dissipative" if not cert.dissipative else "ran(1 - A) proper"
         return MDissipativityEvidence(False, cert, range_full, (), math.nan, why)
     checks = []
     defect = -math.inf
-    points = resolvent_points(rel, LAMBDA_DECADES, ResolventBlock.scaled_norms,
-                              EVIDENCE_ACCEPT_TOL)
     for lam, refusal, norm in points:
         if refusal is not None:
             return MDissipativityEvidence(False, cert, range_full, tuple(checks),
@@ -148,16 +152,21 @@ def lumer_phillips_invert(rel: LinearRelation) -> InversionEvidence:
     """Invert a dissipative relation with full range.
 
     For a dissipative relation whose range is all of ``K^d``, zero belongs
-    to the resolvent set; the returned matrix ``Q`` is the bounded inverse
+    to the resolvent set: the rank stage of the resolvent certificate at
+    zero is that range condition, and its refusal raises
+    :class:`NotSurjective`; the returned matrix ``Q`` is the bounded inverse
     (``A^{-1}`` is the graph of ``Q``) and satisfies
     ``||Q||_2 <= 1 / injectivity_modulus(A)``.
     """
     cert = dissipativity_l2(rel)
     if not cert.dissipative:
         raise NotDissipative(f"Hermitian form witness {cert.witness:.3e} > {CERT_TOL:.1e}")
-    if rel.parts.range.dim < rel.state_dim:
-        raise NotSurjective("range of the relation is a proper subspace")
-    sample = resolvent(rel, 0.0)
+    try:
+        sample = resolvent(rel, 0.0)
+    except NotInResolventSet as exc:
+        if exc.residual is None:  # refused for rank or graph dimension
+            raise NotSurjective("range of the relation is a proper subspace") from exc
+        raise
     q = -sample.matrix  # R(0, A) = (0 - A)^{-1} = -A^{-1}
     margin = rel.injectivity_modulus()
     return InversionEvidence(q, float(np.linalg.norm(q, 2)), float(margin),

@@ -19,11 +19,13 @@ depend on ``‖L‖ ~ h⁻²``, and it stops on the a-posteriori residual bound 
 Botchev, Grimm & Hochbruck (2013).
 
 Every solve in the lab — resolvents, ``S(t) = L⁻¹(T(t) − I)``, the
-Krylov shift, the contraction certificate, the graph-distance Gram
-matrix, the inverse-power eigenvalue and the interval solve — goes
-through one sparse factorization of ``σI − op``, :func:`_factor`; only the
-relation's shift cache and its Gram factor keep factors alive.  The
-sector certificate makes no solve: it reads the signs of ``op`` alone.
+Krylov shift, the contraction certificate, the graph-distance system
+``[[I, Lᵀ], [L, −I]]``, the inverse-power eigenvalue and the interval
+solve — goes through one sparse factorization of ``σI − op``,
+:func:`_factor`; only the relation's shift cache and its graph-distance
+factor keep factors alive.  Every resolvent column is verified by its
+backward error.  The sector certificate makes no solve: it reads the
+signs of ``op`` alone.
 
 Operator norms are sup-norms throughout (max absolute row sums), matching
 the contraction and maximum-principle structure of the M-matrix stencil:
@@ -45,12 +47,14 @@ from .converge import ConvergenceReport, trotter_kato_report
 from .errors import (
     ContractFailed,
     InvalidInput,
+    NotInResolventSet,
     OutsideSector,
     SolverBreakdown,
     VanishingMultiplier,
 )
 from .grids import DomainMask, Grid, disk, inscribed_polygon, mask_from_shapes, slit
 from .relation import LinearRelation
+from .spectral import ACCEPT_TOL
 from .subspace import Subspace
 
 log = logging.getLogger("relsemi")
@@ -61,6 +65,7 @@ EXP_MAX_BASIS = 400        # Arnoldi vectors per column before SolverBreakdown
 EIG_TOL = 1e-8             # relative accuracy of the inverse-power eigenvalues
 MULTIPLIER_MIN = 1e-8      # smallest |m| a multiplier may take on the mask
 CRITERION_MARGINS = (1, 2, 3)  # node rings of domain_convergence_check's interiors
+CONTRACTION_TOL = 1e-12    # slack of supnorm_contraction's bound ‖λR(λ)‖∞ ≤ 1
 FD_DELTA = 1e-3            # step of heat_orbit's finite-difference membership check
 GAUSS8 = np.polynomial.legendre.leggauss(8)  # panel rule of _residual_integral on [-1, 1]
 
@@ -130,7 +135,7 @@ class DirichletGridRelation:
 
     Implements the evaluator protocol of :mod:`relsemi.converge`
     (``state_dim``, ``resolvent``, ``semigroup``, ``integrated``,
-    ``range_shift_full``, ``vec_norm``) on arrays of shifts and times, with
+    ``vec_norm``) on arrays of shifts and times, with
     sup-norm vector norms.  ``operator`` overrides the plain stencil (used
     by multiplier perturbations); it must act on the masked block in flat
     node order.
@@ -177,24 +182,33 @@ class DirichletGridRelation:
         except (ContractFailed, SolverBreakdown):
             return False
 
-    def range_shift_full(self, mu) -> bool:
-        # off-mask coordinates are absorbed by the multivalued part, so only
-        # the masked block needs to be solvable
-        if self.n_inside == 0:
-            return True
-        mu = complex(mu)
-        x = self.resolvent([mu], np.ones(self.state_dim))[0, self.omega]
-        res = np.linalg.norm(mu * x - self.op @ x - 1.0) / math.sqrt(self.n_inside)
-        return bool(res <= 1e-8)
-
     def resolvent(self, lams, fs):
-        """``R(λ) F`` for every shift in ``lams``, one cached factor each."""
+        """``R(λ) F`` for every shift in ``lams``, one cached factor each.
+
+        Off the mask ``f`` is absorbed by the multivalued part, so only the
+        masked block is solved.  Every column is verified: its backward
+        error ``‖λx − Lx − f‖∞ / (‖f‖∞ + (|λ| + ‖L‖∞)‖x‖∞)`` on the mask
+        must be at most ``spectral.ACCEPT_TOL``, else
+        :class:`NotInResolventSet` is raised with ``residual`` set.
+        """
         lams = np.atleast_1d(lams)
         fs = np.asarray(fs)
         out = np.zeros((lams.size,) + fs.shape, dtype=np.result_type(fs, lams))
         if self.n_inside:
+            b = fs[self.omega]
+            bnorm = self.vec_norm(b)
+            opnorm = float(np.max(np.asarray(abs(self.op).sum(axis=1)), initial=0.0))
             for k, lam in enumerate(lams):
-                out[k, self.omega] = self._shift_lu(lam)(fs[self.omega])
+                x = self._shift_lu(lam)(b)
+                scale = bnorm + (abs(lam) + opnorm) * self.vec_norm(x)
+                err = self.vec_norm(lam * x - self.op @ x - b) \
+                    / np.maximum(scale, np.finfo(float).tiny)
+                res = float(np.max(err, initial=0.0))
+                if not res <= ACCEPT_TOL:  # a NaN is refused too
+                    raise NotInResolventSet(
+                        complex(lam), residual=res,
+                        reason=f"backward error {res:.3e} exceeds {ACCEPT_TOL:.1e}")
+                out[k, self.omega] = x
         return out
 
     def semigroup(self, zs, fs):
@@ -300,11 +314,16 @@ class DirichletGridRelation:
     # -- graph geometry -----------------------------------------------------
 
     def _nearest_coeff(self, u, f):
-        if self._dist_lu is None:  # the Gram matrix I + LᵀL, kept for reuse
-            self._dist_lu = _factor(-(self.op.T @ self.op), 1.0)
-        uin = np.asarray(u)[self.omega]
-        fin = np.asarray(f)[self.omega]
-        return self._dist_lu(uin + self.op.T @ fin)
+        """The nearest graph point's ``a``: ``(I + LᵀL) a = u + Lᵀf`` on the mask.
+
+        It is solved as ``[[I, Lᵀ], [L, −I]] [a; La − f] = [u; f]``, whose
+        condition grows like ``‖L‖``, not like the Gram matrix's ``‖L‖²``.
+        """
+        if self._dist_lu is None:  # kept for reuse
+            eye = sp.identity(self.n_inside, format="csr")
+            self._dist_lu = _factor(sp.bmat([[-eye, -self.op.T], [-self.op, eye]]), 0.0)
+        rhs = np.concatenate([np.asarray(u)[self.omega], np.asarray(f)[self.omega]])
+        return self._dist_lu(rhs)[:self.n_inside]
 
     def graph_distance(self, u, f) -> float:
         """Euclidean distance from the pair ``(u, f)`` to the graph."""
@@ -461,34 +480,47 @@ class ContractionCertificate:
     ok: bool
 
 
-def supnorm_contraction(rel: DirichletGridRelation, lams=(0.1, 1.0, 10.0),
-                        tol: float = 1e-12) -> ContractionCertificate:
-    """Certify ``‖λR(λ)‖_∞ ≤ 1 + tol`` on a positive λ-grid.
+def _summed_nonnegative_offdiag(lab: DirichletGridRelation) -> sp.csr_matrix:
+    """``lab.op`` with duplicates summed, once its off-diagonal entries are ≥ 0.
+
+    The signs are read exactly, with no tolerance; the first entry below 0
+    raises :class:`ContractFailed` naming the member and the row.
+    """
+    op = lab.op.tocsr(copy=True)
+    op.sum_duplicates()
+    rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
+    neg = np.flatnonzero((op.indices != rows) & ~(op.data >= 0.0))
+    if neg.size:
+        row = int(rows[neg[0]])
+        raise ContractFailed(f"{lab.label}: off-diagonal entry "
+                             f"{op.data[neg[0]]:.3e} < 0 in row {row}", row=row)
+    return op
+
+
+def supnorm_contraction(rel: DirichletGridRelation,
+                        lams=(0.1, 1.0, 10.0)) -> ContractionCertificate:
+    """Certify ``‖λR(λ)‖_∞ ≤ 1 + CONTRACTION_TOL`` on a positive λ-grid.
 
     One solve per λ: ``x = (λ − L)⁻¹ 1``.  When ``λ − L`` is a Z-matrix
-    (off-diagonal entries ≤ 0) and ``x > 0``, it is a nonsingular M-matrix
-    (Berman & Plemmons, ch. 6), so ``R(λ) ≥ 0`` entrywise and ``x`` holds
-    the exact row sums of ``|R(λ)|``.  A failed premise or a violated bound
-    raises :class:`ContractFailed` (with the offending row for the latter).
+    (off-diagonal entries of ``L`` ≥ 0, checked exactly) and ``x > 0``, it
+    is a nonsingular M-matrix (Berman & Plemmons, ch. 6), so ``R(λ) ≥ 0``
+    entrywise and ``x`` holds the exact row sums of ``|R(λ)|``.  A λ ≤ 0
+    raises :class:`InvalidInput`; a failed premise or a violated bound
+    raises :class:`ContractFailed` with the offending row.
     ``resolvent_min`` records the smallest row sum, the positivity margin.
     """
+    lams = tuple(float(lam) for lam in lams)
+    if any(lam <= 0 for lam in lams):
+        raise InvalidInput("contraction grid must be positive")
     norms = []
     min_entry = math.inf
     method = "empty"
     n = rel.n_inside
-    # the off-diagonal part of λ − L is that of −L, whatever λ is
-    offdiag = sp.diags(rel.op.diagonal()) - rel.op
-    z_matrix = not (offdiag.nnz and offdiag.max() > 1e-14)
+    if n == 0:
+        return ContractionCertificate(lams, (0.0,) * len(lams), method, min_entry,
+                                      CONTRACTION_TOL, True)
+    _summed_nonnegative_offdiag(rel)  # the off-diagonal part of λ − L is that of −L
     for lam in lams:
-        lam = float(lam)
-        if lam <= 0:
-            raise InvalidInput("contraction grid must be positive")
-        if n == 0:
-            norms.append(0.0)
-            continue
-        if not z_matrix:
-            raise ContractFailed("shifted operator is not a Z-matrix; "
-                                 "row-sum bound unavailable", lam=lam)
         # factored here, not in the relation's cache: one solve per λ does
         # not pay for keeping the factor alive with the relation
         rowsums = _factor(rel.op, lam)(np.ones(n))
@@ -500,12 +532,12 @@ def supnorm_contraction(rel: DirichletGridRelation, lams=(0.1, 1.0, 10.0),
         min_entry = min(min_entry, float(rowsums[low]))
         worst = int(np.argmax(rowsums))
         norm = lam * float(rowsums[worst])
-        if norm > 1.0 + tol:
+        if norm > 1.0 + CONTRACTION_TOL:
             raise ContractFailed(f"sup-norm contraction violated: {norm:.3e}",
                                  lam=lam, row=worst)
         norms.append(norm)
-    return ContractionCertificate(tuple(float(l) for l in lams), tuple(norms),
-                                  method, min_entry, tol, True)
+    return ContractionCertificate(lams, tuple(norms), method, min_entry,
+                                  CONTRACTION_TOL, True)
 
 
 def surjective_solve(rel: DirichletGridRelation, f):
@@ -601,7 +633,6 @@ def interval_solve(m: int, f, length: float = 1.0) -> np.ndarray:
 class MultiplierEvidence:
     min_abs: float
     positive: bool
-    sampled_margin: float           # worst sup-norm dissipativity margin seen
     contraction: ContractionCertificate | None
 
 
@@ -611,8 +642,7 @@ def multiplier_relation(m_values, rel: DirichletGridRelation) -> DirichletGridRe
     ``m_values`` may live on the whole grid or only on the masked nodes;
     ``|m| < MULTIPLIER_MIN`` on the mask raises :class:`VanishingMultiplier`.
     For strictly positive multipliers the sup-norm contraction certificate
-    is re-derived on the scaled stencil; sampled dissipativity (60 seeded
-    graph pairs) is recorded either way (one-sided evidence).
+    is re-derived on the scaled stencil.
     """
     m_values = np.asarray(m_values, dtype=float).ravel()
     if m_values.size == rel.state_dim:
@@ -628,21 +658,11 @@ def multiplier_relation(m_values, rel: DirichletGridRelation) -> DirichletGridRe
                                       value=float(mvals[worst]))
     scaled = DirichletGridRelation(rel.mask, operator=sp.diags(mvals) @ rel.op,
                                    label=rel.label + "*m")
-    # one-sided sampled evidence: ‖λu‖_∞ ≤ ‖λu − f‖_∞ on random graph pairs
-    rng = np.random.default_rng(0)
-    margin = math.inf
-    if rel.n_inside:
-        us = rng.standard_normal((rel.n_inside, 60))
-        fs = scaled.op @ us
-        for lam in (0.1, 1.0, 10.0):
-            lhs = np.max(np.abs(lam * us), axis=0)
-            rhs = np.max(np.abs(lam * us - fs), axis=0)
-            margin = min(margin, float(np.min(rhs - lhs)))
     positive = bool(rel.n_inside == 0 or mvals.min() > 0)
     cert = supnorm_contraction(scaled, lams=(1.0,)) if positive else None
     scaled.evidence = MultiplierEvidence(
         float(np.min(np.abs(mvals))) if rel.n_inside else math.inf,
-        positive, margin, cert)
+        positive, cert)
     return scaled
 
 
@@ -710,14 +730,7 @@ def sector_uniformity(labs, eps: float = 0.1) -> SectorUniformity:
     if not 0.0 < eps <= math.pi / 2:
         raise InvalidInput("sector margin eps must lie in (0, pi/2]")
     for lab in labs:
-        op = lab.op.tocsr(copy=True)
-        op.sum_duplicates()
-        rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
-        neg = np.flatnonzero((op.indices != rows) & ~(op.data >= 0.0))
-        if neg.size:
-            row = int(rows[neg[0]])
-            raise ContractFailed(f"{lab.label}: off-diagonal entry "
-                                 f"{op.data[neg[0]]:.3e} < 0 in row {row}", row=row)
+        op = _summed_nonnegative_offdiag(lab)
         data, ptr = op.data.tolist(), op.indptr.tolist()
         for row in range(op.shape[0]):
             total = math.fsum(data[ptr[row]:ptr[row + 1]])
@@ -741,37 +754,25 @@ class DomainConvergence:
     surplus_measure: np.ndarray   # counts * h^2 (auxiliary trace)
     deficit_counts: np.ndarray    # |Ω \ Ω_n| per member
     deficit_eigs: np.ndarray
-    expected_direction: str
     ok: bool
 
 
-def _direction_ok(trace, direction: str) -> bool:
-    vals = np.asarray(trace, dtype=float)
-    if vals.size <= 1:
-        return True
-    prev, nxt = vals[:-1], vals[1:]
-    if direction == "to_infinity":
-        with np.errstate(invalid="ignore"):
-            good = np.isinf(nxt) | (nxt >= prev * (1 - 1e-9) - 1e-9)
-        return bool(np.all(good))
-    if direction == "to_zero":
-        finite = vals[np.isfinite(vals)]
-        if finite.size <= 1:
-            return True
-        return bool(np.all(np.diff(finite) <= finite[:-1] * 1e-9 + 1e-9))
-    raise InvalidInput(f"unknown direction {direction!r}")
+def _grows(trace) -> bool:
+    """Whether ``trace`` never decreases (up to 1e-9), or jumps to ``inf``."""
+    prev, nxt = trace[:-1], trace[1:]
+    with np.errstate(invalid="ignore"):
+        return bool(np.all(np.isinf(nxt) | (nxt >= prev * (1 - 1e-9) - 1e-9)))
 
 
-def domain_convergence_check(masks, limit: DomainMask,
-                             expected_direction: str = "to_infinity") -> DomainConvergence:
+def domain_convergence_check(masks, limit: DomainMask) -> DomainConvergence:
     """Discrete compact-inclusion and surplus-eigenvalue traces.
 
     Condition (a): for each margin of ``CRITERION_MARGINS``, the limit's
     deep-interior node set must lie in every member from some index on.
     Condition (b): the raw first eigenvalue of each member's surplus node
-    set (off the limit's closure); the pass direction is configuration,
-    defaulting to growth (vanishing surplus).  Deficit traces are recorded
-    alongside as the inner-family counterpart.
+    set (off the limit's closure) must grow toward infinity (vanishing
+    surplus).  Deficit traces are recorded alongside as the inner-family
+    counterpart.
     """
     masks = list(masks)
     if not masks:
@@ -797,10 +798,8 @@ def domain_convergence_check(masks, limit: DomainMask,
     d_eigs = np.array([first_eigenvalue(grid, d) for d in deficit])
     s_counts = np.array([int(s.sum()) for s in surplus])
     d_counts = np.array([int(d.sum()) for d in deficit])
-    ok = _direction_ok(s_eigs, expected_direction)
     return DomainConvergence(CRITERION_MARGINS, n0, s_counts, s_eigs,
-                             s_counts * grid.h ** 2, d_counts, d_eigs,
-                             expected_direction, ok)
+                             s_counts * grid.h ** 2, d_counts, d_eigs, _grows(s_eigs))
 
 
 # -- the flagship experiment ----------------------------------------------------
@@ -819,8 +818,7 @@ class PerturbationReport:
 def perturbation_experiment(masks, limit_mask: DomainMask, lambda_grid, t_grid,
                             f_set, tol: float = 0.05, mu: complex = 1 + 1j,
                             items=("i", "ii", "iii", "iv"), samples: int = 4,
-                            seed: int = 0,
-                            expected_direction: str = "to_infinity") -> PerturbationReport:
+                            seed: int = 0) -> PerturbationReport:
     """Domain-perturbation convergence study in the sup norm.
 
     Precondition: every relation in sight passes the contraction
@@ -840,8 +838,7 @@ def perturbation_experiment(masks, limit_mask: DomainMask, lambda_grid, t_grid,
     report = trotter_kato_report(labs, lim, lambda_grid, t_grid, f_set=f_set,
                                  tol=tol, mu=mu, items=items, norm="sup",
                                  labels=tuple(lab.label for lab in labs))
-    criterion = domain_convergence_check(masks, limit_mask,
-                                         expected_direction=expected_direction)
+    criterion = domain_convergence_check(masks, limit_mask)
     rng = np.random.default_rng(seed)
     dists = np.zeros((len(labs), samples))
     if samples:
@@ -861,7 +858,7 @@ def perturbation_experiment(masks, limit_mask: DomainMask, lambda_grid, t_grid,
         "norm": "sup",
         "assumption": "shapes are chosen regular and stable in the continuum; "
                       "all statements here are at the fixed mesh",
-        "criterion_direction": expected_direction,
+        "criterion_direction": "to_infinity",
     }
     return PerturbationReport(report, criterion, contraction, dists, off_sup,
                               header)

@@ -475,29 +475,31 @@ def certified_sector_angle(sd: SemigroupData) -> float:
 def holomorphic_at(sd: SemigroupData, z) -> np.ndarray:
     """Evaluate ``T(z)`` inside the certified sector.
 
-    A flat array of points gives the stack ``(len(z), d, d)``.
-    ``z = 0`` returns the projector.  Points with ``|arg z|`` at or beyond
-    the certified angle raise :class:`OutsideSector`.  When the norm of the
-    result exceeds the conservative sector bound ``1 + 2 e pi / sin(eps)``
-    (``eps`` the distance of ``arg z`` to the certified angle) a warning is
-    logged (never raised): that bound is a coarse a-priori estimate and
-    exceeding it signals a data problem upstream.
+    A flat array of points gives the stack ``(len(z), d, d)``.  Points on
+    the nonnegative real axis are times of the semigroup and need no
+    sector (``z = 0`` returns the projector); the certified angle is
+    computed only when some point lies off that half-line, and a point with
+    ``|arg z|`` at or beyond it (a negative real ``z`` among them) raises
+    :class:`OutsideSector`.  When the norm of an off-axis result exceeds
+    the conservative sector bound ``1 + 2 e pi / sin(eps)`` (``eps`` the
+    distance of ``arg z`` to the certified angle) a warning is logged (never
+    raised): that bound is a coarse a-priori estimate and exceeding it
+    signals a data problem upstream.
     """
     zs = np.asarray(z, dtype=complex)
     flat = np.atleast_1d(zs)
-    moving = flat != 0
-    alpha = sd.sector_angle if moving.any() else math.pi / 2
+    off_axis = (flat.imag != 0) | (flat.real < 0)
     args = np.abs(np.angle(flat))
-    if np.any(moving & (args >= alpha)):
-        arg = float(np.max(args[moving]))
+    alpha = sd.sector_angle if off_axis.any() else math.pi / 2
+    if np.any(off_axis & (args >= alpha)):
+        arg = float(np.max(args[off_axis]))
         raise OutsideSector(f"|arg z| = {arg:.6f} >= certified angle {alpha:.6f}")
     out = _evaluate(sd, zs)
     values = out.reshape(flat.shape + out.shape[-2:])
-    for zk, arg, value in zip(flat[moving], args[moving], values[moving]):
+    for zk, arg, value in zip(flat[off_axis], args[off_axis], values[off_axis]):
         soft = 1.0 + 2.0 * math.e * math.pi / math.sin(min(alpha - arg, math.pi / 2))
         norm = float(np.linalg.norm(value, 2))
         if norm > soft:
             log.warning("holomorphic evaluation at z=%s has norm %.3e beyond "
                         "the sector estimate %.3e", complex(zk), norm, soft)
     return out
-

@@ -36,15 +36,13 @@ log = logging.getLogger("relsemi")
 
 @dataclass(frozen=True)
 class ResolventSample:
-    """A certified resolvent value, or a stack of them.
+    """A certified resolvent value.
 
     ``residual`` is the maximum, over canonical basis vectors ``e_i``, of
     the distance from ``(R e_i, lam * R e_i - e_i)`` to the graph plus the
     backward error of the linear solve for that column (the raw solve
     residual grows like ``|lam|`` even for perfect arithmetic, so it is
-    normalized by ``‖lam U - V‖ ‖c‖ + 1``).  For a flat array of ``k``
-    points, ``lam`` is the complex array, ``matrix`` the stack
-    ``(k, d, d)`` and ``residual`` the array of the ``k`` residuals.
+    normalized by ``‖lam U - V‖ ‖c‖ + 1``).
     """
 
     lam: complex
@@ -162,21 +160,13 @@ def resolvent(rel: LinearRelation, lam, accept_tol: float = ACCEPT_TOL) -> Resol
     The certificate has two stages: ``lam*U - V`` (graph-basis blocks) must
     have full rank ``d`` together with ``dim(graph) == d``, and the
     reconstructed columns must lie on the graph within ``accept_tol``.
-    ``lam`` is one point or a flat array of them, evaluated in stacked
-    blocks (:func:`resolvent_points`); an array gives the stacked sample,
-    and the first refused point raises.
+    Many points are certified together by :func:`resolvent_points`.
     """
-    one = np.ndim(lam) == 0
-    flat = [lam] if one else list(lam)
-    kept = accepted(resolvent_points(rel, flat,
-                                     lambda block: zip(block.matrices, block.residuals),
-                                     accept_tol))
-    if one:
-        matrix, residual = kept[0]
-        return ResolventSample(complex(lam), matrix, float(residual))
-    return ResolventSample(np.array([complex(x) for x in flat]),
-                           np.stack([matrix for matrix, _ in kept]),
-                           np.array([residual for _, residual in kept]))
+    if np.ndim(lam):
+        raise InvalidInput("resolvent takes one lam; resolvent_points takes many")
+    [(matrix, residual)] = accepted(resolvent_points(
+        rel, [lam], lambda block: zip(block.matrices, block.residuals), accept_tol))
+    return ResolventSample(complex(lam), matrix, float(residual))
 
 
 def in_resolvent_set(rel: LinearRelation, lam) -> bool:

@@ -367,7 +367,7 @@ def test_criterion_12_contraction_and_max_principle(
     worst_norm = 0.0
     for mask in masks:
         cert = supnorm_contraction(DirichletGridRelation(mask),
-                                   lams=(0.1, 1.0, 10.0), tol=1e-12)
+                                   lams=(0.1, 1.0, 10.0))
         worst_norm = max(worst_norm, max(cert.norms))
     mp = max_principle_check(DirichletGridRelation(heat_limit), samples=500)
     ok = (worst_norm <= 1 + 1e-12 and mp.slack_min >= -1e-12

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from relsemi.converge import (
+    PROTOCOL,
+    DenseEvaluator,
     InconsistentEquivalence,
     NotCauchy,
     ResolventNotConvergent,
@@ -18,6 +20,8 @@ from relsemi.converge import (
     trotter_kato_report,
 )
 from relsemi.errors import InvalidInput
+from relsemi.grids import Grid
+from relsemi.heatlab import DirichletGridRelation, disk_mask, polygon_family
 from relsemi.relation import LinearRelation
 from relsemi.semigroup import SectorSpec
 
@@ -119,9 +123,6 @@ class _ScalarEvaluator:
         ts = np.atleast_1d(ts)[:, None, None]
         return np.asarray(f_set) * ((np.exp(a * ts) - 1.0) / a)
 
-    def range_shift_full(self, mu):
-        return complex(mu) != self.a
-
     def vec_norm(self, v):
         return np.linalg.norm(v, axis=0 if np.ndim(v) == 1 else -2)
 
@@ -205,3 +206,34 @@ def test_holomorphic_report_sector_hypothesis():
         holomorphic_convergence_report(
             fam, SectorSpec(alpha=math.pi / 4, bound=1.0), eps=0.3,
             z_grid=z_grid, tol=1e-3, radii=10, rays=5)
+
+
+def test_protocol_has_five_members():
+    assert PROTOCOL == ("state_dim", "resolvent", "semigroup", "integrated", "vec_norm")
+    _, lim = shrinking_family()
+    assert isinstance(as_evaluator(lim), DenseEvaluator)
+    heat = DirichletGridRelation(disk_mask(Grid(9), 0.6))
+    assert as_evaluator(heat) is heat
+
+
+def test_mu_hypothesis_is_the_limits_certified_resolvent():
+    # item (iv) reads ran(mu - A) = X from the limit's certificate at mu
+    fam, lim = shrinking_family()
+    rep = trotter_kato_report(fam, lim, [1.0], [1.0], tol=0.05, items=("iv",))
+    assert rep.mu_hypothesis["range_full"] and rep.mu_hypothesis["all_in_resolvent"]
+    mu = 1 + 1j
+    dense = trotter_kato_report(fam, scalar(mu), [1.0], [1.0], tol=0.05, mu=mu,
+                                items=("iv",))  # mu is the limit's eigenvalue
+    grid = Grid(12)
+    labs = [DirichletGridRelation(mk) for mk in polygon_family(grid, 0.7, sides=(4, 8))]
+    limit = DirichletGridRelation(disk_mask(grid, 0.7))
+    solve = limit._shift_lu(mu)
+    limit._shift_lus[mu] = lambda b: 1.01 * solve(b)
+    heat = trotter_kato_report(labs, limit, [1.0], [1.0],
+                               f_set=np.ones((grid.n_nodes, 1)), tol=0.5, mu=mu,
+                               items=("iv",), norm="sup")
+    for rep in (dense, heat):
+        hyp = rep.mu_hypothesis
+        assert hyp["range_full"] is False and hyp["all_in_resolvent"] is False
+        assert math.isnan(hyp["max_norm"]) and np.all(np.isnan(rep.mu_errors))
+        assert rep.verdicts == {} and rep.consistent

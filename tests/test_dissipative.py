@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from relsemi.dissipative import (
+    CERT_TOL,
+    EVIDENCE_ACCEPT_TOL,
+    LAMBDA_DECADES,
     DissipativityCertificate,
     dissipativity_l2,
     dissipativity_sampled,
@@ -11,7 +16,7 @@ from relsemi.dissipative import (
     lumer_phillips_invert,
     maximal_dissipative_extension,
 )
-from relsemi.errors import NotDissipative, NotSurjective
+from relsemi.errors import NotDissipative, NotInResolventSet, NotSurjective
 from relsemi.relation import LinearRelation, gap_relations
 from relsemi.sampling import (
     random_dissipative_nonmaximal,
@@ -19,7 +24,12 @@ from relsemi.sampling import (
     random_m_dissipative,
     random_relation,
 )
-from relsemi.spectral import in_resolvent_set, resolvent
+from relsemi.spectral import (
+    ResolventBlock,
+    in_resolvent_set,
+    resolvent,
+    resolvent_points,
+)
 from relsemi.subspace import Subspace, intersect
 
 
@@ -178,3 +188,75 @@ def test_certificate_shape_for_reports():
     assert cert.kind == "l2-exact"
     assert cert.norm == "l2"
     assert isinstance(cert.tol, float)
+
+
+def _shifted_parts_verdict(rel):
+    """``(range_full, ok, failure)`` with the range test read from the parts of
+    ``1 - A`` (the test ``is_m_dissipative`` made before the certificate
+    carried it), kept as the oracle."""
+    cert = dissipativity_l2(rel)
+    range_full = rel.shift(1.0).parts.range.dim == rel.state_dim
+    if not (cert.dissipative and range_full):
+        return range_full, False, ("not dissipative" if not cert.dissipative
+                                   else "ran(1 - A) proper")
+    defect = -math.inf
+    for lam, refusal, norm in resolvent_points(rel, LAMBDA_DECADES,
+                                               ResolventBlock.scaled_norms,
+                                               EVIDENCE_ACCEPT_TOL):
+        if refusal is not None:
+            return True, False, f"lam={lam:g}: {refusal}"
+        defect = max(defect, float(norm) - 1.0)
+    ok = defect <= CERT_TOL
+    return True, ok, None if ok else f"resolvent bound defect {defect:.3e}"
+
+
+_MAKERS = {"m-dissipative": random_m_dissipative,
+           "non-maximal": random_dissipative_nonmaximal,
+           "surjective": random_dissipative_surjective,
+           "general": random_relation}
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("kind", sorted(_MAKERS))
+@given(d=st.integers(1, 8), seed=st.integers(0, 10_000))
+@settings(max_examples=12, deadline=None)
+def test_range_condition_matches_the_shifted_parts(kind, field, d, seed):
+    assume(kind != "non-maximal" or d >= 2)
+    rel = _MAKERS[kind](np.random.default_rng(seed), d, field)
+    ev = is_m_dissipative(rel)
+    range_full, ok, failure = _shifted_parts_verdict(rel)
+    if ev.certificate.dissipative:
+        assert (ev.range_full, ev.ok, ev.failure) == (range_full, ok, failure)
+    else:
+        assert (ev.ok, ev.failure) == (False, "not dissipative")
+        # a graph wider than d has a full shifted range but no resolvent
+        assert ev.range_full == (range_full and rel.dim == d)
+
+
+def test_range_condition_of_a_wide_graph_is_the_graph_dimension():
+    rel = random_relation(np.random.default_rng(3), 3, "real", graph_dim=4)
+    assert rel.shift(1.0).parts.range.dim == 3
+    ev = is_m_dissipative(rel)
+    assert not ev.certificate.dissipative and not ev.range_full
+
+
+def test_range_conditions_build_no_shifted_relation(monkeypatch, rng):
+    calls = []
+    shift = LinearRelation.shift
+    monkeypatch.setattr(LinearRelation, "shift",
+                        lambda self, lam: calls.append(lam) or shift(self, lam))
+    rels = [random_m_dissipative(rng, 4, "complex"),
+            random_dissipative_nonmaximal(rng, 4),
+            random_relation(rng, 3, "real"), graph_of(np.eye(2))]
+    for rel in rels:
+        is_m_dissipative(rel)
+        assert "parts" not in rel.__dict__
+    assert calls == []
+    fresh = random_dissipative_surjective(rng, 5, "complex")
+    lumer_phillips_invert(fresh)
+    assert "parts" not in fresh.__dict__
+    proper = random_dissipative_nonmaximal(rng, 4)
+    with pytest.raises(NotSurjective) as exc:
+        lumer_phillips_invert(proper)
+    assert isinstance(exc.value.__cause__, NotInResolventSet)
+    assert "parts" not in proper.__dict__ and calls == []

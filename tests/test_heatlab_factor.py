@@ -2,7 +2,7 @@
 
 Every solve in :mod:`relsemi.heatlab` factors ``σI − op`` through one
 helper.  The references below factor the matrix each caller used before,
-``L``, ``λI − L``, ``I + LᵀL`` or ``−L``, directly, and the results must
+``L``, ``λI − L``, ``[[I, Lᵀ], [L, −I]]`` or ``−L``, directly, and the results must
 agree to the last bit; so must the vectorised maximum-principle check and
 the per-sample loop it replaced.
 """
@@ -85,15 +85,24 @@ def test_contraction_matches_shifted_factors(rel):
 
 
 def test_graph_distance_matches_gram_factor(rel):
+    # the nearest point solves the Gram equations (I + LᵀL) a = u + Lᵀf
+    # through the augmented system [[I, Lᵀ], [L, −I]], factored directly here
     rng = np.random.default_rng(5)
     u, f = rng.standard_normal((2, rel.state_dim))
-    op = rel.op
-    gram = sp.identity(rel.n_inside, format="csc") + (op.T @ op).tocsc()
-    a = spl.splu(gram).solve(u[rel.omega] + op.T @ f[rel.omega])
-    expected = math.sqrt(np.linalg.norm(np.delete(u, rel.omega)) ** 2
+    op, n = rel.op, rel.n_inside
+    eye = sp.identity(n, format="csr")
+    aug = sp.bmat([[eye, op.T], [op, -eye]]).tocsc()
+    a = spl.splu(aug).solve(np.concatenate([u[rel.omega], f[rel.omega]]))[:n]
+
+    def distance(a):
+        return math.sqrt(np.linalg.norm(np.delete(u, rel.omega)) ** 2
                          + np.linalg.norm(a - u[rel.omega]) ** 2
                          + np.linalg.norm(op @ a - f[rel.omega]) ** 2)
-    assert rel.graph_distance(u, f) == expected
+
+    assert rel.graph_distance(u, f) == distance(a)
+    gram = sp.identity(n, format="csc") + (op.T @ op).tocsc()
+    a_gram = spl.splu(gram).solve(u[rel.omega] + op.T @ f[rel.omega])
+    assert rel.graph_distance(u, f) == pytest.approx(distance(a_gram), rel=1e-12)
 
 
 def _inverse_power(lap, tol=1e-8, maxiter=3000):

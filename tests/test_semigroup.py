@@ -7,6 +7,7 @@ import scipy.linalg as spla
 
 import relsemi.semigroup as semigroup_module
 
+from relsemi.converge import DenseEvaluator
 from relsemi.dissipative import is_m_dissipative
 from relsemi.errors import InvalidInput, NotMDissipative, OutsideSector
 from relsemi.relation import LinearRelation
@@ -377,3 +378,30 @@ def test_holomorphic_outside_sector_raises():
     z = 0.3 * np.exp(1j * (angle + 0.05))
     with pytest.raises(OutsideSector):
         holomorphic_at(sd, z)
+
+
+def test_holomorphic_at_takes_the_real_half_line_without_an_angle(monkeypatch, caplog):
+    # the rotation generator has certified angle 0, yet T(t) exists for t >= 0
+    rot = graph_of(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    sd = decompose(rot)
+    assert certified_sector_angle(sd) == 0.0
+    calls = []
+    angle = semigroup_module.certified_sector_angle
+    monkeypatch.setattr(semigroup_module, "certified_sector_angle",
+                        lambda data: calls.append(data) or angle(data))
+    ts = np.array([0.0, 0.5, 2.0])
+    with caplog.at_level(logging.WARNING, logger="relsemi"):
+        stack = holomorphic_at(sd, ts.astype(complex))
+        one = holomorphic_at(sd, 0.5)
+        dense = DenseEvaluator(rot).semigroup(np.array([0.5 + 0j]), np.eye(2))
+    assert not caplog.records
+    assert calls == []
+    want = semigroup_at(sd, ts)
+    assert np.allclose(stack, want, rtol=0.0, atol=1e-15)
+    assert np.allclose(one, want[1], rtol=0.0, atol=1e-15)
+    assert np.allclose(dense[0], want[1], rtol=0.0, atol=1e-15)
+    # a negative real z and an off-axis z outside the angle still raise
+    for z in (-0.5, 0.5 + 0.01j, np.array([0.5, -1.0])):
+        with pytest.raises(OutsideSector):
+            holomorphic_at(sd, z)
+    assert calls == [sd]  # the angle was computed once, for the off-axis points

@@ -4,6 +4,7 @@ import pytest
 from relsemi.errors import (
     DivergentSeries,
     InconsistentTable,
+    InvalidInput,
     NotAPseudoResolvent,
     NotInResolventSet,
 )
@@ -17,6 +18,7 @@ from relsemi.spectral import (
     relation_from_resolvent,
     resolvent,
     resolvent_identity_residual,
+    resolvent_points,
     resolvent_set_scan,
 )
 
@@ -57,9 +59,12 @@ def test_resolvent_of_the_zero_dimensional_relation_is_empty():
     sample = resolvent(rel, 1.0)
     assert sample.matrix.shape == (0, 0)
     assert sample.residual == 0.0
-    stacked = resolvent(rel, np.array([1.0, 2.0 + 1.0j]))
-    assert stacked.matrix.shape == (2, 0, 0)
-    assert np.array_equal(stacked.residual, np.zeros(2))
+    points = resolvent_points(rel, [1.0, 2.0 + 1.0j],
+                              lambda block: zip(block.matrices, block.residuals))
+    assert [(refusal, matrix.shape, residual) for _, refusal, (matrix, residual)
+            in points] == [(None, (0, 0), 0.0)] * 2
+    with pytest.raises(InvalidInput):  # many points go through resolvent_points
+        resolvent(rel, np.array([1.0, 2.0 + 1.0j]))
 
 
 def test_resolvent_identity(m_dissipative_battery):

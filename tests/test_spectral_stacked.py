@@ -19,6 +19,7 @@ from relsemi.spectral import (
     ACCEPT_TOL,
     BLOCK_ENTRIES,
     ScanRow,
+    accepted,
     resolvent,
     resolvent_points,
     resolvent_set_scan,
@@ -166,21 +167,22 @@ def test_stacked_resolvents_match_the_scalar_certificate(d, field):
                 * np.exp(1j * rng.uniform(-3.0, 3.0, count)))
     refused = _matches_reference(rel, lams)
 
-    # the public form: the stack, real where lam and the relation are real
-    accepted = lams[~np.array(refused)]
-    sample = resolvent(rel, accepted)
-    assert sample.matrix.dtype == (np.float64 if field == "real" else np.complex128)
-    for k, lam in enumerate(accepted):
-        matrix, residual = _reference(rel, lam)
-        assert np.array_equal(sample.matrix[k], matrix)
-        assert sample.residual[k] == residual and sample.lam[k] == complex(lam)
+    # accepted(): every kept entry in order, real where lam and the relation are real
+    kept = lams[~np.array(refused)]
+    values = accepted(resolvent_points(rel, kept,
+                                       lambda b: zip(b.matrices, b.residuals)))
+    assert len(values) == kept.size
+    for lam, (matrix, residual) in zip(kept, values):
+        assert matrix.dtype == (np.float64 if field == "real" else np.complex128)
+        want_matrix, want_residual = _reference(rel, lam)
+        assert np.array_equal(matrix, want_matrix) and residual == want_residual
 
     # residual refusals under a tight tolerance, in order
     tight = max(_reference(rel, lam, math.inf)[1] for lam in lams[:40]) / 2
     assert any(_matches_reference(rel, list(lams[:40]), tight))
 
-    # rank refusals at exact eigenvalues, spread over the blocks; the
-    # public form raises the first
+    # rank refusals at exact eigenvalues, spread over the blocks;
+    # accepted() raises the first
     diag, eig = _diagonal_relation(d, field)
     at = list(lams[:count])
     for k in range(0, count, max(1, count // 5)):
@@ -188,7 +190,7 @@ def test_stacked_resolvents_match_the_scalar_certificate(d, field):
     refused = _matches_reference(diag, at)
     assert any(refused)
     with pytest.raises(NotInResolventSet) as exc:
-        resolvent(diag, np.array(at))
+        accepted(resolvent_points(diag, np.array(at), lambda b: b.matrices))
     with pytest.raises(NotInResolventSet) as want:
         _reference(diag, at[refused.index(True)])
     _same_refusal(exc.value, want.value)
