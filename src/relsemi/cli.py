@@ -8,6 +8,7 @@ errors.  Identical config and seed produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import logging
 import math
@@ -25,7 +26,7 @@ from .converge import (
 )
 from .dissipative import dissipativity_l2, dissipativity_sampled
 from .errors import ConfigError, InconsistentEquivalence, InvalidInput, RelsemiError
-from .grids import grid_from_spec, mask_from_spec
+from .grids import check_keys, grid_from_spec, mask_from_spec
 from .relation import LinearRelation
 from .report import (
     render_csv,
@@ -39,6 +40,14 @@ from .semigroup import decompose, semigroup_at
 from .spectral import ACCEPT_TOL, resolvent_set_scan
 
 log = logging.getLogger("relsemi.cli")
+
+# the keys a family file may carry; any other key is a configuration error
+TK_KEYS = ("family", "tol", "lambda_grid", "t_grid", "items", "ns", "members",
+           "limit", "labels")
+HEAT_KEYS = ("grid", "limit", "members", "builder", "lambda_grid", "t_grid", "tol",
+             "mu", "items", "f", "samples")
+# heat family builders; a builder dict carries "name" and the builder's parameters
+BUILDERS = {"polygons": heatlab.polygon_family, "slits": heatlab.slit_family}
 
 
 def _parse_time_grid(expr: str) -> np.ndarray:
@@ -167,6 +176,7 @@ def cmd_semigroup_run(args) -> int:
 
 def _tk_inputs(args):
     cfg = _load_json(args.family)
+    check_keys(cfg, TK_KEYS, "family")
     kind = cfg.get("family", "relations")
     tol = args.tol if args.tol is not None else float(cfg.get("tol", 1e-6))
     lam_grid = [complex(l["re"], l["im"]) if isinstance(l, dict) else complex(l)
@@ -235,6 +245,7 @@ def cmd_converge_tk(args) -> int:
 
 
 def _heat_family(cfg):
+    check_keys(cfg, HEAT_KEYS, "heat family")
     grid = grid_from_spec(cfg.get("grid", {}))
     if "limit" not in cfg:
         raise ConfigError("heat family needs a 'limit' mask", field="limit")
@@ -244,14 +255,12 @@ def _heat_family(cfg):
     elif "builder" in cfg:
         b = dict(cfg["builder"])
         name = b.pop("name", None)
-        if name == "polygons":
-            masks = heatlab.polygon_family(grid, **{k: tuple(v) if isinstance(v, list)
-                                                    else v for k, v in b.items()})
-        elif name == "slits":
-            masks = heatlab.slit_family(grid, **{k: tuple(v) if isinstance(v, list)
-                                                 else v for k, v in b.items()})
-        else:
+        if not isinstance(name, str) or name not in BUILDERS:
             raise ConfigError(f"unknown builder {name!r}", field="builder.name")
+        build = BUILDERS[name]
+        check_keys(b, tuple(inspect.signature(build).parameters)[1:], f"builder {name!r}")
+        masks = build(grid, **{k: tuple(v) if isinstance(v, list) else v
+                               for k, v in b.items()})
     else:
         raise ConfigError("heat family needs 'members' or 'builder'",
                           field="members")

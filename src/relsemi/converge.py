@@ -62,14 +62,13 @@ class DenseEvaluator:
     (``zs`` real ``t >= 0``, or complex inside the sector, else
     :class:`OutsideSector`); and ``vec_norm(x)``, the norms of ``x`` over
     its state axis (axis 0 of a vector, ``-2`` of a column block or a
-    stack).  Evaluators built from a relation also
-    carry it as ``relation``.
+    stack), Euclidean here.  Evaluators built from a relation also carry
+    it as ``relation``.
     """
 
-    def __init__(self, rel: LinearRelation, norm: str = "l2"):
+    def __init__(self, rel: LinearRelation):
         self.relation = rel
         self.state_dim = rel.state_dim
-        self._norm = norm
         self._sd = None
 
     def _data(self):
@@ -92,15 +91,12 @@ class DenseEvaluator:
 
     def vec_norm(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
-        axis = 0 if x.ndim == 1 else -2
-        if self._norm == "sup":
-            return np.max(np.abs(x), axis=axis, initial=0.0)
-        return np.linalg.norm(x, axis=axis)
+        return np.linalg.norm(x, axis=0 if x.ndim == 1 else -2)
 
 
-def as_evaluator(obj, norm: str = "l2"):
+def as_evaluator(obj):
     if isinstance(obj, LinearRelation):
-        return DenseEvaluator(obj, norm)
+        return DenseEvaluator(obj)
     if all(hasattr(obj, a) for a in PROTOCOL):
         return obj
     raise InvalidInput(f"object {type(obj).__name__} implements no evaluator protocol")
@@ -166,7 +162,6 @@ class ConvergenceReport:
     tol: float
     integrated_sup: Optional[np.ndarray]
     resolvent_errors: dict
-    single_lambda: Optional[complex]
     mu: Optional[complex]
     mu_errors: Optional[np.ndarray]
     mu_hypothesis: Optional[dict]
@@ -208,7 +203,7 @@ def default_f_set(d: int, field_tag: str = "real"):
 def trotter_kato_report(family, limit, lambda_grid, t_grid, f_set=None,
                         tol: float = 1e-6, mu: complex = 1 + 1j,
                         items: Sequence[str] = ("i", "ii", "iii", "iv", "v"),
-                        norm: str = "l2", labels=None) -> ConvergenceReport:
+                        labels=None) -> ConvergenceReport:
     """Tabulate the equivalent convergence criteria for a relation sequence.
 
     Criteria: (i) sup over ``t_grid`` of integrated-semigroup errors on the
@@ -223,8 +218,8 @@ def trotter_kato_report(family, limit, lambda_grid, t_grid, f_set=None,
     theory makes the criteria equivalent, so mixed verdicts raise
     :class:`InconsistentEquivalence`.
     """
-    evals = [as_evaluator(r, norm) for r in family]
-    lim = as_evaluator(limit, norm)
+    evals = [as_evaluator(r) for r in family]
+    lim = as_evaluator(limit)
     if not evals:
         raise InvalidInput("empty family")
     if labels is None:
@@ -247,7 +242,7 @@ def trotter_kato_report(family, limit, lambda_grid, t_grid, f_set=None,
     def col_err(a, b, ev):
         return float(np.max(ev.vec_norm(a - b)))
 
-    report = ConvergenceReport(labels, tol, None, {}, None, None, None, None, None)
+    report = ConvergenceReport(labels, tol, None, {}, None, None, None, None)
     verdict_pool = {}
 
     if "i" in items:
@@ -265,7 +260,6 @@ def trotter_kato_report(family, limit, lambda_grid, t_grid, f_set=None,
         if "ii" in items:
             verdict_pool["ii"] = bool(np.all(errs[-1] <= tol))
         if "iii" in items:
-            report.single_lambda = lambda_grid[0]
             verdict_pool["iii"] = bool(errs[-1, 0] <= tol)
 
     if "iv" in items:
@@ -338,9 +332,8 @@ def oscillating_integrated_value(n: int, t: float) -> complex:
 
 @dataclass
 class HolomorphicReport:
-    labels: tuple
     z_grid: tuple
-    errors: np.ndarray          # per member: max over z and trial vectors
+    errors: np.ndarray          # per member, in family order: max over z and trial vectors
     limit: object
     sector_evidence: object
     tol: float
@@ -349,9 +342,8 @@ class HolomorphicReport:
 
 def holomorphic_convergence_report(family, spec: SectorSpec, eps: float,
                                    z_grid, f_set=None,
-                                   tol: float = 1e-3, labels=None,
-                                   radii: int = 13, rays: int = 7,
-                                   limit=None, norm: str = "l2") -> HolomorphicReport:
+                                   tol: float = 1e-3, radii: int = 13, rays: int = 7,
+                                   limit=None) -> HolomorphicReport:
     """Convergence of holomorphic semigroups on a compact of the sector.
 
     Every family member must pass :func:`sector_verify` for the common
@@ -362,8 +354,6 @@ def holomorphic_convergence_report(family, spec: SectorSpec, eps: float,
     must be below ``tol``.
     """
     members = list(family)
-    if labels is None:
-        labels = tuple(range(1, len(members) + 1))
     rel_members = [m for m in members if isinstance(m, LinearRelation)]
     if len(rel_members) == len(members):
         for idx, rel in enumerate(rel_members):
@@ -379,8 +369,8 @@ def holomorphic_convergence_report(family, spec: SectorSpec, eps: float,
         if limit is None:
             raise InvalidInput("protocol members need an explicit limit")
         lim_ev = None
-    evs = [as_evaluator(m, norm) for m in members]
-    lim_e = as_evaluator(limit, norm)
+    evs = [as_evaluator(m) for m in members]
+    lim_e = as_evaluator(limit)
     d = lim_e.state_dim
     if f_set is None:
         f_set = default_f_set(d, "complex")
@@ -390,5 +380,4 @@ def holomorphic_convergence_report(family, spec: SectorSpec, eps: float,
     errors = np.array([float(np.max(ev.vec_norm(ev.semigroup(zs, f_set) - lim_vals)))
                        for ev in evs])
     passed = bool(errors[-1] <= tol and errors[-1] <= errors[0] + 1e-15)
-    return HolomorphicReport(tuple(labels), tuple(z_grid), errors, limit,
-                             lim_ev, tol, passed)
+    return HolomorphicReport(tuple(z_grid), errors, limit, lim_ev, tol, passed)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import NotDissipative, NotInResolventSet, NotSurjective
 from .relation import LinearRelation
 from .spectral import ResolventBlock, resolvent, resolvent_points
-from .subspace import complement
+from .subspace import null_basis
 
 #: Slack allowed on exact certificates.
 CERT_TOL = 1e-10
@@ -179,16 +179,18 @@ def maximal_dissipative_extension(rel: LinearRelation) -> LinearRelation:
     With ``R = ran(1 - A)``, the extension is
     ``B = {(x + v, y - v) : (x, y) in A, v in R-perp}``; it contains ``A``,
     is m-dissipative, and the construction is idempotent on relations that
-    are already m-dissipative.
+    are already m-dissipative.  ``R`` is the column space of ``U - V`` for
+    the graph-basis blocks, so ``R-perp = null((U - V)^H)``; on a
+    dissipative graph ``||(U - V) c|| >= ||c||``, so that rank is never
+    borderline.
     """
     cert = dissipativity_l2(rel)
     if not cert.dissipative:
         raise NotDissipative(f"Hermitian form witness {cert.witness:.3e} > 0")
-    span_r = rel.shift(1.0).parts.range
-    w = complement(span_r).basis
     u, v = rel.blocks()
+    w = null_basis((u - v).conj().T)
     dt = np.result_type(u.dtype, w.dtype)
     xs = np.hstack([u.astype(dt), w.astype(dt)])
     ys = np.hstack([v.astype(dt), -w.astype(dt)])
-    return LinearRelation.from_pairs(xs, ys, rel.rank_tol)
+    return LinearRelation.from_pairs(xs, ys)
 

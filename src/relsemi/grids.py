@@ -244,8 +244,17 @@ def grid_from_spec(spec: dict) -> Grid:
     return Grid(m, Box(center, half))
 
 
+def check_keys(spec: dict, allowed, where: str):
+    """Raise :class:`ConfigError` naming the first key of ``spec`` not in ``allowed``."""
+    for key in spec:
+        if key not in allowed:
+            raise ConfigError(f"unknown key in {where} (allowed: "
+                              f"{', '.join(sorted(allowed))})", field=key)
+
+
 def mask_from_spec(spec: dict) -> DomainMask:
     """Build a mask from a JSON-style dict: ``{grid, shape(s), ops?, label?}``."""
+    check_keys(spec, ("grid", "shape", "shapes", "ops", "label"), "mask spec")
     grid = grid_from_spec(spec.get("grid", {}))
     shapes = spec.get("shapes", spec.get("shape"))
     if shapes is None:

@@ -179,7 +179,7 @@ class DirichletGridRelation:
             supnorm_contraction(self, lams=(1.0,))
             surjective_solve(self, np.ones(self.state_dim))
             return True
-        except (ContractFailed, SolverBreakdown):
+        except (ContractFailed, NotInResolventSet):
             return False
 
     def resolvent(self, lams, fs):
@@ -541,18 +541,12 @@ def supnorm_contraction(rel: DirichletGridRelation,
 
 
 def surjective_solve(rel: DirichletGridRelation, f):
-    """Solve ``A u ∋ f``: ``u`` vanishes off the mask, stencil matches on it."""
-    f = np.asarray(f)
-    out = np.zeros_like(f, dtype=np.promote_types(f.dtype, float))
-    if rel.n_inside == 0:
-        return out
-    fin = f[rel.omega]
-    sol = rel._shift_lu(0.0)(-fin)
-    res = np.linalg.norm(rel.op @ sol - fin)
-    if res > 1e-10 * max(np.linalg.norm(fin), 1.0):
-        raise SolverBreakdown(f"stencil solve residual {res:.3e}")
-    out[rel.omega] = sol
-    return out
+    """Solve ``A u ∋ f``: ``u`` vanishes off the mask, stencil matches on it.
+
+    This is ``u = R(0)(−f)``, the verified resolvent at 0, so a solve whose
+    backward error is too large raises :class:`NotInResolventSet`.
+    """
+    return rel.resolvent([0.0], -np.asarray(f))[0]
 
 
 # -- eigenvalues ----------------------------------------------------------
@@ -592,38 +586,34 @@ def first_eigenvalue(grid: Grid, flags) -> float:
 # -- 1-D interval helpers --------------------------------------------------
 
 
-def interval_stencil(m: int, length: float = 1.0) -> sp.csr_matrix:
+def interval_stencil(m: int) -> sp.csr_matrix:
+    """The 3-point Dirichlet Laplacian on ``m`` interior nodes of ``(0, 1)``."""
     if m < 1:
         raise InvalidInput("need at least one interior node")
-    h = length / (m + 1)
+    h = 1.0 / (m + 1)
     main = np.full(m, -2.0 / h ** 2)
     off = np.full(m - 1, 1.0 / h ** 2)
     return sp.diags([off, main, off], [-1, 0, 1]).tocsr()
 
 
-def interval_relation(m: int, length: float = 1.0) -> LinearRelation:
+def interval_relation(m: int) -> LinearRelation:
     """Dense operator relation of the interval Laplacian (whole-domain mask)."""
-    return LinearRelation.from_operator(interval_stencil(m, length).toarray())
+    return LinearRelation.from_operator(interval_stencil(m).toarray())
 
 
-def interval_nodes(m: int, length: float = 1.0) -> np.ndarray:
-    h = length / (m + 1)
+def interval_nodes(m: int) -> np.ndarray:
+    h = 1.0 / (m + 1)
     return h * (np.arange(m) + 1)
 
 
-def interval_first_eigenvalue(m: int, length: float = 1.0) -> float:
-    return _smallest_eigenvalue(interval_stencil(m, length))
+def interval_first_eigenvalue(m: int) -> float:
+    return _smallest_eigenvalue(interval_stencil(m))
 
 
-def interval_eigenvalue_closed_form(m: int, length: float = 1.0, k: int = 1) -> float:
-    h = length / (m + 1)
-    return (4.0 / h ** 2) * math.sin(k * math.pi * h / (2.0 * length)) ** 2
-
-
-def interval_solve(m: int, f, length: float = 1.0) -> np.ndarray:
+def interval_solve(m: int, f) -> np.ndarray:
     """1-D counterpart of :func:`surjective_solve` on the full interval."""
     f = np.asarray(f, dtype=float)
-    return _factor(interval_stencil(m, length), 0.0)(-f)
+    return _factor(interval_stencil(m), 0.0)(-f)
 
 
 # -- multiplier perturbations ----------------------------------------------
@@ -836,7 +826,7 @@ def perturbation_experiment(masks, limit_mask: DomainMask, lambda_grid, t_grid,
     for lab in [*labs, lim]:
         contraction[lab.label] = supnorm_contraction(lab, lams=tuple(pos))
     report = trotter_kato_report(labs, lim, lambda_grid, t_grid, f_set=f_set,
-                                 tol=tol, mu=mu, items=items, norm="sup",
+                                 tol=tol, mu=mu, items=items,
                                  labels=tuple(lab.label for lab in labs))
     criterion = domain_convergence_check(masks, limit_mask)
     rng = np.random.default_rng(seed)
@@ -926,9 +916,9 @@ def heat_orbit(rel: DirichletGridRelation, u0, t_grid) -> HeatOrbit:
 # -- experiment mask builders -----------------------------------------------------
 
 
-def disk_mask(grid: Grid, radius: float = 0.7, center=(0.0, 0.0),
-              label: str = "disk") -> DomainMask:
-    return mask_from_shapes(grid, [disk(center, radius)], label=label)
+def disk_mask(grid: Grid, radius: float = 0.7) -> DomainMask:
+    """The disk of ``radius`` about the origin, labelled ``"disk"``."""
+    return mask_from_shapes(grid, [disk((0.0, 0.0), radius)], label="disk")
 
 
 def polygon_family(grid: Grid, radius: float = 0.7, center=(0.0, 0.0),
@@ -965,9 +955,8 @@ def slit_family(grid: Grid, radius: float = 0.7, center=(0.0, 0.0),
     return masks
 
 
-def bump_function(grid: Grid, center=(0.15, -0.1), width: float = 0.2) -> np.ndarray:
-    """Gaussian bump node function normalized to sup-norm one."""
+def bump_function(grid: Grid) -> np.ndarray:
+    """Gaussian bump of width 0.2 about (0.15, −0.1), normalized to sup-norm one."""
     pts = grid.node_coords()
-    vals = np.exp(-((pts[:, 0] - center[0]) ** 2 + (pts[:, 1] - center[1]) ** 2)
-                  / (2.0 * width ** 2))
+    vals = np.exp(-((pts[:, 0] - 0.15) ** 2 + (pts[:, 1] + 0.1) ** 2) / (2.0 * 0.2 ** 2))
     return vals / vals.max()

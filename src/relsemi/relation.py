@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg as spla
 
 from .errors import InvalidInput, NotSurjective
-from .subspace import RANK_TOL, Subspace, null_basis, orth_basis, gap
+from .subspace import Subspace, gap, null_basis, numerical_rank, orth_basis
 
 __all__ = [
     "LinearRelation",
@@ -60,7 +60,7 @@ class LinearRelation:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_pairs(xs, ys, rank_tol: float = RANK_TOL) -> "LinearRelation":
+    def from_pairs(xs, ys) -> "LinearRelation":
         """Span of the pairs ``(xs[:, k], ys[:, k])``."""
         xs = np.atleast_2d(np.asarray(xs))
         ys = np.atleast_2d(np.asarray(ys))
@@ -68,7 +68,7 @@ class LinearRelation:
             raise InvalidInput("input and output blocks must have equal shapes")
         d = xs.shape[0]
         return LinearRelation(
-            d, Subspace.from_spanning(np.vstack([xs, ys]), 2 * d, rank_tol))
+            d, Subspace.from_spanning(np.vstack([xs, ys]), 2 * d))
 
     @staticmethod
     def from_operator(mat) -> "LinearRelation":
@@ -102,10 +102,6 @@ class LinearRelation:
         """Dimension of the graph subspace."""
         return self.graph.dim
 
-    @property
-    def rank_tol(self) -> float:
-        return self.graph.rank_tol
-
     # -- canonical parts ----------------------------------------------------
 
     @cached_property
@@ -115,16 +111,14 @@ class LinearRelation:
         The dimensions obey ``dim(domain) + dim(multivalued) = dim(graph)``
         and ``dim(range) + dim(kernel) = dim(graph)``.
         """
-        d, tol = self.state_dim, self.rank_tol
+        d = self.state_dim
         u, v = self.blocks()
         # blocks of an orthonormal graph basis have scale <= 1, so the rank
         # cutoff is pinned to 1: an all-noise block must read as zero
-        domain = Subspace(d, orth_basis(u, tol, scale_floor=1.0), tol)
-        rng = Subspace(d, orth_basis(v, tol, scale_floor=1.0), tol)
-        kernel = Subspace.from_spanning(
-            u @ null_basis(v, tol, scale_floor=1.0), d, tol)
-        multivalued = Subspace.from_spanning(
-            v @ null_basis(u, tol, scale_floor=1.0), d, tol)
+        domain = Subspace(d, orth_basis(u, scale_floor=1.0))
+        rng = Subspace(d, orth_basis(v, scale_floor=1.0))
+        kernel = Subspace.from_spanning(u @ null_basis(v, scale_floor=1.0), d)
+        multivalued = Subspace.from_spanning(v @ null_basis(u, scale_floor=1.0), d)
         return RelationParts(domain, rng, kernel, multivalued)
 
     def sample_pairs(self, rng: np.random.Generator, count: int):
@@ -142,7 +136,7 @@ class LinearRelation:
         u, v = self.blocks()
         return LinearRelation(
             self.state_dim,
-            Subspace(2 * self.state_dim, np.vstack([v, u]), self.rank_tol))
+            Subspace(2 * self.state_dim, np.vstack([v, u])))
 
     def adjoint(self) -> "LinearRelation":
         """Adjoint relation: the orthogonal complement of the flipped graph.
@@ -153,14 +147,13 @@ class LinearRelation:
         """
         u, v = self.blocks()
         flipped = np.vstack([v, -u])  # orthonormal columns, no re-orth needed
-        basis = null_basis(flipped.conj().T, self.rank_tol)
-        return LinearRelation(
-            self.state_dim, Subspace(2 * self.state_dim, basis, self.rank_tol))
+        basis = null_basis(flipped.conj().T)
+        return LinearRelation(self.state_dim, Subspace(2 * self.state_dim, basis))
 
     def shift(self, lam) -> "LinearRelation":
         """The relation ``lam - A = {(x, lam*x - y)}``."""
         u, v = self.blocks()
-        return LinearRelation.from_pairs(u, lam * u - v, self.rank_tol)
+        return LinearRelation.from_pairs(u, lam * u - v)
 
     def add_operator(self, mat) -> "LinearRelation":
         """The relation ``A + B = {(x, y + B x)}`` for a matrix ``B``."""
@@ -168,17 +161,17 @@ class LinearRelation:
         if mat.shape != (self.state_dim, self.state_dim):
             raise InvalidInput("perturbation matrix has wrong shape")
         u, v = self.blocks()
-        return LinearRelation.from_pairs(u, v + mat @ u, self.rank_tol)
+        return LinearRelation.from_pairs(u, v + mat @ u)
 
     def scale_output(self, mult) -> "LinearRelation":
         """The relation ``{(x, m y) : (x, y) in A}`` for a matrix or scalar ``m``."""
         u, v = self.blocks()
         if np.isscalar(mult):
-            return LinearRelation.from_pairs(u, mult * v, self.rank_tol)
+            return LinearRelation.from_pairs(u, mult * v)
         mult = np.atleast_2d(np.asarray(mult))
         if mult.shape != (self.state_dim, self.state_dim):
             raise InvalidInput("multiplier matrix has wrong shape")
-        return LinearRelation.from_pairs(u, mult @ v, self.rank_tol)
+        return LinearRelation.from_pairs(u, mult @ v)
 
     # -- moduli --------------------------------------------------------------
 
@@ -193,14 +186,14 @@ class LinearRelation:
         if r == 0:
             return math.inf
         uu, us, uvh = np.linalg.svd(u, full_matrices=True)
-        if us.size == 0 or us[0] <= self.rank_tol:
+        ru = numerical_rank(us, scale_floor=1.0)
+        if ru == 0:
             return math.inf  # domain is {0}
-        ru = int(np.sum(us > self.rank_tol * max(us[0], 1.0)))
         w = uvh[:ru].conj().T          # coefficients reaching the domain
         n = uvh[ru:].conj().T          # coefficients of multivalued directions
         vw = v @ w
         if n.shape[1]:
-            qm = orth_basis(v @ n, self.rank_tol, scale_floor=1.0)
+            qm = orth_basis(v @ n, scale_floor=1.0)
             vw = vw - qm @ (qm.conj().T @ vw)
         uw = u @ w
         q, rmat = spla.qr(uw, mode="economic")

@@ -38,6 +38,7 @@ from .spectral import ResolventBlock, resolvent, resolvent_points
 log = logging.getLogger("relsemi")
 
 WELLPOSED_TOL = 1e-8      # largest mild-solution defect of a well-posed verdict
+WELLPOSED_GRID = np.linspace(0.1, 3.0, 10)  # times of wellposedness_check's mild solutions
 SECTOR_SLACK = 1e-8       # slack of sector_verify's norm bound
 SECTOR_BISECTIONS = 40    # certified_sector_angle steps: (pi/2) / 2**40 = 1.4e-12 rad
 
@@ -332,29 +333,25 @@ class WellPosednessVerdict:
     witness: Optional[dict] = None
 
 
-def wellposedness_check(rel: LinearRelation, trial_xs=None,
-                        t_grid=None) -> WellPosednessVerdict:
+def wellposedness_check(rel: LinearRelation) -> WellPosednessVerdict:
     """Decide well-posedness of ``u' in A u`` via the generation machinery.
 
     m-dissipative relations produce unique Lipschitz mild solutions (the
     projected evolution is a linear ODE whose propagator is invertible);
-    the verdict then records the worst membership and Lipschitz defects on
-    the trial set, which must be at most ``WELLPOSED_TOL``.  For
+    the verdict then records the worst membership and Lipschitz defects of
+    the mild solutions from the canonical basis on ``WELLPOSED_GRID``,
+    which must be at most ``WELLPOSED_TOL``.  For
     non-m-dissipative single-valued inputs with a spectral point in the
     open right half-plane, an explicit mild solution violating the
     Lipschitz bound is returned as a witness.
     """
-    if t_grid is None:
-        t_grid = np.linspace(0.1, 3.0, 10)
     try:
         sd = decompose(rel)
     except NotMDissipative as exc:
         return WellPosednessVerdict(False, False, str(exc), math.nan, math.nan,
-                                    _growth_witness(rel, t_grid))
-    if trial_xs is None:
-        trial_xs = np.eye(rel.state_dim, dtype=sd.coord_map.dtype)
-    xs = np.reshape(np.asarray(trial_xs), (-1, rel.state_dim)).T
-    _, residuals, defects = _mild_block(sd, xs, np.asarray(t_grid, dtype=float))
+                                    _growth_witness(rel))
+    xs = np.eye(rel.state_dim, dtype=sd.coord_map.dtype)
+    _, residuals, defects = _mild_block(sd, xs, WELLPOSED_GRID)
     worst_res = float(np.max(residuals, initial=0.0))
     worst_lip = float(np.max(defects, initial=0.0))
     ok = worst_res <= WELLPOSED_TOL and worst_lip <= WELLPOSED_TOL
@@ -362,7 +359,7 @@ def wellposedness_check(rel: LinearRelation, trial_xs=None,
     return WellPosednessVerdict(ok, True, reason, worst_res, worst_lip)
 
 
-def _growth_witness(rel: LinearRelation, t_grid):
+def _growth_witness(rel: LinearRelation):
     """Explicit Lipschitz-violating mild solution, when one is easy to exhibit."""
     parts = rel.parts
     if parts.multivalued.dim or parts.domain.dim != rel.state_dim:
@@ -375,7 +372,7 @@ def _growth_witness(rel: LinearRelation, t_grid):
     if np.real(vals[k]) <= 0:
         return None
     lam, vec = vals[k], vecs[:, k]
-    tmax = float(np.max(t_grid))
+    tmax = float(WELLPOSED_GRID[-1])
     ratio = abs((np.exp(lam * tmax) - 1.0) / lam) / tmax  # ||u(t)|| / (t ||x||)
     return {"eigenvalue": complex(lam), "t": tmax, "lipschitz_ratio": float(ratio)}
 

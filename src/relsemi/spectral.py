@@ -23,7 +23,7 @@ from .errors import (
     NotInResolventSet,
 )
 from .relation import LinearRelation
-from .subspace import Subspace, null_basis
+from .subspace import Subspace, null_basis, numerical_rank
 
 #: Default bound on the verification residual of an accepted sample.
 ACCEPT_TOL = 1e-9
@@ -88,7 +88,7 @@ def _certify(rel: LinearRelation, lams: list, accept_tol: float) -> ResolventBlo
     refusals = [None] * len(lams)
     m = vals[:, None, None] * u - v
     s = np.linalg.svd(m, compute_uv=False)
-    rank = np.sum(s > rel.rank_tol * s[:, :1], axis=1)
+    rank = numerical_rank(s)
     for i in np.flatnonzero(rank < d):
         refusals[i] = NotInResolventSet(
             lams[i], reason=f"rank(lam*U - V) = {rank[i]} < {d}", rank=int(rank[i]))

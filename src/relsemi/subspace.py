@@ -39,37 +39,39 @@ def _as_matrix(vectors, ambient_dim=None):
     return a.astype(np.float64)
 
 
-def orth_basis(a: np.ndarray, rank_tol: float = RANK_TOL,
-               scale_floor: float = 0.0) -> np.ndarray:
-    """Orthonormal basis of the column space, rank decided at ``rank_tol``.
+def numerical_rank(s, scale_floor: float = 0.0):
+    """Numerical rank of descending singular values ``s``, or of a stack of them.
 
-    Singular directions with ``sigma <= rank_tol * max(sigma_max,
-    scale_floor)`` are treated as zero.  The floor matters for inputs whose
-    natural scale is known externally (blocks of an orthonormal basis have
-    scale 1): without it, an all-noise block would count as full rank
-    because every singular value is within ``rank_tol`` of the largest.
+    Counts the singular values ``sigma > RANK_TOL * max(sigma_max,
+    scale_floor)`` along the last axis; that reference is 0 only for
+    all-zero (or empty) ``s``, which has rank 0.  The floor matters for
+    inputs whose natural scale is known externally (blocks of an
+    orthonormal basis have scale 1): without it, an all-noise block would
+    count as full rank because every singular value is within ``RANK_TOL``
+    of the largest.  This is the one rank decision of the package.
+    """
+    s = np.asarray(s)
+    return np.sum(s > RANK_TOL * np.maximum(s[..., :1], scale_floor), axis=-1)
+
+
+def orth_basis(a: np.ndarray, scale_floor: float = 0.0) -> np.ndarray:
+    """Orthonormal basis of the column space, rank by :func:`numerical_rank`.
+
     An all-zero (or empty) input yields a basis with 0 columns.
     """
     if a.shape[1] == 0:
         return a.copy()
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    ref = max(float(s[0]) if s.size else 0.0, scale_floor)
-    if ref == 0.0:
-        return a[:, :0].copy()
-    r = int(np.sum(s > rank_tol * ref))
-    return np.ascontiguousarray(u[:, :r])
+    return np.ascontiguousarray(u[:, :numerical_rank(s, scale_floor)])
 
 
-def null_basis(a: np.ndarray, rank_tol: float = RANK_TOL,
-               scale_floor: float = 0.0) -> np.ndarray:
-    """Orthonormal basis of the nullspace of ``a`` at the given rank cutoff."""
+def null_basis(a: np.ndarray, scale_floor: float = 0.0) -> np.ndarray:
+    """Orthonormal basis of the nullspace of ``a``, rank by :func:`numerical_rank`."""
     m, n = a.shape
     if n == 0:
         return a[:0, :0].reshape(0, 0) if m == 0 else np.zeros((n, 0), dtype=a.dtype)
     u, s, vh = np.linalg.svd(a, full_matrices=True)
-    ref = max(float(s[0]) if s.size else 0.0, scale_floor)
-    r = 0 if ref == 0.0 else int(np.sum(s > rank_tol * ref))
-    return np.ascontiguousarray(vh[r:].conj().T)
+    return np.ascontiguousarray(vh[numerical_rank(s, scale_floor):].conj().T)
 
 
 @dataclass(frozen=True)
@@ -82,13 +84,10 @@ class Subspace:
         Dimension of the surrounding space.
     basis : ndarray, shape (ambient_dim, dim)
         Orthonormal columns spanning the subspace.  ``dim`` may be zero.
-    rank_tol : float
-        Relative cutoff that was used when the basis was extracted.
     """
 
     ambient_dim: int
     basis: np.ndarray
-    rank_tol: float = RANK_TOL
 
     def __post_init__(self):
         b = self.basis
@@ -103,15 +102,15 @@ class Subspace:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_spanning(vectors, ambient_dim=None, rank_tol: float = RANK_TOL) -> "Subspace":
+    def from_spanning(vectors, ambient_dim=None) -> "Subspace":
         """Build the span of the given vectors (columns of a matrix).
 
         Near-dependent directions are dropped by the rank-revealing SVD:
-        spanning sets that agree up to ``rank_tol`` noise produce the same
+        spanning sets that agree up to ``RANK_TOL`` noise produce the same
         subspace.
         """
         a = _as_matrix(vectors, ambient_dim)
-        return Subspace(a.shape[0], orth_basis(a, rank_tol), rank_tol)
+        return Subspace(a.shape[0], orth_basis(a))
 
     @staticmethod
     def zero(ambient_dim: int, field: str = "real") -> "Subspace":
@@ -156,11 +155,15 @@ class Subspace:
             "field": self.field,
             "basis_real": [list(map(float, np.real(b[:, j]))) for j in range(b.shape[1])],
             "basis_imag": [list(map(float, np.imag(b[:, j]))) for j in range(b.shape[1])],
-            "rank_tol": self.rank_tol,
         }
 
     @staticmethod
     def from_json(obj: dict) -> "Subspace":
+        """Inverse of :meth:`to_json`.
+
+        Older files carry a ``rank_tol`` key; it must be ``RANK_TOL``, since
+        any other cutoff would have given other ranks.
+        """
         try:
             m = int(obj["ambient_dim"])
             fieldtag = obj["field"]
@@ -169,13 +172,16 @@ class Subspace:
             rank_tol = float(obj.get("rank_tol", RANK_TOL))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"bad subspace JSON: {exc}") from exc
+        if rank_tol != RANK_TOL:
+            raise InvalidInput(f"rank_tol {rank_tol!r} differs from RANK_TOL = "
+                               f"{RANK_TOL!r}")
         if fieldtag not in ("real", "complex"):
             raise InvalidInput(f"bad field tag {fieldtag!r}")
         cols = np.array(re_cols, dtype=float).reshape(len(re_cols), m).T
         if fieldtag == "complex":
             cols = cols + 1j * np.array(im_cols, dtype=float).reshape(len(im_cols), m).T
         # re-orthonormalize; serialized decimals may carry round-off
-        return Subspace.from_spanning(cols, ambient_dim=m, rank_tol=rank_tol)
+        return Subspace.from_spanning(cols, ambient_dim=m)
 
 
 def promote(s1: Subspace, s2: Subspace):
@@ -183,9 +189,9 @@ def promote(s1: Subspace, s2: Subspace):
     if s1.field == s2.field:
         return s1, s2
     if s1.field == "real":
-        s1 = Subspace(s1.ambient_dim, s1.basis.astype(np.complex128), s1.rank_tol)
+        s1 = Subspace(s1.ambient_dim, s1.basis.astype(np.complex128))
     else:
-        s2 = Subspace(s2.ambient_dim, s2.basis.astype(np.complex128), s2.rank_tol)
+        s2 = Subspace(s2.ambient_dim, s2.basis.astype(np.complex128))
     return s1, s2
 
 
@@ -206,11 +212,10 @@ def intersect(s1: Subspace, s2: Subspace) -> Subspace:
     s1, s2 = promote(s1, s2)
     if s1.dim == 0 or s2.dim == 0:
         return Subspace.zero(s1.ambient_dim, s1.field)
-    tol = min(s1.rank_tol, s2.rank_tol)
     stacked = np.hstack([s1.basis, -s2.basis])
-    n = null_basis(stacked, tol)
+    n = null_basis(stacked)
     vecs = s1.basis @ n[: s1.dim]
-    return Subspace.from_spanning(vecs, s1.ambient_dim, tol) if vecs.shape[1] else \
+    return Subspace.from_spanning(vecs, s1.ambient_dim) if vecs.shape[1] else \
         Subspace.zero(s1.ambient_dim, s1.field)
 
 
@@ -218,16 +223,14 @@ def complement(s: Subspace) -> Subspace:
     """Orthogonal complement (Hermitian pairing for complex fields)."""
     if s.dim == 0:
         return Subspace.full(s.ambient_dim, s.field)
-    return Subspace(s.ambient_dim, null_basis(s.basis.conj().T, s.rank_tol), s.rank_tol)
+    return Subspace(s.ambient_dim, null_basis(s.basis.conj().T))
 
 
 def add(s1: Subspace, s2: Subspace) -> Subspace:
     """Sum of two subspaces (span of the union)."""
     _check_same_ambient(s1, s2)
     s1, s2 = promote(s1, s2)
-    return Subspace.from_spanning(
-        np.hstack([s1.basis, s2.basis]), s1.ambient_dim,
-        min(s1.rank_tol, s2.rank_tol))
+    return Subspace.from_spanning(np.hstack([s1.basis, s2.basis]), s1.ambient_dim)
 
 
 def gap(s1: Subspace, s2: Subspace) -> float:

@@ -416,7 +416,7 @@ def test_criterion_14_holomorphic_convergence(criterion):
     z_grid = np.array([0.2, 0.2 * np.exp(1j * math.pi / 8)])
     heat_rep = holomorphic_convergence_report(
         members, SectorSpec(alpha=math.pi / 4, bound=1.0), eps=0.3,
-        z_grid=z_grid, f_set=f, tol=1.0, limit=limit, norm="sup")
+        z_grid=z_grid, f_set=f, tol=1.0, limit=limit)
     heat_ok = bool(np.all(np.diff(heat_rep.errors) < 0))
     ok = scalar_ok and heat_ok and budget.ok()
     criterion(14, "holomorphic orbits converge on compact sector patches", ok,

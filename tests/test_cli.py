@@ -10,7 +10,7 @@ import pytest
 
 import relsemi
 from relsemi.cli import build_parser, main
-from relsemi.relation import LinearRelation
+from relsemi.relation import LinearRelation, gap_relations
 from relsemi.report import vector_to_json, write_json
 
 
@@ -189,9 +189,8 @@ def test_converge_tk_needs_limit(tmp_path):
     assert main(["converge", "tk", "--family", str(fam)]) == 2
 
 
-def _heat_family_file(tmp_path):
-    fam = tmp_path / "heat.json"
-    fam.write_text(json.dumps({
+def _heat_family_file(tmp_path, **changes):
+    cfg = {
         "grid": {"m": 12},
         "limit": {"shape": {"kind": "disk", "center": [0.0, 0.0], "radius": 0.7},
                   "label": "disk"},
@@ -202,7 +201,9 @@ def _heat_family_file(tmp_path):
         "items": ["i", "ii"],
         "f": ["ones"],
         "samples": 2,
-    }))
+    }
+    fam = tmp_path / "heat.json"
+    fam.write_text(json.dumps({**cfg, **changes}))
     return str(fam)
 
 
@@ -254,6 +255,54 @@ def test_heat_orbit_artifacts(tmp_path, capsys):
     # all-positive grid must fail on a bad time grid
     assert main(["heat", "orbit", "--mask", str(mask),
                  "--grid", "0:0:0", "--out", str(out)]) == 2
+
+
+DISK = {"kind": "disk", "center": [0.0, 0.0], "radius": 0.7}
+
+
+@pytest.mark.parametrize("case", ["tk family", "heat family", "mask", "builder"])
+def test_unknown_config_key_exits_2(case, tmp_path, capsys):
+    out = str(tmp_path / "o")
+    if case == "tk family":
+        fam = _relations_family(tmp_path, (4, 16, 64), tol=0.5)
+        cfg = json.loads(Path(fam).read_text())
+        Path(fam).write_text(json.dumps({**cfg, "lables": [1, 2, 3]}))
+        argv, key = ["converge", "tk", "--family", fam], "lables"
+    elif case == "heat family":
+        fam = _heat_family_file(tmp_path, lambda_grd=[5.0])
+        argv, key = ["heat", "converge", "--family", fam, "--out", out], "lambda_grd"
+    elif case == "mask":
+        mask = tmp_path / "mask.json"
+        mask.write_text(json.dumps({"grid": {"m": 12}, "shape": DISK, "labl": "d"}))
+        argv, key = ["heat", "orbit", "--mask", str(mask), "--out", out], "labl"
+    else:
+        fam = _heat_family_file(tmp_path, builder={"name": "polygons", "sidez": [3, 4]})
+        argv, key = ["heat", "converge", "--family", fam, "--out", out], "sidez"
+    assert main(argv) == 2
+    assert f"config error: {key}: unknown key" in capsys.readouterr().err
+
+
+def test_relation_file_with_rank_tol(tmp_path, capsys):
+    # written by the format that stored each subspace's rank cutoff
+    old = {"state_dim": 2, "field": "real", "graph": {
+        "ambient_dim": 4, "field": "real",
+        "basis_real": [[0.06443649919749901, -0.4285264082721065,
+                        -0.2786997033335523, 0.8570528165442131],
+                       [0.7127713935915146, 0.10717774317888983,
+                        -0.6591825220020701, -0.21435548635777968]],
+        "basis_imag": [[0.0] * 4, [0.0] * 4], "rank_tol": 1e-10}}
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(old))
+    assert main(["rel", "parts", str(path)]) == 0
+    assert "dom=2 ran=2 ker=0 mul=0" in capsys.readouterr().out
+    rel = LinearRelation.from_json(old)
+    assert "rank_tol" not in rel.to_json()["graph"]
+    assert gap_relations(rel, LinearRelation.from_operator(
+        np.array([[-1.0, 0.5], [0.0, -2.0]]))) <= 1e-15
+    old["graph"]["rank_tol"] = 1e-6
+    path.write_text(json.dumps(old))
+    assert main(["rel", "parts", str(path)]) == 2
+    assert "rank_tol" in capsys.readouterr().err
 
 
 def test_heat_out_is_required(tmp_path):

@@ -231,7 +231,7 @@ def test_mu_hypothesis_is_the_limits_certified_resolvent():
     limit._shift_lus[mu] = lambda b: 1.01 * solve(b)
     heat = trotter_kato_report(labs, limit, [1.0], [1.0],
                                f_set=np.ones((grid.n_nodes, 1)), tol=0.5, mu=mu,
-                               items=("iv",), norm="sup")
+                               items=("iv",))
     for rep in (dense, heat):
         hyp = rep.mu_hypothesis
         assert hyp["range_full"] is False and hyp["all_in_resolvent"] is False

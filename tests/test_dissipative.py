@@ -30,7 +30,7 @@ from relsemi.spectral import (
     resolvent,
     resolvent_points,
 )
-from relsemi.subspace import Subspace, intersect
+from relsemi.subspace import Subspace, complement, intersect
 
 
 def graph_of(mat):
@@ -161,6 +161,25 @@ def test_extension_contains_original(rng):
         ext = maximal_dissipative_extension(rel)
         common = intersect(rel.graph, ext.graph)
         assert common.dim == rel.dim  # A is a sub-relation of its extension
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 12),
+       field=st.sampled_from(["real", "complex"]),
+       kind=st.sampled_from(["m", "nonmaximal", "surjective"]))
+def test_extension_complement_matches_shifted_parts(seed, d, field, kind):
+    # oracle: ran(1 - A)-perp from the range part of the shifted relation
+    # 1 - A, the construction the extension used before reading U - V
+    rng = np.random.default_rng(seed)
+    rel = {"m": random_m_dissipative, "nonmaximal": random_dissipative_nonmaximal,
+           "surjective": random_dissipative_surjective}[kind](rng, d, field)
+    u, v = rel.blocks()
+    assert np.linalg.svd(u - v, compute_uv=False).min(initial=math.inf) >= 1 - 1e-12
+    w = complement(rel.shift(1.0).parts.range).basis
+    oracle = LinearRelation.from_pairs(np.hstack([u, w]), np.hstack([v, -w]))
+    ext = maximal_dissipative_extension(rel)
+    assert ext.dim == oracle.dim
+    assert gap_relations(ext, oracle) <= 1e-12
 
 
 def test_extension_rejects_non_dissipative():

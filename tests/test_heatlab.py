@@ -21,7 +21,6 @@ from relsemi.heatlab import (
     domain_convergence_check,
     first_eigenvalue,
     heat_orbit,
-    interval_eigenvalue_closed_form,
     interval_first_eigenvalue,
     interval_nodes,
     interval_relation,
@@ -66,7 +65,6 @@ def test_interval_eigenvalue_closed_form():
         h = 1.0 / (m + 1)
         want = 4.0 / h ** 2 * math.sin(math.pi * h / 2.0) ** 2
         assert abs(got - want) < 1e-8 * want
-        assert abs(interval_eigenvalue_closed_form(m) - want) < 1e-12 * want
 
 
 def test_interval_solve_parabola():
@@ -117,7 +115,7 @@ def test_dense_sparse_semigroup_agree(small_disk):
         sparse_u = rel.semigroup([t], f)[0]
         dense_u = semigroup_at(sd, t) @ f
         assert np.max(np.abs(sparse_u - dense_u)) < 1e-9
-    dense = DenseEvaluator(rel.dense_relation(), "sup")
+    dense = DenseEvaluator(rel.dense_relation())
     ts = np.array([0.0, 0.05, 0.4])
     assert np.max(rel.vec_norm(rel.integrated(ts, f) - dense.integrated(ts, f))) < 1e-9
     zs = np.array([0.0, 0.05 + 0.02j, 0.4 - 0.3j])
@@ -240,6 +238,16 @@ def test_surjective_solve(small_disk):
     off = np.ones(rel.state_dim, dtype=bool)
     off[rel.omega] = False
     assert np.max(np.abs(u[off]), initial=0.0) == 0.0
+
+
+def test_surjective_solve_is_the_verified_resolvent_at_zero():
+    rel = DirichletGridRelation(disk_mask(Grid(9), 0.6))
+    solve = rel._shift_lu(0.0)
+    rel._shift_lus[0j] = lambda b: 1.01 * solve(b)  # a corrupted factor
+    with pytest.raises(NotInResolventSet) as info:
+        surjective_solve(rel, np.ones(rel.state_dim))
+    assert info.value.residual > ACCEPT_TOL
+    assert not rel.m_dissipative_ok()
 
 
 def test_first_eigenvalue_block_closed_form():

@@ -24,6 +24,7 @@ from relsemi.spectral import (
     resolvent_points,
     resolvent_set_scan,
 )
+from relsemi.subspace import RANK_TOL
 
 try:  # the module whose ``svd`` numpy.linalg.norm calls
     _linalg = importlib.import_module("numpy.linalg._linalg")
@@ -45,7 +46,7 @@ def _reference(rel, lam, accept_tol=ACCEPT_TOL):
             rank=None)
     m = lam * u - v
     s = np.linalg.svd(m, compute_uv=False)
-    rank = 0 if (s.size == 0 or s[0] == 0.0) else int(np.sum(s > rel.rank_tol * s[0]))
+    rank = 0 if (s.size == 0 or s[0] == 0.0) else int(np.sum(s > RANK_TOL * s[0]))
     if rank < d:
         raise NotInResolventSet(
             lam, reason=f"rank(lam*U - V) = {rank} < {d}", rank=rank)

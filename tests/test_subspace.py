@@ -4,7 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relsemi.errors import InvalidInput
-from relsemi.subspace import Subspace, add, complement, gap, intersect
+from relsemi.subspace import (
+    RANK_TOL,
+    Subspace,
+    add,
+    complement,
+    gap,
+    intersect,
+    numerical_rank,
+)
 
 
 def test_from_spanning_drops_dependent_columns():
@@ -116,3 +124,48 @@ def test_json_real_has_zero_imag_block(rng):
     blob = s.to_json()
     assert all(v == 0.0 for col in blob["basis_imag"] for v in col)
     assert blob["field"] == "real"
+
+
+# the three spellings of the rank cutoff that numerical_rank replaced
+def _basis_spelling(s, floor):  # orth_basis and null_basis
+    ref = max(float(s[0]) if s.size else 0.0, floor)
+    return 0 if ref == 0.0 else int(np.sum(s > RANK_TOL * ref))
+
+
+def _injectivity_spelling(us):  # LinearRelation.injectivity_modulus
+    if us.size == 0 or us[0] <= RANK_TOL:
+        return 0  # the early return: domain is {0}
+    return int(np.sum(us > RANK_TOL * max(us[0], 1.0)))
+
+
+def _certify_spelling(s):  # spectral._certify, one row per lam
+    return np.sum(s > RANK_TOL * s[:, :1], axis=1)
+
+
+NEAR = 1 + 1e-6
+
+
+@st.composite
+def singular_value_stacks(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(0, 6))
+    stack = np.zeros((rows, cols))
+    for i in range(rows):
+        top = draw(st.sampled_from([0.0, 1e-12, RANK_TOL, 0.3, 1.0, 7.0, 1e5]))
+        rel_cut, abs_cut = RANK_TOL * top, RANK_TOL
+        pool = st.sampled_from([0.0, rel_cut / NEAR, rel_cut, rel_cut * NEAR,
+                                abs_cut / NEAR, abs_cut, abs_cut * NEAR])
+        rest = draw(st.lists(pool | st.floats(0.0, 1.0).map(lambda x: x * top),
+                             min_size=max(cols - 1, 0), max_size=max(cols - 1, 0)))
+        if cols:
+            stack[i] = sorted([top] + [min(v, top) for v in rest], reverse=True)
+    return stack
+
+
+@settings(max_examples=300, deadline=None)
+@given(stack=singular_value_stacks())
+def test_numerical_rank_matches_the_replaced_spellings(stack):
+    assert np.array_equal(numerical_rank(stack), _certify_spelling(stack))
+    for row, r0, r1 in zip(stack, numerical_rank(stack), numerical_rank(stack, 1.0)):
+        assert numerical_rank(row) == r0 == _basis_spelling(row, 0.0)
+        assert numerical_rank(row, 1.0) == r1 == _basis_spelling(row, 1.0)
+        assert r1 == _injectivity_spelling(row)
