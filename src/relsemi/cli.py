@@ -26,7 +26,7 @@ from .converge import (
 )
 from .dissipative import dissipativity_l2, dissipativity_sampled
 from .errors import ConfigError, InconsistentEquivalence, InvalidInput, RelsemiError
-from .grids import check_keys, grid_from_spec, mask_from_spec
+from .grids import check_keys, grid_from_spec, mask_from_spec, require_object
 from .relation import LinearRelation
 from .report import (
     render_csv,
@@ -249,11 +249,14 @@ def _heat_family(cfg):
     grid = grid_from_spec(cfg.get("grid", {}))
     if "limit" not in cfg:
         raise ConfigError("heat family needs a 'limit' mask", field="limit")
-    limit = mask_from_spec({"grid": cfg["grid"], **cfg["limit"]})
+    limit = mask_from_spec({"grid": cfg["grid"], **require_object(cfg["limit"], "limit")})
     if "members" in cfg:
-        masks = [mask_from_spec({"grid": cfg["grid"], **m}) for m in cfg["members"]]
+        if not isinstance(cfg["members"], list):
+            raise ConfigError("not a JSON array", field="members")
+        masks = [mask_from_spec({"grid": cfg["grid"], **require_object(m, "members")})
+                 for m in cfg["members"]]
     elif "builder" in cfg:
-        b = dict(cfg["builder"])
+        b = dict(require_object(cfg["builder"], "builder"))
         name = b.pop("name", None)
         if not isinstance(name, str) or name not in BUILDERS:
             raise ConfigError(f"unknown builder {name!r}", field="builder.name")

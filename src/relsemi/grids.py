@@ -99,9 +99,18 @@ def inscribed_polygon(center, radius, sides: int, phase: float = 0.0) -> dict:
     return polygon(verts)
 
 
+# the keys each shape kind carries; any other key is a configuration error
+SHAPE_KEYS = {"disk": ("kind", "center", "radius"), "polygon": ("kind", "vertices"),
+              "halfplane": ("kind", "point", "normal"),
+              "slit": ("kind", "p0", "p1", "width")}
+
+
 def shape_contains(shape: dict, pts: np.ndarray) -> np.ndarray:
     """Vectorized inside test for one shape spec on an (n, 2) point array."""
-    kind = shape.get("kind")
+    kind = require_object(shape, "shape").get("kind")
+    if kind not in SHAPE_KEYS:
+        raise ConfigError(f"unknown shape kind {kind!r}", field="shape.kind")
+    check_keys(shape, SHAPE_KEYS[kind], f"{kind} shape")
     x, y = pts[:, 0], pts[:, 1]
     if kind == "disk":
         cx, cy = shape["center"]
@@ -112,11 +121,9 @@ def shape_contains(shape: dict, pts: np.ndarray) -> np.ndarray:
         px, py = shape["point"]
         nx, ny = shape["normal"]
         return (x - px) * nx + (y - py) * ny < 0.0
-    if kind == "slit":
-        p0 = np.asarray(shape["p0"], dtype=float)
-        p1 = np.asarray(shape["p1"], dtype=float)
-        return _segment_distance(pts, p0, p1) <= shape["width"] / 2.0
-    raise ConfigError(f"unknown shape kind {kind!r}", field="shape.kind")
+    p0 = np.asarray(shape["p0"], dtype=float)
+    p1 = np.asarray(shape["p1"], dtype=float)
+    return _segment_distance(pts, p0, p1) <= shape["width"] / 2.0
 
 
 def _polygon_contains(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -234,9 +241,12 @@ def mask_from_shapes(grid: Grid, shapes, ops=None, label: str = "") -> DomainMas
 
 
 def grid_from_spec(spec: dict) -> Grid:
+    """Build a grid from a JSON-style dict: ``{m, box?: {center?, half_width?}}``."""
+    check_keys(spec, ("m", "box"), "grid spec")
+    box = spec.get("box", {})
+    check_keys(box, ("center", "half_width"), "grid box")
     try:
         m = int(spec["m"])
-        box = spec.get("box", {})
         center = tuple(box.get("center", (0.0, 0.0)))
         half = float(box.get("half_width", 1.0))
     except (KeyError, TypeError, ValueError) as exc:
@@ -244,9 +254,19 @@ def grid_from_spec(spec: dict) -> Grid:
     return Grid(m, Box(center, half))
 
 
+def require_object(value, where: str) -> dict:
+    """``value`` itself if it is a dict (a JSON object), else :class:`ConfigError`."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"not a JSON object (got {type(value).__name__})", field=where)
+    return value
+
+
 def check_keys(spec: dict, allowed, where: str):
-    """Raise :class:`ConfigError` naming the first key of ``spec`` not in ``allowed``."""
-    for key in spec:
+    """Raise :class:`ConfigError` naming the first key of ``spec`` not in ``allowed``.
+
+    A ``spec`` that is not an object is refused too.
+    """
+    for key in require_object(spec, where):
         if key not in allowed:
             raise ConfigError(f"unknown key in {where} (allowed: "
                               f"{', '.join(sorted(allowed))})", field=key)

@@ -13,8 +13,8 @@ The relation is an evaluator in the sense of :mod:`relsemi.converge`: its
 shifts or times.  Every semigroup action — ``T(t)``, ``T(z)`` and ``S(t)``
 on a whole grid — goes through one kernel, :meth:`DirichletGridRelation._exp_action`:
 a shift-and-invert Arnoldi basis of ``(I − γL)⁻¹`` (van den Eshof &
-Hochbruck, 2006) built on one cached sparse factorization per sweep, with
-all requested times evaluated from that basis.  Its convergence does not
+Hochbruck, 2006) built on one sparse factorization per call, with all
+requested times evaluated from that basis.  Its convergence does not
 depend on ``‖L‖ ~ h⁻²``, and it stops on the a-posteriori residual bound of
 Botchev, Grimm & Hochbruck (2013).
 
@@ -22,10 +22,11 @@ Every solve in the lab — resolvents, ``S(t) = L⁻¹(T(t) − I)``, the
 Krylov shift, the contraction certificate, the graph-distance system
 ``[[I, Lᵀ], [L, −I]]``, the inverse-power eigenvalue and the interval
 solve — goes through one sparse factorization of ``σI − op``,
-:func:`_factor`; only the relation's shift cache and its graph-distance
-factor keep factors alive.  Every resolvent column is verified by its
-backward error.  The sector certificate makes no solve: it reads the
-signs of ``op`` alone.
+:func:`_factor`.  No factor outlives the call that made it: each serves
+every column and time of that call and is dropped on return, so a mask
+family holds no factors between evaluations.  Every resolvent column is
+verified by its backward error.  The sector certificate makes no solve:
+it reads the signs of ``op`` alone.
 
 Operator norms are sup-norms throughout (max absolute row sums), matching
 the contraction and maximum-principle structure of the M-matrix stencil:
@@ -67,6 +68,7 @@ MULTIPLIER_MIN = 1e-8      # smallest |m| a multiplier may take on the mask
 CRITERION_MARGINS = (1, 2, 3)  # node rings of domain_convergence_check's interiors
 CONTRACTION_TOL = 1e-12    # slack of supnorm_contraction's bound ‖λR(λ)‖∞ ≤ 1
 FD_DELTA = 1e-3            # step of heat_orbit's finite-difference membership check
+ARGMAX_COLUMNS = 16        # sample columns per argmax copy in max_principle_check
 GAUSS8 = np.polynomial.legendre.leggauss(8)  # panel rule of _residual_integral on [-1, 1]
 
 
@@ -75,6 +77,7 @@ def _factor(op, sigma):
 
     Returns ``solve(b)`` over one sparse LU factorization.  A real ``σ``
     gives a real factor, which takes a complex ``b`` as two real solves.
+    Each factorization logs one debug line with its size and fill.
     """
     sigma = complex(sigma)
     real = sigma.imag == 0.0
@@ -82,6 +85,8 @@ def _factor(op, sigma):
     mat = (sigma.real if real else sigma) * sp.identity(
         op.shape[0], dtype=dt, format="csc") - op.astype(dt)
     lu = spl.splu(mat.tocsc())
+    log.debug("factor n=%d sigma=%s nnz=%d", op.shape[0],
+              sigma.real if real else sigma, lu.nnz)
 
     def solve(b):
         if real and np.iscomplexobj(b):
@@ -151,8 +156,6 @@ class DirichletGridRelation:
         if self.op.shape != (self.omega.size, self.omega.size):
             raise InvalidInput("operator block does not match the mask")
         self.label = label if label is not None else (mask.label or "mask")
-        self._shift_lus = {}
-        self._dist_lu = None
         self._integrated_memo = None
 
     # -- plumbing ---------------------------------------------------------
@@ -160,13 +163,6 @@ class DirichletGridRelation:
     @property
     def n_inside(self) -> int:
         return self.omega.size
-
-    def _shift_lu(self, lam):
-        """The cached :func:`_factor` solve with ``λ − L``."""
-        key = complex(lam)
-        if key not in self._shift_lus:
-            self._shift_lus[key] = _factor(self.op, key)
-        return self._shift_lus[key]
 
     # -- evaluator protocol -------------------------------------------------
 
@@ -183,11 +179,13 @@ class DirichletGridRelation:
             return False
 
     def resolvent(self, lams, fs):
-        """``R(λ) F`` for every shift in ``lams``, one cached factor each.
+        """``R(λ) F`` for every shift in ``lams``, one factor each.
 
-        Off the mask ``f`` is absorbed by the multivalued part, so only the
-        masked block is solved.  Every column is verified: its backward
-        error ``‖λx − Lx − f‖∞ / (‖f‖∞ + (|λ| + ‖L‖∞)‖x‖∞)`` on the mask
+        Each factor solves every column of ``F`` and is dropped before the
+        next shift is factored.  Off the mask ``f`` is absorbed by the
+        multivalued part, so only the masked block is solved.  Every column
+        is verified: its backward error
+        ``‖λx − Lx − f‖∞ / (‖f‖∞ + (|λ| + ‖L‖∞)‖x‖∞)`` on the mask
         must be at most ``spectral.ACCEPT_TOL``, else
         :class:`NotInResolventSet` is raised with ``residual`` set.
         """
@@ -199,7 +197,7 @@ class DirichletGridRelation:
             bnorm = self.vec_norm(b)
             opnorm = float(np.max(np.asarray(abs(self.op).sum(axis=1)), initial=0.0))
             for k, lam in enumerate(lams):
-                x = self._shift_lu(lam)(b)
+                x = _factor(self.op, lam)(b)
                 scale = bnorm + (abs(lam) + opnorm) * self.vec_norm(x)
                 err = self.vec_norm(lam * x - self.op @ x - b) \
                     / np.maximum(scale, np.finfo(float).tiny)
@@ -251,7 +249,7 @@ class DirichletGridRelation:
         out = np.zeros((ts.size,) + fs.shape, dtype=w.dtype)
         if self.n_inside:
             cols = np.moveaxis(w, 0, -1).reshape(self.n_inside, -1)
-            sol = self._shift_lu(0.0)(cols)
+            sol = _factor(self.op, 0.0)(cols)
             out[:, self.omega] = np.moveaxis(sol.reshape(w.shape[1:] + (ts.size,)),
                                              -1, 0)
         out.setflags(write=False)
@@ -266,14 +264,15 @@ class DirichletGridRelation:
         Times are real ``t ≥ 0`` or complex ``z`` with ``Re z ≥ 0``; ``b`` is
         ``(n,)`` or ``(n, c)`` and the result is ``(len(times),) + b.shape``.
         Each column gets one shift-and-invert Arnoldi basis of
-        ``(I − γL)⁻¹`` with ``γ = max|t| / 10``, built on the cached
-        factorization of ``γ⁻¹ − L``; every time is then evaluated from it
-        as ``β V_k exp(t T_k) e₁``, ``T_k = (I − H_k⁻¹)/γ``.  The basis
-        grows until the a-posteriori bound ``e^{t μ∞(L)} ∫₀ᵗ ‖r_k(s)‖∞ ds``
-        on the error of the largest time is at most ``EXP_TOL·‖b‖∞``
-        (``r_k`` is the residual of the ODE ``u' = L u``; for complex ``z``
-        the integral runs along ``[0, z]`` and is an estimate).  Raises
-        :class:`SolverBreakdown` when ``max_basis`` vectors do not suffice.
+        ``(I − γL)⁻¹`` with ``γ = max|t| / 10``, built on one factorization
+        of ``γ⁻¹ − L`` that serves every column and is dropped on return;
+        every time is then evaluated from it as ``β V_k exp(t T_k) e₁``,
+        ``T_k = (I − H_k⁻¹)/γ``.  The basis grows until the a-posteriori
+        bound ``e^{t μ∞(L)} ∫₀ᵗ ‖r_k(s)‖∞ ds`` on the error of the largest
+        time is at most ``EXP_TOL·‖b‖∞`` (``r_k`` is the residual of the ODE
+        ``u' = L u``; for complex ``z`` the integral runs along ``[0, z]``
+        and is an estimate).  Raises :class:`SolverBreakdown` when
+        ``max_basis`` vectors do not suffice.
         """
         times = np.atleast_1d(np.asarray(times))
         if times.ndim != 1 or np.any(times.real < 0):
@@ -290,8 +289,7 @@ class DirichletGridRelation:
         if np.iscomplexobj(cols):
             cols = np.hstack([cols.real, cols.imag])  # the operator is real
         gamma = tmax / 10.0
-        hit = complex(1.0 / gamma) in self._shift_lus
-        solve = self._shift_lu(1.0 / gamma)
+        solve = _factor(self.op, 1.0 / gamma)
         diag = self.op.diagonal()
         mu = float(np.max(diag + np.asarray(abs(self.op).sum(axis=1)).ravel()
                           - np.abs(diag)))
@@ -306,48 +304,58 @@ class DirichletGridRelation:
             half = vals.shape[2] // 2
             vals = vals[:, :, :half] + 1j * vals[:, :, half:]
         out[...] = vals.reshape(out.shape)
-        log.debug("exp_action n=%d cols=%d gamma=%.4g basis=%d bound=%.3e lu=%s",
-                  n, len(sizes), gamma, max(sizes, default=0), max(bounds, default=0.0),
-                  "hit" if hit else "miss")
+        log.debug("exp_action n=%d cols=%d gamma=%.4g basis=%d bound=%.3e",
+                  n, len(sizes), gamma, max(sizes, default=0), max(bounds, default=0.0))
         return out
 
     # -- graph geometry -----------------------------------------------------
 
-    def _nearest_coeff(self, u, f):
-        """The nearest graph point's ``a``: ``(I + LᵀL) a = u + Lᵀf`` on the mask.
+    def _nearest_coeff(self):
+        """``coeff(u, f)``: the nearest graph point's ``a`` on the mask.
 
-        It is solved as ``[[I, Lᵀ], [L, −I]] [a; La − f] = [u; f]``, whose
-        condition grows like ``‖L‖``, not like the Gram matrix's ``‖L‖²``.
+        ``a`` solves ``(I + LᵀL) a = u + Lᵀf``, here as ``[[I, Lᵀ], [L, −I]]
+        [a; La − f] = [u; f]``, whose condition grows like ``‖L‖``, not like
+        the Gram matrix's ``‖L‖²``.  The returned function holds the one
+        factor of that system; it takes 1-D ``u`` and ``f``.
         """
-        if self._dist_lu is None:  # kept for reuse
-            eye = sp.identity(self.n_inside, format="csr")
-            self._dist_lu = _factor(sp.bmat([[-eye, -self.op.T], [-self.op, eye]]), 0.0)
-        rhs = np.concatenate([np.asarray(u)[self.omega], np.asarray(f)[self.omega]])
-        return self._dist_lu(rhs)[:self.n_inside]
+        n = self.n_inside
+        eye = sp.identity(n, format="csr")
+        solve = _factor(sp.bmat([[-eye, -self.op.T], [-self.op, eye]]), 0.0)
+        return lambda u, f: solve(np.concatenate([u[self.omega], f[self.omega]]))[:n]
 
-    def graph_distance(self, u, f) -> float:
-        """Euclidean distance from the pair ``(u, f)`` to the graph."""
+    def graph_distance(self, u, f):
+        """Euclidean distance from the pair ``(u, f)`` to the graph.
+
+        ``u`` and ``f`` are ``(N,)`` states, which give a float, or ``(N, s)``
+        blocks, which give one distance per column from one factor.  Each
+        column is solved and measured as a contiguous 1-D state, so it
+        matches the ``(N,)`` call to the last bit.
+        """
         u = np.asarray(u)
         f = np.asarray(f)
-        off = np.delete(u, self.omega)
-        if self.n_inside == 0:
-            return float(np.linalg.norm(u))
-        a = self._nearest_coeff(u, f)
-        du = a - u[self.omega]
-        df = self.op @ a - f[self.omega]
-        return float(math.sqrt(np.linalg.norm(off) ** 2
-                               + np.linalg.norm(du) ** 2
-                               + np.linalg.norm(df) ** 2))
+        ub, fb = (u[:, None], f[:, None]) if u.ndim == 1 else (u, f)
+        dists = np.empty(ub.shape[1])
+        coeff = self._nearest_coeff() if self.n_inside and dists.size else None
+        for j in range(dists.size):
+            uj, fj = np.ascontiguousarray(ub[:, j]), np.ascontiguousarray(fb[:, j])
+            dists[j] = np.linalg.norm(np.delete(uj, self.omega))
+            if coeff is not None:
+                a = coeff(uj, fj)
+                du = a - uj[self.omega]
+                df = self.op @ a - fj[self.omega]
+                dists[j] = math.sqrt(dists[j] ** 2 + np.linalg.norm(du) ** 2
+                                     + np.linalg.norm(df) ** 2)
+        return float(dists[0]) if u.ndim == 1 else dists
 
     def nearest_pair(self, u, f):
-        """Orthogonal projection of ``(u, f)`` onto the graph."""
+        """Orthogonal projection of ``(u, f)`` onto the graph (one factor)."""
         dt = np.result_type(u, f, float)
         u = np.asarray(u, dtype=dt)
         f = np.asarray(f, dtype=dt)
         ustar = np.zeros_like(u)
         fstar = f.copy()
         if self.n_inside:
-            a = self._nearest_coeff(u, f)
+            a = self._nearest_coeff()(u, f)
             ustar[self.omega] = a
             fstar[self.omega] = self.op @ a
         return ustar, fstar
@@ -501,12 +509,15 @@ def supnorm_contraction(rel: DirichletGridRelation,
                         lams=(0.1, 1.0, 10.0)) -> ContractionCertificate:
     """Certify ``‖λR(λ)‖_∞ ≤ 1 + CONTRACTION_TOL`` on a positive λ-grid.
 
-    One solve per λ: ``x = (λ − L)⁻¹ 1``.  When ``λ − L`` is a Z-matrix
-    (off-diagonal entries of ``L`` ≥ 0, checked exactly) and ``x > 0``, it
-    is a nonsingular M-matrix (Berman & Plemmons, ch. 6), so ``R(λ) ≥ 0``
-    entrywise and ``x`` holds the exact row sums of ``|R(λ)|``.  A λ ≤ 0
-    raises :class:`InvalidInput`; a failed premise or a violated bound
-    raises :class:`ContractFailed` with the offending row.
+    One solve per λ: ``x = (λ − L)⁻¹ 1``, read on the mask from the
+    verified :meth:`DirichletGridRelation.resolvent`, so a solve that fails
+    its backward-error check raises :class:`NotInResolventSet`.  When
+    ``λ − L`` is a Z-matrix (off-diagonal entries of ``L`` ≥ 0, checked
+    exactly) and ``x > 0``, it is a nonsingular M-matrix (Berman &
+    Plemmons, ch. 6), so ``R(λ) ≥ 0`` entrywise and ``x`` holds the exact
+    row sums of ``|R(λ)|``.  A λ ≤ 0 raises :class:`InvalidInput`; a failed
+    premise or a violated bound raises :class:`ContractFailed` with the
+    offending row.
     ``resolvent_min`` records the smallest row sum, the positivity margin.
     """
     lams = tuple(float(lam) for lam in lams)
@@ -515,15 +526,12 @@ def supnorm_contraction(rel: DirichletGridRelation,
     norms = []
     min_entry = math.inf
     method = "empty"
-    n = rel.n_inside
-    if n == 0:
+    if rel.n_inside == 0:
         return ContractionCertificate(lams, (0.0,) * len(lams), method, min_entry,
                                       CONTRACTION_TOL, True)
     _summed_nonnegative_offdiag(rel)  # the off-diagonal part of λ − L is that of −L
-    for lam in lams:
-        # factored here, not in the relation's cache: one solve per λ does
-        # not pay for keeping the factor alive with the relation
-        rowsums = _factor(rel.op, lam)(np.ones(n))
+    sums = rel.resolvent(lams, np.ones(rel.state_dim))[:, rel.omega]
+    for lam, rowsums in zip(lams, sums):
         low = int(np.argmin(rowsums))
         if not rowsums[low] > 0.0:
             raise ContractFailed("shifted operator is not a nonsingular M-matrix: "
@@ -680,14 +688,23 @@ def max_principle_check(rel: DirichletGridRelation, samples: int = 500,
     us = rng.standard_normal((rel.n_inside, samples))
     # u vanishes off the mask, so a positive max lies on it; omega is sorted,
     # so the first maximal row is the lowest flat index.  argmax over axis 0
-    # copies the block, so it runs before fs exists.
-    top = np.argmax(us, axis=0)
-    cols = np.arange(samples)
-    used = us[top, cols] > 0
-    fs = rel.op @ us
-    slack = float(np.min(-fs[top, cols][used], initial=math.inf))
-    count = int(np.count_nonzero(used))
-    return MaxPrincipleReport(count, samples - count, slack)
+    # copies the columns it reduces, so it takes a few at a time.
+    top = np.empty(samples, dtype=np.intp)
+    for j in range(0, samples, ARGMAX_COLUMNS):
+        top[j:j + ARGMAX_COLUMNS] = np.argmax(us[:, j:j + ARGMAX_COLUMNS], axis=0)
+    cols = np.flatnonzero(us[top, np.arange(samples)] > 0)
+    # f = Lu at the sup node only: that CSR row of L against the sample,
+    # summed in CSR order as the product L @ u sums it
+    op = rel.op
+    start = op.indptr[top[cols]]
+    width = op.indptr[top[cols] + 1] - start
+    fs = np.zeros(cols.size)
+    for k in range(int(np.max(width, initial=0))):
+        has = np.flatnonzero(width > k)
+        at = start[has] + k
+        fs[has] += op.data[at] * us[op.indices[at], cols[has]]
+    slack = float(np.min(-fs, initial=math.inf))
+    return MaxPrincipleReport(cols.size, samples - cols.size, slack)
 
 
 # -- sector uniformity --------------------------------------------------------
@@ -836,8 +853,7 @@ def perturbation_experiment(masks, limit_mask: DomainMask, lambda_grid, t_grid,
         u = lim.resolvent([1.0], g)[0]
         f = u - g  # (u, f) lies on the limit graph: u - f = g = (1 - A)u
         for k, lab in enumerate(labs):
-            dists[k] = [lab.graph_distance(u[:, s], f[:, s])
-                        for s in range(samples)]
+            dists[k] = lab.graph_distance(u, f)
     off = ~limit_mask.values
     f_set = np.atleast_2d(np.asarray(f_set))
     off_sup = np.zeros(len(labs))
@@ -901,10 +917,10 @@ def heat_orbit(rel: DirichletGridRelation, u0, t_grid) -> HeatOrbit:
     off_mask = np.ones(rel.state_dim, dtype=bool)
     off_mask[rel.omega] = False
     off_domain_max = float(np.max(np.abs(states[:, off_mask]), initial=0.0))
-    residuals = []
-    for u_tau, up, dn, up2, dn2 in traj[t_grid.size + 1:].reshape(-1, 5, rel.state_dim):
-        dudt = (4.0 * (up2 - dn2) / FD_DELTA - (up - dn) / (2 * FD_DELTA)) / 3.0
-        residuals.append(rel.graph_distance(u_tau, dudt))
+    u_tau, up, dn, up2, dn2 = np.moveaxis(
+        traj[t_grid.size + 1:].reshape(-1, 5, rel.state_dim), 0, -1)
+    dudt = (4.0 * (up2 - dn2) / FD_DELTA - (up - dn) / (2 * FD_DELTA)) / 3.0
+    residuals = rel.graph_distance(u_tau, dudt).tolist()
     denom = max(float(np.max(np.abs(pu0), initial=0.0)), 1e-300)
     sup_ratio = float(np.max(np.abs(states), initial=0.0)) / denom
     decreasing = bool(np.all(states[1:] <= states[:-1] + 1e-12))

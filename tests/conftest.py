@@ -56,3 +56,22 @@ def m_dissipative_battery():
     from relsemi.sampling import random_m_dissipative
     return _battery(99, 30, range(1, 7), ("real", "complex"),
                     random_m_dissipative)
+
+
+@pytest.fixture
+def corrupt_factor(monkeypatch):
+    """``corrupt(sigma)`` makes ``heatlab._factor`` solve 1 % wrong at that shift."""
+    from relsemi import heatlab
+
+    def corrupt(sigma):
+        factor = heatlab._factor
+
+        def corrupted(op, s):
+            solve = factor(op, s)
+            if complex(s) != complex(sigma):
+                return solve
+            return lambda b: 1.01 * solve(b)
+
+        monkeypatch.setattr(heatlab, "_factor", corrupted)
+
+    return corrupt

@@ -260,7 +260,8 @@ def test_heat_orbit_artifacts(tmp_path, capsys):
 DISK = {"kind": "disk", "center": [0.0, 0.0], "radius": 0.7}
 
 
-@pytest.mark.parametrize("case", ["tk family", "heat family", "mask", "builder"])
+@pytest.mark.parametrize("case", ["tk family", "heat family", "mask", "builder",
+                                  "grid", "shape"])
 def test_unknown_config_key_exits_2(case, tmp_path, capsys):
     out = str(tmp_path / "o")
     if case == "tk family":
@@ -275,11 +276,29 @@ def test_unknown_config_key_exits_2(case, tmp_path, capsys):
         mask = tmp_path / "mask.json"
         mask.write_text(json.dumps({"grid": {"m": 12}, "shape": DISK, "labl": "d"}))
         argv, key = ["heat", "orbit", "--mask", str(mask), "--out", out], "labl"
-    else:
+    elif case == "builder":
         fam = _heat_family_file(tmp_path, builder={"name": "polygons", "sidez": [3, 4]})
         argv, key = ["heat", "converge", "--family", fam, "--out", out], "sidez"
+    elif case == "grid":
+        fam = _heat_family_file(tmp_path, grid={"m": 12, "boxx": 3})
+        argv, key = ["heat", "converge", "--family", fam, "--out", out], "boxx"
+    else:
+        mask = tmp_path / "mask.json"
+        mask.write_text(json.dumps({"grid": {"m": 12},
+                                    "shape": {**DISK, "raduis": 0.1}}))
+        argv, key = ["heat", "orbit", "--mask", str(mask), "--out", out], "raduis"
     assert main(argv) == 2
     assert f"config error: {key}: unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("changes", [{"builder": "polygons"}, {"limit": ["disk"]},
+                                     {"members": ["disk"]}, {"members": 5},
+                                     {"grid": {"m": 12, "box": 2.0}}])
+def test_non_object_config_value_exits_2(changes, tmp_path, capsys):
+    fam = _heat_family_file(tmp_path, **changes)
+    out = str(tmp_path / "o")
+    assert main(["heat", "converge", "--family", fam, "--out", out]) == 2
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_relation_file_with_rank_tol(tmp_path, capsys):

@@ -72,6 +72,17 @@ def test_unknown_shape_kind():
         shape_contains({"kind": "blob"}, np.zeros((1, 2)))
 
 
+@pytest.mark.parametrize("shape", [disk((0, 0), 0.5), polygon([(0, 0), (1, 0), (0, 1)]),
+                                   halfplane((0, 0), (1, 0)), slit((0, 0), (1, 0), 0.1)])
+def test_shape_keys_are_checked_per_kind(shape):
+    pts = np.zeros((1, 2))
+    shape_contains(shape, pts)  # each constructor's keys are exactly its kind's
+    with pytest.raises(ConfigError, match="extra: unknown key"):
+        shape_contains({**shape, "extra": 1.0}, pts)
+    with pytest.raises(ConfigError, match="not a JSON object"):
+        shape_contains(list(shape.values()), pts)
+
+
 def test_inscribed_polygon_inside_disk():
     g = Grid(21)
     d = mask_from_shapes(g, [disk((0.0, 0.0), 0.7)])
@@ -160,3 +171,5 @@ def test_specs_round_trip():
         mask_from_spec({"grid": {"m": 9}})
     with pytest.raises(ConfigError):
         grid_from_spec({"m": "not-a-number"})
+    with pytest.raises(ConfigError, match="halfwidth: unknown key"):
+        grid_from_spec({"m": 9, "box": {"halfwidth": 2.0}})

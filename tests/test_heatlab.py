@@ -240,10 +240,9 @@ def test_surjective_solve(small_disk):
     assert np.max(np.abs(u[off]), initial=0.0) == 0.0
 
 
-def test_surjective_solve_is_the_verified_resolvent_at_zero():
+def test_surjective_solve_is_the_verified_resolvent_at_zero(corrupt_factor):
     rel = DirichletGridRelation(disk_mask(Grid(9), 0.6))
-    solve = rel._shift_lu(0.0)
-    rel._shift_lus[0j] = lambda b: 1.01 * solve(b)  # a corrupted factor
+    corrupt_factor(0.0)
     with pytest.raises(NotInResolventSet) as info:
         surjective_solve(rel, np.ones(rel.state_dim))
     assert info.value.residual > ACCEPT_TOL
@@ -423,7 +422,6 @@ def test_sector_uniformity_keeps_no_factors(monkeypatch):
     assert rep.bound == 1.0 / math.sin(0.1)
     assert rep.per_label == (rep.bound,)
     assert calls == []
-    assert lab._shift_lus == {}
 
 
 def test_sector_uniformity_refuses_broken_premises():
@@ -521,17 +519,27 @@ def test_builders():
     assert b.max() == 1.0 and b.min() > 0.0 and b.min() < 1e-6
 
 
-def test_resolvent_refuses_a_corrupted_solve(small_disk):
+def test_resolvent_refuses_a_corrupted_solve(small_disk, corrupt_factor):
     rel = DirichletGridRelation(small_disk.mask)
     ones = np.ones(rel.state_dim)
-    solve = rel._shift_lu(1.0)
     [x] = rel.resolvent([1.0], ones)
     assert _backward_error(rel, 1.0, x, ones) <= 1e-15
-    rel._shift_lus[complex(1.0)] = lambda b: 1.01 * solve(b)
+    corrupt_factor(1.0)
     with pytest.raises(NotInResolventSet) as exc:
         rel.resolvent([2.0, 1.0], ones)
     assert exc.value.lam == 1.0
     assert exc.value.residual > ACCEPT_TOL and "backward error" in str(exc.value)
+
+
+def test_contraction_refuses_a_corrupted_solve(small_disk, corrupt_factor):
+    # the row sums are the verified resolvent's: a 1 % wrong solve is refused
+    # as a solve, not read as a violated contraction
+    rel = DirichletGridRelation(small_disk.mask)
+    corrupt_factor(1.0)
+    with pytest.raises(NotInResolventSet) as exc:
+        supnorm_contraction(rel, lams=(1.0,))
+    assert exc.value.lam == 1.0 and exc.value.residual > ACCEPT_TOL
+    assert not rel.m_dissipative_ok()
 
 
 def test_supnorm_contraction_reads_offdiagonal_signs_exactly(small_disk):
