@@ -20,13 +20,19 @@ Botchev, Grimm & Hochbruck (2013).
 
 Every solve in the lab — resolvents, ``S(t) = L⁻¹(T(t) − I)``, the
 Krylov shift, the contraction certificate, the graph-distance system
-``[[I, Lᵀ], [L, −I]]``, the inverse-power eigenvalue and the interval
-solve — goes through one sparse factorization of ``σI − op``,
-:func:`_factor`.  No factor outlives the call that made it: each serves
-every column and time of that call and is dropped on return, so a mask
-family holds no factors between evaluations.  Every resolvent column is
-verified by its backward error.  The sector certificate makes no solve:
-it reads the signs of ``op`` alone.
+``[[I, Lᵀ], [L, −I]]``, the shift-invert Lanczos eigenvalue and the
+interval solve — goes through one sparse factorization of ``σI − op``,
+:func:`_factor`.  The pivot rule comes from the matrix: one that is
+diagonally dominant by rows or columns, decided exactly, is factored with
+diagonal pivots on a minimum-degree ordering, since Gaussian elimination
+on it needs no pivoting and has growth factor at most 2 (Higham,
+*Accuracy and Stability of Numerical Algorithms*, 2nd ed., Thm 9.9);
+every other matrix gets partial pivoting.  No factor outlives the call
+that made it: each serves every column and time of that call and is
+dropped on return, so a mask family holds no factors between
+evaluations.  Every resolvent column, on either pivot rule, is verified
+by its backward error.  The sector certificate makes no solve: it reads
+the signs of ``op`` alone.
 
 Operator norms are sup-norms throughout (max absolute row sums), matching
 the contraction and maximum-principle structure of the M-matrix stencil:
@@ -63,7 +69,7 @@ log = logging.getLogger("relsemi")
 DENSE_MAX_NODES = 2500     # largest grid dense_relation assembles
 EXP_TOL = 1e-13            # exponential kernel error bound, relative to ‖b‖∞
 EXP_MAX_BASIS = 400        # Arnoldi vectors per column before SolverBreakdown
-EIG_TOL = 1e-8             # relative accuracy of the inverse-power eigenvalues
+EIG_TOL = 1e-8             # relative accuracy of the first Dirichlet eigenvalues
 MULTIPLIER_MIN = 1e-8      # smallest |m| a multiplier may take on the mask
 CRITERION_MARGINS = (1, 2, 3)  # node rings of domain_convergence_check's interiors
 CONTRACTION_TOL = 1e-12    # slack of supnorm_contraction's bound ‖λR(λ)‖∞ ≤ 1
@@ -72,21 +78,85 @@ ARGMAX_COLUMNS = 16        # sample columns per argmax copy in max_principle_che
 GAUSS8 = np.polynomial.legendre.leggauss(8)  # panel rule of _residual_integral on [-1, 1]
 
 
+def _dominant(mat) -> bool:
+    """Whether each line of ``mat`` (a row of CSR, a column of CSC) is dominated
+    by its diagonal entry, decided exactly.
+
+    A line passes when its diagonal entry is nonzero and at least the sum of
+    its off-diagonal entries, sizes taken as ``|Re a_ii|`` on the diagonal
+    and ``|Re a_ij| + |Im a_ij|`` off it: ``|a|`` for real entries, and for
+    complex ones a condition that implies dominance in modulus.  ``mat``
+    must be canonical.  Rounded line sums settle every line but near-ties;
+    those are summed in integers, or by ``math.fsum`` when one holds an
+    entry below ``2⁻⁴`` of the power of two just above its diagonal.
+    """
+    ptr = mat.indptr
+    entries = mat.diagonal()
+    diag = np.abs(entries.real)
+    if not np.all(diag > 0.0):
+        return False
+    parts = [np.abs(mat.data.real)] + (
+        [np.abs(mat.data.imag)] if np.iscomplexobj(mat.data) else [])
+    rowsum = np.add.reduceat(sum(parts), ptr[:-1])  # every line holds its diagonal
+    total = 2.0 * diag + np.abs(entries.imag) - rowsum
+    slack = 4.0 * np.finfo(float).eps * np.diff(ptr) * rowsum  # ≥ the rounding error
+    if np.any(total < -slack):
+        return False
+    tie = total <= slack
+    if not tie.any():
+        return True
+    # the signed terms of a tie lie below 2^top, top the exponent after its
+    # diagonal's; those within 2⁻⁴ of that are integers in units of
+    # 2^(top − 57), fewer than 33 fit in a tie, so it sums exactly in int64
+    line = np.repeat(np.arange(diag.size), np.diff(ptr))
+    on = mat.indices == line
+    terms = np.stack([np.where(on, parts[0], -parts[0])]
+                     + [np.where(on, 0.0, -p) for p in parts[1:]], axis=-1)
+    frac, expo = np.frexp(terms)
+    shift = (np.frexp(diag)[1] + 1)[line, None] - expo
+    live = frac != 0.0
+    fits = ~live | ((shift >= 0) & (shift <= 4))
+    ints = (frac * 2.0 ** 53).astype(np.int64) << np.where(live & fits, 4 - shift, 0)
+    sums = np.add.reduceat(np.where(fits, ints, 0).sum(axis=1), ptr[:-1])
+    wide = tie & np.logical_or.reduceat(~fits.all(axis=1), ptr[:-1])
+    if np.any(sums[tie & ~wide] < 0):
+        return False
+    return all(math.fsum(terms[ptr[i]:ptr[i + 1]].ravel()) >= 0.0
+               for i in np.flatnonzero(wide))
+
+
 def _factor(op, sigma):
     """Solve with ``σI − op`` for real or complex right-hand sides.
 
     Returns ``solve(b)`` over one sparse LU factorization.  A real ``σ``
     gives a real factor, which takes a complex ``b`` as two real solves.
-    Each factorization logs one debug line with its size and fill.
+    When ``σI − op`` is diagonally dominant by rows or by columns (checked
+    exactly by :func:`_dominant`), Gaussian elimination needs no pivoting:
+    it exists and its growth factor is at most 2 (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., Thm 9.9).  Such a matrix —
+    every stencil shift with ``Re σ ≥ 0`` and every ``diag(m)·L`` with
+    ``m > 0`` — is factored on a minimum-degree ordering of its symmetric
+    pattern with diagonal pivots; any other, such as the graph-distance
+    system, by SuperLU's default COLAMD ordering with partial pivoting.
+    Every resolvent column is still verified by its backward error.  Each
+    factorization logs one debug line with its size, fill and pivot rule.
     """
     sigma = complex(sigma)
     real = sigma.imag == 0.0
     dt = float if real else complex
-    mat = (sigma.real if real else sigma) * sp.identity(
-        op.shape[0], dtype=dt, format="csc") - op.astype(dt)
-    lu = spl.splu(mat.tocsc())
-    log.debug("factor n=%d sigma=%s nnz=%d", op.shape[0],
-              sigma.real if real else sigma, lu.nnz)
+    rows = (sigma.real if real else sigma) * sp.identity(
+        op.shape[0], dtype=dt, format="csr") - op.astype(dt)
+    rows.sum_duplicates()
+    mat = rows.tocsc()
+    diagonal = _dominant(rows) or _dominant(mat)
+    if diagonal:
+        lu = spl.splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                      options={"SymmetricMode": True})
+    else:
+        lu = spl.splu(mat)
+    log.debug("factor n=%d sigma=%s nnz=%d pivot=%s", op.shape[0],
+              sigma.real if real else sigma, lu.nnz,
+              "diagonal" if diagonal else "partial")
 
     def solve(b):
         if real and np.iscomplexobj(b):
@@ -294,18 +364,20 @@ class DirichletGridRelation:
         mu = float(np.max(diag + np.asarray(abs(self.op).sum(axis=1)).ravel()
                           - np.abs(diag)))
         vals = np.empty((times.size, n, cols.shape[1]), dtype=out.dtype)
-        sizes, bounds = [], []
+        sizes, bounds, checks = [], [], 0
         for j in range(cols.shape[1]):
-            vals[:, :, j], size, bound = _si_arnoldi_exp(
+            vals[:, :, j], size, bound, count = _si_arnoldi_exp(
                 self.op, solve, gamma, mu, cols[:, j], times, max_basis)
             sizes.append(size)
             bounds.append(bound)
+            checks += count
         if np.iscomplexobj(b):
             half = vals.shape[2] // 2
             vals = vals[:, :, :half] + 1j * vals[:, :, half:]
         out[...] = vals.reshape(out.shape)
-        log.debug("exp_action n=%d cols=%d gamma=%.4g basis=%d bound=%.3e",
-                  n, len(sizes), gamma, max(sizes, default=0), max(bounds, default=0.0))
+        log.debug("exp_action n=%d cols=%d gamma=%.4g basis=%d bound=%.3e checks=%d",
+                  n, len(sizes), gamma, max(sizes, default=0), max(bounds, default=0.0),
+                  checks)
         return out
 
     # -- graph geometry -----------------------------------------------------
@@ -413,19 +485,22 @@ def _si_arnoldi_exp(op, solve, gamma, mu, b, times, max_basis):
     """One real column of :meth:`DirichletGridRelation._exp_action`.
 
     ``solve`` solves with ``γ⁻¹ I − L``.  Returns the values at ``times``, the
-    basis size and the final error bound.  With ``A = (I − γL)⁻¹`` the
-    Arnoldi relation ``A V_k = V_k H_k + h v_{k+1} e_kᵀ`` gives the
+    basis size, the final error bound and the number of bound checks.  With
+    ``A = (I − γL)⁻¹`` the Arnoldi relation ``A V_k = V_k H_k + h v_{k+1} e_kᵀ`` gives the
     residual ``r_k(s) = (h β / γ) (e_kᵀ H_k⁻¹ exp(s T_k) e₁) (I − γL) v_{k+1}``
     of the approximation ``β V_k exp(s T_k) e₁``.  Both that scalar factor
     and the values go through the eigendecomposition ``H_k = X Θ X⁻¹``
     (``T_k`` has eigenvalues ``(1 − 1/θ)/γ``), which must be well
-    conditioned; :class:`SolverBreakdown` is raised otherwise.
+    conditioned; :class:`SolverBreakdown` is raised otherwise.  Each check
+    costs an ``eig`` of ``H_k``, so checks are placed where the bound's
+    observed geometric decay predicts the target; the kernel stops only at
+    a check that meets it, or at ``max_basis`` vectors.
     """
     n = b.size
     out = np.zeros((times.size, n), dtype=np.result_type(times, float))
     scale = float(np.max(np.abs(b)))
     if scale == 0.0:
-        return out, 0, 0.0
+        return out, 0, 0.0, 0
     beta = float(np.linalg.norm(b))
     # the bound grows along each ray, so its farthest point covers the rest
     far = times[times != 0]
@@ -437,6 +512,7 @@ def _si_arnoldi_exp(op, solve, gamma, mu, b, times, max_basis):
     hess = np.zeros((cap + 1, cap))
     basis[0] = b / beta
     bound = math.inf
+    checks, last, due = 0, None, 1
     for k in range(cap):
         w = solve(basis[k]) / gamma
         for _ in range(2):  # classical Gram–Schmidt, repeated once
@@ -449,8 +525,9 @@ def _si_arnoldi_exp(op, solve, gamma, mu, b, times, max_basis):
         exhausted = size == n or hess[size, k] <= 1e-14 * np.linalg.norm(hess[:size, :size])
         if not exhausted:
             basis[size] = w / hess[size, k]
-            if size % (1 << max(0, size.bit_length() - 4)) and size < cap:
-                continue  # check sizes 1…15, then every 2, 4, 8 … (≤ 1/8 overshoot)
+            if size < min(due, cap):
+                continue
+        checks += 1
         theta, vecs = np.linalg.eig(hess[:size, :size])
         lam = (1.0 - 1.0 / theta) / gamma
         coef = np.linalg.solve(vecs, np.eye(size)[:, 0])
@@ -464,6 +541,15 @@ def _si_arnoldi_exp(op, solve, gamma, mu, b, times, max_basis):
                     * _residual_integral(lam, weights, z) for z in ends)
         if bound <= EXP_TOL * scale:
             break
+        # the next check is where the bound's decay since the last check
+        # reaches the target, at most half the basis ahead; one step when
+        # it did not decay
+        step = 1
+        if last is not None and bound < last[1]:
+            rate = math.log(last[1] / bound) / (size - last[0])
+            step = max(1, min(math.ceil(math.log(bound / (EXP_TOL * scale)) / rate),
+                              size // 2))
+        last, due = (size, bound), size + step
     else:
         raise SolverBreakdown(
             f"exponential kernel: {cap} basis vectors leave the error bound "
@@ -472,7 +558,7 @@ def _si_arnoldi_exp(op, solve, gamma, mu, b, times, max_basis):
         raise SolverBreakdown("exponential kernel: ill-conditioned Ritz basis")
     small = (np.exp(np.outer(times, lam)) * coef) @ vecs.T
     out[...] = beta * ((small if np.iscomplexobj(out) else small.real) @ basis[:size])
-    return out, size, bound
+    return out, size, bound, checks
 
 
 # -- certificates ---------------------------------------------------------
@@ -561,27 +647,29 @@ def surjective_solve(rel: DirichletGridRelation, f):
 
 
 def _smallest_eigenvalue(lap: sp.csr_matrix) -> float:
-    """Smallest eigenvalue of ``-lap`` by inverse-power iteration (``EIG_TOL``)."""
+    """Smallest eigenvalue of ``-lap`` by shift-invert Lanczos at 0.
+
+    ARPACK's ``eigsh`` runs on the one factor of ``-lap`` with its tolerance
+    ``1e-3·EIG_TOL`` well below the relative accuracy ``EIG_TOL``.  Its start
+    vector is fixed and the restart vectors it draws when a Krylov space
+    becomes invariant (a mask of symmetric pieces) come from a seeded
+    generator, so reruns agree to the bit.  A run that does not converge
+    raises :class:`SolverBreakdown`.
+    """
     n = lap.shape[0]
     if n == 0:
         return math.inf
     a = (-lap).tocsc()
     if n == 1:
         return float(a[0, 0])
-    solve = _factor(lap, 0.0)
-    v = np.full(n, 1.0 / math.sqrt(n))
-    lam = float(v @ (a @ v))
-    # the Rayleigh value converges one order faster than the iterate, so a
-    # change threshold well below EIG_TOL leaves the remaining error negligible
-    for _ in range(3000):
-        w = solve(v)
-        w /= np.linalg.norm(w)
-        new = float(w @ (a @ w))
-        done = abs(new - lam) <= 1e-3 * EIG_TOL * max(1.0, abs(new))
-        v, lam = w, new
-        if done:
-            return lam
-    raise SolverBreakdown("inverse-power iteration did not settle")
+    inv = spl.LinearOperator((n, n), matvec=_factor(lap, 0.0), dtype=float)
+    try:
+        vals = spl.eigsh(a, k=1, sigma=0.0, which="LM", OPinv=inv,
+                         v0=np.full(n, 1.0 / math.sqrt(n)), tol=1e-3 * EIG_TOL,
+                         return_eigenvectors=False, rng=0)
+    except spl.ArpackNoConvergence as exc:
+        raise SolverBreakdown("shift-invert Lanczos did not converge") from exc
+    return float(vals[0])
 
 
 def first_eigenvalue(grid: Grid, flags) -> float:

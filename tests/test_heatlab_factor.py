@@ -2,16 +2,19 @@
 
 Every solve in :mod:`relsemi.heatlab` factors ``σI − op`` through one
 helper.  The references below factor the matrix each caller used before,
-``L``, ``λI − L``, ``[[I, Lᵀ], [L, −I]]`` or ``−L``, directly, and the results must
+``L``, ``λI − L`` or ``[[I, Lᵀ], [L, −I]]``, directly — the diagonally
+dominant ones with the helper's no-pivot options, the graph-distance
+system with SuperLU's default partial pivoting — and the results must
 agree to the last bit; so must the vectorised maximum-principle check and
-the per-sample loop it replaced.  No factor may outlive the call that
-made it.
+the per-sample loop it replaced.  First eigenvalues match dense
+``eigvalsh``.  No factor may outlive the call that made it.
 """
 
 import logging
 import math
 import tracemalloc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relsemi import heatlab
+from relsemi.errors import SolverBreakdown
 from relsemi.grids import DomainMask, Grid
 from relsemi.heatlab import (
     DirichletGridRelation,
@@ -58,8 +62,10 @@ def _solve(lu, b):
     return lu.solve(np.ascontiguousarray(b))
 
 
-def _operator_lu(rel):
-    return spl.splu(rel.op.tocsc().astype(float))
+def _diagonal_lu(mat):
+    """``splu`` with the options ``heatlab._factor`` uses on dominant matrices."""
+    return spl.splu(sp.csc_matrix(mat, dtype=float), permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -70,7 +76,7 @@ def test_integrated_matches_operator_factor(rel, field):
         fs = fs + 1j * fs[:, ::-1]
     n = rel.n_inside
     w = rel.semigroup(ts, fs)[:, rel.omega] - fs[rel.omega]
-    sol = _solve(_operator_lu(rel), np.moveaxis(w, 0, -1).reshape(n, -1))
+    sol = _solve(_diagonal_lu(rel.op), np.moveaxis(w, 0, -1).reshape(n, -1))
     expected = np.zeros((ts.size,) + fs.shape, dtype=w.dtype)
     expected[:, rel.omega] = np.moveaxis(sol.reshape(w.shape[1:] + (ts.size,)), -1, 0)
     assert np.array_equal(rel.integrated(ts, fs), expected)
@@ -79,14 +85,14 @@ def test_integrated_matches_operator_factor(rel, field):
 def test_surjective_solve_matches_operator_factor(rel):
     f = bump_function(rel.grid) - 0.5
     expected = np.zeros(rel.state_dim)
-    expected[rel.omega] = _operator_lu(rel).solve(f[rel.omega])
+    expected[rel.omega] = _diagonal_lu(rel.op).solve(f[rel.omega])
     assert np.array_equal(surjective_solve(rel, f), expected)
 
 
 def test_contraction_matches_shifted_factors(rel):
     lams = (0.1, 1.0, 10.0)
     n = rel.n_inside
-    rowsums = [spl.splu((lam * sp.identity(n, format="csr") - rel.op).tocsc())
+    rowsums = [_diagonal_lu(lam * sp.identity(n, format="csr") - rel.op)
                .solve(np.ones(n)) for lam in lams]
     cert = supnorm_contraction(rel, lams=lams)
     assert cert.norms == tuple(lam * float(r.max()) for lam, r in zip(lams, rowsums))
@@ -179,34 +185,142 @@ def test_each_factorization_logs_one_line(monkeypatch, caplog):
     for (n, sigma), line in zip(calls, lines):
         assert line.startswith(f"factor n={n} sigma=") and " nnz=" in line
     assert "sigma=(1+1j)" in lines[1] and f"n={2 * rel.n_inside} sigma=0.0" in lines[-1]
-
-
-def _inverse_power(lap, tol=1e-8, maxiter=3000):
-    """Smallest eigenvalue of ``−lap`` on a direct factor of ``−lap``."""
-    n = lap.shape[0]
-    a = (-lap).tocsc()
-    lu = spl.splu(a)
-    v = np.full(n, 1.0 / math.sqrt(n))
-    lam = float(v @ (a @ v))
-    for _ in range(maxiter):
-        w = lu.solve(v)
-        w /= np.linalg.norm(w)
-        new = float(w @ (a @ w))
-        done = abs(new - lam) <= 1e-3 * tol * max(1.0, abs(new))
-        v, lam = w, new
-        if done:
-            return lam
-    raise AssertionError("reference iteration did not settle")
+    # the shifted stencils are dominant, the graph-distance system is not
+    assert all(line.endswith(" pivot=diagonal") for line in lines[:4])
+    assert lines[-1].endswith(" pivot=partial")
 
 
 def test_first_eigenvalue_matches_negated_factor(rel):
-    assert first_eigenvalue(rel.grid, rel.mask.values) == _inverse_power(rel.op)
+    # shift-invert Lanczos on the factor of −L, against dense eigvalsh
+    dense = np.linalg.eigvalsh(-rel.op.toarray())[0]
+    got = first_eigenvalue(rel.grid, rel.mask.values)
+    assert abs(got - dense) <= heatlab.EIG_TOL * dense
+
+
+def test_poly3_deficit_eigenvalue_takes_few_solves(monkeypatch):
+    # λ₂/λ₁ = 1.012 inside one component: inverse power needed 708 solves
+    grid = Grid(64)
+    deficit = disk_mask(grid, 0.7).values & ~polygon_family(grid, 0.7)[0].values
+    solves = []
+    factor = heatlab._factor
+
+    def counting(op, sigma):
+        solve = factor(op, sigma)
+        return lambda b: solves.append(1) or solve(b)
+
+    monkeypatch.setattr(heatlab, "_factor", counting)
+    got = first_eigenvalue(grid, deficit)
+    dense = np.linalg.eigvalsh(-heatlab.stencil_on_flags(grid, deficit).toarray())[0]
+    assert int(deficit.sum()) == 961 and 0 < len(solves) <= 60
+    assert abs(got - dense) <= heatlab.EIG_TOL * dense
+
+
+def test_eigenvalue_no_convergence_is_a_solver_breakdown(monkeypatch):
+    def stalled(*args, **kwargs):
+        raise spl.ArpackNoConvergence("no convergence", np.array([]), np.array([]))
+
+    monkeypatch.setattr(spl, "eigsh", stalled)
+    with pytest.raises(SolverBreakdown):
+        first_eigenvalue(Grid(8), disk_mask(Grid(8), 0.6).values)
+
+
+def _lines_dominant(mat):
+    """Dominance of each line of a compressed matrix in exact rationals:
+    ``|Re a_ii| > 0`` and ``|Re a_ii| ≥ Σ_{j≠i} |Re a_ij| + |Im a_ij|``."""
+    for i in range(mat.shape[0]):
+        diag, off = Fraction(0), Fraction(0)
+        for k in range(mat.indptr[i], mat.indptr[i + 1]):
+            v = complex(mat.data[k])
+            if mat.indices[k] == i:
+                diag = abs(Fraction(v.real))
+            else:
+                off += abs(Fraction(v.real)) + abs(Fraction(v.imag))
+        if not (diag > 0 and diag >= off):
+            return False
+    return True
+
+
+@given(n=st.integers(2, 8), field=st.sampled_from(["real", "complex"]),
+       nudge=st.sampled_from([-1, 0, 1]), seed=st.integers(0, 10_000))
+@settings(max_examples=200, deadline=None)
+def test_dominance_is_decided_exactly(n, field, nudge, seed):
+    # each diagonal is the rounded exact sum of its line's off-diagonal
+    # sizes, some of them far below it, moved by at most one ulp
+    rng = np.random.default_rng(seed)
+    mags = np.exp2(rng.uniform(-12.0, 0.0, (n, n))) * (rng.random((n, n)) < 0.7)
+    dense = mags * rng.choice([-1.0, 1.0], (n, n))
+    if field == "complex":
+        dense = dense + 1j * np.exp2(rng.uniform(-12.0, 0.0, (n, n))) \
+            * (rng.random((n, n)) < 0.5)
+    np.fill_diagonal(dense, 0.0)
+    for i in range(n):
+        exact = math.fsum(np.abs(dense[i].real).tolist() + np.abs(dense[i].imag).tolist())
+        diag = np.nextafter(exact, np.inf * nudge) if nudge else exact
+        dense[i, i] = diag * rng.choice([-1.0, 1.0]) + (0.5j * diag if field == "complex"
+                                                        else 0.0)
+    mat = sp.csr_matrix(dense)
+    rows = _lines_dominant(mat)
+    assert heatlab._dominant(mat) == rows
+    assert heatlab._dominant(sp.csc_matrix(dense.T)) == rows
+
+
+@given(m=st.integers(4, 24), density=st.floats(0.2, 1.0),
+       kind=st.sampled_from(["stencil", "positive", "mixed", "augmented"]),
+       shift=st.sampled_from(["zero", "real", "complex"]),
+       size=st.floats(1e-3, 1e3), angle=st.floats(-1.5, 1.5),
+       seed=st.integers(0, 10_000))
+@settings(max_examples=80, deadline=None)
+def test_pivot_rule_follows_exact_dominance(m, density, kind, shift, size, angle,
+                                            seed):
+    rng = np.random.default_rng(seed)
+    grid = Grid(m)
+    lap = heatlab.stencil_on_flags(grid, rng.random(grid.n_nodes) < density)
+    n = lap.shape[0]
+    if n == 0:
+        return
+    if kind == "augmented":
+        eye = sp.identity(n, format="csr")
+        op = sp.bmat([[-eye, -lap.T], [-lap, eye]]).tocsr()
+    elif kind == "stencil":
+        op = lap
+    else:
+        mult = rng.uniform(0.5, 2.0, n)
+        if kind == "mixed":
+            mult *= rng.choice([-1.0, 1.0], n)
+        op = (sp.diags(mult) @ lap).tocsr()
+    sigma = {"zero": 0.0, "real": size,
+             "complex": size * complex(math.cos(angle), math.sin(angle))}[shift]
+    calls = []
+    splu = spl.splu
+
+    def recording(mat, **kwargs):
+        calls.append(kwargs)
+        return splu(mat, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spl, "splu", recording)
+        solve = heatlab._factor(op, sigma)
+    dt = float if shift != "complex" else complex
+    mat = (sigma * sp.identity(op.shape[0], dtype=dt, format="csr") - op.astype(dt)).tocsc()
+    diagonal = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+                "options": {"SymmetricMode": True}}
+    exact = _lines_dominant(mat.tocsr()) or _lines_dominant(mat)
+    assert calls == [diagonal if exact else {}]
+    b = rng.standard_normal(op.shape[0]) + (
+        1j * rng.standard_normal(op.shape[0]) if shift == "complex" else 0.0)
+    x = solve(b)
+    ref = splu(mat).solve(b)
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+    dense = mat.toarray()
+    backward = np.max(np.abs(dense @ x - b)) / (
+        np.max(np.abs(dense).sum(axis=1)) * np.max(np.abs(x)) + np.max(np.abs(b)))
+    assert backward <= 1e-14
 
 
 @pytest.mark.parametrize("m", [7, 99, 400])
 def test_interval_solve_matches_stencil_factor(m):
     f = np.random.default_rng(m).standard_normal(m)
-    expected = spl.splu(interval_stencil(m).tocsc()).solve(f)
+    expected = _diagonal_lu(interval_stencil(m)).solve(f)
     assert np.array_equal(interval_solve(m, f), expected)
 
 

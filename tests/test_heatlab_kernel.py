@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from relsemi.errors import SolverBreakdown
 from relsemi.grids import DomainMask, Grid
 from relsemi.heatlab import (
+    EXP_TOL,
     DirichletGridRelation,
     bump_function,
     disk_mask,
@@ -109,6 +110,25 @@ def test_kernel_logs_one_debug_line_per_call(caplog):
     assert f"n={rel.n_inside} cols=1 gamma=0.1 " in lines[0]
     assert "cols=2" in lines[1]
     assert all("basis=" in line and "bound=" in line for line in lines)
+    assert all(" checks=" in line for line in lines)
+
+
+def test_kernel_checks_its_bound_a_few_times_per_column(monkeypatch, caplog):
+    # each check is one eig of the Hessenberg matrix; a fixed schedule of
+    # sizes 1…15, then every 2, 4, … vectors made 29 here
+    grid = Grid(32)
+    rel = DirichletGridRelation(disk_mask(grid, 0.7))
+    b = bump_function(grid)[rel.omega]
+    eigs = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: eigs.append(a.shape) or eig(a))
+    with caplog.at_level(logging.DEBUG, logger="relsemi"):
+        rel._exp_action(np.linspace(0.0, 1.0, 5), b)
+    line = next(r.getMessage() for r in caplog.records
+                if r.getMessage().startswith("exp_action"))
+    assert " cols=1 " in line and line.endswith(f" checks={len(eigs)}")
+    assert 0 < len(eigs) <= 16
+    assert float(line.split(" bound=")[1].split()[0]) <= EXP_TOL * np.max(np.abs(b))
 
 
 def test_perturbation_experiment_sweeps_each_mask_once(monkeypatch):
