@@ -40,9 +40,9 @@ class ResolventSample:
 
     ``residual`` is the maximum, over canonical basis vectors ``e_i``, of
     the distance from ``(R e_i, lam * R e_i - e_i)`` to the graph plus the
-    backward error of the linear solve for that column (the raw solve
-    residual grows like ``|lam|`` even for perfect arithmetic, so it is
-    normalized by ``‖lam U - V‖ ‖c‖ + 1``).
+    backward error of the linear solve for that column (the raw solve residual
+    grows like ``|lam|`` even for perfect arithmetic, so it is normalized by
+    ``‖lam U - V‖ ‖c‖ + 1``, with the norm the solve's own largest singular value).
     """
 
     lam: complex
@@ -77,7 +77,7 @@ class ResolventBlock:
 
 
 def _certify(rel: LinearRelation, lams: list, accept_tol: float) -> ResolventBlock:
-    """One block: stacked ranks, per-point solves, stacked verification."""
+    """One block: one ``lstsq`` per point gives rank, solve and scale."""
     d = rel.state_dim
     u, v = rel.blocks()
     vals = np.asarray(lams)
@@ -87,16 +87,16 @@ def _certify(rel: LinearRelation, lams: list, accept_tol: float) -> ResolventBlo
         return ResolventBlock(lams, refusals, vals[:0], np.empty((0, d, d)), np.empty(0))
     refusals = [None] * len(lams)
     m = vals[:, None, None] * u - v
-    s = np.linalg.svd(m, compute_uv=False)
+    eye = np.eye(d, dtype=m.dtype)
+    coef, s = np.empty_like(m), np.empty(m.shape[:2])
+    for i in range(len(lams)):  # lstsq solves one 2-D system per call
+        coef[i], _, _, s[i] = np.linalg.lstsq(m[i], eye, rcond=None)
     rank = numerical_rank(s)
     for i in np.flatnonzero(rank < d):
         refusals[i] = NotInResolventSet(
             lams[i], reason=f"rank(lam*U - V) = {rank[i]} < {d}", rank=int(rank[i]))
     full = np.flatnonzero(rank == d)
-    eye = np.eye(d, dtype=m.dtype)
-    coef = np.empty((full.size, d, d), dtype=m.dtype)
-    for j, i in enumerate(full):  # lstsq solves one 2-D system per call
-        coef[j] = np.linalg.lstsq(m[i], eye, rcond=None)[0]
+    coef = coef[full]
     rmat = u @ coef
     scale = s[full, :1] * np.linalg.norm(coef, axis=1) + 1.0
     solve_res = np.linalg.norm(m[full] @ coef - eye, axis=1) / scale

@@ -7,13 +7,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import relsemi.dissipative as dissipative
 from relsemi.dissipative import LAMBDA_DECADES, is_m_dissipative
 from relsemi.errors import NotInResolventSet
 from relsemi.heatlab import interval_relation
 from relsemi.relation import LinearRelation
-from relsemi.sampling import random_m_dissipative, random_relation
+from relsemi.sampling import random_m_dissipative, random_relation, random_unitary
 from relsemi.semigroup import SECTOR_SLACK, SectorSpec, sector_verify
 from relsemi.spectral import (
     ACCEPT_TOL,
@@ -24,7 +26,7 @@ from relsemi.spectral import (
     resolvent_points,
     resolvent_set_scan,
 )
-from relsemi.subspace import RANK_TOL
+from relsemi.subspace import RANK_TOL, numerical_rank
 
 try:  # the module whose ``svd`` numpy.linalg.norm calls
     _linalg = importlib.import_module("numpy.linalg._linalg")
@@ -36,7 +38,11 @@ except ImportError:  # NumPy 1.x
 
 
 def _reference(rel, lam, accept_tol=ACCEPT_TOL):
-    """The scalar certificate, one ``lam`` at a time (the pre-stacking body)."""
+    """The scalar certificate, one ``lam`` at a time.
+
+    One ``lstsq`` call gives the solve and the singular values that decide
+    the rank and scale the backward error.
+    """
     d = rel.state_dim
     u, v = rel.blocks()
     r = rel.dim
@@ -45,13 +51,12 @@ def _reference(rel, lam, accept_tol=ACCEPT_TOL):
             lam, reason=f"graph dimension {r} differs from state dimension {d}",
             rank=None)
     m = lam * u - v
-    s = np.linalg.svd(m, compute_uv=False)
+    eye = np.eye(d, dtype=m.dtype)
+    coef, _, _, s = np.linalg.lstsq(m, eye, rcond=None)
     rank = 0 if (s.size == 0 or s[0] == 0.0) else int(np.sum(s > RANK_TOL * s[0]))
     if rank < d:
         raise NotInResolventSet(
             lam, reason=f"rank(lam*U - V) = {rank} < {d}", rank=rank)
-    eye = np.eye(d, dtype=m.dtype)
-    coef, *_ = np.linalg.lstsq(m, eye, rcond=None)
     rmat = u @ coef
     scale = s[0] * np.linalg.norm(coef, axis=0) + 1.0
     solve_res = np.linalg.norm(m @ coef - eye, axis=0) / scale
@@ -153,6 +158,41 @@ def _diagonal_relation(d, field):
     if field == "complex":
         eig = eig + 0.5j * np.arange(d)
     return LinearRelation.from_operator(np.diag(eig)), eig
+
+
+def _premise_input(kind, rng, d, field, side):
+    """``lam U - V`` at a random ``lam``, at an exact eigenvalue, or built
+    with ``s_min / s_max = RANK_TOL * (1 + side * 1e-6)``."""
+    if kind == "random":
+        u, v = random_relation(rng, d, field, graph_dim=d).blocks()
+        lam = rng.uniform(-3.0, 3.0) * 10.0 ** rng.uniform(-3, 6)
+        if field == "complex":
+            lam = lam * np.exp(1j * rng.uniform(-3.0, 3.0))
+        return lam * u - v
+    if kind == "eigenvalue":
+        diag, eig = _diagonal_relation(d, field)
+        u, v = diag.blocks()
+        return eig[rng.integers(d)] * u - v
+    s = np.sort(np.concatenate([[1.0, RANK_TOL * (1 + side * 1e-6)],
+                                10.0 ** rng.uniform(-10, 0, d - 2)]))[::-1]
+    scale = 10.0 ** rng.uniform(-3, 6)
+    return scale * (random_unitary(rng, d, field) * s) @ random_unitary(rng, d, field)
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(["random", "eigenvalue", "threshold"]),
+       field=st.sampled_from(["real", "complex"]), d=st.integers(1, 16),
+       seed=st.integers(0, 10_000), side=st.sampled_from([-1, 1]))
+def test_lstsq_singular_values_decide_the_rank_as_svd_does(kind, field, d, seed, side):
+    # _certify reads the rank and the scale from lstsq's singular values;
+    # gelsd and gesdd take different bidiagonal routes, which part by up to
+    # 1.71 d eps s_max over 400 seeds of every kind, field and d
+    assume(kind != "threshold" or d > 1)
+    m = _premise_input(kind, np.random.default_rng(seed), d, field, side)
+    s = np.linalg.lstsq(m, np.eye(d, dtype=m.dtype), rcond=None)[3]
+    want = np.linalg.svd(m, compute_uv=False)
+    assert numerical_rank(s) == numerical_rank(want)
+    assert np.max(np.abs(s - want)) <= 4 * d * np.finfo(float).eps * want[0]
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -269,7 +309,7 @@ def _count_inputs(monkeypatch, module, name, *more):
     return inputs
 
 
-def test_sector_verify_stacks_ranks_and_norms(monkeypatch, caplog):
+def test_sector_verify_solves_each_point_once_and_stacks_norms(monkeypatch, caplog):
     rel = random_m_dissipative(np.random.default_rng(5), 8, "complex", dom_dim=5)
     svds = _count_inputs(monkeypatch, np.linalg, "svd", _linalg)
     solves = _count_inputs(monkeypatch, np.linalg, "lstsq")
@@ -277,16 +317,29 @@ def test_sector_verify_stacks_ranks_and_norms(monkeypatch, caplog):
         ev = sector_verify(rel, SectorSpec(math.pi / 4, 2.0), math.pi / 2,
                            radii=13, rays=7)
         assert ev.passed
-        # 91 points in blocks of 4096 // 64 = 64: one stacked SVD per block
-        # for the ranks and one for the norms, where one per point and
-        # stage takes 182 calls; one solve per full-rank point
-        assert svds == [64, 64, 27, 27]
+        # 91 points in blocks of 4096 // 64 = 64: the rank, the solve and
+        # the scale of each point come from its one lstsq call, and the
+        # only SVDs are one stack per block for the norms
+        assert svds == [64, 27]
         assert len(solves) == 91
         is_m_dissipative(rel)
     lines = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("resolvent_stack")]
     assert lines == ["resolvent_stack lams=91 blocks=2 refused=0",
                      "resolvent_stack lams=10 blocks=1 refused=0"]
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_rank_refusals_cost_one_lstsq_and_no_svd(field, monkeypatch):
+    diag, eig = _diagonal_relation(5, field)
+    lams = [eig[0], 0.5, eig[2], 2.0, eig[4]]  # refused at the exact eigenvalues
+    svds = _count_inputs(monkeypatch, np.linalg, "svd", _linalg)
+    solves = _count_inputs(monkeypatch, np.linalg, "lstsq")
+    points = resolvent_points(diag, lams, lambda b: b.residuals)
+    assert [refusal is not None and refusal.rank == 4 for _, refusal, _ in points] == \
+        [True, False, True, False, True]
+    assert svds == []
+    assert solves == [1] * len(lams)
 
 
 def _peak_mb(fn):
