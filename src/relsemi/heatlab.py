@@ -18,21 +18,21 @@ requested times evaluated from that basis.  Its convergence does not
 depend on ``‖L‖ ~ h⁻²``, and it stops on the a-posteriori residual bound of
 Botchev, Grimm & Hochbruck (2013).
 
-Every solve in the lab — resolvents, ``S(t) = L⁻¹(T(t) − I)``, the
-Krylov shift, the contraction certificate, the graph-distance system
-``[[I, Lᵀ], [L, −I]]``, the shift-invert Lanczos eigenvalue and the
-interval solve — goes through one sparse factorization of ``σI − op``,
-:func:`_factor`.  The pivot rule comes from the matrix: one that is
-diagonally dominant by rows or columns, decided exactly, is factored with
-diagonal pivots on a minimum-degree ordering, since Gaussian elimination
-on it needs no pivoting and has growth factor at most 2 (Higham,
-*Accuracy and Stability of Numerical Algorithms*, 2nd ed., Thm 9.9);
-every other matrix gets partial pivoting.  No factor outlives the call
-that made it: each serves every column and time of that call and is
-dropped on return, so a mask family holds no factors between
-evaluations.  Every resolvent column, on either pivot rule, is verified
-by its backward error.  The sector certificate makes no solve: it reads
-the signs of ``op`` alone.
+Every solve in the lab — resolvents, ``S(t) = L⁻¹(T(t) − I)``, the Krylov
+shift, the contraction certificate, the graph distance (``−iI − L`` for a
+symmetric stencil, the augmented ``[[I, Lᵀ], [L, −I]]`` otherwise), the
+shift-invert Lanczos eigenvalue and the interval solve — goes through one
+sparse factorization of ``σI − op``, :func:`_factor`.  The pivot rule comes
+from the matrix: one that is diagonally dominant by rows or columns,
+decided exactly, is factored with diagonal pivots on a minimum-degree
+ordering, since Gaussian elimination on it needs no pivoting and has growth
+factor at most 2 (Higham, *Accuracy and Stability of Numerical Algorithms*,
+2nd ed., Thm 9.9); every other matrix gets partial pivoting.  No factor
+outlives the call that made it: each serves every column and time of that
+call and is dropped on return, so a mask family holds no factors between
+evaluations.  Every resolvent column, on either pivot rule, is verified by
+its backward error.  The sector certificate makes no solve: it reads the
+signs of ``op`` alone.
 
 Operator norms are sup-norms throughout (max absolute row sums), matching
 the contraction and maximum-principle structure of the M-matrix stencil:
@@ -134,12 +134,13 @@ def _factor(op, sigma):
     exactly by :func:`_dominant`), Gaussian elimination needs no pivoting:
     it exists and its growth factor is at most 2 (Higham, *Accuracy and
     Stability of Numerical Algorithms*, 2nd ed., Thm 9.9).  Such a matrix —
-    every stencil shift with ``Re σ ≥ 0`` and every ``diag(m)·L`` with
-    ``m > 0`` — is factored on a minimum-degree ordering of its symmetric
-    pattern with diagonal pivots; any other, such as the graph-distance
-    system, by SuperLU's default COLAMD ordering with partial pivoting.
-    Every resolvent column is still verified by its backward error.  Each
-    factorization logs one debug line with its size, fill and pivot rule.
+    every stencil shift with ``Re σ ≥ 0``, ``−iI − L`` and every
+    ``diag(m)·L`` with ``m > 0`` — is factored on a minimum-degree ordering
+    of its symmetric pattern with diagonal pivots; any other, such as the
+    augmented graph-distance system, by SuperLU's default COLAMD ordering
+    with partial pivoting.  Every resolvent column is still verified by its
+    backward error.  Each factorization logs one debug line with its size,
+    fill and pivot rule.
     """
     sigma = complex(sigma)
     real = sigma.imag == 0.0
@@ -382,13 +383,30 @@ class DirichletGridRelation:
 
     # -- graph geometry -----------------------------------------------------
 
+    def _symmetric(self) -> bool:
+        """Whether ``L`` is real and exactly symmetric, decided with no tolerance."""
+        return not np.iscomplexobj(self.op) and (self.op != self.op.T).nnz == 0
+
+    def _residual_solve(self):
+        """``solve(g)`` with ``−iI − L`` for a real symmetric ``L``.
+
+        With ``g = f − Lu`` on the mask, the squared distance of ``(u, f)``
+        to the graph on the mask is min over δ of ``‖δ‖² + ‖Lδ − g‖²
+        = gᴴ(I + L²)⁻¹g``, and ``I + L² = (I − iL)(I + iL)`` makes that
+        ``‖(I − iL)⁻¹g‖² = ‖solve(g)‖²``.  ``−iI − L`` is diagonally
+        dominant, so this is one n×n factor with diagonal pivots.
+        """
+        return _factor(self.op, complex(0.0, -1.0))
+
     def _nearest_coeff(self):
-        """``coeff(u, f)``: the nearest graph point's ``a`` on the mask.
+        """``coeff(u, f)``: the nearest graph point's ``a`` on the mask, for any ``L``.
 
         ``a`` solves ``(I + LᵀL) a = u + Lᵀf``, here as ``[[I, Lᵀ], [L, −I]]
         [a; La − f] = [u; f]``, whose condition grows like ``‖L‖``, not like
         the Gram matrix's ``‖L‖²``.  The returned function holds the one
-        factor of that system; it takes 1-D ``u`` and ``f``.
+        2n×2n factor of that system; it takes 1-D ``u`` and ``f``.  Only
+        operators that are not symmetric, such as ``diag(m)·L``, use it:
+        symmetric ones take :meth:`_residual_solve`.
         """
         n = self.n_inside
         eye = sp.identity(n, format="csr")
@@ -399,19 +417,34 @@ class DirichletGridRelation:
         """Euclidean distance from the pair ``(u, f)`` to the graph.
 
         ``u`` and ``f`` are ``(N,)`` states, which give a float, or ``(N, s)``
-        blocks, which give one distance per column from one factor.  Each
-        column is solved and measured as a contiguous 1-D state, so it
-        matches the ``(N,)`` call to the last bit.
+        blocks, which give one distance per column from one factor.  A real
+        symmetric ``L`` takes the residual form ``√(‖u off the mask‖² +
+        ‖(I − iL)⁻¹(f − Lu)‖²)`` (:meth:`_residual_solve`), which keeps its
+        digits on pairs near the graph; any other ``L`` measures the nearest
+        point of :meth:`_nearest_coeff`'s augmented system.  Each column is
+        solved and measured as a contiguous 1-D state, so it matches the
+        ``(N,)`` call to the last bit.  Logs one debug line per call.
         """
         u = np.asarray(u)
         f = np.asarray(f)
         ub, fb = (u[:, None], f[:, None]) if u.ndim == 1 else (u, f)
         dists = np.empty(ub.shape[1])
-        coeff = self._nearest_coeff() if self.n_inside and dists.size else None
+        residual = self._symmetric()
+        log.debug("graph_distance n=%d cols=%d form=%s", self.n_inside, dists.size,
+                  "residual" if residual else "augmented")
+        solve = coeff = None
+        if self.n_inside and dists.size:
+            if residual:
+                solve = self._residual_solve()
+            else:
+                coeff = self._nearest_coeff()
         for j in range(dists.size):
             uj, fj = np.ascontiguousarray(ub[:, j]), np.ascontiguousarray(fb[:, j])
             dists[j] = np.linalg.norm(np.delete(uj, self.omega))
-            if coeff is not None:
+            if solve is not None:
+                x = solve(fj[self.omega] - self.op @ uj[self.omega])
+                dists[j] = math.sqrt(dists[j] ** 2 + np.linalg.norm(x) ** 2)
+            elif coeff is not None:
                 a = coeff(uj, fj)
                 du = a - uj[self.omega]
                 df = self.op @ a - fj[self.omega]
@@ -420,14 +453,32 @@ class DirichletGridRelation:
         return float(dists[0]) if u.ndim == 1 else dists
 
     def nearest_pair(self, u, f):
-        """Orthogonal projection of ``(u, f)`` onto the graph (one factor)."""
+        """Orthogonal projection of ``(u, f)`` onto the graph (one factor).
+
+        For a real symmetric ``L`` the nearest point moves ``u`` on the mask
+        by ``δ = (I + L²)⁻¹Lg``, ``g = f − Lu``, which for real ``g`` is
+        ``−Re x`` with ``x = (−iI − L)⁻¹g`` (:meth:`_residual_solve`);
+        complex data is projected as its real and imaginary parts.  Any
+        other ``L`` solves :meth:`_nearest_coeff`'s augmented system.
+        """
         dt = np.result_type(u, f, float)
         u = np.asarray(u, dtype=dt)
         f = np.asarray(f, dtype=dt)
         ustar = np.zeros_like(u)
         fstar = f.copy()
         if self.n_inside:
-            a = self._nearest_coeff()(u, f)
+            if self._symmetric():
+                solve = self._residual_solve()
+
+                def nearest(ur, fr):
+                    return ur - solve(fr - self.op @ ur).real
+
+                uo, fo = u[self.omega], f[self.omega]
+                a = nearest(uo.real, fo.real)
+                if np.iscomplexobj(uo):
+                    a = a + 1j * nearest(uo.imag, fo.imag)
+            else:
+                a = self._nearest_coeff()(u, f)
             ustar[self.omega] = a
             fstar[self.omega] = self.op @ a
         return ustar, fstar

@@ -12,6 +12,7 @@ string; the temp + rename is the same.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
 import tempfile
@@ -19,6 +20,8 @@ import tempfile
 import numpy as np
 
 from .errors import InvalidInput
+
+log = logging.getLogger("relsemi")
 
 
 def _fmt(value) -> str:
@@ -29,8 +32,9 @@ def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     if isinstance(value, (complex, np.complexfloating)):
-        c = complex(value)
-        return f"{c.real!r}{'+' if c.imag >= 0 else '-'}{abs(c.imag)!r}j"
+        c = complex(value)  # the imaginary sign as complex's repr writes it
+        minus = not math.isnan(c.imag) and math.copysign(1.0, c.imag) < 0
+        return f"{c.real!r}{'-' if minus else '+'}{abs(c.imag)!r}j"
     return str(value)
 
 
@@ -65,11 +69,17 @@ def _format_cells(col) -> list:
     """The cells of one column block, as :func:`_fmt` writes them.
 
     Float64, integer and bool arrays are converted a whole block at a time;
-    anything else goes through :func:`_fmt` cell by cell.
+    a float64 block calls ``repr`` once per distinct bit pattern (so -0.0
+    and every NaN keep their own text), which grid tables full of repeated
+    times and exact zeros make far fewer calls than cells.  Anything else
+    goes through :func:`_fmt` cell by cell.
     """
     if isinstance(col, np.ndarray):
         if col.dtype == np.float64:
-            return list(map(repr, col.tolist()))
+            bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+            texts = np.array(list(map(repr, bits.view(np.float64).tolist())),
+                             dtype=object)
+            return texts[inverse].tolist()
         if col.dtype.kind in "iu":
             return list(map(str, col.tolist()))
         if col.dtype.kind == "b":
@@ -77,11 +87,8 @@ def _format_cells(col) -> list:
     return [_fmt(v) for v in col]
 
 
-def _csv_chunks(names, columns):
-    """CSV text in chunks: a '#'-prefixed schema line, the header, the rows.
-
-    ``columns`` holds one 1-D array or list per name, all of one length.
-    """
+def _csv_columns(names, columns):
+    """The checked columns (one 1-D array or list per name) and their length."""
     cols = [c if isinstance(c, np.ndarray) else list(c) for c in columns]
     if len(cols) != len(names):
         raise InvalidInput("column count does not match the declared names")
@@ -90,6 +97,11 @@ def _csv_chunks(names, columns):
     n_rows = len(cols[0]) if cols else 0
     if any(len(c) != n_rows for c in cols):
         raise InvalidInput("columns differ in length")
+    return cols, n_rows
+
+
+def _csv_chunks(names, cols, n_rows):
+    """CSV text in chunks: a '#'-prefixed schema line, the header, the rows."""
     yield f"# schema: {', '.join(names)}\n{','.join(names)}\n"
     for start in range(0, n_rows, CSV_BLOCK):
         cells = [_format_cells(c[start:start + CSV_BLOCK]) for c in cols]
@@ -98,12 +110,25 @@ def _csv_chunks(names, columns):
 
 def render_csv(names, columns) -> str:
     """CSV text of ``columns`` (one 1-D array or list per name)."""
-    return "".join(_csv_chunks(names, columns))
+    return "".join(_csv_chunks(names, *_csv_columns(names, columns)))
 
 
 def write_csv(path, names, columns):
-    """Stream :func:`render_csv`'s text to ``path``, atomically."""
-    _replace_atomically(path, _csv_chunks(names, columns))
+    """Stream :func:`render_csv`'s text to ``path``, atomically.
+
+    Logs one debug line with the rows and the bytes of the streamed chunks.
+    """
+    cols, n_rows = _csv_columns(names, columns)
+    written = 0
+
+    def counted():
+        nonlocal written
+        for chunk in _csv_chunks(names, cols, n_rows):
+            written += len(chunk.encode())
+            yield chunk
+
+    _replace_atomically(path, counted())
+    log.debug("csv rows=%d bytes=%d", n_rows, written)
 
 
 def sanitize(obj):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spl
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relsemi.converge import DenseEvaluator
 from relsemi.errors import (
@@ -13,7 +15,7 @@ from relsemi.errors import (
     VanishingMultiplier,
 )
 from relsemi import heatlab
-from relsemi.grids import Grid, disk, mask_from_shapes
+from relsemi.grids import DomainMask, Grid, disk, mask_from_shapes
 from relsemi.heatlab import (
     DirichletGridRelation,
     bump_function,
@@ -151,6 +153,37 @@ def test_nearest_pair_keeps_complex_data():
     assert np.array_equal(uu, ur + 1j * ui) and np.array_equal(ff, fr + 1j * fi)
 
 
+@given(m=st.integers(4, 14), radius=st.sampled_from([0.3, 0.55]),
+       operator=st.sampled_from(["stencil", "multiplier"]),
+       field=st.sampled_from(["real", "complex"]), seed=st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_graph_geometry_matches_dense_least_squares(m, radius, operator, field, seed):
+    # the nearest point's a minimizes ‖[I; L]a − [u; f]‖ on the mask: dense
+    # lstsq against the residual form (stencil) and the augmented system
+    # (a positive multiplier, whose diag(m)·L is not symmetric)
+    grid = Grid(m)
+    rel = DirichletGridRelation(disk_mask(grid, radius))
+    rng = np.random.default_rng(seed)
+    if operator == "multiplier" and rel.n_inside:
+        rel = multiplier_relation(rng.uniform(0.5, 2.0, rel.n_inside), rel)
+    u, f = rng.standard_normal((2, grid.n_nodes))
+    if field == "complex":
+        u = u + 1j * rng.standard_normal(grid.n_nodes)
+        f = f - 1j * rng.standard_normal(grid.n_nodes)
+    n = rel.n_inside
+    stacked = np.vstack([np.eye(n), rel.op.toarray()])
+    rhs = np.concatenate([u[rel.omega], f[rel.omega]])
+    a = np.linalg.lstsq(stacked, rhs, rcond=None)[0]
+    expected = math.hypot(np.linalg.norm(np.delete(u, rel.omega)),
+                          np.linalg.norm(stacked @ a - rhs))
+    assert rel.graph_distance(u, f) == pytest.approx(expected, rel=1e-12)
+    ustar, fstar = rel.nearest_pair(u, f)
+    scale = max(np.max(np.abs(u)), np.max(np.abs(f)))
+    assert np.max(np.abs(ustar[rel.omega] - a), initial=0.0) <= 1e-12 * scale
+    assert not ustar[np.delete(np.arange(grid.n_nodes), rel.omega)].any()
+    assert np.array_equal(fstar[rel.omega], rel.op @ ustar[rel.omega])
+
+
 @pytest.fixture(scope="module", params=[32, 64, 128, 256])
 def refined_disk(request):
     return DirichletGridRelation(disk_mask(Grid(request.param), 0.7))
@@ -190,6 +223,28 @@ def test_graph_distance_of_smooth_pair_under_refinement(refined_disk):
     rel = refined_disk
     u, f, scale = _graph_pair(rel, bump_function(rel.grid)[rel.omega])
     assert rel.graph_distance(u, f) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("m", [32, 64, 128, 256])
+def test_graph_distance_of_a_pair_near_the_graph_under_refinement(m):
+    # on the (m − 2)² square the discrete sines are eigenvectors: with v the
+    # normalized (3, 5) mode, Lv = μv, the pair (u, Lu + εv) lies exactly
+    # ε/√(1 + μ²) from the graph; measuring it must not cancel like ‖L‖
+    grid = Grid(m)
+    ix, iy = np.divmod(np.arange(grid.n_nodes), m)
+    rel = DirichletGridRelation(DomainMask(
+        grid, (ix >= 1) & (ix <= m - 2) & (iy >= 1) & (iy <= m - 2)))
+    p = np.arange(1, m - 1)
+    v = np.outer(np.sin(3 * math.pi * p / (m - 1)),
+                 np.sin(5 * math.pi * p / (m - 1))).ravel()
+    v /= np.linalg.norm(v)
+    mu = -4.0 / grid.h ** 2 * (math.sin(3 * math.pi / (2 * (m - 1))) ** 2
+                               + math.sin(5 * math.pi / (2 * (m - 1))) ** 2)
+    eps = 1e-3
+    u, f, _ = _graph_pair(rel, bump_function(grid)[rel.omega])
+    f[rel.omega] += eps * v
+    exact = eps / math.sqrt(1.0 + mu * mu)
+    assert abs(rel.graph_distance(u, f) - exact) <= 1e-12 * exact
 
 
 def test_supnorm_contraction_certificate(small_disk):

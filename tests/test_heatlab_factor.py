@@ -2,9 +2,9 @@
 
 Every solve in :mod:`relsemi.heatlab` factors ``σI − op`` through one
 helper.  The references below factor the matrix each caller used before,
-``L``, ``λI − L`` or ``[[I, Lᵀ], [L, −I]]``, directly — the diagonally
-dominant ones with the helper's no-pivot options, the graph-distance
-system with SuperLU's default partial pivoting — and the results must
+``L``, ``λI − L``, ``−iI − L`` or ``[[I, Lᵀ], [L, −I]]``, directly — the
+diagonally dominant ones with the helper's no-pivot options, the augmented
+graph-distance system with SuperLU's default partial pivoting — and the results must
 agree to the last bit; so must the vectorised maximum-principle check and
 the per-sample loop it replaced.  First eigenvalues match dense
 ``eigvalsh``.  No factor may outlive the call that made it.
@@ -35,6 +35,7 @@ from relsemi.heatlab import (
     interval_solve,
     interval_stencil,
     max_principle_check,
+    multiplier_relation,
     perturbation_experiment,
     polygon_family,
     slit_family,
@@ -100,24 +101,50 @@ def test_contraction_matches_shifted_factors(rel):
 
 
 def test_graph_distance_matches_gram_factor(rel):
-    # the nearest point solves the Gram equations (I + LᵀL) a = u + Lᵀf
-    # through the augmented system [[I, Lᵀ], [L, −I]], factored directly here
+    # a symmetric stencil measures g = f − Lu through (−iI − L)⁻¹, factored
+    # directly here; the nearest points of the Gram equations
+    # (I + LᵀL) a = u + Lᵀf and of the augmented system [[I, Lᵀ], [L, −I]]
+    # give the same distance to rounding
     rng = np.random.default_rng(5)
     u, f = rng.standard_normal((2, rel.state_dim))
     op, n = rel.op, rel.n_inside
-    eye = sp.identity(n, format="csr")
-    aug = sp.bmat([[eye, op.T], [op, -eye]]).tocsc()
-    a = spl.splu(aug).solve(np.concatenate([u[rel.omega], f[rel.omega]]))[:n]
+    off = np.linalg.norm(np.delete(u, rel.omega))
+    shifted = complex(0.0, -1.0) * sp.identity(n, dtype=complex, format="csr") \
+        - op.astype(complex)
+    lu = spl.splu(shifted.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    x = lu.solve((f[rel.omega] - op @ u[rel.omega]).astype(complex))
+    assert rel.graph_distance(u, f) == math.sqrt(off ** 2 + np.linalg.norm(x) ** 2)
 
     def distance(a):
-        return math.sqrt(np.linalg.norm(np.delete(u, rel.omega)) ** 2
-                         + np.linalg.norm(a - u[rel.omega]) ** 2
+        return math.sqrt(off ** 2 + np.linalg.norm(a - u[rel.omega]) ** 2
                          + np.linalg.norm(op @ a - f[rel.omega]) ** 2)
 
-    assert rel.graph_distance(u, f) == distance(a)
     gram = sp.identity(n, format="csc") + (op.T @ op).tocsc()
     a_gram = spl.splu(gram).solve(u[rel.omega] + op.T @ f[rel.omega])
     assert rel.graph_distance(u, f) == pytest.approx(distance(a_gram), rel=1e-12)
+    a_aug = _augmented_nearest(op, u[rel.omega], f[rel.omega])
+    assert rel.graph_distance(u, f) == pytest.approx(distance(a_aug), rel=1e-12)
+
+
+def _augmented_nearest(op, u, f):
+    """The nearest point's ``a`` from ``[[I, Lᵀ], [L, −I]]``, partial pivoting."""
+    eye = sp.identity(op.shape[0], format="csr")
+    aug = sp.bmat([[eye, op.T], [op, -eye]]).tocsc()
+    return spl.splu(aug).solve(np.concatenate([u, f]))[:op.shape[0]]
+
+
+def test_multiplier_graph_distance_matches_augmented_factor(rel):
+    # diag(m)·L is not symmetric, so it keeps the augmented system
+    rng = np.random.default_rng(6)
+    scaled = multiplier_relation(rng.uniform(0.5, 2.0, rel.n_inside), rel)
+    u, f = rng.standard_normal((2, rel.state_dim))
+    op = scaled.op
+    a = _augmented_nearest(op, u[rel.omega], f[rel.omega])
+    assert scaled.graph_distance(u, f) == math.sqrt(
+        np.linalg.norm(np.delete(u, rel.omega)) ** 2
+        + np.linalg.norm(a - u[rel.omega]) ** 2
+        + np.linalg.norm(op @ a - f[rel.omega]) ** 2)
 
 
 @given(m=st.integers(4, 14), radius=st.sampled_from([0.0, 0.3, 0.55]),
@@ -173,21 +200,31 @@ def test_each_factorization_logs_one_line(monkeypatch, caplog):
         calls.append((op.shape[0], sigma))
         return factor(op, sigma)
 
-    monkeypatch.setattr(heatlab, "_factor", counting)
     rel = _relation(16, "disk")
+    scaled = multiplier_relation(np.linspace(0.5, 2.0, rel.n_inside), rel)
+    monkeypatch.setattr(heatlab, "_factor", counting)
+    block = (np.ones((rel.state_dim, 2)), np.zeros((rel.state_dim, 2)))
     with caplog.at_level(logging.DEBUG, logger="relsemi"):
         rel.resolvent([0.5, 1 + 1j], np.ones(rel.state_dim))
         rel.integrated([0.5, 1.0], np.ones(rel.state_dim))
-        rel.graph_distance(np.ones((rel.state_dim, 2)), np.zeros((rel.state_dim, 2)))
-    lines = [r.getMessage() for r in caplog.records
-             if r.getMessage().startswith("factor ")]
-    assert len(lines) == len(calls) == 5
+        rel.graph_distance(*block)
+        scaled.graph_distance(*block)
+    messages = [r.getMessage() for r in caplog.records]
+    lines = [msg for msg in messages if msg.startswith("factor ")]
+    assert len(lines) == len(calls) == 6
     for (n, sigma), line in zip(calls, lines):
         assert line.startswith(f"factor n={n} sigma=") and " nnz=" in line
-    assert "sigma=(1+1j)" in lines[1] and f"n={2 * rel.n_inside} sigma=0.0" in lines[-1]
-    # the shifted stencils are dominant, the graph-distance system is not
-    assert all(line.endswith(" pivot=diagonal") for line in lines[:4])
+    assert "sigma=(1+1j)" in lines[1]
+    # the shifted stencils and −iI − L are dominant, the augmented system
+    # of the multiplier relation is not
+    assert lines[4].startswith(f"factor n={rel.n_inside} sigma=-1j ")
+    assert lines[-1].startswith(f"factor n={2 * rel.n_inside} sigma=0.0 ")
+    assert all(line.endswith(" pivot=diagonal") for line in lines[:5])
     assert lines[-1].endswith(" pivot=partial")
+    n = rel.n_inside
+    assert [msg for msg in messages if msg.startswith("graph_distance ")] == [
+        f"graph_distance n={n} cols=2 form=residual",
+        f"graph_distance n={n} cols=2 form=augmented"]
 
 
 def test_first_eigenvalue_matches_negated_factor(rel):

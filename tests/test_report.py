@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import tracemalloc
@@ -14,6 +15,7 @@ from relsemi.errors import InvalidInput
 from relsemi.report import (
     CSV_BLOCK,
     _fmt,
+    _format_cells,
     atomic_write,
     line_chart,
     render_csv,
@@ -59,6 +61,25 @@ def test_csv_rejects_ragged_rows():
 def test_csv_complex_format():
     text = render_csv(["z"], [[1 + 2j, 1 - 2j]])
     assert "1.0+2.0j" in text and "1.0-2.0j" in text
+
+
+def test_fmt_signs_the_imaginary_part_as_complex_repr():
+    # '+' for a NaN imaginary part whatever its sign bit, '-' for -0.0
+    assert _fmt(complex(1, math.nan)) == "1.0+nanj"
+    assert _fmt(complex(1, -math.nan)) == "1.0+nanj"
+    assert _fmt(complex(1, -0.0)) == "1.0-0.0j"
+    assert _fmt(np.complex128(complex(-0.0, -0.0))) == "-0.0-0.0j"
+    assert _fmt(complex(1, 0.0)) == "1.0+0.0j"
+    assert _fmt(complex(1, -math.inf)) == "1.0-infj"
+
+
+@given(re=st.floats(), im=st.floats())
+def test_fmt_complex_follows_repr(re, im):
+    # with a real part of +0.0, repr writes the imaginary part alone
+    minus = repr(complex(0.0, im)).startswith("-")
+    expected = f"{re!r}{'-' if minus else '+'}{abs(im)!r}j"
+    assert _fmt(complex(re, im)) == expected
+    assert _fmt(np.complex128(complex(re, im))) == expected
 
 
 def _rowwise_csv(names, columns):
@@ -117,22 +138,78 @@ def test_csv_matches_the_rowwise_reference(n, kinds, seed):
     assert render_csv(names, columns) == _rowwise_csv(names, columns)
 
 
-def test_heat_orbit_csv_matches_the_rowwise_reference(tmp_path):
+def _bits(x):
+    return int(np.float64(x).view(np.uint64))
+
+
+# repr switches to exponent form at 1e16 and below 1e-4
+_SWITCH_BITS = [_bits(s * np.nextafter(v, v * k)) for v in (1e16, 1e-4)
+                for k in (0.0, 1.0, 2.0) for s in (1.0, -1.0)]
+_FLOAT_BITS = st.one_of(
+    st.floats(allow_subnormal=True).map(_bits),
+    st.sampled_from(_SWITCH_BITS + [_bits(v) for v in _SPECIAL_FLOATS]),
+    # NaNs with either sign bit and any nonzero payload
+    st.tuples(st.booleans(), st.integers(1, 2 ** 52 - 1)).map(
+        lambda sp: sp[0] << 63 | 0x7FF << 52 | sp[1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool=st.lists(_FLOAT_BITS, min_size=1, max_size=24),
+       picks=st.lists(st.integers(0, 10 ** 6), max_size=300),
+       step=st.sampled_from([1, 2, 3]))
+def test_format_cells_formats_each_float_as_fmt(pool, picks, step):
+    # a few distinct bit patterns, each repeated: ±0.0, NaN signs and
+    # payloads, ±inf, subnormals and repr's switch points keep their text
+    bits = np.array([pool[i % len(pool)] for i in picks], dtype=np.uint64)
+    block = bits.view(np.float64)[::step]
+    assert _format_cells(block) == [_fmt(v) for v in block]
+
+
+def test_csv_of_repeated_floats_across_blocks_matches_the_rowwise_reference():
+    rows = 2 * CSV_BLOCK + 5
+    t = np.repeat(0.05 * np.arange(1, 21), -(-rows // 20))[:rows]
+    value = np.where(np.arange(rows) % 3 == 0, 0.0, np.sin(np.arange(rows)))
+    value[::7] = -0.0
+    columns = [t, np.arange(rows), value]
+    assert render_csv(["t", "node_index", "value"], columns) == \
+        _rowwise_csv(["t", "node_index", "value"], columns)
+
+
+def test_write_csv_logs_rows_and_bytes(tmp_path, caplog):
+    # the bytes are summed over the streamed chunks, so they are the file's size
+    rows = CSV_BLOCK + 9
+    tables = {"t.csv": [np.arange(rows), np.linspace(0.0, 1.0, rows)], "e.csv": [[], []]}
+    with caplog.at_level(logging.DEBUG, logger="relsemi"):
+        for name, columns in tables.items():
+            write_csv(str(tmp_path / name), ["a", "b"], columns)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"csv rows={len(columns[0])} bytes={(tmp_path / name).stat().st_size}"
+        for name, columns in tables.items()]
+
+
+def test_heat_orbit_csv_matches_the_rowwise_reference(tmp_path, caplog):
     spec = {"grid": {"m": 32}, "label": "disk",
             "shape": {"kind": "disk", "center": [0.0, 0.0], "radius": 0.7}}
     u0 = heatlab.bump_function(grids.Grid(32))
     (tmp_path / "mask.json").write_text(json.dumps(spec))
     write_json(str(tmp_path / "u0.json"), vector_to_json(u0))
     out = tmp_path / "orbit"
-    assert main(["heat", "orbit", "--mask", str(tmp_path / "mask.json"),
-                 "--grid", "0.05:0.05:1", "--u0", str(tmp_path / "u0.json"),
-                 "--out", str(out)]) == 0
+    with caplog.at_level(logging.DEBUG, logger="relsemi"):
+        assert main(["heat", "orbit", "--mask", str(tmp_path / "mask.json"),
+                     "--grid", "0.05:0.05:1", "--u0", str(tmp_path / "u0.json"),
+                     "--out", str(out)]) == 0
     lab = heatlab.DirichletGridRelation(grids.mask_from_spec(spec))
     orbit = heatlab.heat_orbit(lab, u0, 0.05 + 0.05 * np.arange(20))  # the CLI's grid
     rows = [(float(t), node, float(orbit.states[j, node]))
             for j, t in enumerate(orbit.times) for node in range(lab.state_dim)]
     assert (out / "trajectory.csv").read_text() == \
         _rowwise_csv(["t", "node_index", "value"], list(zip(*rows)))
+    # one membership check of two columns; the CSV's logged bytes are the file's
+    messages = [r.getMessage() for r in caplog.records]
+    assert [m for m in messages if m.startswith("graph_distance ")] == [
+        f"graph_distance n={lab.n_inside} cols=2 form=residual"]
+    assert [m for m in messages if m.startswith("csv ")] == [
+        f"csv rows={len(rows)} bytes={(out / 'trajectory.csv').stat().st_size}"]
 
 
 class _Unprintable:
