@@ -19,15 +19,16 @@ depend on ``‖L‖ ~ h⁻²``, and it stops on the a-posteriori residual bound 
 Botchev, Grimm & Hochbruck (2013).
 
 Every solve in the lab — resolvents, ``S(t) = L⁻¹(T(t) − I)``, the Krylov
-shift, the contraction certificate, the graph distance (``−iI − L`` for a
-symmetric stencil, the augmented ``[[I, Lᵀ], [L, −I]]`` otherwise), the
-shift-invert Lanczos eigenvalue and the interval solve — goes through one
-sparse factorization of ``σI − op``, :func:`_factor`.  The pivot rule comes
-from the matrix: one that is diagonally dominant by rows or columns,
-decided exactly, is factored with diagonal pivots on a minimum-degree
-ordering, since Gaussian elimination on it needs no pivoting and has growth
-factor at most 2 (Higham, *Accuracy and Stability of Numerical Algorithms*,
-2nd ed., Thm 9.9); every other matrix gets partial pivoting.  No factor
+shift, the contraction certificate, graph distances and nearest pairs
+(``−iI − L`` for a symmetric stencil's distance, the augmented
+``[[I, Lᵀ], [L, −I]]`` otherwise), the shift-invert Lanczos eigenvalue and
+the interval solve — goes through one sparse factorization of
+``σI − op``, :func:`_factor`.  The pivot rule comes from the matrix: one
+that is diagonally dominant by rows or columns, decided exactly, is
+factored with diagonal pivots on a minimum-degree ordering, since Gaussian
+elimination on it needs no pivoting and has growth factor at most 2
+(Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+Thm 9.9); every other matrix gets partial pivoting.  No factor
 outlives the call that made it: each serves every column and time of that
 call and is dropped on return, so a mask family holds no factors between
 evaluations.  Every resolvent column, on either pivot rule, is verified by
@@ -383,30 +384,15 @@ class DirichletGridRelation:
 
     # -- graph geometry -----------------------------------------------------
 
-    def _symmetric(self) -> bool:
-        """Whether ``L`` is real and exactly symmetric, decided with no tolerance."""
-        return not np.iscomplexobj(self.op) and (self.op != self.op.T).nnz == 0
-
-    def _residual_solve(self):
-        """``solve(g)`` with ``−iI − L`` for a real symmetric ``L``.
-
-        With ``g = f − Lu`` on the mask, the squared distance of ``(u, f)``
-        to the graph on the mask is min over δ of ``‖δ‖² + ‖Lδ − g‖²
-        = gᴴ(I + L²)⁻¹g``, and ``I + L² = (I − iL)(I + iL)`` makes that
-        ``‖(I − iL)⁻¹g‖² = ‖solve(g)‖²``.  ``−iI − L`` is diagonally
-        dominant, so this is one n×n factor with diagonal pivots.
-        """
-        return _factor(self.op, complex(0.0, -1.0))
-
     def _nearest_coeff(self):
-        """``coeff(u, f)``: the nearest graph point's ``a`` on the mask, for any ``L``.
+        """``coeff(u, f)``: the nearest graph point's ``a`` on the mask.
 
         ``a`` solves ``(I + LᵀL) a = u + Lᵀf``, here as ``[[I, Lᵀ], [L, −I]]
         [a; La − f] = [u; f]``, whose condition grows like ``‖L‖``, not like
         the Gram matrix's ``‖L‖²``.  The returned function holds the one
-        2n×2n factor of that system; it takes 1-D ``u`` and ``f``.  Only
-        operators that are not symmetric, such as ``diag(m)·L``, use it:
-        symmetric ones take :meth:`_residual_solve`.
+        2n×2n factor of that system; it takes 1-D ``u`` and ``f``.
+        :meth:`nearest_pair` uses it for every ``L``, :meth:`graph_distance`
+        only for one that is not symmetric, such as ``diag(m)·L``.
         """
         n = self.n_inside
         eye = sp.identity(n, format="csr")
@@ -417,25 +403,32 @@ class DirichletGridRelation:
         """Euclidean distance from the pair ``(u, f)`` to the graph.
 
         ``u`` and ``f`` are ``(N,)`` states, which give a float, or ``(N, s)``
-        blocks, which give one distance per column from one factor.  A real
-        symmetric ``L`` takes the residual form ``√(‖u off the mask‖² +
-        ‖(I − iL)⁻¹(f − Lu)‖²)`` (:meth:`_residual_solve`), which keeps its
-        digits on pairs near the graph; any other ``L`` measures the nearest
-        point of :meth:`_nearest_coeff`'s augmented system.  Each column is
-        solved and measured as a contiguous 1-D state, so it matches the
-        ``(N,)`` call to the last bit.  Logs one debug line per call.
+        blocks, which give one distance per column from one factor.  For a
+        real ``L`` that is exactly symmetric (every stencil; decided with no
+        tolerance) let ``g = f − Lu`` on the mask: the squared distance on
+        the mask is min over δ of ``‖δ‖² + ‖Lδ − g‖² = gᴴ(I + L²)⁻¹g``, and
+        ``I + L² = (I − iL)(I + iL)`` makes that ``‖(I − iL)⁻¹g‖²``, the
+        squared norm of one solve with the diagonally dominant ``−iI − L``
+        (an n×n factor with diagonal pivots).  This residual form keeps its
+        digits on pairs near the graph, where ``La − f`` cancels like
+        ``‖L‖``; on pairs far from it, such as random ones, it is a few ulps
+        less accurate than the augmented form, whose distance is stationary
+        in ``a``.  Any other ``L`` measures the nearest point of
+        :meth:`_nearest_coeff`'s augmented system.  Each column is solved
+        and measured as a contiguous 1-D state, so it matches the ``(N,)``
+        call to the last bit.  Logs one debug line per call.
         """
         u = np.asarray(u)
         f = np.asarray(f)
         ub, fb = (u[:, None], f[:, None]) if u.ndim == 1 else (u, f)
         dists = np.empty(ub.shape[1])
-        residual = self._symmetric()
+        residual = not np.iscomplexobj(self.op) and (self.op != self.op.T).nnz == 0
         log.debug("graph_distance n=%d cols=%d form=%s", self.n_inside, dists.size,
                   "residual" if residual else "augmented")
         solve = coeff = None
         if self.n_inside and dists.size:
             if residual:
-                solve = self._residual_solve()
+                solve = _factor(self.op, complex(0.0, -1.0))
             else:
                 coeff = self._nearest_coeff()
         for j in range(dists.size):
@@ -453,32 +446,14 @@ class DirichletGridRelation:
         return float(dists[0]) if u.ndim == 1 else dists
 
     def nearest_pair(self, u, f):
-        """Orthogonal projection of ``(u, f)`` onto the graph (one factor).
-
-        For a real symmetric ``L`` the nearest point moves ``u`` on the mask
-        by ``δ = (I + L²)⁻¹Lg``, ``g = f − Lu``, which for real ``g`` is
-        ``−Re x`` with ``x = (−iI − L)⁻¹g`` (:meth:`_residual_solve`);
-        complex data is projected as its real and imaginary parts.  Any
-        other ``L`` solves :meth:`_nearest_coeff`'s augmented system.
-        """
+        """Orthogonal projection of ``(u, f)`` onto the graph (one factor)."""
         dt = np.result_type(u, f, float)
         u = np.asarray(u, dtype=dt)
         f = np.asarray(f, dtype=dt)
         ustar = np.zeros_like(u)
         fstar = f.copy()
         if self.n_inside:
-            if self._symmetric():
-                solve = self._residual_solve()
-
-                def nearest(ur, fr):
-                    return ur - solve(fr - self.op @ ur).real
-
-                uo, fo = u[self.omega], f[self.omega]
-                a = nearest(uo.real, fo.real)
-                if np.iscomplexobj(uo):
-                    a = a + 1j * nearest(uo.imag, fo.imag)
-            else:
-                a = self._nearest_coeff()(u, f)
+            a = self._nearest_coeff()(u, f)
             ustar[self.omega] = a
             fstar[self.omega] = self.op @ a
         return ustar, fstar

@@ -42,7 +42,8 @@ def _replace_atomically(path: str, chunks):
     """Write the text chunks to a temp file beside ``path``, then rename it over.
 
     Whatever goes wrong before the rename (a failing chunk iterator
-    included) removes the temp file and leaves ``path`` as it was.
+    included) removes the temp file and leaves ``path`` as it was.  Returns
+    the size in bytes of the file written.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -51,7 +52,9 @@ def _replace_atomically(path: str, chunks):
         with os.fdopen(fd, "w") as fh:
             for chunk in chunks:
                 fh.write(chunk)
+        size = os.path.getsize(tmp)
         os.replace(tmp, path)
+        return size
     except BaseException:
         os.unlink(tmp)
         raise
@@ -68,16 +71,20 @@ CSV_BLOCK = 4096  # rows formatted per chunk; bounds the text held while writing
 def _format_cells(col) -> list:
     """The cells of one column block, as :func:`_fmt` writes them.
 
-    Float64, integer and bool arrays are converted a whole block at a time;
-    a float64 block calls ``repr`` once per distinct bit pattern (so -0.0
-    and every NaN keep their own text), which grid tables full of repeated
-    times and exact zeros make far fewer calls than cells.  Anything else
-    goes through :func:`_fmt` cell by cell.
+    Float64, integer and bool arrays are converted a whole block at a time.
+    A float64 block that mostly repeats its previous cell's bit pattern,
+    such as a grid table's times, calls ``repr`` once per distinct pattern
+    (so -0.0 and every NaN keep their own text); any other calls it per
+    cell, since there the sort that finds the distinct patterns costs more
+    than it saves.  Anything else goes through :func:`_fmt` cell by cell.
     """
     if isinstance(col, np.ndarray):
         if col.dtype == np.float64:
-            bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-            texts = np.array(list(map(repr, bits.view(np.float64).tolist())),
+            bits = col.view(np.int64)
+            if 2 * np.count_nonzero(bits[1:] != bits[:-1]) >= col.size:
+                return list(map(repr, col.tolist()))
+            distinct, inverse = np.unique(bits, return_inverse=True)
+            texts = np.array(list(map(repr, distinct.view(np.float64).tolist())),
                              dtype=object)
             return texts[inverse].tolist()
         if col.dtype.kind in "iu":
@@ -116,19 +123,11 @@ def render_csv(names, columns) -> str:
 def write_csv(path, names, columns):
     """Stream :func:`render_csv`'s text to ``path``, atomically.
 
-    Logs one debug line with the rows and the bytes of the streamed chunks.
+    Logs one debug line with the rows and the bytes of the file written.
     """
     cols, n_rows = _csv_columns(names, columns)
-    written = 0
-
-    def counted():
-        nonlocal written
-        for chunk in _csv_chunks(names, cols, n_rows):
-            written += len(chunk.encode())
-            yield chunk
-
-    _replace_atomically(path, counted())
-    log.debug("csv rows=%d bytes=%d", n_rows, written)
+    size = _replace_atomically(path, _csv_chunks(names, cols, n_rows))
+    log.debug("csv rows=%d bytes=%d", n_rows, size)
 
 
 def sanitize(obj):

@@ -184,6 +184,30 @@ def test_graph_geometry_matches_dense_least_squares(m, radius, operator, field, 
     assert np.array_equal(fstar[rel.omega], rel.op @ ustar[rel.omega])
 
 
+@pytest.mark.parametrize("kind", ["random", "other-graph"])
+def test_graph_distance_of_a_far_pair_matches_dense_least_squares(kind):
+    # pairs off the graph, as heat converge measures them: a random pair, and
+    # points of another disk's graph (u = R(1)g, f = u − g); the residual form
+    # must agree with dense lstsq of [I; L]a ≈ [u; f] at m = 64 too
+    grid = Grid(64)
+    rel = DirichletGridRelation(disk_mask(grid, 0.4))
+    rng = np.random.default_rng(3)
+    if kind == "random":
+        u, f = rng.standard_normal((2, grid.n_nodes, 3))
+    else:
+        g = rng.standard_normal((grid.n_nodes, 3))
+        u = DirichletGridRelation(disk_mask(grid, 0.45)).resolvent([1.0], g)[0]
+        f = u - g
+    stacked = np.vstack([np.eye(rel.n_inside), rel.op.toarray()])
+    dists = rel.graph_distance(u, f)
+    for j in range(u.shape[1]):
+        rhs = np.concatenate([u[rel.omega, j], f[rel.omega, j]])
+        a = np.linalg.lstsq(stacked, rhs, rcond=None)[0]
+        expected = math.hypot(np.linalg.norm(np.delete(u[:, j], rel.omega)),
+                              np.linalg.norm(stacked @ a - rhs))
+        assert dists[j] == pytest.approx(expected, rel=1e-12)
+
+
 @pytest.fixture(scope="module", params=[32, 64, 128, 256])
 def refined_disk(request):
     return DirichletGridRelation(disk_mask(Grid(request.param), 0.7))

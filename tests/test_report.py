@@ -156,11 +156,13 @@ _FLOAT_BITS = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(pool=st.lists(_FLOAT_BITS, min_size=1, max_size=24),
        picks=st.lists(st.integers(0, 10 ** 6), max_size=300),
-       step=st.sampled_from([1, 2, 3]))
-def test_format_cells_formats_each_float_as_fmt(pool, picks, step):
-    # a few distinct bit patterns, each repeated: ±0.0, NaN signs and
-    # payloads, ±inf, subnormals and repr's switch points keep their text
-    bits = np.array([pool[i % len(pool)] for i in picks], dtype=np.uint64)
+       run=st.integers(1, 6), step=st.sampled_from([1, 2, 3]))
+def test_format_cells_formats_each_float_as_fmt(pool, picks, run, step):
+    # a few distinct bit patterns, each repeated (in runs, which take the
+    # once-per-pattern path): ±0.0, NaN signs and payloads, ±inf,
+    # subnormals and repr's switch points keep their text
+    bits = np.array([pool[i % len(pool)] for i in picks for _ in range(run)],
+                    dtype=np.uint64)
     block = bits.view(np.float64)[::step]
     assert _format_cells(block) == [_fmt(v) for v in block]
 
