@@ -8,6 +8,7 @@ errors.  Identical config and seed produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import cmath
 import inspect
 import json
 import logging
@@ -55,10 +56,7 @@ def _parse_time_grid(expr: str) -> np.ndarray:
     parts = expr.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid must look like a:step:b, got {expr!r}", field="--grid")
-    try:
-        a, step, b = (float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"non-numeric grid bound in {expr!r}", field="--grid") from exc
+    a, step, b = (_finite(p, "--grid", float) for p in parts)
     if step <= 0 or b < a:
         raise ConfigError("grid needs step > 0 and b >= a", field="--grid")
     count = int(math.floor((b - a) / step + 1e-9)) + 1
@@ -79,6 +77,26 @@ def _load_relation(path: str) -> LinearRelation:
     return LinearRelation.from_json(_load_json(path))
 
 
+def _finite(value, field, kind):
+    """``kind(value)`` (a complex one may be ``{re, im}``), refused unless finite."""
+    try:
+        x = complex(value["re"], value["im"]) \
+            if kind is complex and isinstance(value, dict) else kind(value)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"not a number: {value!r}", field=field) from exc
+    if not cmath.isfinite(x):
+        raise ConfigError(f"{value!r} is not finite", field=field)
+    return x
+
+
+def _tolerance(args, cfg, default) -> float:
+    """``--tol``, else the config's ``tol``, else ``default``; finite and > 0."""
+    tol = _finite(cfg.get("tol", default) if args.tol is None else args.tol, "tol", float)
+    if tol <= 0:
+        raise ConfigError(f"{tol!r} is not > 0", field="tol")
+    return tol
+
+
 def _grid_field(obj, key):
     """Time grids in config files: either a list or {start, stop, num}."""
     spec = obj.get(key)
@@ -86,11 +104,11 @@ def _grid_field(obj, key):
         return None
     if isinstance(spec, dict):
         try:
-            return np.linspace(float(spec["start"]), float(spec["stop"]),
-                               int(spec["num"]))
+            return np.linspace(_finite(spec["start"], key, float),
+                               _finite(spec["stop"], key, float), int(spec["num"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad grid object: {exc}", field=key) from exc
-    return np.asarray([float(v) for v in spec])
+    return np.asarray([_finite(v, key, float) for v in spec])
 
 
 def _emit(text: str, out_dir, filename: str):
@@ -121,8 +139,8 @@ def cmd_rel_parts(args) -> int:
 
 def cmd_spec_scan(args) -> int:
     rel = _load_relation(args.relation)
-    lams = _parse_time_grid(args.grid) + 1j * args.imag
-    rows = resolvent_set_scan(rel, lams, accept_tol=args.tol)
+    lams = _parse_time_grid(args.grid) + 1j * _finite(args.imag, "--imag", float)
+    rows = resolvent_set_scan(rel, lams, accept_tol=_tolerance(args, {}, None))
     scanned = np.array([r.lam for r in rows], dtype=complex)
     text = render_csv(
         ["lambda_re", "lambda_im", "in_resolvent_set", "norm_R", "residual"],
@@ -178,8 +196,8 @@ def _tk_inputs(args):
     cfg = _load_json(args.family)
     check_keys(cfg, TK_KEYS, "family")
     kind = cfg.get("family", "relations")
-    tol = args.tol if args.tol is not None else float(cfg.get("tol", 1e-6))
-    lam_grid = [complex(l["re"], l["im"]) if isinstance(l, dict) else complex(l)
+    tol = _tolerance(args, cfg, 1e-6)
+    lam_grid = [_finite(l, "lambda_grid", complex)
                 for l in cfg.get("lambda_grid", [1.0, 2.0])]
     t_grid = _grid_field(cfg, "t_grid")
     items = tuple(cfg.get("items", ("i", "ii", "iii", "iv", "v")))
@@ -286,13 +304,13 @@ def _f_columns(grid, spec):
 def cmd_heat_converge(args) -> int:
     cfg = _load_json(args.family)
     grid, masks, limit = _heat_family(cfg)
-    lam_grid = [complex(l) for l in cfg.get("lambda_grid", [0.5, 1.0, 2.0])]
+    lam_grid = [_finite(l, "lambda_grid", complex)
+                for l in cfg.get("lambda_grid", [0.5, 1.0, 2.0])]
     t_grid = _grid_field(cfg, "t_grid")
     if t_grid is None:
         t_grid = np.linspace(0.0, 1.0, 6)
-    tol = args.tol if args.tol is not None else float(cfg.get("tol", 0.05))
-    mu = cfg.get("mu", {"re": 1.0, "im": 1.0})
-    mu = complex(mu["re"], mu["im"]) if isinstance(mu, dict) else complex(mu)
+    tol = _tolerance(args, cfg, 0.05)
+    mu = _finite(cfg.get("mu", {"re": 1.0, "im": 1.0}), "mu", complex)
     items = tuple(cfg.get("items", ("i", "ii", "iii", "iv")))
     rep = heatlab.perturbation_experiment(
         masks, limit, lam_grid, t_grid, _f_columns(grid, cfg.get("f")),

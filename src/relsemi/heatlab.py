@@ -14,13 +14,13 @@ shifts or times.  Every semigroup action — ``T(t)``, ``T(z)`` and ``S(t)``
 on a whole grid — goes through one kernel, :meth:`DirichletGridRelation._exp_action`:
 a shift-and-invert Arnoldi basis of ``(I − γL)⁻¹`` (van den Eshof &
 Hochbruck, 2006) built on one sparse factorization per call, with all
-requested times evaluated from that basis.  Its convergence does not
-depend on ``‖L‖ ~ h⁻²``, and it stops on the a-posteriori residual bound of
-Botchev, Grimm & Hochbruck (2013).
+requested times evaluated from that basis, ``S(t)`` with ``T(t)``.  Its
+convergence does not depend on ``‖L‖ ~ h⁻²``, and it stops on the
+a-posteriori residual bound of Botchev, Grimm & Hochbruck (2013).
 
-Every solve in the lab — resolvents, ``S(t) = L⁻¹(T(t) − I)``, the Krylov
-shift, the contraction certificate, graph distances and nearest pairs
-(``−iI − L`` for a symmetric stencil's distance, the augmented
+Every solve in the lab — resolvents, the Krylov shift, the contraction
+certificate, graph distances and nearest pairs (``−iI − L`` for a
+symmetric stencil's distance, the augmented
 ``[[I, Lᵀ], [L, −I]]`` otherwise), the shift-invert Lanczos eigenvalue and
 the interval solve — goes through one sparse factorization of
 ``σI − op``, :func:`_factor`.  The pivot rule comes from the matrix: one
@@ -74,7 +74,6 @@ EIG_TOL = 1e-8             # relative accuracy of the first Dirichlet eigenvalue
 MULTIPLIER_MIN = 1e-8      # smallest |m| a multiplier may take on the mask
 CRITERION_MARGINS = (1, 2, 3)  # node rings of domain_convergence_check's interiors
 CONTRACTION_TOL = 1e-12    # slack of supnorm_contraction's bound ‖λR(λ)‖∞ ≤ 1
-FD_DELTA = 1e-3            # step of heat_orbit's finite-difference membership check
 ARGMAX_COLUMNS = 16        # sample columns per argmax copy in max_principle_check
 GAUSS8 = np.polynomial.legendre.leggauss(8)  # panel rule of _residual_integral on [-1, 1]
 
@@ -295,69 +294,61 @@ class DirichletGridRelation:
             if outside.any():
                 raise OutsideSector(f"z={complex(zs[outside][0])!r} outside the "
                                     "right half-plane")
-        fs = np.asarray(fs)
-        w = self._exp_action(zs, fs[self.omega])
-        out = np.zeros((w.shape[0],) + fs.shape, dtype=w.dtype)
-        out[:, self.omega] = w
-        return out
+        return self._exp_action(zs, fs)[0]
 
     def integrated(self, ts, fs):
-        """``S(t) F = L⁻¹(T(t) − I) F`` on the mask for every time in ``ts``.
+        """``S(t) F = ∫₀ᵗ T(s) F ds`` on the mask for every time in ``ts``.
 
-        The last grid and data are remembered, so a caller asking again for
-        the same times (a report and its off-mask check) gets the stored,
-        read-only array instead of a second sweep.
+        One sweep of :meth:`_exp_action`, within ``t·EXP_TOL·‖f‖∞`` per
+        column.  The last grid and data are remembered, so a caller asking
+        again for the same times (a report and its off-mask check) gets the
+        stored, read-only array instead of a second sweep.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         fs = np.asarray(fs)
-        if np.any(ts < 0):
-            raise InvalidInput("time grid must be nonnegative")
         memo = self._integrated_memo
         if (memo is not None and np.array_equal(memo[0], ts)
                 and memo[1].dtype == fs.dtype and np.array_equal(memo[1], fs)):
             return memo[2]
-        b = fs[self.omega]
-        w = b - self._exp_action(ts, b)  # S(t) b solves (0 − L) x = b − T(t) b
-        out = np.zeros((ts.size,) + fs.shape, dtype=w.dtype)
-        if self.n_inside:
-            cols = np.moveaxis(w, 0, -1).reshape(self.n_inside, -1)
-            sol = _factor(self.op, 0.0)(cols)
-            out[:, self.omega] = np.moveaxis(sol.reshape(w.shape[1:] + (ts.size,)),
-                                             -1, 0)
+        out = self._exp_action(ts, fs)[1]
         out.setflags(write=False)
         self._integrated_memo = (ts.copy(), fs.copy(), out)
         return out
 
     # -- exponential kernel ---------------------------------------------------
 
-    def _exp_action(self, times, b, max_basis: int = EXP_MAX_BASIS):
-        """``exp(t L) b`` on the masked block for every ``t`` in ``times``.
+    def _exp_action(self, times, fs, max_basis: int = EXP_MAX_BASIS):
+        """``T(t) F`` and ``S(t) F = ∫₀ᵗ T(s) F ds`` for every time in ``times``.
 
-        Times are real ``t ≥ 0`` or complex ``z`` with ``Re z ≥ 0``; ``b`` is
-        ``(n,)`` or ``(n, c)`` and the result is ``(len(times),) + b.shape``.
-        Each column gets one shift-and-invert Arnoldi basis of
-        ``(I − γL)⁻¹`` with ``γ = max|t| / 10``, built on one factorization
-        of ``γ⁻¹ − L`` that serves every column and is dropped on return;
-        every time is then evaluated from it as ``β V_k exp(t T_k) e₁``,
-        ``T_k = (I − H_k⁻¹)/γ``.  The basis grows until the a-posteriori
-        bound ``e^{t μ∞(L)} ∫₀ᵗ ‖r_k(s)‖∞ ds`` on the error of the largest
-        time is at most ``EXP_TOL·‖b‖∞`` (``r_k`` is the residual of the ODE
-        ``u' = L u``; for complex ``z`` the integral runs along ``[0, z]``
-        and is an estimate).  Raises :class:`SolverBreakdown` when
-        ``max_basis`` vectors do not suffice.
+        Times are real ``t ≥ 0`` or complex ``z`` with ``Re z ≥ 0`` (``S``
+        then integrates along ``[0, z]``); ``F`` is ``(N,)`` or ``(N, c)`` and
+        the result is ``(2, len(times)) + F.shape``, the ``T`` block first,
+        zero off the mask.  The masked block ``b`` of each column gets one
+        shift-and-invert Arnoldi basis of ``(I − γL)⁻¹`` with
+        ``γ = max|t| / 10``, built on one factorization of ``γ⁻¹ − L`` that
+        serves every column and is dropped on return; every time is then
+        evaluated from it as ``β V_k exp(t T_k) e₁`` and
+        ``β V_k t φ₁(t T_k) e₁``, ``T_k = (I − H_k⁻¹)/γ``.  The basis grows
+        until the a-posteriori bound ``e^{t μ∞(L)} ∫₀ᵗ ‖r_k(s)‖∞ ds`` on the
+        error of ``T`` at the largest time is at most ``EXP_TOL·‖b‖∞``
+        (``r_k`` is the residual of the ODE ``u' = L u``; for complex ``z``
+        the integral runs along ``[0, z]`` and is an estimate).  That bound
+        grows along each ray, so the error of ``S(t)b`` is at most ``t``
+        times it.  Raises :class:`SolverBreakdown` when ``max_basis`` vectors
+        do not suffice.
         """
         times = np.atleast_1d(np.asarray(times))
-        if times.ndim != 1 or np.any(times.real < 0):
-            raise InvalidInput("times must be a flat array with Re t >= 0")
-        b = np.asarray(b)
+        if times.ndim != 1 or not np.all(np.isfinite(times) & (times.real >= 0)):
+            raise InvalidInput("times must be a flat array of finite t with Re t >= 0")
+        fs = np.asarray(fs)
         n = self.n_inside
-        out = np.zeros((times.size,) + b.shape,
-                       dtype=np.result_type(b, times, float))
+        out = np.zeros((2, times.size) + fs.shape,
+                       dtype=np.result_type(fs, times, float))
         tmax = float(np.max(np.abs(times), initial=0.0))
         if n == 0 or tmax == 0.0:
-            out[...] = b
+            out[0][:, self.omega] = fs[self.omega]  # and S(0) = 0
             return out
-        cols = b.reshape(n, -1)
+        cols = fs[self.omega].reshape(n, -1)
         if np.iscomplexobj(cols):
             cols = np.hstack([cols.real, cols.imag])  # the operator is real
         gamma = tmax / 10.0
@@ -365,18 +356,18 @@ class DirichletGridRelation:
         diag = self.op.diagonal()
         mu = float(np.max(diag + np.asarray(abs(self.op).sum(axis=1)).ravel()
                           - np.abs(diag)))
-        vals = np.empty((times.size, n, cols.shape[1]), dtype=out.dtype)
+        vals = np.empty((2, times.size, n, cols.shape[1]), dtype=out.dtype)
         sizes, bounds, checks = [], [], 0
         for j in range(cols.shape[1]):
-            vals[:, :, j], size, bound, count = _si_arnoldi_exp(
+            vals[..., j], size, bound, count = _si_arnoldi_exp(
                 self.op, solve, gamma, mu, cols[:, j], times, max_basis)
             sizes.append(size)
             bounds.append(bound)
             checks += count
-        if np.iscomplexobj(b):
-            half = vals.shape[2] // 2
-            vals = vals[:, :, :half] + 1j * vals[:, :, half:]
-        out[...] = vals.reshape(out.shape)
+        if np.iscomplexobj(fs):
+            half = vals.shape[-1] // 2
+            vals = vals[..., :half] + 1j * vals[..., half:]
+        out[:, :, self.omega] = vals.reshape(vals.shape[:3] + fs.shape[1:])
         log.debug("exp_action n=%d cols=%d gamma=%.4g basis=%d bound=%.3e checks=%d",
                   n, len(sizes), gamma, max(sizes, default=0), max(bounds, default=0.0),
                   checks)
@@ -510,20 +501,22 @@ def _residual_integral(lam, weights, z) -> float:
 def _si_arnoldi_exp(op, solve, gamma, mu, b, times, max_basis):
     """One real column of :meth:`DirichletGridRelation._exp_action`.
 
-    ``solve`` solves with ``γ⁻¹ I − L``.  Returns the values at ``times``, the
-    basis size, the final error bound and the number of bound checks.  With
+    ``solve`` solves with ``γ⁻¹ I − L``.  Returns the ``T`` and ``S`` values
+    at ``times``, the basis size, the final error bound and the number of
+    bound checks.  With
     ``A = (I − γL)⁻¹`` the Arnoldi relation ``A V_k = V_k H_k + h v_{k+1} e_kᵀ`` gives the
     residual ``r_k(s) = (h β / γ) (e_kᵀ H_k⁻¹ exp(s T_k) e₁) (I − γL) v_{k+1}``
     of the approximation ``β V_k exp(s T_k) e₁``.  Both that scalar factor
     and the values go through the eigendecomposition ``H_k = X Θ X⁻¹``
     (``T_k`` has eigenvalues ``(1 − 1/θ)/γ``), which must be well
-    conditioned; :class:`SolverBreakdown` is raised otherwise.  Each check
-    costs an ``eig`` of ``H_k``, so checks are placed where the bound's
-    observed geometric decay predicts the target; the kernel stops only at
-    a check that meets it, or at ``max_basis`` vectors.
+    conditioned; :class:`SolverBreakdown` is raised otherwise; ``S`` takes
+    ``t φ₁(tλ) = expm1(tλ)/λ`` (``t`` at ``λ = 0``) on the same Ritz values.
+    Each check costs an ``eig`` of ``H_k``, so checks are placed where the
+    bound's observed geometric decay predicts the target; the kernel stops
+    only at a check that meets it, or at ``max_basis`` vectors.
     """
     n = b.size
-    out = np.zeros((times.size, n), dtype=np.result_type(times, float))
+    out = np.zeros((2, times.size, n), dtype=np.result_type(times, float))
     scale = float(np.max(np.abs(b)))
     if scale == 0.0:
         return out, 0, 0.0, 0
@@ -582,7 +575,10 @@ def _si_arnoldi_exp(op, solve, gamma, mu, b, times, max_basis):
             f"{bound:.2e} above {EXP_TOL * scale:.2e}")
     if np.linalg.cond(vecs) > 1e3:
         raise SolverBreakdown("exponential kernel: ill-conditioned Ritz basis")
-    small = (np.exp(np.outer(times, lam)) * coef) @ vecs.T
+    tl = np.outer(times, lam)
+    nonzero = lam != 0
+    integ = np.where(nonzero, np.expm1(tl) / np.where(nonzero, lam, 1.0), times[:, None])
+    small = (np.stack([np.exp(tl), integ]) * coef) @ vecs.T
     out[...] = beta * ((small if np.iscomplexobj(out) else small.real) @ basis[:size])
     return out, size, bound, checks
 
@@ -1004,11 +1000,11 @@ class HeatOrbit:
 def heat_orbit(rel: DirichletGridRelation, u0, t_grid) -> HeatOrbit:
     """Trajectory ``u(t) = T(t) u0`` with its defining checks.
 
-    Membership is tested with Richardson-extrapolated central differences
-    (step ``FD_DELTA``) at the middle and last grid times, where they exceed
-    ``2 FD_DELTA`` (the raw pair ``(u, Lu)`` would be a tautology).
-    ``T(0)``, the orbit and every difference time come from one call of the
-    exponential kernel, so from one Krylov basis.
+    Membership is the graph distance of ``(S(τ) u0, T(τ) u0 − P u0)`` at the
+    middle and last grid times, the integrated form of ``u' ∈ Au``, so at
+    most ``√n (1 + τ) EXP_TOL ‖u0‖∞`` by the kernel's error bounds.
+    ``T(0)``, the orbit and ``S`` come from one call of the exponential
+    kernel, so from one Krylov basis.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0 or np.any(t_grid <= 0) or np.any(np.diff(t_grid) <= 0):
@@ -1016,12 +1012,8 @@ def heat_orbit(rel: DirichletGridRelation, u0, t_grid) -> HeatOrbit:
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (rel.state_dim,):
         raise InvalidInput("initial state has the wrong length")
-    picks = sorted({t_grid.size // 2, t_grid.size - 1})
-    fd_times = tuple(float(t_grid[j]) for j in picks if t_grid[j] > 2 * FD_DELTA)
-    offsets = np.array([0.0, FD_DELTA, -FD_DELTA, FD_DELTA / 2, -FD_DELTA / 2])
-    fd_grid = (np.asarray(fd_times, dtype=float)[:, None] + offsets).ravel()
-    traj = rel.semigroup(np.concatenate([[0.0], t_grid, fd_grid]), u0)
-    states = traj[1:t_grid.size + 1]
+    traj, integ = rel._exp_action(np.concatenate([[0.0], t_grid]), u0)
+    states = traj[1:]
     pu0 = np.zeros_like(u0)
     pu0[rel.omega] = u0[rel.omega]
     projection_defect = float(np.max(np.abs(traj[0] - pu0), initial=0.0))
@@ -1031,16 +1023,15 @@ def heat_orbit(rel: DirichletGridRelation, u0, t_grid) -> HeatOrbit:
     off_mask = np.ones(rel.state_dim, dtype=bool)
     off_mask[rel.omega] = False
     off_domain_max = float(np.max(np.abs(states[:, off_mask]), initial=0.0))
-    u_tau, up, dn, up2, dn2 = np.moveaxis(
-        traj[t_grid.size + 1:].reshape(-1, 5, rel.state_dim), 0, -1)
-    dudt = (4.0 * (up2 - dn2) / FD_DELTA - (up - dn) / (2 * FD_DELTA)) / 3.0
-    residuals = rel.graph_distance(u_tau, dudt).tolist()
+    picks = sorted({t_grid.size // 2, t_grid.size - 1})
+    residuals = rel.graph_distance(integ[1:][picks].T, (states[picks] - pu0).T).tolist()
     denom = max(float(np.max(np.abs(pu0), initial=0.0)), 1e-300)
     sup_ratio = float(np.max(np.abs(states), initial=0.0)) / denom
     decreasing = bool(np.all(states[1:] <= states[:-1] + 1e-12))
     return HeatOrbit(t_grid, states, projection_defect, initial_trace,
-                     off_domain_max, fd_times, tuple(residuals),
-                     sup_ratio, float(states.min(initial=0.0)), decreasing)
+                     off_domain_max, tuple(float(t_grid[j]) for j in picks),
+                     tuple(residuals), sup_ratio, float(states.min(initial=0.0)),
+                     decreasing)
 
 
 # -- experiment mask builders -----------------------------------------------------

@@ -157,7 +157,11 @@ def _evaluate(sd: SemigroupData, zs: np.ndarray, integrated: bool = False) -> np
     if not np.iscomplexobj(zs) and np.any(zs < 0):
         raise InvalidInput("semigroup time must be nonnegative")
     z = np.atleast_1d(zs)[:, None, None]
-    core = _phis(z * sd.generator_matrix, int(integrated))[-1]
+    m1 = sd.generator_matrix
+    # real-times-complex products round once wherever z sits in the stack; a
+    # complex multiply's vector body and scalar tail round differently
+    scaled = z.real * m1 + z.imag * (1j * m1) if np.iscomplexobj(z) else z * m1
+    core = _phis(scaled, int(integrated))[-1]
     if integrated:
         core = z * core
     out = sd.domain_basis @ core @ sd.coord_map

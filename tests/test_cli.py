@@ -260,6 +260,41 @@ def test_heat_orbit_artifacts(tmp_path, capsys):
 DISK = {"kind": "disk", "center": [0.0, 0.0], "radius": 0.7}
 
 
+@pytest.mark.parametrize("case", [
+    "spec --imag nan", "spec --tol=-1", "orbit --grid nan:0.1:1",
+    "orbit --grid 0:0.1:inf", "heat t_grid NaN", "heat lambda_grid NaN", "heat t_grid Infinity", "heat mu NaN",
+    "heat tol 0", "heat --tol=inf", "tk tol -1"])
+def test_non_finite_or_nonpositive_input_exits_2(case, rel_file, tmp_path, capsys):
+    # each of these once ended in a traceback (exit 1), or for a negative
+    # tolerance ran and reported every point outside the resolvent set
+    out = str(tmp_path / "o")
+    mask = tmp_path / "mask.json"
+    mask.write_text(json.dumps({"grid": {"m": 12}, "shape": DISK}))
+    nan, inf = float("nan"), float("inf")
+    argv = {
+        "spec --imag nan": ["spec", "scan", rel_file, "--grid=0:0.5:1", "--imag", "nan"],
+        "spec --tol=-1": ["spec", "scan", rel_file, "--grid=0:0.5:1", "--tol=-1"],
+        "orbit --grid nan:0.1:1": ["heat", "orbit", "--mask", str(mask),
+                                   "--grid", "nan:0.1:1", "--out", out],
+        "orbit --grid 0:0.1:inf": ["heat", "orbit", "--mask", str(mask),
+                                   "--grid", "0:0.1:inf", "--out", out],
+    }.get(case)
+    if case.startswith("heat"):
+        flag = case.split()[1]
+        changes = {"heat t_grid NaN": {"t_grid": [0.0, nan]},
+                   "heat lambda_grid NaN": {"lambda_grid": [nan]},
+                   "heat t_grid Infinity": {"t_grid": [0.0, inf]},
+                   "heat mu NaN": {"mu": {"re": nan, "im": 1.0}},
+                   "heat tol 0": {"tol": 0.0}}.get(case, {})
+        argv = ["heat", "converge", "--family", _heat_family_file(tmp_path, **changes),
+                "--out", out] + ([flag] if flag.startswith("--") else [])
+    elif case.startswith("tk"):
+        fam = _relations_family(tmp_path, (4, 16), tol=-1.0)
+        argv = ["converge", "tk", "--family", fam]
+    assert main(argv) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("case", ["tk family", "heat family", "mask", "builder",
                                   "grid", "shape"])
 def test_unknown_config_key_exits_2(case, tmp_path, capsys):

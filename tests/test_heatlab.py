@@ -466,6 +466,21 @@ def test_heat_orbit_membership_under_refinement(m):
     assert orbit.off_domain_max == 0.0 and orbit.projection_defect <= 1e-12
 
 
+@pytest.mark.parametrize("m", [32, 64, 128])
+def test_heat_orbit_membership_within_the_kernel_bound(m):
+    # (S(τ)u0, T(τ)u0 − Pu0) lies on the graph; the kernel's certified sup-norm
+    # errors, EXP_TOL·‖u0‖∞ on T and τ times that on S, allow at most this
+    # Euclidean distance
+    grid = Grid(m)
+    rel = DirichletGridRelation(disk_mask(grid, 0.7))
+    u0 = bump_function(grid)
+    orbit = heat_orbit(rel, u0, np.arange(1, 21) * 0.05)
+    assert orbit.membership_times == (0.55, 1.0)
+    for tau, res in zip(orbit.membership_times, orbit.membership_residuals):
+        assert res <= math.sqrt(rel.n_inside) * (1.0 + tau) * heatlab.EXP_TOL \
+            * np.max(np.abs(u0))
+
+
 def test_sector_uniformity_two_members():
     g = Grid(12)
     labs = [DirichletGridRelation(disk_mask(g, 0.6)),

@@ -6,8 +6,11 @@ helper.  The references below factor the matrix each caller used before,
 diagonally dominant ones with the helper's no-pivot options, the augmented
 graph-distance system with SuperLU's default partial pivoting — and the results must
 agree to the last bit; so must the vectorised maximum-principle check and
-the per-sample loop it replaced.  First eigenvalues match dense
-``eigvalsh``.  No factor may outlive the call that made it.
+the per-sample loop it replaced.  ``S(t)`` needs no factor of its own: it
+comes from the Krylov sweep's one factor, and agrees with ``L⁻¹(T(t) − I)``
+on a direct factor of ``L`` within the kernel's error bounds.  First
+eigenvalues match dense ``eigvalsh``.  No factor may outlive the call that
+made it.
 """
 
 import logging
@@ -70,17 +73,31 @@ def _diagonal_lu(mat):
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
-def test_integrated_matches_operator_factor(rel, field):
+def test_integrated_matches_operator_factor(rel, field, monkeypatch):
+    # S(t) is read from the kernel sweep on its one factor of γ⁻¹ − L; it
+    # agrees with L⁻¹(T(t) − I), solved on a direct factor of L, within the
+    # kernel's bounds: t·EXP_TOL on S, ‖L⁻¹‖∞·EXP_TOL through the solve
     ts = np.array([0.0, 0.05, 0.3, 1.0])
     fs = np.column_stack([np.ones(rel.state_dim), bump_function(rel.grid)])
     if field == "complex":
         fs = fs + 1j * fs[:, ::-1]
+    sigmas = []
+    factor = heatlab._factor
+    monkeypatch.setattr(heatlab, "_factor",
+                        lambda op, sigma: sigmas.append(sigma) or factor(op, sigma))
+    got = rel.integrated(ts, fs)
+    assert sigmas == [1.0 / (ts.max() / 10.0)]
     n = rel.n_inside
+    lu = _diagonal_lu(rel.op)
     w = rel.semigroup(ts, fs)[:, rel.omega] - fs[rel.omega]
-    sol = _solve(_diagonal_lu(rel.op), np.moveaxis(w, 0, -1).reshape(n, -1))
-    expected = np.zeros((ts.size,) + fs.shape, dtype=w.dtype)
-    expected[:, rel.omega] = np.moveaxis(sol.reshape(w.shape[1:] + (ts.size,)), -1, 0)
-    assert np.array_equal(rel.integrated(ts, fs), expected)
+    sol = _solve(lu, np.moveaxis(w, 0, -1).reshape(n, -1))
+    expected = np.moveaxis(sol.reshape(w.shape[1:] + (ts.size,)), -1, 0)
+    inverse_norm = float(np.max(-lu.solve(np.ones(n))))  # (−L)⁻¹ ≥ 0
+    scale = np.max(np.abs(fs.real)) + np.max(np.abs(fs.imag))
+    for t, got_t, want_t in zip(ts, got, expected):
+        assert not got_t[np.delete(np.arange(rel.state_dim), rel.omega)].any()
+        assert np.max(np.abs(got_t[rel.omega] - want_t)) \
+            <= (t + inverse_norm) * heatlab.EXP_TOL * scale
 
 
 def test_surjective_solve_matches_operator_factor(rel):
@@ -211,15 +228,17 @@ def test_each_factorization_logs_one_line(monkeypatch, caplog):
         scaled.graph_distance(*block)
     messages = [r.getMessage() for r in caplog.records]
     lines = [msg for msg in messages if msg.startswith("factor ")]
-    assert len(lines) == len(calls) == 6
+    assert len(lines) == len(calls) == 5
     for (n, sigma), line in zip(calls, lines):
         assert line.startswith(f"factor n={n} sigma=") and " nnz=" in line
     assert "sigma=(1+1j)" in lines[1]
+    # integrated factors only the Krylov shift 1/γ, γ = max t / 10
+    assert lines[2].startswith(f"factor n={rel.n_inside} sigma=10.0 ")
     # the shifted stencils and −iI − L are dominant, the augmented system
     # of the multiplier relation is not
-    assert lines[4].startswith(f"factor n={rel.n_inside} sigma=-1j ")
+    assert lines[3].startswith(f"factor n={rel.n_inside} sigma=-1j ")
     assert lines[-1].startswith(f"factor n={2 * rel.n_inside} sigma=0.0 ")
-    assert all(line.endswith(" pivot=diagonal") for line in lines[:5])
+    assert all(line.endswith(" pivot=diagonal") for line in lines[:4])
     assert lines[-1].endswith(" pivot=partial")
     n = rel.n_inside
     assert [msg for msg in messages if msg.startswith("graph_distance ")] == [

@@ -82,6 +82,36 @@ def test_holomorphic_columns_match_dense_expm(mask, kind, seed, scaled, modulus,
     assert np.max(np.abs(got - _dense_exp(rel, z, fs))) <= TOL
 
 
+def _dense_integral(rel, t, f):
+    """``t φ₁(tL) f`` on the mask and zero off it, as the top-right block of
+    ``expm([[tL, tI], [0, 0]])``: the oracle of ``S(t)``."""
+    out = np.zeros(f.shape, dtype=np.result_type(f, float))
+    n = rel.n_inside
+    if n:
+        aug = np.zeros((2 * n, 2 * n))
+        aug[:n, :n] = t * rel.op.toarray()
+        aug[:n, n:] = t * np.eye(n)
+        out[rel.omega] = sla.expm(aug)[:n, n:] @ f[rel.omega]
+    return out
+
+
+@given(mask=masks, kind=data_kinds, seed=st.integers(0, 10_000), scaled=st.booleans(),
+       field=st.sampled_from(["real", "complex"]))
+@settings(max_examples=40, deadline=None)
+def test_integrated_matches_dense_phi1(mask, kind, seed, scaled, field):
+    # S(t)b comes from the Krylov sweep of T(t)b, within t times its bound
+    rel = _relation(*mask, scaled, seed)
+    f = _data(kind, rel.grid, seed)
+    if field == "complex":
+        f = f - 0.5j * f[::-1]
+    ts = np.concatenate([[0.0], np.sort(np.random.default_rng(seed).uniform(0.0, 2.0, 5))])
+    inside = f[rel.omega]
+    scale = float(np.max(np.abs(inside.real), initial=0.0)
+                  + np.max(np.abs(inside.imag), initial=0.0))
+    for t, got in zip(ts, rel.integrated(ts, f)):
+        assert np.max(np.abs(got - _dense_integral(rel, t, f))) <= t * EXP_TOL * scale
+
+
 def test_empty_mask_kernel():
     grid = Grid(6)
     rel = DirichletGridRelation(DomainMask(grid, np.zeros(grid.n_nodes, dtype=bool)))
@@ -95,7 +125,7 @@ def test_basis_cap_raises_solver_breakdown():
     grid = Grid(12)
     rel = DirichletGridRelation(disk_mask(grid, 0.7))
     with pytest.raises(SolverBreakdown):
-        rel._exp_action([0.5, 1.0], bump_function(grid)[rel.omega], max_basis=2)
+        rel._exp_action([0.5, 1.0], bump_function(grid), max_basis=2)
 
 
 def test_kernel_logs_one_debug_line_per_call(caplog):
@@ -123,7 +153,7 @@ def test_kernel_checks_its_bound_a_few_times_per_column(monkeypatch, caplog):
     eig = np.linalg.eig
     monkeypatch.setattr(np.linalg, "eig", lambda a: eigs.append(a.shape) or eig(a))
     with caplog.at_level(logging.DEBUG, logger="relsemi"):
-        rel._exp_action(np.linspace(0.0, 1.0, 5), b)
+        rel._exp_action(np.linspace(0.0, 1.0, 5), bump_function(grid))
     line = next(r.getMessage() for r in caplog.records
                 if r.getMessage().startswith("exp_action"))
     assert " cols=1 " in line and line.endswith(f" checks={len(eigs)}")

@@ -70,12 +70,17 @@ def _blocked_phi1(z):
     return spla.expm(aug)[..., :n, n:]
 
 
+def _scaled(z, m1):
+    """``z M1`` with every product real times complex, whatever the stack."""
+    return z.real * m1 + z.imag * (1j * m1) if np.iscomplexobj(z) else z * m1
+
+
 def _blocked_evaluate(sd, zs, integrated=False):
     """``T(z)`` or ``S(z)`` in stacked ``expm`` calls of at most 64 matrices."""
     out = []
     for start in range(0, zs.size, 64):
         z = zs[start:start + 64, None, None]
-        m = z * sd.generator_matrix
+        m = _scaled(z, sd.generator_matrix)
         core = z * _blocked_phi1(m) if integrated else spla.expm(m)
         out.append(sd.domain_basis @ core @ sd.coord_map)
     return np.concatenate(out)
@@ -94,6 +99,19 @@ def test_evaluations_are_bit_identical_to_blocked_calls(field, kind, d, seed, co
     alpha = certified_sector_angle(sd)
     zs = rng.uniform(0.01, 3.0, count) * np.exp(1j * rng.uniform(-0.9, 0.9, count) * alpha)
     assert np.array_equal(holomorphic_at(sd, zs), _blocked_evaluate(sd, zs))
+
+
+def test_stacked_points_equal_their_single_point_calls():
+    # a complex relation with a one-dimensional domain: z·M1 over a 1×1 M1
+    # ran as one 1-D complex multiply, whose vector body and scalar tail
+    # rounded differently, so rows of the stack depended on their position
+    sd, rng = _data(2, "complex", "partial", 1)
+    assert sd.domain_dim == 1
+    alpha = certified_sector_angle(sd)
+    zs = rng.uniform(0.01, 3.0, 129) * np.exp(1j * rng.uniform(-0.9, 0.9, 129) * alpha)
+    stack = holomorphic_at(sd, zs)
+    for k in range(zs.size):
+        assert np.array_equal(stack[k], holomorphic_at(sd, zs[k:k + 1])[0])
 
 
 def _taylor_phi2(z, terms=12):
