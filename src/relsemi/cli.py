@@ -27,7 +27,15 @@ from .converge import (
 )
 from .dissipative import dissipativity_l2, dissipativity_sampled
 from .errors import ConfigError, InconsistentEquivalence, InvalidInput, RelsemiError
-from .grids import check_keys, grid_from_spec, mask_from_spec, require_object
+from .grids import (
+    array_of,
+    check_keys,
+    grid_from_spec,
+    is_count,
+    mask_from_spec,
+    one_of,
+    require_object,
+)
 from .relation import LinearRelation
 from .report import (
     render_csv,
@@ -42,11 +50,24 @@ from .spectral import ACCEPT_TOL, resolvent_set_scan
 
 log = logging.getLogger("relsemi.cli")
 
-# the keys a family file may carry; any other key is a configuration error
-TK_KEYS = ("family", "tol", "lambda_grid", "t_grid", "items", "ns", "members",
-           "limit", "labels")
-HEAT_KEYS = ("grid", "limit", "members", "builder", "lambda_grid", "t_grid", "tol",
-             "mu", "items", "f", "samples")
+# the keys a family file may carry, each with the test its value must pass
+# (None: checked where it is read); any other key or value is a configuration error
+TK_ITEMS = ("i", "ii", "iii", "iv", "v")
+HEAT_ITEMS = TK_ITEMS[:4]
+TRIALS = {"ones": lambda grid: np.ones(grid.n_nodes), "bump": heatlab.bump_function}
+ARRAY = (lambda v: isinstance(v, list), "a JSON array")
+TIME_GRID = (lambda v: isinstance(v, (list, dict)),
+             "a JSON array or an object {start, stop, num}")
+TK_KEYS = {"family": None, "tol": None, "lambda_grid": ARRAY, "t_grid": TIME_GRID,
+           "items": (array_of(one_of(TK_ITEMS)), f"an array of items from {TK_ITEMS}"),
+           "ns": (array_of(is_count), "an array of non-negative integers"),
+           "members": ARRAY, "limit": None, "labels": ARRAY}
+HEAT_KEYS = {"grid": None, "limit": None, "members": None, "builder": None,
+             "lambda_grid": ARRAY, "t_grid": TIME_GRID, "tol": None, "mu": None,
+             "items": (lambda v: array_of(one_of(HEAT_ITEMS))(v) and "i" in v,
+                       f"an array of items from {HEAT_ITEMS} holding 'i'"),
+             "f": (array_of(one_of(TRIALS)), f"an array of names from {tuple(TRIALS)}"),
+             "samples": (is_count, "a non-negative integer")}
 # heat family builders; a builder dict carries "name" and the builder's parameters
 BUILDERS = {"polygons": heatlab.polygon_family, "slits": heatlab.slit_family}
 
@@ -200,9 +221,9 @@ def _tk_inputs(args):
     lam_grid = [_finite(l, "lambda_grid", complex)
                 for l in cfg.get("lambda_grid", [1.0, 2.0])]
     t_grid = _grid_field(cfg, "t_grid")
-    items = tuple(cfg.get("items", ("i", "ii", "iii", "iv", "v")))
+    items = tuple(cfg.get("items", TK_ITEMS))
     if kind == "oscillating":
-        ns = [int(n) for n in cfg.get("ns", [])]
+        ns = cfg.get("ns", [])
         if not ns:
             raise ConfigError("oscillating family needs nonempty 'ns'", field="ns")
         members = [oscillating_scalar_family(n) for n in ns]
@@ -288,17 +309,8 @@ def _heat_family(cfg):
     return grid, masks, limit
 
 
-def _f_columns(grid, spec):
-    names = spec if spec else ["ones", "bump"]
-    cols = []
-    for name in names:
-        if name == "ones":
-            cols.append(np.ones(grid.n_nodes))
-        elif name == "bump":
-            cols.append(heatlab.bump_function(grid))
-        else:
-            raise ConfigError(f"unknown trial function {name!r}", field="f")
-    return np.column_stack(cols)
+def _f_columns(grid, names):
+    return np.column_stack([TRIALS[name](grid) for name in names or ("ones", "bump")])
 
 
 def cmd_heat_converge(args) -> int:
@@ -311,10 +323,10 @@ def cmd_heat_converge(args) -> int:
         t_grid = np.linspace(0.0, 1.0, 6)
     tol = _tolerance(args, cfg, 0.05)
     mu = _finite(cfg.get("mu", {"re": 1.0, "im": 1.0}), "mu", complex)
-    items = tuple(cfg.get("items", ("i", "ii", "iii", "iv")))
+    items = tuple(cfg.get("items", HEAT_ITEMS))
     rep = heatlab.perturbation_experiment(
         masks, limit, lam_grid, t_grid, _f_columns(grid, cfg.get("f")),
-        tol=tol, mu=mu, items=items, samples=int(cfg.get("samples", 4)),
+        tol=tol, mu=mu, items=items, samples=cfg.get("samples", 4),
         seed=args.seed)
     conv = rep.convergence
     out = args.out

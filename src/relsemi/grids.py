@@ -262,14 +262,36 @@ def require_object(value, where: str) -> dict:
 
 
 def check_keys(spec: dict, allowed, where: str):
-    """Raise :class:`ConfigError` naming the first key of ``spec`` not in ``allowed``.
+    """Raise :class:`ConfigError` naming the first key of ``spec`` not in
+    ``allowed``, or whose value fails its check.
 
-    A ``spec`` that is not an object is refused too.
+    ``allowed`` is a sequence of keys, or a table of key → ``None`` or
+    ``(test, expected)``: a value with ``not test(value)`` is refused with
+    ``expected`` in the message.  A ``spec`` that is not an object is
+    refused too.
     """
-    for key in require_object(spec, where):
+    for key, value in require_object(spec, where).items():
         if key not in allowed:
             raise ConfigError(f"unknown key in {where} (allowed: "
                               f"{', '.join(sorted(allowed))})", field=key)
+        rule = allowed[key] if isinstance(allowed, dict) else None
+        if rule is not None and not rule[0](value):
+            raise ConfigError(f"expected {rule[1]}, got {value!r}", field=key)
+
+
+def is_count(value) -> bool:
+    """A non-negative JSON integer; ``true``, ``2.0`` and ``"2"`` are not."""
+    return type(value) is int and value >= 0
+
+
+def array_of(test):
+    """A test for a JSON array whose entries all pass ``test``."""
+    return lambda value: isinstance(value, list) and all(test(v) for v in value)
+
+
+def one_of(names):
+    """A test for a string among ``names``."""
+    return lambda value: isinstance(value, str) and value in names
 
 
 def mask_from_spec(spec: dict) -> DomainMask:

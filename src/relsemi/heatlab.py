@@ -10,20 +10,27 @@ small grids as a cross-check).
 
 The relation is an evaluator in the sense of :mod:`relsemi.converge`: its
 ``resolvent``, ``semigroup`` and ``integrated`` methods take arrays of
-shifts or times.  Every semigroup action — ``T(t)``, ``T(z)`` and ``S(t)``
-on a whole grid — goes through one kernel, :meth:`DirichletGridRelation._exp_action`:
+shifts or times.  Both Krylov kernels share one loop, :func:`_si_arnoldi`:
 a shift-and-invert Arnoldi basis of ``(I − γL)⁻¹`` (van den Eshof &
-Hochbruck, 2006) built on one sparse factorization per call, with all
-requested times evaluated from that basis, ``S(t)`` with ``T(t)``.  Its
-convergence does not depend on ``‖L‖ ~ h⁻²``, and it stops on the
-a-posteriori residual bound of Botchev, Grimm & Hochbruck (2013).
+Hochbruck, 2006) built on one sparse factorization per call, whose
+residuals are a scalar times one vector.  Every semigroup action — ``T(t)``,
+``T(z)`` and ``S(t)`` on a whole grid — goes through
+:meth:`DirichletGridRelation._exp_action`, with all requested times
+evaluated from that basis, ``S(t)`` with ``T(t)``; its convergence does
+not depend on ``‖L‖ ~ h⁻²``, and it stops on the a-posteriori residual
+bound of Botchev, Grimm & Hochbruck (2013).  Every resolvent shift with
+``Re λ > μ₊ = max(μ∞(L), 0)`` (``Re λ > 0`` for every stencil) is read
+from the same kind of basis, rational Krylov with one repeated pole
+``σ₀ = max |λ|`` (Güttel, *GAMM-Mitt.* 36, 2013), and stops when
+``‖R(λ)‖∞ ≤ 1/(Re λ − μ₊)`` times its residual is at most
+``EXP_TOL·‖b‖∞``; any other shift keeps a factor of its own.
 
-Every solve in the lab — resolvents, the Krylov shift, the contraction
-certificate, graph distances and nearest pairs (``−iI − L`` for a
-symmetric stencil's distance, the augmented
+Every factorization in the lab — the resolvent pole or a shift with
+``Re λ ≤ μ₊``, the exponential kernel's shift, graph distances and nearest
+pairs (``−iI − L`` for a symmetric stencil's distance, the augmented
 ``[[I, Lᵀ], [L, −I]]`` otherwise), the shift-invert Lanczos eigenvalue and
-the interval solve — goes through one sparse factorization of
-``σI − op``, :func:`_factor`.  The pivot rule comes from the matrix: one
+the interval solve — is one sparse factorization of ``σI − op``,
+:func:`_factor`.  The pivot rule comes from the matrix: one
 that is diagonally dominant by rows or columns, decided exactly, is
 factored with diagonal pivots on a minimum-degree ordering, since Gaussian
 elimination on it needs no pivoting and has growth factor at most 2
@@ -31,13 +38,16 @@ elimination on it needs no pivoting and has growth factor at most 2
 Thm 9.9); every other matrix gets partial pivoting.  No factor
 outlives the call that made it: each serves every column and time of that
 call and is dropped on return, so a mask family holds no factors between
-evaluations.  Every resolvent column, on either pivot rule, is verified by
-its backward error.  The sector certificate makes no solve: it reads the
-signs of ``op`` alone.
+evaluations.  ``resolvent`` and ``integrated`` remember their last call's
+results (never a factor), so a report that repeats a certificate's
+request makes no new one.  Every resolvent column, on either path, is
+verified by its backward error.  The sector certificate makes no solve:
+it reads the signs of ``op`` alone.
 
 Operator norms are sup-norms throughout (max absolute row sums), matching
 the contraction and maximum-principle structure of the M-matrix stencil:
-the contraction certificate is one solve ``(λ − L)⁻¹ 1 > 0`` per λ.
+the contraction certificate is one resolvent call ``x = (λ − L)⁻¹ 1`` for
+its λ grid, enclosed by ``(1 ± ρ)`` from its residual.
 """
 
 from __future__ import annotations
@@ -228,6 +238,7 @@ class DirichletGridRelation:
             raise InvalidInput("operator block does not match the mask")
         self.label = label if label is not None else (mask.label or "mask")
         self._integrated_memo = None
+        self._resolvent_memo = None
 
     # -- plumbing ---------------------------------------------------------
 
@@ -250,35 +261,76 @@ class DirichletGridRelation:
             return False
 
     def resolvent(self, lams, fs):
-        """``R(λ) F`` for every shift in ``lams``, one factor each.
+        """``R(λ) F`` for every shift in ``lams``, from one real factor per call.
 
-        Each factor solves every column of ``F`` and is dropped before the
-        next shift is factored.  Off the mask ``f`` is absorbed by the
-        multivalued part, so only the masked block is solved.  Every column
-        is verified: its backward error
-        ``‖λx − Lx − f‖∞ / (‖f‖∞ + (|λ| + ‖L‖∞)‖x‖∞)`` on the mask
-        must be at most ``spectral.ACCEPT_TOL``, else
-        :class:`NotInResolventSet` is raised with ``residual`` set.
+        Off the mask ``f`` is absorbed by the multivalued part, so only the
+        masked block ``b`` is solved.  Every shift with ``Re λ > μ₊``, where
+        ``μ₊ = max(μ∞(L), 0)`` (``0`` for every stencil and every
+        ``diag(m)·L`` with ``m > 0``), is read from one shift-and-invert
+        Arnoldi basis per real column, built on the single factor of
+        ``σ₀ − L`` at the pole ``σ₀ = max |λ|`` over those shifts (see
+        :func:`_si_arnoldi_resolvent`); each such column stops when its
+        error bound is at most ``EXP_TOL·‖b‖∞`` for every shift.  Any other
+        shift, such as ``λ = 0`` of :func:`surjective_solve`, gets one
+        factor of ``λ − L`` of its own.  Every column is verified: its
+        backward error ``‖λx − Lx − f‖∞ / (‖f‖∞ + (|λ| + ‖L‖∞)‖x‖∞)`` on
+        the mask must be at most ``spectral.ACCEPT_TOL``, else
+        :class:`NotInResolventSet` is raised with ``residual`` set; that
+        check, not the Krylov bound, is the final gate.
+
+        The last call is remembered like :meth:`integrated`'s, keyed on the
+        shifts and the masked block, holding only the masked results: a
+        caller asking again (a report after a contraction certificate on
+        the same data) makes no factor.  Each call logs one debug line,
+        ``resolvent n= lams= pole= basis= bound= direct= memo=``, with the
+        pole (``none`` without Krylov shifts), the largest basis and bound
+        over the columns and the number of shifts factored directly; a
+        remembered call makes nothing and logs ``memo=hit``.
         """
         lams = np.atleast_1d(lams)
         fs = np.asarray(fs)
         out = np.zeros((lams.size,) + fs.shape, dtype=np.result_type(fs, lams))
         if self.n_inside:
             b = fs[self.omega]
-            bnorm = self.vec_norm(b)
-            opnorm = float(np.max(np.asarray(abs(self.op).sum(axis=1)), initial=0.0))
-            for k, lam in enumerate(lams):
-                x = _factor(self.op, lam)(b)
-                scale = bnorm + (abs(lam) + opnorm) * self.vec_norm(x)
-                err = self.vec_norm(lam * x - self.op @ x - b) \
-                    / np.maximum(scale, np.finfo(float).tiny)
-                res = float(np.max(err, initial=0.0))
-                if not res <= ACCEPT_TOL:  # a NaN is refused too
-                    raise NotInResolventSet(
-                        complex(lam), residual=res,
-                        reason=f"backward error {res:.3e} exceeds {ACCEPT_TOL:.1e}")
-                out[k, self.omega] = x
+            x, hit = self._recall("_resolvent_memo", (lams.astype(complex), b),
+                                  lambda: self._shifted_solves(lams, b))
+            if hit:
+                log.debug("resolvent n=%d lams=%d pole=none basis=0 bound=0.000e+00 "
+                          "direct=0 memo=hit", self.n_inside, lams.size)
+            out[:, self.omega] = x
         return out
+
+    def _shifted_solves(self, lams, b):
+        """The verified masked block of :meth:`resolvent`; logs its line."""
+        mu = max(_sup_log_norm(self.op), 0.0)
+        krylov = lams.real > mu
+        x = np.empty((lams.size,) + b.shape, dtype=np.result_type(b, lams, float))
+        pole, size, bound = "none", 0, 0.0
+        if krylov.any():
+            shifts = lams[krylov]
+            if np.iscomplexobj(shifts) and not shifts.imag.any():
+                shifts = shifts.real
+            pole = float(np.max(np.abs(shifts)))
+            x[krylov], (_, size, bound, _) = self._krylov_columns(
+                _si_arnoldi_resolvent, 1.0 / pole, mu, shifts, b, (shifts.size,),
+                EXP_MAX_BASIS)
+        for k in np.flatnonzero(~krylov):
+            x[k] = _factor(self.op, lams[k])(b)
+        bnorm = self.vec_norm(b)
+        opnorm = float(np.max(np.asarray(abs(self.op).sum(axis=1)), initial=0.0))
+        for lam, xk in zip(lams, x):
+            scale = bnorm + (abs(lam) + opnorm) * self.vec_norm(xk)
+            err = self.vec_norm(lam * xk - self.op @ xk - b) \
+                / np.maximum(scale, np.finfo(float).tiny)
+            res = float(np.max(err, initial=0.0))
+            if not res <= ACCEPT_TOL:  # a NaN is refused too
+                raise NotInResolventSet(
+                    complex(lam), residual=res,
+                    reason=f"backward error {res:.3e} exceeds {ACCEPT_TOL:.1e}")
+        log.debug("resolvent n=%d lams=%d pole=%s basis=%d bound=%.3e direct=%d "
+                  "memo=miss", self.n_inside, lams.size, pole, size, bound,
+                  int(np.count_nonzero(~krylov)))
+        return x
 
     def semigroup(self, zs, fs):
         """``T(z) F`` for every real ``t ≥ 0`` or complex ``z`` in ``zs``.
@@ -306,14 +358,25 @@ class DirichletGridRelation:
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         fs = np.asarray(fs)
-        memo = self._integrated_memo
-        if (memo is not None and np.array_equal(memo[0], ts)
-                and memo[1].dtype == fs.dtype and np.array_equal(memo[1], fs)):
-            return memo[2]
-        out = self._exp_action(ts, fs)[1]
-        out.setflags(write=False)
-        self._integrated_memo = (ts.copy(), fs.copy(), out)
-        return out
+        return self._recall("_integrated_memo", (ts, fs),
+                            lambda: self._exp_action(ts, fs)[1])[0]
+
+    def _recall(self, slot, key, compute):
+        """``(value, hit)``: the value the last call under ``slot`` gave, when
+        its key matches ``key``, else ``compute()``, which then replaces it.
+
+        ``key`` is a tuple of arrays, matched by dtype, shape and value; the
+        attribute ``slot`` holds one ``(key copy, value)`` pair, and the
+        value is made read-only.  It stores results only, never factors.
+        """
+        memo = getattr(self, slot)
+        if memo is not None and all(a.dtype == k.dtype and np.array_equal(a, k)
+                                    for a, k in zip(memo[0], key)):
+            return memo[1], True
+        value = compute()
+        value.setflags(write=False)
+        setattr(self, slot, (tuple(np.array(k) for k in key), value))
+        return value, False
 
     # -- exponential kernel ---------------------------------------------------
 
@@ -348,30 +411,45 @@ class DirichletGridRelation:
         if n == 0 or tmax == 0.0:
             out[0][:, self.omega] = fs[self.omega]  # and S(0) = 0
             return out
-        cols = fs[self.omega].reshape(n, -1)
-        if np.iscomplexobj(cols):
-            cols = np.hstack([cols.real, cols.imag])  # the operator is real
         gamma = tmax / 10.0
+        vals, (cols, size, bound, checks) = self._krylov_columns(
+            _si_arnoldi_exp, gamma, _sup_log_norm(self.op), times, fs[self.omega],
+            (2, times.size), max_basis)
+        out[:, :, self.omega] = vals
+        log.debug("exp_action n=%d cols=%d gamma=%.4g basis=%d bound=%.3e checks=%d",
+                  n, cols, gamma, size, bound, checks)
+        return out
+
+    def _krylov_columns(self, kernel, gamma, mu, points, block, lead, max_basis):
+        """``kernel`` on every real column of the masked block, on one factor.
+
+        ``block`` is ``(n,)`` or ``(n, c)``; a complex one is split into its
+        real and imaginary columns, since ``L`` is real.  One factorization
+        of ``γ⁻¹ − L`` serves every column and is dropped on return.  Each
+        column gets ``kernel(op, solve, γ, μ, column, points, max_basis)``,
+        whose values have shape ``lead + (n,)``.  Returns the values as
+        ``lead + block.shape``, and the number of real columns, the largest
+        basis and bound, and the summed bound checks.
+        """
+        n = self.n_inside
+        cols = block.reshape(n, -1)
+        if np.iscomplexobj(cols):
+            cols = np.hstack([cols.real, cols.imag])
         solve = _factor(self.op, 1.0 / gamma)
-        diag = self.op.diagonal()
-        mu = float(np.max(diag + np.asarray(abs(self.op).sum(axis=1)).ravel()
-                          - np.abs(diag)))
-        vals = np.empty((2, times.size, n, cols.shape[1]), dtype=out.dtype)
+        vals = np.empty(lead + (n, cols.shape[1]),
+                        dtype=np.result_type(block, points, float))
         sizes, bounds, checks = [], [], 0
         for j in range(cols.shape[1]):
-            vals[..., j], size, bound, count = _si_arnoldi_exp(
-                self.op, solve, gamma, mu, cols[:, j], times, max_basis)
+            vals[..., j], size, bound, count = kernel(
+                self.op, solve, gamma, mu, cols[:, j], points, max_basis)
             sizes.append(size)
             bounds.append(bound)
             checks += count
-        if np.iscomplexobj(fs):
+        if np.iscomplexobj(block):
             half = vals.shape[-1] // 2
             vals = vals[..., :half] + 1j * vals[..., half:]
-        out[:, :, self.omega] = vals.reshape(vals.shape[:3] + fs.shape[1:])
-        log.debug("exp_action n=%d cols=%d gamma=%.4g basis=%d bound=%.3e checks=%d",
-                  n, len(sizes), gamma, max(sizes, default=0), max(bounds, default=0.0),
-                  checks)
-        return out
+        return vals.reshape(lead + block.shape), (
+            len(sizes), max(sizes, default=0), max(bounds, default=0.0), checks)
 
     # -- graph geometry -----------------------------------------------------
 
@@ -498,34 +576,36 @@ def _residual_integral(lam, weights, z) -> float:
     return float((half * w).ravel() @ np.abs(psi))
 
 
-def _si_arnoldi_exp(op, solve, gamma, mu, b, times, max_basis):
-    """One real column of :meth:`DirichletGridRelation._exp_action`.
+def _sup_log_norm(op) -> float:
+    """``μ∞(L) = maxᵢ (l_ii + Σ_{j≠i} |l_ij|)``, so ``‖e^{tL}‖∞ ≤ e^{t μ∞(L)}``
+    for ``t ≥ 0`` and ``‖R(λ)‖∞ ≤ 1/(Re λ − μ∞(L))`` for ``Re λ > μ∞(L)``."""
+    diag = op.diagonal()
+    return float(np.max(diag + np.asarray(abs(op).sum(axis=1)).ravel() - np.abs(diag)))
 
-    ``solve`` solves with ``γ⁻¹ I − L``.  Returns the ``T`` and ``S`` values
-    at ``times``, the basis size, the final error bound and the number of
-    bound checks.  With
-    ``A = (I − γL)⁻¹`` the Arnoldi relation ``A V_k = V_k H_k + h v_{k+1} e_kᵀ`` gives the
-    residual ``r_k(s) = (h β / γ) (e_kᵀ H_k⁻¹ exp(s T_k) e₁) (I − γL) v_{k+1}``
-    of the approximation ``β V_k exp(s T_k) e₁``.  Both that scalar factor
-    and the values go through the eigendecomposition ``H_k = X Θ X⁻¹``
-    (``T_k`` has eigenvalues ``(1 − 1/θ)/γ``), which must be well
-    conditioned; :class:`SolverBreakdown` is raised otherwise; ``S`` takes
-    ``t φ₁(tλ) = expm1(tλ)/λ`` (``t`` at ``λ = 0``) on the same Ritz values.
-    Each check costs an ``eig`` of ``H_k``, so checks are placed where the
-    bound's observed geometric decay predicts the target; the kernel stops
-    only at a check that meets it, or at ``max_basis`` vectors.
+
+def _si_arnoldi(op, solve, gamma, b, max_basis, check):
+    """One shift-and-invert Arnoldi basis of ``A = (I − γL)⁻¹`` for the real
+    column ``b``: the loop both Krylov kernels share.
+
+    ``solve`` solves with ``γ⁻¹ I − L``.  Multiplying the Arnoldi relation
+    ``A V_k = V_k H_k + h v_{k+1} e_kᵀ`` by ``I − γL`` gives
+    ``L V_k = V_k T_k + (h/γ) w e_kᵀ H_k⁻¹`` with ``T_k = (I − H_k⁻¹)/γ``
+    and ``w = (I − γL) v_{k+1}``, so any approximation ``β V_k g(T_k) e₁``
+    leaves a residual that is a scalar times the one vector ``w``: computing
+    it cancels nothing.  At each check, ``check(H_k, ρ)`` gets the
+    Hessenberg block and ``ρ = (hβ/γ)‖w‖∞`` (``0`` once the space is
+    invariant, which makes the projection exact) and returns the kernel's
+    error bound and what the kernel evaluates from.  Checks are placed where
+    the bound's observed geometric decay predicts ``EXP_TOL·‖b‖∞``; the loop
+    stops only at a check that meets it, and raises
+    :class:`SolverBreakdown` when ``max_basis`` vectors do not.  Returns
+    ``(V_k, β, state, bound, checks)``; ``state`` is ``None`` for ``b = 0``.
     """
     n = b.size
-    out = np.zeros((2, times.size, n), dtype=np.result_type(times, float))
     scale = float(np.max(np.abs(b)))
     if scale == 0.0:
-        return out, 0, 0.0, 0
+        return None, 0.0, None, 0.0, 0
     beta = float(np.linalg.norm(b))
-    # the bound grows along each ray, so its farthest point covers the rest
-    far = times[times != 0]
-    angles = np.angle(far)
-    ends = [far[angles == a][np.argmax(np.abs(far[angles == a]))]
-            for a in np.unique(angles)]
     cap = min(max_basis, n)
     basis = np.empty((cap + 1, n))
     hess = np.zeros((cap + 1, cap))
@@ -547,18 +627,12 @@ def _si_arnoldi_exp(op, solve, gamma, mu, b, times, max_basis):
             if size < min(due, cap):
                 continue
         checks += 1
-        theta, vecs = np.linalg.eig(hess[:size, :size])
-        lam = (1.0 - 1.0 / theta) / gamma
-        coef = np.linalg.solve(vecs, np.eye(size)[:, 0])
-        if exhausted:
-            bound = 0.0
-            break
-        v = basis[size]
-        resid = float(np.max(np.abs(v - gamma * (op @ v)))) * hess[size, k] * beta / gamma
-        weights = vecs[size - 1] / theta * coef
-        bound = max(math.exp(max(0.0, mu * abs(z))) * resid
-                    * _residual_integral(lam, weights, z) for z in ends)
-        if bound <= EXP_TOL * scale:
+        resid = 0.0
+        if not exhausted:
+            v = basis[size]
+            resid = float(np.max(np.abs(v - gamma * (op @ v)))) * hess[size, k] * beta / gamma
+        bound, state = check(hess[:size, :size], resid)  # 0 when exhausted
+        if exhausted or bound <= EXP_TOL * scale:
             break
         # the next check is where the bound's decay since the last check
         # reaches the target, at most half the basis ahead; one step when
@@ -571,16 +645,89 @@ def _si_arnoldi_exp(op, solve, gamma, mu, b, times, max_basis):
         last, due = (size, bound), size + step
     else:
         raise SolverBreakdown(
-            f"exponential kernel: {cap} basis vectors leave the error bound "
+            f"shift-and-invert kernel: {cap} basis vectors leave the error bound "
             f"{bound:.2e} above {EXP_TOL * scale:.2e}")
+    return basis[:size], beta, state, bound, checks
+
+
+def _si_arnoldi_exp(op, solve, gamma, mu, b, times, max_basis):
+    """One real column of :meth:`DirichletGridRelation._exp_action`.
+
+    Returns the ``T`` and ``S`` values at ``times``, the basis size, the
+    final error bound and the number of bound checks of :func:`_si_arnoldi`.
+    The residual of ``β V_k exp(s T_k) e₁`` as a solution of ``u' = L u`` is
+    ``r_k(s) = (h β / γ) (e_kᵀ H_k⁻¹ exp(s T_k) e₁) (I − γL) v_{k+1}``, and
+    the bound is ``e^{t μ∞(L)} ∫₀ᵗ ‖r_k(s)‖∞ ds`` at the farthest time of
+    each ray.  Both that scalar factor and the values go through the
+    eigendecomposition ``H_k = X Θ X⁻¹`` (``T_k`` has eigenvalues
+    ``(1 − 1/θ)/γ``), which must be well conditioned;
+    :class:`SolverBreakdown` is raised otherwise; ``S`` takes
+    ``t φ₁(tλ) = expm1(tλ)/λ`` (``t`` at ``λ = 0``) on the same Ritz values.
+    Each check costs an ``eig`` of ``H_k``.
+    """
+    out = np.zeros((2, times.size, b.size), dtype=np.result_type(times, float))
+    # the bound grows along each ray, so its farthest point covers the rest
+    far = times[times != 0]
+    angles = np.angle(far)
+    ends = [far[angles == a][np.argmax(np.abs(far[angles == a]))]
+            for a in np.unique(angles)]
+
+    def check(hess, resid):
+        theta, vecs = np.linalg.eig(hess)
+        lam = (1.0 - 1.0 / theta) / gamma
+        coef = np.linalg.solve(vecs, np.eye(hess.shape[0])[:, 0])
+        if resid == 0.0:
+            return 0.0, (lam, vecs, coef)
+        weights = vecs[-1] / theta * coef
+        return max(math.exp(max(0.0, mu * abs(z))) * resid
+                   * _residual_integral(lam, weights, z) for z in ends), (lam, vecs, coef)
+
+    basis, beta, state, bound, checks = _si_arnoldi(op, solve, gamma, b, max_basis, check)
+    if state is None:
+        return out, 0, 0.0, 0
+    lam, vecs, coef = state
     if np.linalg.cond(vecs) > 1e3:
         raise SolverBreakdown("exponential kernel: ill-conditioned Ritz basis")
     tl = np.outer(times, lam)
     nonzero = lam != 0
     integ = np.where(nonzero, np.expm1(tl) / np.where(nonzero, lam, 1.0), times[:, None])
     small = (np.stack([np.exp(tl), integ]) * coef) @ vecs.T
-    out[...] = beta * ((small if np.iscomplexobj(out) else small.real) @ basis[:size])
-    return out, size, bound, checks
+    out[...] = beta * ((small if np.iscomplexobj(out) else small.real) @ basis)
+    return out, basis.shape[0], bound, checks
+
+
+def _si_arnoldi_resolvent(op, solve, gamma, mu, b, lams, max_basis):
+    """One real column of :meth:`DirichletGridRelation.resolvent`'s Krylov shifts.
+
+    ``lams`` holds shifts with ``Re λ > μ₊ = max(μ, 0)`` and ``1/γ`` is
+    the pole, ``max |λ|``.  Each shift is read from the basis of
+    :func:`_si_arnoldi` as ``x_k = β V_k (λ − T_k)⁻¹ e₁``.  Since
+    ``λ − T_k = H_k⁻¹((λγ − 1) H_k + I)/γ``, that is ``x_k = βγ V_k H_k z``
+    with ``z = ((λγ − 1) H_k + I)⁻¹ e₁``, one small solve per shift and no
+    ``H_k⁻¹``; its residual ``(λ − L) x_k − b = −hβ z_k (I − γL) v_{k+1}``
+    is a scalar times one vector.  With ``‖R(λ)‖∞ ≤ 1/(Re λ − μ₊)``
+    (:func:`_sup_log_norm`), the error bound is
+    ``(h/γ)|e_kᵀ H_k⁻¹ y|·‖(I − γL) v_{k+1}‖∞ / (Re λ − μ₊)`` with
+    ``y = βγ H_k z``, and the column stops when it holds for every shift.
+    Like the exponential kernel's, the bound does not count rounding in the
+    Arnoldi relation itself, so :meth:`DirichletGridRelation.resolvent`'s
+    backward-error check stays the final gate.  Returns the values
+    ``(len(lams), n)``, the basis size, the bound and the number of checks.
+    """
+    margin = lams.real - max(mu, 0.0)
+    coeff = (lams * gamma - 1.0)[:, None, None]
+
+    def check(hess, resid):
+        e1 = np.zeros((lams.size, hess.shape[0], 1))
+        e1[:, 0] = 1.0
+        z = spla.solve(coeff * hess + np.eye(hess.shape[0]), e1)[..., 0]
+        return resid * gamma * float(np.max(np.abs(z[:, -1]) / margin)), (hess, z)
+
+    basis, beta, state, bound, checks = _si_arnoldi(op, solve, gamma, b, max_basis, check)
+    if state is None:
+        return np.zeros((lams.size, b.size)), 0, 0.0, 0
+    hess, z = state
+    return beta * gamma * ((z @ hess.T) @ basis), basis.shape[0], bound, checks
 
 
 # -- certificates ---------------------------------------------------------
@@ -589,9 +736,10 @@ def _si_arnoldi_exp(op, solve, gamma, mu, b, times, max_basis):
 @dataclass
 class ContractionCertificate:
     lams: tuple
-    norms: tuple        # sup operator norms of lam * R(lam)
+    norms: tuple        # λ·max x per λ, x the computed (λ − L)⁻¹ 1
+    rho: tuple          # per λ, ρ ≥ ‖(λ − L)x − 1‖∞: norms/(1 ± ρ) enclose ‖λR(λ)‖∞
     method: str
-    resolvent_min: float  # smallest row sum of R(λ) ≥ 0 seen (positivity margin)
+    resolvent_min: float  # lower bound on the smallest row sum of R(λ) ≥ 0 (positivity margin)
     tol: float
     ok: bool
 
@@ -617,42 +765,58 @@ def supnorm_contraction(rel: DirichletGridRelation,
                         lams=(0.1, 1.0, 10.0)) -> ContractionCertificate:
     """Certify ``‖λR(λ)‖_∞ ≤ 1 + CONTRACTION_TOL`` on a positive λ-grid.
 
-    One solve per λ: ``x = (λ − L)⁻¹ 1``, read on the mask from the
-    verified :meth:`DirichletGridRelation.resolvent`, so a solve that fails
-    its backward-error check raises :class:`NotInResolventSet`.  When
-    ``λ − L`` is a Z-matrix (off-diagonal entries of ``L`` ≥ 0, checked
-    exactly) and ``x > 0``, it is a nonsingular M-matrix (Berman &
-    Plemmons, ch. 6), so ``R(λ) ≥ 0`` entrywise and ``x`` holds the exact
-    row sums of ``|R(λ)|``.  A λ ≤ 0 raises :class:`InvalidInput`; a failed
-    premise or a violated bound raises :class:`ContractFailed` with the
-    offending row.
-    ``resolvent_min`` records the smallest row sum, the positivity margin.
+    One resolvent call: ``x = (λ − L)⁻¹ 1`` for every λ, read on the mask
+    from the verified :meth:`DirichletGridRelation.resolvent` with an
+    ``(N, 1)`` block of ones (so a report that asks for the same block
+    after it makes no factor), and a solve that fails its backward-error
+    check raises :class:`NotInResolventSet`.  The certificate does not lean
+    on the Krylov error bound.  Its premise: ``M = λ − L`` is a Z-matrix
+    (off-diagonal entries of ``L`` ≥ 0, checked exactly), ``x > 0``, and
+    ``ρ ≥ ‖Mx − 1‖∞`` with ``ρ < 1``, where ``ρ`` is the computed residual
+    plus a bound on its rounding error.  Then ``Mx > 0``, so ``M`` is a
+    nonsingular M-matrix (Berman & Plemmons, ch. 6) and ``R(λ) ≥ 0``, and
+    ``x = R(λ)(1 + r)`` with ``|r| ≤ ρ`` gives
+    ``(1 − ρ)·R(λ)1 ≤ x ≤ (1 + ρ)·R(λ)1`` entrywise.  So ``λ·max x/(1 ± ρ)``
+    enclose ``‖λR(λ)‖∞``, and the verdict is ``λ·max x/(1 − ρ) ≤ 1 +
+    CONTRACTION_TOL``.  ``norms`` records ``λ·max x``, ``rho`` each ρ, and
+    ``resolvent_min`` the smallest ``min x/(1 + ρ)``, a lower bound on the
+    row sums of ``R(λ)``: the positivity margin.  A λ ≤ 0 raises
+    :class:`InvalidInput`; a failed premise or a violated bound raises
+    :class:`ContractFailed` with the offending λ and row.
     """
     lams = tuple(float(lam) for lam in lams)
     if any(lam <= 0 for lam in lams):
         raise InvalidInput("contraction grid must be positive")
-    norms = []
+    norms, rhos = [], []
     min_entry = math.inf
     method = "empty"
     if rel.n_inside == 0:
-        return ContractionCertificate(lams, (0.0,) * len(lams), method, min_entry,
-                                      CONTRACTION_TOL, True)
-    _summed_nonnegative_offdiag(rel)  # the off-diagonal part of λ − L is that of −L
-    sums = rel.resolvent(lams, np.ones(rel.state_dim))[:, rel.omega]
-    for lam, rowsums in zip(lams, sums):
-        low = int(np.argmin(rowsums))
-        if not rowsums[low] > 0.0:
+        return ContractionCertificate(lams, (0.0,) * len(lams), (0.0,) * len(lams),
+                                      method, min_entry, CONTRACTION_TOL, True)
+    op = _summed_nonnegative_offdiag(rel)  # the off-diagonal part of λ − L is that of −L
+    # each residual entry sums at most `terms` rounded terms (Higham, §3.1)
+    terms = int(np.max(np.diff(op.indptr))) + 3
+    sums = rel.resolvent(lams, np.ones((rel.state_dim, 1)))[:, rel.omega, 0]
+    for lam, x in zip(lams, sums):
+        low = int(np.argmin(x))
+        if not x[low] > 0.0:
             raise ContractFailed("shifted operator is not a nonsingular M-matrix: "
-                                 f"(λ − L)⁻¹ 1 = {rowsums[low]:.3e}", lam=lam, row=low)
+                                 f"(λ − L)⁻¹ 1 = {x[low]:.3e}", lam=lam, row=low)
+        slack = terms * np.finfo(float).eps * (lam * x + abs(op) @ x + 1.0)
+        rho = float(np.max(np.abs(lam * x - op @ x - 1.0) + slack))
+        if not rho < 1.0:
+            raise ContractFailed(f"residual bound {rho:.3e} of (λ − L)x = 1 is not "
+                                 "below 1", lam=lam, row=low)
         method = "mmatrix-solve"
-        min_entry = min(min_entry, float(rowsums[low]))
-        worst = int(np.argmax(rowsums))
-        norm = lam * float(rowsums[worst])
-        if norm > 1.0 + CONTRACTION_TOL:
-            raise ContractFailed(f"sup-norm contraction violated: {norm:.3e}",
-                                 lam=lam, row=worst)
+        min_entry = min(min_entry, float(x[low]) / (1.0 + rho))
+        worst = int(np.argmax(x))
+        norm = lam * float(x[worst])
+        if norm / (1.0 - rho) > 1.0 + CONTRACTION_TOL:
+            raise ContractFailed(f"sup-norm contraction violated: {norm:.3e} "
+                                 f"(residual bound {rho:.1e})", lam=lam, row=worst)
         norms.append(norm)
-    return ContractionCertificate(lams, tuple(norms), method, min_entry,
+        rhos.append(rho)
+    return ContractionCertificate(lams, tuple(norms), tuple(rhos), method, min_entry,
                                   CONTRACTION_TOL, True)
 
 

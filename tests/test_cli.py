@@ -336,6 +336,33 @@ def test_non_object_config_value_exits_2(changes, tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("changes", [
+    {"items": 5}, {"lambda_grid": 5}, {"f": 5}, {"samples": -1}, {"samples": 2.7},
+    {"samples": True}, {"samples": "x"}, {"items": "iv"}, {"items": ["vi"]},
+    {"items": ["ii"]}, {"f": "ones"}, {"f": ["ones", 3]}, {"t_grid": 5}])
+def test_wrong_config_value_type_exits_2(changes, tmp_path, capsys):
+    # each once ended in a traceback (exit 1), ran with a value the user did
+    # not give (2.7 as 2 samples, "iv" as items i and v), or exited 2 on a
+    # message about something else
+    [(key, value)] = changes.items()
+    fam = _heat_family_file(tmp_path, **changes)
+    out = str(tmp_path / "o")
+    assert main(["heat", "converge", "--family", fam, "--out", out]) == 2
+    assert f"config error: {key}: expected " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("changes", [{"ns": 4}, {"ns": [4, 2.5]}, {"ns": [-1]},
+                                     {"labels": "abc"}, {"items": ["i", "x"]},
+                                     {"lambda_grid": 1.0}])
+def test_wrong_tk_config_value_type_exits_2(changes, tmp_path, capsys):
+    [(key, value)] = changes.items()
+    fam = tmp_path / "osc.json"
+    fam.write_text(json.dumps({"family": "oscillating", "ns": [1, 2, 4], "tol": 0.5,
+                               **changes}))
+    assert main(["converge", "tk", "--family", str(fam)]) == 2
+    assert f"config error: {key}: expected " in capsys.readouterr().err
+
+
 def test_relation_file_with_rank_tol(tmp_path, capsys):
     # written by the format that stored each subspace's rank cutoff
     old = {"state_dim": 2, "field": "real", "graph": {

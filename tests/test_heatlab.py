@@ -614,13 +614,15 @@ def test_builders():
 
 
 def test_resolvent_refuses_a_corrupted_solve(small_disk, corrupt_factor):
+    # λ = 1 is read from the basis built on the pole factor at max λ = 2, so a
+    # 1 % wrong pole factor must be refused at a shift it never factored
     rel = DirichletGridRelation(small_disk.mask)
     ones = np.ones(rel.state_dim)
     [x] = rel.resolvent([1.0], ones)
     assert _backward_error(rel, 1.0, x, ones) <= 1e-15
-    corrupt_factor(1.0)
+    corrupt_factor(2.0)
     with pytest.raises(NotInResolventSet) as exc:
-        rel.resolvent([2.0, 1.0], ones)
+        rel.resolvent([1.0, 2.0], ones)
     assert exc.value.lam == 1.0
     assert exc.value.residual > ACCEPT_TOL and "backward error" in str(exc.value)
 
