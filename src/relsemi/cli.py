@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import inspect
 import json
 import logging
 import math
@@ -32,6 +31,7 @@ from .grids import (
     check_keys,
     grid_from_spec,
     is_count,
+    is_number,
     mask_from_spec,
     one_of,
     require_object,
@@ -56,8 +56,8 @@ TK_ITEMS = ("i", "ii", "iii", "iv", "v")
 HEAT_ITEMS = TK_ITEMS[:4]
 TRIALS = {"ones": lambda grid: np.ones(grid.n_nodes), "bump": heatlab.bump_function}
 ARRAY = (lambda v: isinstance(v, list), "a JSON array")
-TIME_GRID = (lambda v: isinstance(v, (list, dict)),
-             "a JSON array or an object {start, stop, num}")
+TIME_GRID = (lambda v: isinstance(v, dict) or isinstance(v, list) and v != [],
+             "a non-empty JSON array or an object {start, stop, num}")
 TK_KEYS = {"family": None, "tol": None, "lambda_grid": ARRAY, "t_grid": TIME_GRID,
            "items": (array_of(one_of(TK_ITEMS)), f"an array of items from {TK_ITEMS}"),
            "ns": (array_of(is_count), "an array of non-negative integers"),
@@ -68,8 +68,22 @@ HEAT_KEYS = {"grid": None, "limit": None, "members": None, "builder": None,
                        f"an array of items from {HEAT_ITEMS} holding 'i'"),
              "f": (array_of(one_of(TRIALS)), f"an array of names from {tuple(TRIALS)}"),
              "samples": (is_count, "a non-negative integer")}
-# heat family builders; a builder dict carries "name" and the builder's parameters
-BUILDERS = {"polygons": heatlab.polygon_family, "slits": heatlab.slit_family}
+# heat family builders; a builder dict carries "name" and any of the builder's
+# parameters, each with the test its value must pass
+NUMBER = (is_number, "a finite number")
+POSITIVE = (lambda v: is_number(v) and v > 0, "a positive number")
+POINT = (lambda v: array_of(is_number)(v) and len(v) == 2, "a point [x, y]")
+BUILDERS = {
+    "polygons": (heatlab.polygon_family, {
+        "radius": POSITIVE, "center": POINT, "phase": NUMBER,
+        "sides": (lambda v: array_of(lambda k: is_count(k) and k >= 3)(v) and v != [],
+                  "a non-empty array of integers >= 3")}),
+    "slits": (heatlab.slit_family, {
+        "radius": POSITIVE, "center": POINT, "outer_x": NUMBER, "y": NUMBER,
+        "widths": (lambda v: array_of(lambda k: is_count(k) and k >= 1)(v) and v != [],
+                   "a non-empty array of positive integers"),
+        "inner_x": (array_of(is_number), "an array of finite numbers")}),
+}
 
 
 def _parse_time_grid(expr: str) -> np.ndarray:
@@ -124,11 +138,14 @@ def _grid_field(obj, key):
     if spec is None:
         return None
     if isinstance(spec, dict):
+        check_keys(spec, {"start": None, "stop": None,
+                          "num": (lambda v: is_count(v) and v >= 1, "a positive integer")},
+                   f"{key} object", f"{key}.")
         try:
             return np.linspace(_finite(spec["start"], key, float),
-                               _finite(spec["stop"], key, float), int(spec["num"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad grid object: {exc}", field=key) from exc
+                               _finite(spec["stop"], key, float), spec["num"])
+        except KeyError as exc:
+            raise ConfigError(f"bad grid object: missing {exc}", field=key) from exc
     return np.asarray([_finite(v, key, float) for v in spec])
 
 
@@ -215,7 +232,7 @@ def cmd_semigroup_run(args) -> int:
 
 def _tk_inputs(args):
     cfg = _load_json(args.family)
-    check_keys(cfg, TK_KEYS, "family")
+    check_keys(cfg, TK_KEYS, "family", "")
     kind = cfg.get("family", "relations")
     tol = _tolerance(args, cfg, 1e-6)
     lam_grid = [_finite(l, "lambda_grid", complex)
@@ -284,7 +301,7 @@ def cmd_converge_tk(args) -> int:
 
 
 def _heat_family(cfg):
-    check_keys(cfg, HEAT_KEYS, "heat family")
+    check_keys(cfg, HEAT_KEYS, "heat family", "")
     grid = grid_from_spec(cfg.get("grid", {}))
     if "limit" not in cfg:
         raise ConfigError("heat family needs a 'limit' mask", field="limit")
@@ -299,8 +316,8 @@ def _heat_family(cfg):
         name = b.pop("name", None)
         if not isinstance(name, str) or name not in BUILDERS:
             raise ConfigError(f"unknown builder {name!r}", field="builder.name")
-        build = BUILDERS[name]
-        check_keys(b, tuple(inspect.signature(build).parameters)[1:], f"builder {name!r}")
+        build, keys = BUILDERS[name]
+        check_keys(b, keys, f"builder {name!r}", "builder.")
         masks = build(grid, **{k: tuple(v) if isinstance(v, list) else v
                                for k, v in b.items()})
     else:

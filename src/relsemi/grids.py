@@ -8,6 +8,7 @@ that the closed domain sits strictly inside the box.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +111,7 @@ def shape_contains(shape: dict, pts: np.ndarray) -> np.ndarray:
     kind = require_object(shape, "shape").get("kind")
     if kind not in SHAPE_KEYS:
         raise ConfigError(f"unknown shape kind {kind!r}", field="shape.kind")
-    check_keys(shape, SHAPE_KEYS[kind], f"{kind} shape")
+    check_keys(shape, SHAPE_KEYS[kind], f"{kind} shape", "")
     x, y = pts[:, 0], pts[:, 1]
     if kind == "disk":
         cx, cy = shape["center"]
@@ -242,9 +243,9 @@ def mask_from_shapes(grid: Grid, shapes, ops=None, label: str = "") -> DomainMas
 
 def grid_from_spec(spec: dict) -> Grid:
     """Build a grid from a JSON-style dict: ``{m, box?: {center?, half_width?}}``."""
-    check_keys(spec, ("m", "box"), "grid spec")
+    check_keys(spec, ("m", "box"), "grid spec", "")
     box = spec.get("box", {})
-    check_keys(box, ("center", "half_width"), "grid box")
+    check_keys(box, ("center", "half_width"), "grid box", "")
     try:
         m = int(spec["m"])
         center = tuple(box.get("center", (0.0, 0.0)))
@@ -261,27 +262,33 @@ def require_object(value, where: str) -> dict:
     return value
 
 
-def check_keys(spec: dict, allowed, where: str):
+def check_keys(spec: dict, allowed, where: str, prefix: str):
     """Raise :class:`ConfigError` naming the first key of ``spec`` not in
     ``allowed``, or whose value fails its check.
 
     ``allowed`` is a sequence of keys, or a table of key → ``None`` or
     ``(test, expected)``: a value with ``not test(value)`` is refused with
     ``expected`` in the message.  A ``spec`` that is not an object is
-    refused too.
+    refused too.  The error names the key after ``prefix`` (``""``, or
+    ``"builder."`` to name a builder's ``radius`` as ``builder.radius``).
     """
     for key, value in require_object(spec, where).items():
         if key not in allowed:
             raise ConfigError(f"unknown key in {where} (allowed: "
-                              f"{', '.join(sorted(allowed))})", field=key)
+                              f"{', '.join(sorted(allowed))})", field=prefix + key)
         rule = allowed[key] if isinstance(allowed, dict) else None
         if rule is not None and not rule[0](value):
-            raise ConfigError(f"expected {rule[1]}, got {value!r}", field=key)
+            raise ConfigError(f"expected {rule[1]}, got {value!r}", field=prefix + key)
 
 
 def is_count(value) -> bool:
     """A non-negative JSON integer; ``true``, ``2.0`` and ``"2"`` are not."""
     return type(value) is int and value >= 0
+
+
+def is_number(value) -> bool:
+    """A finite JSON number; ``true``, ``NaN`` and ``"2"`` are not."""
+    return type(value) in (int, float) and math.isfinite(value)
 
 
 def array_of(test):
@@ -296,7 +303,7 @@ def one_of(names):
 
 def mask_from_spec(spec: dict) -> DomainMask:
     """Build a mask from a JSON-style dict: ``{grid, shape(s), ops?, label?}``."""
-    check_keys(spec, ("grid", "shape", "shapes", "ops", "label"), "mask spec")
+    check_keys(spec, ("grid", "shape", "shapes", "ops", "label"), "mask spec", "")
     grid = grid_from_spec(spec.get("grid", {}))
     shapes = spec.get("shapes", spec.get("shape"))
     if shapes is None:

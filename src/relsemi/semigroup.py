@@ -10,8 +10,11 @@ that carries the mild solutions of ``u' in A u``; its primitive ``V(t)`` is
 ``embed(t^2 phi2(t M1)) P``, with ``phi_k(Z) = sum_j Z^j / (j + k)!``.
 Every integral the checks need (mild solutions, the truncated Laplace
 transforms of ``T`` and ``S``, the window of the integrated composition
-law) is a block of one ``expm`` of an augmented matrix (Van Loan 1978), so
-no check uses quadrature.
+law) is a block of the exponential of an augmented matrix (Van Loan 1978),
+so no check uses quadrature.  The Laplace transforms, the composition-law
+window and the evaluators take one ``expm`` per point; mild solutions
+propagate ``E(t + h) = E(t) e^{hB}`` along their grid with one ``expm`` per
+distinct time step (:func:`_grid_primitives`).
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ WELLPOSED_TOL = 1e-8      # largest mild-solution defect of a well-posed verdict
 WELLPOSED_GRID = np.linspace(0.1, 3.0, 10)  # times of wellposedness_check's mild solutions
 SECTOR_SLACK = 1e-8       # slack of sector_verify's norm bound
 SECTOR_BISECTIONS = 40    # certified_sector_angle steps: (pi/2) / 2**40 = 1.4e-12 rad
+NON_FINITE_TIME = "semigroup times must be finite"
 
 
 @dataclass(frozen=True)
@@ -146,6 +150,46 @@ def phi1(z: np.ndarray) -> np.ndarray:
     return _phis(z, 1)[1]
 
 
+def _require_finite(values: np.ndarray, reason: str):
+    """Raise :class:`InvalidInput` unless every entry (both parts of a complex
+    one) is finite."""
+    if not np.all(np.isfinite(values)):
+        raise InvalidInput(reason)
+
+
+def _grid_primitives(m1: np.ndarray, ts: np.ndarray):
+    """``S(t)`` and ``V(t)`` of ``M1`` (unembedded) at every time of the
+    increasing grid ``ts``, as stacks ``(len(ts), n, n)``.
+
+    ``E(t) = e^{tB}`` with ``B = [[M1, I, 0], [0, 0, I], [0, 0, 0]]`` has the
+    top block row ``[T(t), S(t), V(t)]`` and obeys ``E(t + h) = E(t) e^{hB}``,
+    so that row is propagated from ``[I, 0, 0]`` at ``t = 0`` by one product
+    per grid time.  The steps ``diff(ts, prepend=0)`` are grouped by exact
+    float value and each distinct nonzero step takes one ``3n``-square matrix
+    of one stacked ``expm`` call; the count of those matrices is returned
+    third.  Each product adds a rounding error of about ``eps ||e^{hB}||``,
+    so the error grows linearly in the number of steps; the membership
+    residual of the mild solution measures it a posteriori.  A grid on which
+    ``S`` or ``V`` overflows raises :class:`InvalidInput`.
+    """
+    n = m1.shape[0]
+    hs, which = np.unique(np.diff(ts, prepend=0.0), return_inverse=True)
+    gen = np.zeros((3 * n, 3 * n), dtype=np.result_type(m1.dtype, float))
+    gen[:n, :n] = m1
+    gen[:n, n:2 * n] = gen[n:2 * n, 2 * n:] = np.eye(n)
+    props = np.empty((hs.size,) + gen.shape, dtype=gen.dtype)
+    props[hs == 0] = np.eye(3 * n)  # a grid starting at t = 0 steps by nothing
+    rows = np.empty((ts.size, n, 3 * n), dtype=gen.dtype)
+    row = np.eye(n, 3 * n, dtype=gen.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        if n and hs[-1] > 0:  # an empty domain: no expm call
+            props[hs > 0] = spla.expm(hs[hs > 0, None, None] * gen)
+        for k, j in enumerate(which):
+            row = rows[k] = row @ props[j]
+    _require_finite(rows, "S(t) or V(t) overflows on t_grid")
+    return rows[..., n:2 * n], rows[..., 2 * n:], int(np.count_nonzero(hs)) if n else 0
+
+
 def _evaluate(sd: SemigroupData, zs: np.ndarray, integrated: bool = False) -> np.ndarray:
     """``T(z)``, or ``S(z)`` when ``integrated``, from one stacked ``expm``.
 
@@ -154,16 +198,19 @@ def _evaluate(sd: SemigroupData, zs: np.ndarray, integrated: bool = False) -> np
     """
     if zs.ndim > 1 or zs.size == 0:
         raise InvalidInput("times must be a scalar or a non-empty flat array")
+    _require_finite(zs, NON_FINITE_TIME)
     if not np.iscomplexobj(zs) and np.any(zs < 0):
         raise InvalidInput("semigroup time must be nonnegative")
     z = np.atleast_1d(zs)[:, None, None]
     m1 = sd.generator_matrix
-    # real-times-complex products round once wherever z sits in the stack; a
-    # complex multiply's vector body and scalar tail round differently
-    scaled = z.real * m1 + z.imag * (1j * m1) if np.iscomplexobj(z) else z * m1
-    core = _phis(scaled, int(integrated))[-1]
-    if integrated:
-        core = z * core
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        # real-times-complex products round once wherever z sits in the stack;
+        # a complex multiply's vector body and scalar tail round differently
+        scaled = z.real * m1 + z.imag * (1j * m1) if np.iscomplexobj(z) else z * m1
+        core = _phis(scaled, int(integrated))[-1]
+        if integrated:
+            core = z * core
+    _require_finite(core, "the evaluation overflows at these times")
     out = sd.domain_basis @ core @ sd.coord_map
     return out if zs.ndim else out[0]
 
@@ -214,12 +261,16 @@ def functional_equation_residual(sd: SemigroupData, t: float,
     embedded) at ``z = t, s, t + s`` come from one stacked ``expm``, so the
     window ``V(t+s) - V(t) - V(s)`` carries no quadrature error.
     """
+    z = np.array([t, s, t + s], dtype=float)[:, None, None]
+    _require_finite(z, NON_FINITE_TIME)
     if min(t, s) < 0:
         raise InvalidInput("semigroup time must be nonnegative")
-    z = np.array([t, s, t + s], dtype=float)[:, None, None]
-    _, p1, p2 = _phis(z * sd.generator_matrix, 2)
-    s_t, s_s, _ = sd.domain_basis @ (z * p1) @ sd.coord_map
-    v_t, v_s, v_ts = sd.domain_basis @ (z * z * p2) @ sd.coord_map
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        _, p1, p2 = _phis(z * sd.generator_matrix, 2)
+        s_z, v_z = z * p1, z * z * p2
+    _require_finite((s_z, v_z), "S or V overflows at these times")
+    s_t, s_s, _ = sd.domain_basis @ s_z @ sd.coord_map
+    v_t, v_s, v_ts = sd.domain_basis @ v_z @ sd.coord_map
     window = v_ts - v_t - v_s
     log.debug("functional_equation matrices=3 size=%d", 3 * sd.domain_dim)
     return FunctionalEquationCheck(
@@ -254,8 +305,8 @@ def laplace_residual(sd: SemigroupData, lam, horizon: float = 40.0,
     re = float(np.real(lam))
     if re <= 0:
         raise InvalidInput("Laplace comparison needs Re(lam) > 0")
-    if horizon < 0:
-        raise InvalidInput("Laplace horizon must be nonnegative")
+    if not 0 <= horizon < math.inf:
+        raise InvalidInput("Laplace horizon must be finite and nonnegative")
     if transform == "semigroup":
         bound = math.exp(-re * horizon) / re
         gen = sd.generator_matrix
@@ -269,7 +320,9 @@ def laplace_residual(sd: SemigroupData, lam, horizon: float = 40.0,
         raise InvalidInput(f"unknown transform {transform!r}")
     size = gen.shape[0]
     gen = gen - lam * np.eye(size)
-    core = horizon * _phis(horizon * gen, 1)[1][:sd.domain_dim, size - sd.domain_dim:]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        core = horizon * _phis(horizon * gen, 1)[1][:sd.domain_dim, size - sd.domain_dim:]
+    _require_finite(core, "the transform overflows at this horizon")
     acc = sd.domain_basis @ core @ sd.coord_map
     if transform == "integrated":
         acc = lam * acc
@@ -293,7 +346,7 @@ def mild_solution(sd: SemigroupData, x, t_grid) -> MildSolution:
 
     The membership residual certifies ``(integral_0^t u, u(t) - t x)`` as a
     graph element; the integral is ``V(t) x`` in closed form, so it carries
-    no quadrature error (grid must be increasing, start >= 0).
+    no quadrature error (grid must be finite and increasing, start >= 0).
     """
     ts = np.asarray(t_grid, dtype=float)
     states, residuals, defects = _mild_block(sd, np.asarray(x)[:, None], ts)
@@ -303,20 +356,22 @@ def mild_solution(sd: SemigroupData, x, t_grid) -> MildSolution:
 def _mild_block(sd: SemigroupData, xs, ts: np.ndarray):
     """Mild solutions for every column of the ``(d, c)`` block ``xs`` at once.
 
-    ``S(t)`` and ``V(t)`` come from one ``3 dim(dom)``-square ``expm`` per
-    grid time, applied to the whole block.  Returns the states
-    ``(len(ts), d, c)``, the membership residuals ``(len(ts), c)`` and the
-    Lipschitz defects ``(c,)``.
+    ``S(t)`` and ``V(t)`` come from :func:`_grid_primitives`, one
+    ``3 dim(dom)``-square ``expm`` per distinct time step, applied to the
+    whole block.  Returns the states ``(len(ts), d, c)``, the membership
+    residuals ``(len(ts), c)`` and the Lipschitz defects ``(c,)``.
     """
     xs = np.asarray(xs, dtype=np.result_type(sd.coord_map.dtype, xs.dtype))
-    if ts.ndim != 1 or ts.size == 0 or np.any(np.diff(ts) <= 0) or ts[0] < 0:
+    if ts.ndim != 1 or ts.size == 0:
+        raise InvalidInput("t_grid must be a non-empty flat array")
+    _require_finite(ts, NON_FINITE_TIME)
+    if np.any(np.diff(ts) <= 0) or ts[0] < 0:
         raise InvalidInput("t_grid must be increasing and nonnegative")
-    z = ts[:, None, None]
-    _, p1, p2 = _phis(z * sd.generator_matrix, 2)
-    states = sd.domain_basis @ (z * p1) @ sd.coord_map @ xs
-    running = sd.domain_basis @ (z * z * p2) @ sd.coord_map @ xs  # V(t) x
+    s_t, v_t, matrices = _grid_primitives(sd.generator_matrix, ts)
+    states = sd.domain_basis @ s_t @ sd.coord_map @ xs
+    running = sd.domain_basis @ v_t @ sd.coord_map @ xs  # V(t) x
     log.debug("mild_block times=%d columns=%d matrices=%d",
-              ts.size, xs.shape[1], ts.size)
+              ts.size, xs.shape[1], matrices)
     # one (2d, len(ts)) block of graph pairs per datum
     pairs = np.ascontiguousarray(np.concatenate(
         [running, states - ts[:, None, None] * xs], axis=1).transpose(2, 1, 0))
@@ -488,6 +543,7 @@ def holomorphic_at(sd: SemigroupData, z) -> np.ndarray:
     signals a data problem upstream.
     """
     zs = np.asarray(z, dtype=complex)
+    _require_finite(zs, NON_FINITE_TIME)
     flat = np.atleast_1d(zs)
     off_axis = (flat.imag != 0) | (flat.real < 0)
     args = np.abs(np.angle(flat))

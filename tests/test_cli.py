@@ -313,7 +313,7 @@ def test_unknown_config_key_exits_2(case, tmp_path, capsys):
         argv, key = ["heat", "orbit", "--mask", str(mask), "--out", out], "labl"
     elif case == "builder":
         fam = _heat_family_file(tmp_path, builder={"name": "polygons", "sidez": [3, 4]})
-        argv, key = ["heat", "converge", "--family", fam, "--out", out], "sidez"
+        argv, key = ["heat", "converge", "--family", fam, "--out", out], "builder.sidez"
     elif case == "grid":
         fam = _heat_family_file(tmp_path, grid={"m": 12, "boxx": 3})
         argv, key = ["heat", "converge", "--family", fam, "--out", out], "boxx"
@@ -339,7 +339,7 @@ def test_non_object_config_value_exits_2(changes, tmp_path, capsys):
 @pytest.mark.parametrize("changes", [
     {"items": 5}, {"lambda_grid": 5}, {"f": 5}, {"samples": -1}, {"samples": 2.7},
     {"samples": True}, {"samples": "x"}, {"items": "iv"}, {"items": ["vi"]},
-    {"items": ["ii"]}, {"f": "ones"}, {"f": ["ones", 3]}, {"t_grid": 5}])
+    {"items": ["ii"]}, {"f": "ones"}, {"f": ["ones", 3]}, {"t_grid": 5}, {"t_grid": []}])
 def test_wrong_config_value_type_exits_2(changes, tmp_path, capsys):
     # each once ended in a traceback (exit 1), ran with a value the user did
     # not give (2.7 as 2 samples, "iv" as items i and v), or exited 2 on a
@@ -349,6 +349,41 @@ def test_wrong_config_value_type_exits_2(changes, tmp_path, capsys):
     out = str(tmp_path / "o")
     assert main(["heat", "converge", "--family", fam, "--out", out]) == 2
     assert f"config error: {key}: expected " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("builder", [
+    {"name": "polygons", "radius": "x"}, {"name": "polygons", "radius": -0.7},
+    {"name": "polygons", "sides": [3, 4.5]}, {"name": "polygons", "sides": [2, 3]},
+    {"name": "polygons", "sides": []}, {"name": "polygons", "sides": 4},
+    {"name": "polygons", "center": [0.0]}, {"name": "polygons", "center": [0.0, "y"]},
+    {"name": "polygons", "phase": True}, {"name": "slits", "widths": [8, 2.5]},
+    {"name": "slits", "widths": [0]}, {"name": "slits", "inner_x": "x"},
+    {"name": "slits", "outer_x": None}, {"name": "slits", "y": [0.0]},
+    {"name": "slits", "radius": float("nan")}])
+def test_wrong_builder_value_exits_2(builder, tmp_path, capsys):
+    # a string radius ended in a traceback (exit 1), and sides [3, 4.5] built
+    # a 4.5-sided polygon (exit 0)
+    [key] = set(builder) - {"name"}
+    fam = _heat_family_file(tmp_path, builder=builder)
+    out = str(tmp_path / "o")
+    assert main(["heat", "converge", "--family", fam, "--out", out]) == 2
+    assert f"config error: builder.{key}: expected " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("num", [2.7, 4.0, -1, 0, "4", True, None])
+def test_time_grid_num_must_be_a_count(num, tmp_path, capsys):
+    # 2.7 ran on 2 times (exit 0) in both commands that read time grids, and
+    # 0 ended in a traceback (exit 1)
+    t_grid = {"start": 0.0, "stop": 1.0, "num": num}
+    fam = _heat_family_file(tmp_path, t_grid=t_grid)
+    out = str(tmp_path / "o")
+    assert main(["heat", "converge", "--family", fam, "--out", out]) == 2
+    assert "config error: t_grid.num: expected " in capsys.readouterr().err
+    cfg = json.loads(Path(_relations_family(tmp_path, (4, 16), tol=0.5)).read_text())
+    fam = tmp_path / "tk.json"
+    fam.write_text(json.dumps({**cfg, "t_grid": t_grid}))
+    assert main(["converge", "tk", "--family", str(fam)]) == 2
+    assert "config error: t_grid.num: expected " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("changes", [{"ns": 4}, {"ns": [4, 2.5]}, {"ns": [-1]},

@@ -142,6 +142,45 @@ def test_mild_solution_checks(m_dissipative_battery):
         assert sol.lipschitz_defect <= 1e-9
 
 
+@pytest.mark.parametrize("grid", [[math.nan], [0.0, math.inf], [0.0, 1.0, math.nan],
+                                  [1.0, 1e308]])
+def test_mild_solution_refuses_non_finite_times(rng, grid):
+    # each grid returned NaN states, [nan] with a Lipschitz defect of 0.0
+    sd = decompose(random_m_dissipative(rng, 4, "real", dom_dim=3))
+    with pytest.raises(InvalidInput):
+        mild_solution(sd, np.ones(4), grid)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_evaluations_refuse_non_finite_times(rng, t):
+    # each returned NaN matrices or residuals, or named a sector for the point
+    sd = decompose(random_m_dissipative(rng, 4, "real", dom_dim=3))
+    for fn in (semigroup_at, integrated_at):
+        for ts in (t, [0.5, t]):
+            with pytest.raises(InvalidInput):
+                fn(sd, ts)
+    for z in (complex(t, 0.0), complex(0.5, t), complex(t, t)):
+        with pytest.raises(InvalidInput):
+            holomorphic_at(sd, z)
+    with pytest.raises(InvalidInput):
+        functional_equation_residual(sd, 0.3, t)
+    with pytest.raises(InvalidInput):
+        laplace_residual(sd, 1.0, horizon=abs(t))
+
+
+def test_evaluations_refuse_times_that_overflow(rng):
+    # NaN matrices, or LinAlgError from the norm of a NaN residual
+    sd = decompose(random_m_dissipative(rng, 4, "real", dom_dim=3))
+    for evaluate in (semigroup_at, integrated_at, holomorphic_at):
+        with pytest.raises(InvalidInput, match="overflows"):
+            evaluate(sd, [0.5, 1e308])
+    with pytest.raises(InvalidInput, match="overflows"):
+        functional_equation_residual(sd, 0.3, 1e200)
+    for transform in ("semigroup", "integrated"):
+        with pytest.raises(InvalidInput, match="overflows"):
+            laplace_residual(sd, 1.0, 1e200, transform)
+
+
 def test_wellposedness_verdicts():
     good = wellposedness_check(graph_of(np.array([[-1.0]])))
     assert good.ok and good.m_dissipative
@@ -228,9 +267,11 @@ def test_wellposedness_check_evaluates_the_nodes_once(monkeypatch, rng):
     sizes = []
     inputs = _count_expm_inputs(monkeypatch, sizes)
     verdict = wellposedness_check(rel)
-    # one augmented 3 dim(dom)-square matrix per grid time, for all six
-    # trial vectors together; a 16-node running quadrature evaluated 170
-    assert inputs == [10]
+    # one augmented 3 dim(dom)-square matrix per distinct step of the grid,
+    # for all six trial vectors together: the first step and the rounded
+    # copies of the 0.32 spacing; one matrix per time took 10, and a 16-node
+    # running quadrature 170
+    assert inputs == [np.unique(np.diff(ts, prepend=0.0)).size] == [5]
     assert sizes == [3 * sd.domain_dim]
     assert verdict.ok
     assert verdict.max_membership_residual == max(
@@ -245,8 +286,10 @@ def test_mild_solutions_log_one_line_per_block(rng, caplog):
         wellposedness_check(sd.relation)
     lines = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("mild_block")]
-    assert lines == ["mild_block times=31 columns=1 matrices=31",
-                     "mild_block times=10 columns=5 matrices=10"]
+    # one matrix per distinct nonzero step: the arange grid's rounded steps
+    # take 6 values, and the wellposedness grid's 5
+    assert lines == ["mild_block times=31 columns=1 matrices=6",
+                     "mild_block times=10 columns=5 matrices=5"]
 
 
 def test_closed_form_checks_make_one_expm_call_each(monkeypatch, rng, caplog, capsys):

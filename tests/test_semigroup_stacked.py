@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from relsemi.sampling import random_m_dissipative
 from relsemi.semigroup import (
+    _grid_primitives,
     _phis,
     certified_sector_angle,
     decompose,
@@ -225,6 +226,46 @@ def test_mild_solution_matches_the_node_loop(field, kind, d, seed, steps):
     assert _close(sol.states, states)
     assert abs(sol.lipschitz_defect - defect) <= REL_TOL * max(1.0, np.abs(states).max())
     assert np.max(sol.membership_residuals) <= max(1e-12, np.max(residuals))
+
+
+def _grid(kind, count, step, rng):
+    """An increasing grid from ``t = 0`` with about ``count`` times."""
+    if kind == "arange":
+        return np.arange(0.0, count * step - 1e-12, step)
+    if kind == "linspace":
+        return np.linspace(0.0, count * step, count)
+    return np.unique(np.concatenate([[0.0], rng.uniform(0.0, count * step, count - 1)]))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("kind", ["arange", "linspace", "random"])
+@given(d=st.integers(1, 16), seed=st.integers(0, 10_000), count=st.integers(1, 120),
+       step=st.floats(0.002, 0.1))
+@settings(max_examples=6, deadline=None)
+def test_propagated_primitives_match_the_per_time_exponentials(field, kind, d, seed,
+                                                               count, step):
+    sd, rng = _data(d, field, "full", seed)
+    ts = _grid(kind, count, step, rng)
+    s_t, v_t, matrices = _grid_primitives(sd.generator_matrix, ts)
+    assert matrices == np.count_nonzero(np.unique(np.diff(ts, prepend=0.0)))
+    z = ts[:, None, None]
+    _, p1, p2 = _phis(z * sd.generator_matrix, 2)  # one direct expm per time
+    for got, want in ((s_t, z * p1), (v_t, z * z * p2)):
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_mild_membership_keeps_its_digits_as_the_grid_is_refined(field):
+    rng = np.random.default_rng(11)
+    sd = decompose(random_m_dissipative(rng, 8, field, dom_dim=5))
+    x = rng.standard_normal(8)
+    for spacing, count in ((0.1, 31), (0.03, 101), (0.01, 301), (0.003, 1001)):
+        ts = np.arange(0.0, 3.0 + 1e-12, spacing)  # the benchmark's mild grid, refined
+        assert ts.size == count
+        sol = mild_solution(sd, x, ts)
+        assert np.max(sol.membership_residuals) <= 1e-12, spacing
+        assert sol.lipschitz_defect <= 1e-12, spacing
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
