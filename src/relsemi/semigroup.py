@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -466,13 +467,17 @@ def sector_verify(rel: LinearRelation, spec: SectorSpec, eps: float,
                   radii: int = 25, rays: int = 13) -> SectorEvidence:
     """Sample the enlarged sector and test ``||lam R(lam)||_2 <= M / sin(eps)``.
 
-    ``lam`` ranges over log-spaced radii in ``[1e-3, 1e6]`` on rays
-    ``|arg lam| <= alpha + pi/2 - eps`` (endpoints included).  Failures
-    (points not in the resolvent set, or norms beyond the bound by more
-    than ``SECTOR_SLACK``) are collected rather than raised.
+    ``lam`` ranges over ``radii`` log-spaced radii in ``[1e-3, 1e6]`` on
+    ``rays`` rays ``|arg lam| <= alpha + pi/2 - eps`` (endpoints included,
+    so both counts are integers >= 2).  Failures (points not in the
+    resolvent set, or norms beyond the bound by more than ``SECTOR_SLACK``)
+    are collected rather than raised.
     """
     if not 0 < eps < spec.alpha + math.pi / 2:
         raise InvalidInput("eps must lie in (0, alpha + pi/2)")
+    for name, count in (("radii", radii), ("rays", rays)):
+        if not isinstance(count, numbers.Integral) or count < 2:
+            raise InvalidInput(f"{name} must be an integer >= 2, got {count!r}")
     theta_max = spec.alpha + math.pi / 2 - eps
     bound = spec.bound / math.sin(eps)
     rs = np.logspace(-3, 6, radii)

@@ -9,11 +9,13 @@ trust a sample without re-deriving it.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import logging
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import lstsq as _gelsd
 
 from .errors import (
     DivergentSeries,
@@ -52,7 +54,8 @@ class ResolventSample:
 
 @dataclass(frozen=True)
 class ResolventBlock:
-    """Consecutive points of a sequence of ``lam``, certified as one stack.
+    """Consecutive points of a sequence of ``lam``, certified as one stack
+    by one least-squares call (:func:`_certify`).
 
     ``lams`` are the caller's own objects, in order; ``refusals`` holds the
     :class:`NotInResolventSet` each point earned (built, never raised), or
@@ -69,15 +72,45 @@ class ResolventBlock:
 
     def norms(self) -> np.ndarray:
         """``||R(lam)||_2`` at the accepted points, by one stacked SVD."""
-        return np.linalg.norm(self.matrices, 2, axis=(1, 2))
+        return _largest_singular_values(self.matrices)
 
     def scaled_norms(self) -> np.ndarray:
         """``||lam R(lam)||_2`` at the accepted points, by one stacked SVD."""
-        return np.linalg.norm(self.values[:, None, None] * self.matrices, 2, axis=(1, 2))
+        return _largest_singular_values(self.values[:, None, None] * self.matrices)
+
+
+def _largest_singular_values(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, 2, axis=(1, 2))``: the same SVD gufunc, without the
+    wrapper's ``moveaxis`` and ``amax`` (singular values come sorted)."""
+    if x.shape[-1] == 0:
+        return np.zeros(x.shape[0])
+    return np.linalg.svd(x, compute_uv=False)[:, 0]
+
+
+def _gelsd_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq_stack(m: np.ndarray, eye: np.ndarray):
+    """``np.linalg.lstsq(m[i], eye, rcond=None)`` for every ``i`` in one call.
+
+    The gufunc ``np.linalg.lstsq`` itself calls (LAPACK's gelsd) gets the
+    whole ``(k, d, d)`` stack with the same signature, ``rcond`` and error
+    mapping, so solutions and singular values are those of one ``lstsq`` per
+    matrix, bit for bit.  Returns the solutions and the singular values.
+    """
+    d = m.shape[-1]
+    rhs = eye if d else np.zeros((0, 1))  # LAPACK needs a right-hand side column
+    signature = "DDd->Ddid" if np.iscomplexobj(m) else "ddd->ddid"
+    with np.errstate(call=_gelsd_failed, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        coef, _, _, s = _gelsd(m, rhs, np.finfo(np.float64).eps * d, signature=signature)
+    return coef[..., :d], s
 
 
 def _certify(rel: LinearRelation, lams: list, accept_tol: float) -> ResolventBlock:
-    """One block: one ``lstsq`` per point gives rank, solve and scale."""
+    """One block: one stacked gelsd call (:func:`_lstsq_stack`) gives every
+    point's rank, solve and scale."""
     d = rel.state_dim
     u, v = rel.blocks()
     vals = np.asarray(lams)
@@ -88,9 +121,7 @@ def _certify(rel: LinearRelation, lams: list, accept_tol: float) -> ResolventBlo
     refusals = [None] * len(lams)
     m = vals[:, None, None] * u - v
     eye = np.eye(d, dtype=m.dtype)
-    coef, s = np.empty_like(m), np.empty(m.shape[:2])
-    for i in range(len(lams)):  # lstsq solves one 2-D system per call
-        coef[i], _, _, s[i] = np.linalg.lstsq(m[i], eye, rcond=None)
+    coef, s = _lstsq_stack(m, eye)
     rank = numerical_rank(s)
     for i in np.flatnonzero(rank < d):
         refusals[i] = NotInResolventSet(
@@ -126,11 +157,16 @@ def resolvent_points(rel: LinearRelation, lams, reduce, accept_tol: float = ACCE
     ``reduce(block)``, a sequence with one entry per accepted point of the
     :class:`ResolventBlock`.  Each block stacks at most ``BLOCK_ENTRIES //
     d**2`` points (at least one) and is reduced before the next one is
-    evaluated, so only one block's matrices are held at a time.  Real and
+    evaluated, so only one block's matrices are held at a time; a block
+    costs one stacked least-squares call (:func:`_certify`).  Real and
     complex points never share a block, so every point gets the arithmetic
-    it gets alone: real points on a real relation stay real.
+    it gets alone: real points on a real relation stay real.  A NaN or
+    infinite ``lam`` raises :class:`InvalidInput` before any point is solved.
     """
     lams = list(lams)
+    for lam in lams:
+        if not cmath.isfinite(lam):
+            raise InvalidInput(f"lambda={lam!r} is not finite")
     step = max(1, BLOCK_ENTRIES // max(rel.state_dim ** 2, 1))
     points, blocks = [], 0
     for _, run in itertools.groupby(lams, key=_is_complex):

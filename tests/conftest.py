@@ -1,9 +1,40 @@
+import ctypes
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 
+def bundled_openblas():
+    """``(file name, get, set)`` of the thread-count calls of each OpenBLAS
+    that NumPy's and SciPy's wheels bundle; empty for other builds.
+
+    NumPy is imported before this file is, so ``OPENBLAS_NUM_THREADS`` set
+    here would come too late; the libraries' own calls still act.
+    """
+    site = Path(np.__file__).resolve().parent.parent
+    found = []
+    paths = [path for pkg in ("numpy", "scipy")
+             for path in sorted(site.glob(f"{pkg}.libs/libscipy_openblas*.so"))]
+    for path in paths:
+        lib = ctypes.CDLL(str(path))
+        for suffix in ("64_", ""):  # NumPy's ILP64 build, SciPy's LP64 build
+            if hasattr(lib, f"scipy_openblas_get_num_threads{suffix}"):
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append((path.name, get, set_))
+                break
+    return found
+
+
 def pytest_configure(config):
     config._criterion_lines = []
+    # one BLAS thread: on a small host a second process holding a core made
+    # multithreaded OpenBLAS calls hundreds of times slower
+    for _, _, set_threads in bundled_openblas():
+        set_threads(1)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

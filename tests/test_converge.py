@@ -208,6 +208,17 @@ def test_holomorphic_report_sector_hypothesis():
             z_grid=z_grid, tol=1e-3, radii=10, rays=5)
 
 
+@pytest.mark.parametrize("radii, rays, named", [(0, 7, "radii"), (13, 0, "rays")])
+def test_holomorphic_report_refuses_an_unsampled_sector(radii, rays, named):
+    # the sector hypothesis was taken as checked when no point was sampled
+    fam = [scalar(-1.0 - 1.0 / n) for n in (10, 100, 1000, 10000)]
+    with pytest.raises(InvalidInput, match=f"{named} must be an integer >= 2"):
+        holomorphic_convergence_report(
+            fam, SectorSpec(alpha=math.pi / 4, bound=1.0), eps=0.3,
+            z_grid=np.array([0.5]), tol=1e-3, radii=radii, rays=rays,
+            limit=scalar(-1.0))
+
+
 def test_protocol_has_five_members():
     assert PROTOCOL == ("state_dim", "resolvent", "semigroup", "integrated", "vec_norm")
     _, lim = shrinking_family()

@@ -386,6 +386,23 @@ def test_sector_verify_accepts_far_points_of_an_m_dissipative_relation(d, cls, v
     assert ev.passed, ev.failures
 
 
+@pytest.mark.parametrize("radii, rays, named", [
+    (0, 3, "radii"), (3, 0, "rays"), (1, 3, "radii"), (3, 1, "rays"), (-1, 3, "radii"),
+    (2.5, 3, "radii"), (3, 3.0, "rays"), (True, 3, "radii"), ("5", 3, "radii")])
+def test_sector_verify_refuses_too_few_samples(radii, rays, named):
+    # with no radius or no ray the check sampled nothing and passed with
+    # worst_norm = -inf; the endpoints of both ranges are sampled points
+    rel = random_m_dissipative(np.random.default_rng(4), 3, "real", dom_dim=2)
+    with pytest.raises(InvalidInput, match=f"{named} must be an integer >= 2"):
+        sector_verify(rel, SectorSpec(math.pi / 4, 2.0), math.pi / 2, radii=radii, rays=rays)
+
+
+def test_sector_verify_samples_both_endpoints_at_two_per_range():
+    ev = sector_verify(graph_of(-np.eye(2)), SectorSpec(math.pi / 4, 2.0), math.pi / 2,
+                       radii=np.int64(2), rays=2)
+    assert ev.passed and math.isfinite(ev.worst_norm)
+
+
 def test_sector_spec_validation():
     with pytest.raises(InvalidInput):
         SectorSpec(alpha=2.0)

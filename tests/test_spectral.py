@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -165,3 +167,23 @@ def test_in_resolvent_set_wrapper():
     rel = LinearRelation.from_operator(np.array([[0.0]]))
     assert in_resolvent_set(rel, 1.0)
     assert not in_resolvent_set(rel, 0.0)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("call, bad", [
+    (lambda rel: resolvent(rel, np.nan), "nan"),
+    (lambda rel: resolvent(rel, np.inf), "inf"),
+    (lambda rel: resolvent(rel, complex(np.nan, 1.0)), "(nan+1j)"),
+    (lambda rel: in_resolvent_set(rel, np.nan), "nan"),
+    (lambda rel: resolvent_set_scan(rel, [0.5, np.nan, np.inf]), "nan"),
+    (lambda rel: resolvent_points(rel, [2.0, 1.0 - 1j, complex(1.0, -np.inf)],
+                                  lambda b: b.residuals), "(1-infj)"),
+])
+def test_non_finite_shifts_are_refused_before_lapack(field, call, bad, capfd):
+    # a NaN or infinite shift made LAPACK's gelsd fail ("SVD did not
+    # converge") and print a parameter error to stderr; in a stacked call it
+    # would also fail every other point of its block
+    rel = random_m_dissipative(np.random.default_rng(3), 4, field, dom_dim=2)
+    with pytest.raises(InvalidInput, match=re.escape(f"lambda={bad} is not finite")):
+        call(rel)
+    assert capfd.readouterr().err == ""

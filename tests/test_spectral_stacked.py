@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import relsemi.dissipative as dissipative
+import relsemi.spectral as spectral
 from relsemi.dissipative import LAMBDA_DECADES, is_m_dissipative
 from relsemi.errors import NotInResolventSet
 from relsemi.heatlab import interval_relation
@@ -196,6 +197,49 @@ def test_lstsq_singular_values_decide_the_rank_as_svd_does(kind, field, d, seed,
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("d", [0, 1, 2, 7, 16, 32])
+def test_one_stacked_gelsd_call_is_one_lstsq_per_point(d, field):
+    # _certify's one least-squares call per block against np.linalg.lstsq
+    # per point: solutions and singular values bit for bit, on random and
+    # m-dissipative relations, at exact eigenvalues (rank refusals) and at
+    # |lam| = 1e6
+    rng = np.random.default_rng([23, d, field == "complex"])
+    count = 24
+    lams = rng.uniform(-3.0, 3.0, count) * 10.0 ** rng.uniform(-3, 6, count)
+    lams[:4] = [1e6, -1e6, 1e-6, 0.0]
+    if field == "complex":
+        lams = lams * np.exp(1j * rng.uniform(-3.0, 3.0, count))
+        lams[4:6] = [1e6j, 1e6 * np.exp(2.5j)]
+    blocks = [np.zeros((d, d)), np.eye(d)] if d == 0 else [
+        random_relation(rng, d, field, graph_dim=d).blocks(),
+        random_m_dissipative(rng, d, field, dom_dim=d // 2).blocks()]
+    if d:
+        diag, eig = _diagonal_relation(d, field)
+        blocks.append(diag.blocks())
+        lams[-min(d, 5):] = eig[:5]
+    for u, v in (blocks if d else [blocks]):
+        m = lams[:, None, None] * u - v
+        eye = np.eye(d, dtype=m.dtype)
+        coef, s = spectral._lstsq_stack(m, eye)
+        assert coef.shape == m.shape and s.shape == m.shape[:2]
+        for i in range(count):
+            want, _, _, want_s = np.linalg.lstsq(m[i], eye, rcond=None)
+            assert coef[i].dtype == want.dtype and s[i].dtype == want_s.dtype
+            assert np.array_equal(coef[i], want) and np.array_equal(s[i], want_s)
+    if d > 1:
+        assert np.all(numerical_rank(s[-min(d, 5):]) < d)  # refused at eigenvalues
+
+
+def test_stacked_gelsd_keeps_the_lstsq_error():
+    m = np.full((2, 3, 3), np.nan)
+    with pytest.raises(np.linalg.LinAlgError) as want:
+        np.linalg.lstsq(m[0], np.eye(3), rcond=None)
+    with pytest.raises(np.linalg.LinAlgError) as got:
+        spectral._lstsq_stack(m, np.eye(3))
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("d", range(1, 17))
 def test_stacked_resolvents_match_the_scalar_certificate(d, field):
     rng = np.random.default_rng([7, d, field == "complex"])
@@ -312,16 +356,17 @@ def _count_inputs(monkeypatch, module, name, *more):
 def test_sector_verify_solves_each_point_once_and_stacks_norms(monkeypatch, caplog):
     rel = random_m_dissipative(np.random.default_rng(5), 8, "complex", dom_dim=5)
     svds = _count_inputs(monkeypatch, np.linalg, "svd", _linalg)
-    solves = _count_inputs(monkeypatch, np.linalg, "lstsq")
+    solves = _count_inputs(monkeypatch, spectral, "_gelsd")
     with caplog.at_level(logging.DEBUG, logger="relsemi"):
         ev = sector_verify(rel, SectorSpec(math.pi / 4, 2.0), math.pi / 2,
                            radii=13, rays=7)
         assert ev.passed
         # 91 points in blocks of 4096 // 64 = 64: the rank, the solve and
-        # the scale of each point come from its one lstsq call, and the
-        # only SVDs are one stack per block for the norms
+        # the scale of every point of a block come from one stacked
+        # least-squares call, and the only SVDs are one stack per block for
+        # the norms
+        assert solves == [64, 27]
         assert svds == [64, 27]
-        assert len(solves) == 91
         is_m_dissipative(rel)
     lines = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("resolvent_stack")]
@@ -332,14 +377,16 @@ def test_sector_verify_solves_each_point_once_and_stacks_norms(monkeypatch, capl
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_rank_refusals_cost_one_lstsq_and_no_svd(field, monkeypatch):
     diag, eig = _diagonal_relation(5, field)
-    lams = [eig[0], 0.5, eig[2], 2.0, eig[4]]  # refused at the exact eigenvalues
+    # refused at the exact eigenvalues; one field, so one block (real and
+    # complex lam never share a block)
+    lams = list(np.array([eig[0], 0.5, eig[2], 2.0, eig[4]], dtype=eig.dtype))
     svds = _count_inputs(monkeypatch, np.linalg, "svd", _linalg)
-    solves = _count_inputs(monkeypatch, np.linalg, "lstsq")
+    solves = _count_inputs(monkeypatch, spectral, "_gelsd")
     points = resolvent_points(diag, lams, lambda b: b.residuals)
     assert [refusal is not None and refusal.rank == 4 for _, refusal, _ in points] == \
         [True, False, True, False, True]
     assert svds == []
-    assert solves == [1] * len(lams)
+    assert solves == [len(lams)]
 
 
 def _peak_mb(fn):
