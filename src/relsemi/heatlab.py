@@ -10,39 +10,44 @@ small grids as a cross-check).
 
 The relation is an evaluator in the sense of :mod:`relsemi.converge`: its
 ``resolvent``, ``semigroup`` and ``integrated`` methods take arrays of
-shifts or times.  Both Krylov kernels share one loop, :func:`_si_arnoldi`:
-a shift-and-invert Arnoldi basis of ``(I − γL)⁻¹`` (van den Eshof &
-Hochbruck, 2006) built on one sparse factorization per call, whose
-residuals are a scalar times one vector.  Every semigroup action — ``T(t)``,
-``T(z)`` and ``S(t)`` on a whole grid — goes through
-:meth:`DirichletGridRelation._exp_action`, with all requested times
-evaluated from that basis, ``S(t)`` with ``T(t)``; its convergence does
-not depend on ``‖L‖ ~ h⁻²``, and it stops on the a-posteriori residual
-bound of Botchev, Grimm & Hochbruck (2013).  Every resolvent shift with
-``Re λ > μ₊ = max(μ∞(L), 0)`` (``Re λ > 0`` for every stencil) is read
-from the same kind of basis, rational Krylov with one repeated pole
-``σ₀ = max |λ|`` (Güttel, *GAMM-Mitt.* 36, 2013), and stops when
-``‖R(λ)‖∞ ≤ 1/(Re λ − μ₊)`` times its residual is at most
-``EXP_TOL·‖b‖∞``; any other shift keeps a factor of its own.
+shifts or times.  All three go through one Krylov call,
+:meth:`DirichletGridRelation._krylov`, which takes times and shifts
+together: one shift-and-invert Arnoldi basis of ``(I − γL)⁻¹`` per real
+column (van den Eshof & Hochbruck, 2006), built on one sparse factorization
+of ``γ⁻¹ − L``, whose residuals are a scalar times one vector
+(:func:`_si_column`).  Every time — ``T(t)``, ``T(z)`` and ``S(t)`` on a
+whole grid — and every shift with ``Re λ > μ₊ = max(μ∞(L), 0)``
+(``Re λ > 0`` for every stencil) is read from that basis, the shifts as
+rational Krylov with one repeated pole (Güttel, *GAMM-Mitt.* 36, 2013).
+The pole is ``10/max|t|`` when the call has a time ``t ≠ 0``, else
+``max|λ|``; any other shift, such as ``λ = 0``, keeps a factor of its own.
+Each column grows its basis until the a-posteriori bound of Botchev, Grimm
+& Hochbruck (2013) on ``T`` at every time and the bound
+``‖R(λ)‖∞ ≤ 1/(Re λ − μ₊)`` times the residual at every shift are at
+most ``EXP_TOL·‖b‖∞``; neither depends on ``‖L‖ ~ h⁻²``.  Each column is
+first scaled by a power of two near its sup norm, so data of any finite
+size give the same digits; NaN or infinite data, times or shifts raise
+:class:`InvalidInput`.
 
-Every factorization in the lab — the resolvent pole or a shift with
-``Re λ ≤ μ₊``, the exponential kernel's shift, graph distances and nearest
-pairs (``−iI − L`` for a symmetric stencil's distance, the augmented
-``[[I, Lᵀ], [L, −I]]`` otherwise), the shift-invert Lanczos eigenvalue and
-the interval solve — is one sparse factorization of ``σI − op``,
-:func:`_factor`.  The pivot rule comes from the matrix: one
-that is diagonally dominant by rows or columns, decided exactly, is
-factored with diagonal pivots on a minimum-degree ordering, since Gaussian
-elimination on it needs no pivoting and has growth factor at most 2
-(Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-Thm 9.9); every other matrix gets partial pivoting.  No factor
-outlives the call that made it: each serves every column and time of that
-call and is dropped on return, so a mask family holds no factors between
-evaluations.  ``resolvent`` and ``integrated`` remember their last call's
-results (never a factor), so a report that repeats a certificate's
-request makes no new one.  Every resolvent column, on either path, is
-verified by its backward error.  The sector certificate makes no solve:
-it reads the signs of ``op`` alone.
+Every factorization in the lab — the Krylov pole or a shift with
+``Re λ ≤ μ₊``, graph distances and nearest pairs (``−iI − L`` for a
+symmetric stencil's distance, the augmented ``[[I, Lᵀ], [L, −I]]``
+otherwise), the shift-invert Lanczos eigenvalue and the interval solve —
+is one sparse factorization of ``σI − op``, :func:`_factor`.  The pivot
+rule comes from the matrix: one that is diagonally dominant by rows or
+columns, decided exactly, is factored with diagonal pivots on a
+minimum-degree ordering, since Gaussian elimination on it needs no
+pivoting and has growth factor at most 2 (Higham, *Accuracy and Stability
+of Numerical Algorithms*, 2nd ed., Thm 9.9); every other matrix gets
+partial pivoting.  No factor and no basis outlives the call that made it.
+A relation remembers the results of its last Krylov call, never a factor
+or a basis, in one memo: :meth:`DirichletGridRelation.remember` asks for
+every time and shift a study will read, and later calls on those points
+and columns read them back and make no factor.  ``perturbation_experiment``
+does that once per relation, so its contraction certificate, its report
+and its off-mask check share one factor.  Every resolvent column is
+verified by its backward error on every read.  The sector certificate
+makes no solve: it reads the signs of ``op`` alone.
 
 Operator norms are sup-norms throughout (max absolute row sums), matching
 the contraction and maximum-principle structure of the M-matrix stencil:
@@ -237,14 +242,24 @@ class DirichletGridRelation:
         if self.op.shape != (self.omega.size, self.omega.size):
             raise InvalidInput("operator block does not match the mask")
         self.label = label if label is not None else (mask.label or "mask")
-        self._integrated_memo = None
-        self._resolvent_memo = None
+        self._memo = None
 
     # -- plumbing ---------------------------------------------------------
 
     @property
     def n_inside(self) -> int:
         return self.omega.size
+
+    def _data(self, fs):
+        """``fs`` as an ``(N,)`` or ``(N, c)`` array of finite entries."""
+        fs = np.asarray(fs)
+        if fs.ndim not in (1, 2) or fs.shape[0] != self.state_dim:
+            raise InvalidInput(f"data of shape {fs.shape} do not have "
+                               f"{self.state_dim} rows")
+        bad = np.flatnonzero(~np.isfinite(fs).reshape(self.state_dim, -1).all(axis=1))
+        if bad.size:
+            raise InvalidInput(f"data are not finite at node {int(bad[0])}")
+        return fs
 
     # -- evaluator protocol -------------------------------------------------
 
@@ -261,84 +276,47 @@ class DirichletGridRelation:
             return False
 
     def resolvent(self, lams, fs):
-        """``R(λ) F`` for every shift in ``lams``, from one real factor per call.
+        """``R(λ) F`` for every shift in ``lams``.
 
         Off the mask ``f`` is absorbed by the multivalued part, so only the
-        masked block ``b`` is solved.  Every shift with ``Re λ > μ₊``, where
-        ``μ₊ = max(μ∞(L), 0)`` (``0`` for every stencil and every
-        ``diag(m)·L`` with ``m > 0``), is read from one shift-and-invert
-        Arnoldi basis per real column, built on the single factor of
-        ``σ₀ − L`` at the pole ``σ₀ = max |λ|`` over those shifts (see
-        :func:`_si_arnoldi_resolvent`); each such column stops when its
-        error bound is at most ``EXP_TOL·‖b‖∞`` for every shift.  Any other
-        shift, such as ``λ = 0`` of :func:`surjective_solve`, gets one
-        factor of ``λ − L`` of its own.  Every column is verified: its
-        backward error ``‖λx − Lx − f‖∞ / (‖f‖∞ + (|λ| + ‖L‖∞)‖x‖∞)`` on
-        the mask must be at most ``spectral.ACCEPT_TOL``, else
-        :class:`NotInResolventSet` is raised with ``residual`` set; that
-        check, not the Krylov bound, is the final gate.
-
-        The last call is remembered like :meth:`integrated`'s, keyed on the
-        shifts and the masked block, holding only the masked results: a
-        caller asking again (a report after a contraction certificate on
-        the same data) makes no factor.  Each call logs one debug line,
-        ``resolvent n= lams= pole= basis= bound= direct= memo=``, with the
-        pole (``none`` without Krylov shifts), the largest basis and bound
-        over the columns and the number of shifts factored directly; a
-        remembered call makes nothing and logs ``memo=hit``.
+        masked block ``b`` is solved, by :meth:`remember`'s Krylov call
+        unless the last one already holds these shifts and columns.  Every
+        column is verified on every call: its backward error
+        ``‖λx − Lx − f‖∞ / (‖f‖∞ + (|λ| + ‖L‖∞)‖x‖∞)`` on the mask must be
+        at most ``spectral.ACCEPT_TOL``, else :class:`NotInResolventSet` is
+        raised with ``residual`` set for the first shift, in the order of
+        ``lams``, that fails; that check, not the Krylov bound, is the
+        final gate.  A NaN or infinite shift or datum raises
+        :class:`InvalidInput`.
         """
-        lams = np.atleast_1d(lams)
-        fs = np.asarray(fs)
+        lams = _shifts(lams)
+        fs = self._data(fs)
         out = np.zeros((lams.size,) + fs.shape, dtype=np.result_type(fs, lams))
         if self.n_inside:
             b = fs[self.omega]
-            x, hit = self._recall("_resolvent_memo", (lams.astype(complex), b),
-                                  lambda: self._shifted_solves(lams, b))
-            if hit:
-                log.debug("resolvent n=%d lams=%d pole=none basis=0 bound=0.000e+00 "
-                          "direct=0 memo=hit", self.n_inside, lams.size)
+            x = self._read("resolvent", lams, b, out.dtype)
+            bnorm = self.vec_norm(b)
+            opnorm = float(np.max(np.asarray(abs(self.op).sum(axis=1)), initial=0.0))
+            for lam, xk in zip(lams, x):
+                scale = bnorm + (abs(lam) + opnorm) * self.vec_norm(xk)
+                err = self.vec_norm(lam * xk - self.op @ xk - b) \
+                    / np.maximum(scale, np.finfo(float).tiny)
+                res = float(np.max(err, initial=0.0))
+                if not res <= ACCEPT_TOL:  # a NaN is refused too
+                    raise NotInResolventSet(
+                        complex(lam), residual=res,
+                        reason=f"backward error {res:.3e} exceeds {ACCEPT_TOL:.1e}")
             out[:, self.omega] = x
         return out
-
-    def _shifted_solves(self, lams, b):
-        """The verified masked block of :meth:`resolvent`; logs its line."""
-        mu = max(_sup_log_norm(self.op), 0.0)
-        krylov = lams.real > mu
-        x = np.empty((lams.size,) + b.shape, dtype=np.result_type(b, lams, float))
-        pole, size, bound = "none", 0, 0.0
-        if krylov.any():
-            shifts = lams[krylov]
-            if np.iscomplexobj(shifts) and not shifts.imag.any():
-                shifts = shifts.real
-            pole = float(np.max(np.abs(shifts)))
-            x[krylov], (_, size, bound, _) = self._krylov_columns(
-                _si_arnoldi_resolvent, 1.0 / pole, mu, shifts, b, (shifts.size,),
-                EXP_MAX_BASIS)
-        for k in np.flatnonzero(~krylov):
-            x[k] = _factor(self.op, lams[k])(b)
-        bnorm = self.vec_norm(b)
-        opnorm = float(np.max(np.asarray(abs(self.op).sum(axis=1)), initial=0.0))
-        for lam, xk in zip(lams, x):
-            scale = bnorm + (abs(lam) + opnorm) * self.vec_norm(xk)
-            err = self.vec_norm(lam * xk - self.op @ xk - b) \
-                / np.maximum(scale, np.finfo(float).tiny)
-            res = float(np.max(err, initial=0.0))
-            if not res <= ACCEPT_TOL:  # a NaN is refused too
-                raise NotInResolventSet(
-                    complex(lam), residual=res,
-                    reason=f"backward error {res:.3e} exceeds {ACCEPT_TOL:.1e}")
-        log.debug("resolvent n=%d lams=%d pole=%s basis=%d bound=%.3e direct=%d "
-                  "memo=miss", self.n_inside, lams.size, pole, size, bound,
-                  int(np.count_nonzero(~krylov)))
-        return x
 
     def semigroup(self, zs, fs):
         """``T(z) F`` for every real ``t ≥ 0`` or complex ``z`` in ``zs``.
 
         The sector of the heat semigroup is the open right half-plane, so a
         complex ``z ≠ 0`` with ``Re z ≤ 0`` raises :class:`OutsideSector`.
-        All points come from one kernel call; the values off the mask are
-        zero (the multivalued directions are killed at once).
+        All points come from one Krylov call, or from the last one
+        (:meth:`remember`); the values off the mask are zero (the
+        multivalued directions are killed at once).
         """
         zs = np.atleast_1d(zs)
         if np.iscomplexobj(zs):
@@ -346,110 +324,136 @@ class DirichletGridRelation:
             if outside.any():
                 raise OutsideSector(f"z={complex(zs[outside][0])!r} outside the "
                                     "right half-plane")
-        return self._exp_action(zs, fs)[0]
+        return self._stack("semigroup", _times(zs), fs)
 
     def integrated(self, ts, fs):
         """``S(t) F = ∫₀ᵗ T(s) F ds`` on the mask for every time in ``ts``.
 
-        One sweep of :meth:`_exp_action`, within ``t·EXP_TOL·‖f‖∞`` per
-        column.  The last grid and data are remembered, so a caller asking
-        again for the same times (a report and its off-mask check) gets the
-        stored, read-only array instead of a second sweep.
+        One Krylov call, within ``t·EXP_TOL·‖f‖∞`` per column, or the last
+        one's results when it holds these times and columns (a report and
+        its off-mask check ask twice).
         """
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        fs = np.asarray(fs)
-        return self._recall("_integrated_memo", (ts, fs),
-                            lambda: self._exp_action(ts, fs)[1])[0]
+        return self._stack("integrated", _times(np.asarray(ts, dtype=float)), fs)
 
-    def _recall(self, slot, key, compute):
-        """``(value, hit)``: the value the last call under ``slot`` gave, when
-        its key matches ``key``, else ``compute()``, which then replaces it.
+    def remember(self, times, lams, fs):
+        """Evaluate ``T(t) F``, ``S(t) F`` and ``R(λ) F`` for every time in
+        ``times`` and shift in ``lams`` in one Krylov call, and remember them.
 
-        ``key`` is a tuple of arrays, matched by dtype, shape and value; the
-        attribute ``slot`` holds one ``(key copy, value)`` pair, and the
-        value is made read-only.  It stores results only, never factors.
+        The results replace the last call's, so later :meth:`semigroup`,
+        :meth:`integrated` and :meth:`resolvent` calls on any of these
+        points and of the columns of ``fs`` read them and make no factor;
+        :meth:`resolvent` still verifies each column it returns, so a shift
+        outside the resolvent set raises when it is asked for, not here.
+        The relation keeps results only: the factor and the Krylov bases
+        are dropped on return.
         """
-        memo = getattr(self, slot)
-        if memo is not None and all(a.dtype == k.dtype and np.array_equal(a, k)
-                                    for a, k in zip(memo[0], key)):
-            return memo[1], True
-        value = compute()
-        value.setflags(write=False)
-        setattr(self, slot, (tuple(np.array(k) for k in key), value))
-        return value, False
+        times = _times(times)
+        lams = _shifts(lams)
+        fs = self._data(fs)
+        if self.n_inside:
+            self._memo = self._krylov(times, lams, _real_columns(fs[self.omega]),
+                                      EXP_MAX_BASIS, "miss")
 
-    # -- exponential kernel ---------------------------------------------------
-
-    def _exp_action(self, times, fs, max_basis: int = EXP_MAX_BASIS):
-        """``T(t) F`` and ``S(t) F = ∫₀ᵗ T(s) F ds`` for every time in ``times``.
-
-        Times are real ``t ≥ 0`` or complex ``z`` with ``Re z ≥ 0`` (``S``
-        then integrates along ``[0, z]``); ``F`` is ``(N,)`` or ``(N, c)`` and
-        the result is ``(2, len(times)) + F.shape``, the ``T`` block first,
-        zero off the mask.  The masked block ``b`` of each column gets one
-        shift-and-invert Arnoldi basis of ``(I − γL)⁻¹`` with
-        ``γ = max|t| / 10``, built on one factorization of ``γ⁻¹ − L`` that
-        serves every column and is dropped on return; every time is then
-        evaluated from it as ``β V_k exp(t T_k) e₁`` and
-        ``β V_k t φ₁(t T_k) e₁``, ``T_k = (I − H_k⁻¹)/γ``.  The basis grows
-        until the a-posteriori bound ``e^{t μ∞(L)} ∫₀ᵗ ‖r_k(s)‖∞ ds`` on the
-        error of ``T`` at the largest time is at most ``EXP_TOL·‖b‖∞``
-        (``r_k`` is the residual of the ODE ``u' = L u``; for complex ``z``
-        the integral runs along ``[0, z]`` and is an estimate).  That bound
-        grows along each ray, so the error of ``S(t)b`` is at most ``t``
-        times it.  Raises :class:`SolverBreakdown` when ``max_basis`` vectors
-        do not suffice.
-        """
-        times = np.atleast_1d(np.asarray(times))
-        if times.ndim != 1 or not np.all(np.isfinite(times) & (times.real >= 0)):
-            raise InvalidInput("times must be a flat array of finite t with Re t >= 0")
-        fs = np.asarray(fs)
-        n = self.n_inside
-        out = np.zeros((2, times.size) + fs.shape,
-                       dtype=np.result_type(fs, times, float))
-        tmax = float(np.max(np.abs(times), initial=0.0))
-        if n == 0 or tmax == 0.0:
-            out[0][:, self.omega] = fs[self.omega]  # and S(0) = 0
-            return out
-        gamma = tmax / 10.0
-        vals, (cols, size, bound, checks) = self._krylov_columns(
-            _si_arnoldi_exp, gamma, _sup_log_norm(self.op), times, fs[self.omega],
-            (2, times.size), max_basis)
-        out[:, :, self.omega] = vals
-        log.debug("exp_action n=%d cols=%d gamma=%.4g basis=%d bound=%.3e checks=%d",
-                  n, cols, gamma, size, bound, checks)
+    def _stack(self, kind, points, fs):
+        """The full-state stack of ``semigroup`` or ``integrated`` values."""
+        fs = self._data(fs)
+        out = np.zeros((points.size,) + fs.shape, dtype=np.result_type(fs, points, float))
+        if self.n_inside:
+            out[:, self.omega] = self._read(kind, points, fs[self.omega], out.dtype)
         return out
 
-    def _krylov_columns(self, kernel, gamma, mu, points, block, lead, max_basis):
-        """``kernel`` on every real column of the masked block, on one factor.
+    def _read(self, kind, points, b, dtype):
+        """``kind`` values on the masked block ``b`` at ``points``, as ``dtype``.
 
-        ``block`` is ``(n,)`` or ``(n, c)``; a complex one is split into its
-        real and imaginary columns, since ``L`` is real.  One factorization
-        of ``γ⁻¹ − L`` serves every column and is dropped on return.  Each
-        column gets ``kernel(op, solve, γ, μ, column, points, max_basis)``,
-        whose values have shape ``lead + (n,)``.  Returns the values as
-        ``lead + block.shape``, and the number of real columns, the largest
-        basis and bound, and the summed bound checks.
+        They come from the memo when it holds every point and every real
+        column of ``b`` (matched by value), else from one Krylov call for
+        exactly this request, which then becomes the memo.  A remembered
+        read logs ``krylov … memo=hit``.
         """
-        n = self.n_inside
-        cols = block.reshape(n, -1)
-        if np.iscomplexobj(cols):
-            cols = np.hstack([cols.real, cols.imag])
-        solve = _factor(self.op, 1.0 / gamma)
-        vals = np.empty(lead + (n, cols.shape[1]),
-                        dtype=np.result_type(block, points, float))
-        sizes, bounds, checks = [], [], 0
-        for j in range(cols.shape[1]):
-            vals[..., j], size, bound, count = kernel(
-                self.op, solve, gamma, mu, cols[:, j], points, max_basis)
-            sizes.append(size)
-            bounds.append(bound)
-            checks += count
-        if np.iscomplexobj(block):
-            half = vals.shape[-1] // 2
-            vals = vals[..., :half] + 1j * vals[..., half:]
-        return vals.reshape(lead + block.shape), (
-            len(sizes), max(sizes, default=0), max(bounds, default=0.0), checks)
+        cols = _real_columns(b)
+        times, lams = (points[:0], points) if kind == "resolvent" else (points, points[:0])
+        vals = None if self._memo is None else _recall(self._memo, kind, points, cols)
+        if vals is None:
+            self._memo = self._krylov(times, lams, cols, EXP_MAX_BASIS, "miss")
+            vals = _recall(self._memo, kind, points, cols)
+        else:
+            log.debug("krylov n=%d cols=%d times=%d lams=%d pole=none basis=0 "
+                      "bound=0.000e+00 checks=0 direct=0 memo=hit", self.n_inside,
+                      cols.shape[1], times.size, lams.size)
+        return _complex_columns(vals, b, dtype)
+
+    # -- the Krylov call ------------------------------------------------------
+
+    def _exp_action(self, times, fs, max_basis: int = EXP_MAX_BASIS):
+        """``T(t) F`` and ``S(t) F`` for every time in ``times``, as the stack
+        ``(2, len(times)) + F.shape``, ``T`` first: one :meth:`_krylov` call
+        with no shifts that leaves the memo as it is.  Raises
+        :class:`SolverBreakdown` when ``max_basis`` vectors do not suffice.
+        """
+        times = _times(times)
+        fs = self._data(fs)
+        out = np.zeros((2, times.size) + fs.shape, dtype=np.result_type(fs, times, float))
+        if self.n_inside:
+            b = fs[self.omega]
+            _, table = self._krylov(times, times[:0], _real_columns(b), max_basis, "off")
+            for k, kind in enumerate(("semigroup", "integrated")):
+                out[k][:, self.omega] = _complex_columns(table[kind][1], b, out.dtype)
+        return out
+
+    def _krylov(self, times, lams, cols, max_basis, memo):
+        """``T(t)``, ``S(t)`` and ``R(λ)`` on the real columns ``cols`` of the
+        masked block, from one shift-and-invert basis per column.
+
+        Times are real ``t ≥ 0`` or complex ``z`` with ``Re z ≥ 0`` (``S``
+        then integrates along ``[0, z]``).  The basis is one of
+        ``(I − γL)⁻¹``, built on one factorization of ``γ⁻¹ − L`` that serves
+        every column and is dropped on return, with ``γ = max|t| / 10``, or
+        ``γ = 1/max|λ|`` over the Krylov shifts when every time is 0
+        (:func:`_si_column`).  Krylov shifts are those with
+        ``Re λ > μ₊ = max(μ∞(L), 0)`` (every ``Re λ > 0`` for a stencil or a
+        positive multiplier); any other shift, such as ``λ = 0``, gets a
+        factor of ``λ − L`` of its own.  Resolvent values are not verified
+        here.  Returns ``(cols, table)``, the memo: ``table`` maps
+        ``"semigroup"``, ``"integrated"`` and ``"resolvent"`` to their
+        points and stacks ``(points,) + cols.shape``.  Logs one line,
+        ``krylov n= cols= times= lams= pole= basis= bound= checks= direct=
+        memo=``, with the pole ``γ⁻¹`` (``none`` without a basis), the
+        largest basis and bound over the columns, the summed bound checks,
+        the shifts factored directly and ``memo`` (``miss`` for a call
+        that becomes the memo, ``off`` for :meth:`_exp_action`).
+        """
+        n, c = cols.shape
+        mu = _sup_log_norm(self.op)
+        krylov = lams.real > max(mu, 0.0)
+        shifts = lams[krylov]
+        if np.iscomplexobj(shifts) and not shifts.imag.any():
+            shifts = shifts.real
+        tmax = float(np.max(np.abs(times), initial=0.0))
+        timed = times if tmax > 0.0 else times[:0]
+        exp_vals = np.zeros((2, times.size, n, c), dtype=np.result_type(times, float))
+        res_vals = np.zeros((lams.size, n, c), dtype=np.result_type(lams, float))
+        if tmax == 0.0:
+            exp_vals[0] = cols  # T(0) = I and S(0) = 0 on the mask
+        pole, size, bound, checks = "none", 0, 0.0, 0
+        if timed.size or shifts.size:
+            gamma = tmax / 10.0 if timed.size else 1.0 / float(np.max(np.abs(shifts)))
+            pole = 1.0 / gamma
+            solve = _factor(self.op, pole)
+            for j in range(c):
+                (tj, rj), sj, bj, cj = _si_column(self.op, solve, gamma, mu, cols[:, j],
+                                                   timed, shifts, max_basis)
+                if timed.size:
+                    exp_vals[..., j] = tj
+                res_vals[krylov, :, j] = rj
+                size, bound, checks = max(size, sj), max(bound, bj), checks + cj
+        for k in np.flatnonzero(~krylov):
+            res_vals[k] = _factor(self.op, lams[k])(cols)
+        log.debug("krylov n=%d cols=%d times=%d lams=%d pole=%s basis=%d bound=%.3e "
+                  "checks=%d direct=%d memo=%s", n, c, times.size, lams.size, pole,
+                  size, bound, checks, int(np.count_nonzero(~krylov)), memo)
+        table = {"semigroup": (times, exp_vals[0]), "integrated": (times, exp_vals[1]),
+                 "resolvent": (lams, res_vals)}
+        return cols, table
 
     # -- graph geometry -----------------------------------------------------
 
@@ -583,9 +587,65 @@ def _sup_log_norm(op) -> float:
     return float(np.max(diag + np.asarray(abs(op).sum(axis=1)).ravel() - np.abs(diag)))
 
 
+def _shifts(lams) -> np.ndarray:
+    """``lams`` as a flat array of finite shifts, else :class:`InvalidInput`."""
+    lams = np.atleast_1d(lams)
+    bad = ~np.isfinite(lams)
+    if bad.any():
+        raise InvalidInput(f"shift {lams[bad][0].item()!r} is not finite")
+    return lams
+
+
+def _times(times) -> np.ndarray:
+    """``times`` as a flat array of finite ``t`` with ``Re t ≥ 0``."""
+    times = np.atleast_1d(np.asarray(times))
+    if times.ndim != 1 or not np.all(np.isfinite(times) & (times.real >= 0)):
+        raise InvalidInput("times must be a flat array of finite t with Re t >= 0")
+    return times
+
+
+def _real_columns(b) -> np.ndarray:
+    """The masked block ``b`` as ``(n, c)`` real columns, a complex one as its
+    real columns followed by its imaginary ones (``L`` is real)."""
+    cols = b.reshape(b.shape[0], -1)
+    if np.iscomplexobj(cols):
+        return np.hstack([cols.real, cols.imag])
+    return np.asarray(cols, dtype=float)
+
+
+def _complex_columns(vals, b, dtype):
+    """Stacks ``(points, n, c)`` over :func:`_real_columns` of ``b`` back in
+    the shape of ``b``, the two halves recombined for a complex ``b``, and
+    real when ``dtype`` is."""
+    if np.iscomplexobj(b):
+        half = vals.shape[-1] // 2
+        vals = vals[..., :half] + 1j * vals[..., half:]
+    if not np.issubdtype(dtype, np.complexfloating):
+        vals = vals.real
+    return vals.reshape(vals.shape[:1] + b.shape)
+
+
+def _recall(memo, kind, points, cols):
+    """The ``kind`` values of ``memo`` at ``points`` on the real columns
+    ``cols``, matched by value; ``None`` unless it holds every one."""
+    stored, table = memo
+    where, vals = table[kind]
+    index = {p: i for i, p in enumerate(where.tolist())}
+    rows = [index.get(p) for p in points.tolist()]
+    if None in rows:
+        return None
+    picks = []
+    for col in cols.T:
+        hit = np.flatnonzero((stored == col[:, None]).all(axis=0))
+        if not hit.size:
+            return None
+        picks.append(hit[0])
+    return vals[rows][..., picks]
+
+
 def _si_arnoldi(op, solve, gamma, b, max_basis, check):
-    """One shift-and-invert Arnoldi basis of ``A = (I − γL)⁻¹`` for the real
-    column ``b``: the loop both Krylov kernels share.
+    """One shift-and-invert Arnoldi basis of ``A = (I − γL)⁻¹`` for the real,
+    nonzero column ``b``: the loop of :func:`_si_column`.
 
     ``solve`` solves with ``γ⁻¹ I − L``.  Multiplying the Arnoldi relation
     ``A V_k = V_k H_k + h v_{k+1} e_kᵀ`` by ``I − γL`` gives
@@ -599,12 +659,10 @@ def _si_arnoldi(op, solve, gamma, b, max_basis, check):
     the bound's observed geometric decay predicts ``EXP_TOL·‖b‖∞``; the loop
     stops only at a check that meets it, and raises
     :class:`SolverBreakdown` when ``max_basis`` vectors do not.  Returns
-    ``(V_k, β, state, bound, checks)``; ``state`` is ``None`` for ``b = 0``.
+    ``(V_k, β, state, bound, checks)``.
     """
     n = b.size
     scale = float(np.max(np.abs(b)))
-    if scale == 0.0:
-        return None, 0.0, None, 0.0, 0
     beta = float(np.linalg.norm(b))
     cap = min(max_basis, n)
     basis = np.empty((cap + 1, n))
@@ -650,84 +708,103 @@ def _si_arnoldi(op, solve, gamma, b, max_basis, check):
     return basis[:size], beta, state, bound, checks
 
 
-def _si_arnoldi_exp(op, solve, gamma, mu, b, times, max_basis):
-    """One real column of :meth:`DirichletGridRelation._exp_action`.
+def _span(coef, basis):
+    """``coef @ basis`` for a real basis, complex ``coef`` as two real
+    products, so no complex copy of the basis is made."""
+    if np.iscomplexobj(coef):
+        return coef.real @ basis + 1j * (coef.imag @ basis)
+    return coef @ basis
 
-    Returns the ``T`` and ``S`` values at ``times``, the basis size, the
-    final error bound and the number of bound checks of :func:`_si_arnoldi`.
-    The residual of ``β V_k exp(s T_k) e₁`` as a solution of ``u' = L u`` is
-    ``r_k(s) = (h β / γ) (e_kᵀ H_k⁻¹ exp(s T_k) e₁) (I − γL) v_{k+1}``, and
-    the bound is ``e^{t μ∞(L)} ∫₀ᵗ ‖r_k(s)‖∞ ds`` at the farthest time of
-    each ray.  Both that scalar factor and the values go through the
-    eigendecomposition ``H_k = X Θ X⁻¹`` (``T_k`` has eigenvalues
-    ``(1 − 1/θ)/γ``), which must be well conditioned;
-    :class:`SolverBreakdown` is raised otherwise; ``S`` takes
-    ``t φ₁(tλ) = expm1(tλ)/λ`` (``t`` at ``λ = 0``) on the same Ritz values.
-    Each check costs an ``eig`` of ``H_k``.
+
+def _si_column(op, solve, gamma, mu, b, times, lams, max_basis):
+    """One real column of :meth:`DirichletGridRelation._krylov`: ``T`` and
+    ``S`` at ``times`` and ``R`` at the Krylov shifts ``lams``, from one basis.
+
+    Returns ``((T and S as (2, len(times), n), R as (len(lams), n)), basis
+    size, bound, checks)`` of :func:`_si_arnoldi`.  ``b`` is first divided by
+    the power of two that puts its sup norm in ``[1, 2)``, which is exact,
+    so ``β = ‖b‖₂`` neither overflows nor underflows, and the values and the
+    bound are scaled back.  The basis grows until both bounds below are at
+    most ``EXP_TOL·‖b‖∞``; a check evaluates the resolvent bound only once
+    the exponential one is met, so without shifts, or with shifts the basis
+    already serves, the times get the basis and the values they would get
+    alone.
+
+    *Exponential.*  The residual of ``β V_k exp(s T_k) e₁`` as a solution of
+    ``u' = L u`` is ``r_k(s) = (h β / γ) (e_kᵀ H_k⁻¹ exp(s T_k) e₁) (I − γL)
+    v_{k+1}``, and the bound is ``e^{t μ∞(L)} ∫₀ᵗ ‖r_k(s)‖∞ ds`` at the
+    farthest time of each ray (for complex ``z`` the integral runs along
+    ``[0, z]`` and is an estimate).  That bound grows along each ray, so the
+    error of ``S(t)b`` is at most ``t`` times it.  Both that scalar factor
+    and the values go through the eigendecomposition ``H_k = X Θ X⁻¹``
+    (``T_k`` has eigenvalues ``(1 − 1/θ)/γ``), which must be well
+    conditioned, else :class:`SolverBreakdown`; ``T`` is
+    ``β V_k exp(t T_k) e₁`` and ``S`` takes ``t φ₁(tλ) = expm1(tλ)/λ``
+    (``t`` at ``λ = 0``) on the same Ritz values.  Each check costs an
+    ``eig`` of ``H_k``.
+
+    *Resolvent* (rational Krylov with one repeated pole; Güttel, 2013).  Each
+    shift, ``Re λ > μ₊ = max(μ, 0)``, is read as ``x_k = β V_k (λ − T_k)⁻¹
+    e₁``.  Since ``λ − T_k = H_k⁻¹((λγ − 1) H_k + I)/γ``, that is
+    ``x_k = βγ V_k H_k z`` with ``z = ((λγ − 1) H_k + I)⁻¹ e₁``, one small
+    solve per shift and no ``H_k⁻¹``; its residual ``(λ − L) x_k − b =
+    −hβ z_k (I − γL) v_{k+1}`` is a scalar times one vector.  With
+    ``‖R(λ)‖∞ ≤ 1/(Re λ − μ₊)`` (:func:`_sup_log_norm`) the bound is
+    ``(h/γ)|e_kᵀ H_k⁻¹ y|·‖(I − γL) v_{k+1}‖∞ / (Re λ − μ₊)`` with
+    ``y = βγ H_k z``.  Like the exponential bound it does not count rounding
+    in the Arnoldi relation itself, so the resolvent's backward-error check
+    stays the final gate.
     """
-    out = np.zeros((2, times.size, b.size), dtype=np.result_type(times, float))
+    exp_vals = np.zeros((2, times.size, b.size), dtype=np.result_type(times, float))
+    res_vals = np.zeros((lams.size, b.size), dtype=np.result_type(lams, float))
+    sup = float(np.max(np.abs(b)))
+    if sup == 0.0:
+        return (exp_vals, res_vals), 0, 0.0, 0
+    unit = math.ldexp(1.0, math.frexp(sup)[1] - 1)
+    b = b / unit
+    target = EXP_TOL * float(np.max(np.abs(b)))  # _si_arnoldi's stopping target
     # the bound grows along each ray, so its farthest point covers the rest
     far = times[times != 0]
     angles = np.angle(far)
     ends = [far[angles == a][np.argmax(np.abs(far[angles == a]))]
             for a in np.unique(angles)]
-
-    def check(hess, resid):
-        theta, vecs = np.linalg.eig(hess)
-        lam = (1.0 - 1.0 / theta) / gamma
-        coef = np.linalg.solve(vecs, np.eye(hess.shape[0])[:, 0])
-        if resid == 0.0:
-            return 0.0, (lam, vecs, coef)
-        weights = vecs[-1] / theta * coef
-        return max(math.exp(max(0.0, mu * abs(z))) * resid
-                   * _residual_integral(lam, weights, z) for z in ends), (lam, vecs, coef)
-
-    basis, beta, state, bound, checks = _si_arnoldi(op, solve, gamma, b, max_basis, check)
-    if state is None:
-        return out, 0, 0.0, 0
-    lam, vecs, coef = state
-    if np.linalg.cond(vecs) > 1e3:
-        raise SolverBreakdown("exponential kernel: ill-conditioned Ritz basis")
-    tl = np.outer(times, lam)
-    nonzero = lam != 0
-    integ = np.where(nonzero, np.expm1(tl) / np.where(nonzero, lam, 1.0), times[:, None])
-    small = (np.stack([np.exp(tl), integ]) * coef) @ vecs.T
-    out[...] = beta * ((small if np.iscomplexobj(out) else small.real) @ basis)
-    return out, basis.shape[0], bound, checks
-
-
-def _si_arnoldi_resolvent(op, solve, gamma, mu, b, lams, max_basis):
-    """One real column of :meth:`DirichletGridRelation.resolvent`'s Krylov shifts.
-
-    ``lams`` holds shifts with ``Re λ > μ₊ = max(μ, 0)`` and ``1/γ`` is
-    the pole, ``max |λ|``.  Each shift is read from the basis of
-    :func:`_si_arnoldi` as ``x_k = β V_k (λ − T_k)⁻¹ e₁``.  Since
-    ``λ − T_k = H_k⁻¹((λγ − 1) H_k + I)/γ``, that is ``x_k = βγ V_k H_k z``
-    with ``z = ((λγ − 1) H_k + I)⁻¹ e₁``, one small solve per shift and no
-    ``H_k⁻¹``; its residual ``(λ − L) x_k − b = −hβ z_k (I − γL) v_{k+1}``
-    is a scalar times one vector.  With ``‖R(λ)‖∞ ≤ 1/(Re λ − μ₊)``
-    (:func:`_sup_log_norm`), the error bound is
-    ``(h/γ)|e_kᵀ H_k⁻¹ y|·‖(I − γL) v_{k+1}‖∞ / (Re λ − μ₊)`` with
-    ``y = βγ H_k z``, and the column stops when it holds for every shift.
-    Like the exponential kernel's, the bound does not count rounding in the
-    Arnoldi relation itself, so :meth:`DirichletGridRelation.resolvent`'s
-    backward-error check stays the final gate.  Returns the values
-    ``(len(lams), n)``, the basis size, the bound and the number of checks.
-    """
     margin = lams.real - max(mu, 0.0)
     coeff = (lams * gamma - 1.0)[:, None, None]
 
     def check(hess, resid):
-        e1 = np.zeros((lams.size, hess.shape[0], 1))
-        e1[:, 0] = 1.0
-        z = spla.solve(coeff * hess + np.eye(hess.shape[0]), e1)[..., 0]
-        return resid * gamma * float(np.max(np.abs(z[:, -1]) / margin)), (hess, z)
+        bounds, ritz, z = [], None, None
+        if times.size:
+            theta, vecs = np.linalg.eig(hess)
+            lam = (1.0 - 1.0 / theta) / gamma
+            coef = np.linalg.solve(vecs, np.eye(hess.shape[0])[:, 0])
+            ritz = (lam, vecs, coef)
+            weights = vecs[-1] / theta * coef
+            bounds.append(0.0 if resid == 0.0 else max(
+                math.exp(max(0.0, mu * abs(end))) * resid
+                * _residual_integral(lam, weights, end) for end in ends))
+        if lams.size and max(bounds, default=0.0) <= target:
+            e1 = np.zeros((lams.size, hess.shape[0], 1))
+            e1[:, 0] = 1.0
+            z = spla.solve(coeff * hess + np.eye(hess.shape[0]), e1)[..., 0]
+            bounds.append(resid * gamma * float(np.max(np.abs(z[:, -1]) / margin)))
+        return float(np.max(bounds)), (ritz, hess, z)
 
-    basis, beta, state, bound, checks = _si_arnoldi(op, solve, gamma, b, max_basis, check)
-    if state is None:
-        return np.zeros((lams.size, b.size)), 0, 0.0, 0
-    hess, z = state
-    return beta * gamma * ((z @ hess.T) @ basis), basis.shape[0], bound, checks
+    basis, beta, (ritz, hess, z), bound, checks = _si_arnoldi(
+        op, solve, gamma, b, max_basis, check)
+    if times.size:
+        lam, vecs, coef = ritz
+        if np.linalg.cond(vecs) > 1e3:
+            raise SolverBreakdown("exponential kernel: ill-conditioned Ritz basis")
+        tl = np.outer(times, lam)
+        nonzero = lam != 0
+        integ = np.where(nonzero, np.expm1(tl) / np.where(nonzero, lam, 1.0),
+                         times[:, None])
+        small = (np.stack([np.exp(tl), integ]) * coef) @ vecs.T
+        exp_vals[...] = beta * _span(small if np.iscomplexobj(exp_vals) else small.real,
+                                     basis) * unit
+    if lams.size:
+        res_vals[...] = beta * gamma * _span(z @ hess.T, basis) * unit
+    return (exp_vals, res_vals), basis.shape[0], bound * unit, checks
 
 
 # -- certificates ---------------------------------------------------------
@@ -767,10 +844,10 @@ def supnorm_contraction(rel: DirichletGridRelation,
 
     One resolvent call: ``x = (λ − L)⁻¹ 1`` for every λ, read on the mask
     from the verified :meth:`DirichletGridRelation.resolvent` with an
-    ``(N, 1)`` block of ones (so a report that asks for the same block
-    after it makes no factor), and a solve that fails its backward-error
-    check raises :class:`NotInResolventSet`.  The certificate does not lean
-    on the Krylov error bound.  Its premise: ``M = λ − L`` is a Z-matrix
+    ``(N, 1)`` block of ones (read back, with no factor, when the last
+    Krylov call held those shifts and a column of ones), and a solve that
+    fails its backward-error check raises :class:`NotInResolventSet`.  The
+    certificate does not lean on the Krylov error bound.  Its premise: ``M = λ − L`` is a Z-matrix
     (off-diagonal entries of ``L`` ≥ 0, checked exactly), ``x > 0``, and
     ``ρ ≥ ‖Mx − 1‖∞`` with ``ρ < 1``, where ``ρ`` is the computed residual
     plus a bound on its rounding error.  Then ``Mx > 0``, so ``M`` is a
@@ -1108,11 +1185,26 @@ def perturbation_experiment(masks, limit_mask: DomainMask, lambda_grid, t_grid,
     not among the default items: at a fixed mesh two different masks stay a
     fixed gap apart, and the domain-convergence criterion plus nearest-pair
     distances carry that role instead.
+
+    Each member and the limit make one Krylov call, on one factor, before
+    the certificate (:meth:`DirichletGridRelation.remember`): ``t_grid``
+    and every shift with ``Re λ > 0`` that the certificate and the report
+    read on ``f_set`` — the positive λ grid, ``lambda_grid`` and ``mu``.
+    Both then read stored results; a shift that fails its backward-error
+    check raises only where it is read.
     """
     labs = [DirichletGridRelation(mk) for mk in masks]
     lim = DirichletGridRelation(limit_mask)
     pos = [float(l.real) for l in np.atleast_1d(lambda_grid)
            if complex(l).imag == 0 and complex(l).real > 0] or [1.0]
+    # one Krylov call per relation for every time and shift with Re λ > 0
+    # that the certificate and the report read on f_set; they read it back
+    shifts = [*pos, *(lambda_grid if {"ii", "iii"} & set(items) else ()),
+              *([mu] if "iv" in items else ())]
+    shifts = list(dict.fromkeys(complex(l) for l in shifts if complex(l).real > 0))
+    f_set = np.atleast_2d(np.asarray(f_set))
+    for lab in [*labs, lim]:
+        lab.remember(np.asarray(t_grid, dtype=float), shifts, f_set)
     contraction = {}
     for lab in [*labs, lim]:
         contraction[lab.label] = supnorm_contraction(lab, lams=tuple(pos))
@@ -1129,7 +1221,6 @@ def perturbation_experiment(masks, limit_mask: DomainMask, lambda_grid, t_grid,
         for k, lab in enumerate(labs):
             dists[k] = lab.graph_distance(u, f)
     off = ~limit_mask.values
-    f_set = np.atleast_2d(np.asarray(f_set))
     off_sup = np.zeros(len(labs))
     for k, lab in enumerate(labs):
         traj = lab.integrated(np.asarray(t_grid, dtype=float), f_set)

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relsemi.errors import SolverBreakdown
+from relsemi.errors import InvalidInput, SolverBreakdown
 from relsemi.grids import DomainMask, Grid
 from relsemi.heatlab import (
     EXP_TOL,
@@ -133,12 +133,17 @@ def test_kernel_logs_one_debug_line_per_call(caplog):
     rel = DirichletGridRelation(disk_mask(grid, 0.7))
     with caplog.at_level(logging.DEBUG, logger="relsemi"):
         rel.semigroup([0.5, 1.0], np.ones(grid.n_nodes))
+        # both columns and the time were in the last call: read back
         rel.semigroup([1.0], np.ones((grid.n_nodes, 2)))
+        rel.semigroup([1.0], bump_function(grid))
     lines = [r.getMessage() for r in caplog.records
-             if r.getMessage().startswith("exp_action")]
-    assert len(lines) == 2
-    assert f"n={rel.n_inside} cols=1 gamma=0.1 " in lines[0]
-    assert "cols=2" in lines[1]
+             if r.getMessage().startswith("krylov")]
+    assert len(lines) == 3
+    assert lines[0].startswith(f"krylov n={rel.n_inside} cols=1 times=2 lams=0 pole=10.0 ")
+    assert lines[0].endswith(" direct=0 memo=miss")
+    assert lines[1] == (f"krylov n={rel.n_inside} cols=2 times=1 lams=0 pole=none "
+                        "basis=0 bound=0.000e+00 checks=0 direct=0 memo=hit")
+    assert lines[2].startswith(f"krylov n={rel.n_inside} cols=1 times=1 lams=0 pole=10.0 ")
     assert all("basis=" in line and "bound=" in line for line in lines)
     assert all(" checks=" in line for line in lines)
 
@@ -155,8 +160,8 @@ def test_kernel_checks_its_bound_a_few_times_per_column(monkeypatch, caplog):
     with caplog.at_level(logging.DEBUG, logger="relsemi"):
         rel._exp_action(np.linspace(0.0, 1.0, 5), bump_function(grid))
     line = next(r.getMessage() for r in caplog.records
-                if r.getMessage().startswith("exp_action"))
-    assert " cols=1 " in line and line.endswith(f" checks={len(eigs)}")
+                if r.getMessage().startswith("krylov"))
+    assert " cols=1 " in line and line.endswith(f" checks={len(eigs)} direct=0 memo=off")
     assert 0 < len(eigs) <= 16
     assert float(line.split(" bound=")[1].split()[0]) <= EXP_TOL * np.max(np.abs(b))
 
@@ -166,15 +171,52 @@ def test_perturbation_experiment_sweeps_each_mask_once(monkeypatch):
     limit = disk_mask(grid, 0.7)
     masks = polygon_family(grid, 0.7, sides=(3, 4, 6))
     calls = []
-    kernel = DirichletGridRelation._exp_action
+    kernel = DirichletGridRelation._krylov
 
-    def counting(self, times, b, **kwargs):
+    def counting(self, *args, **kwargs):
         calls.append(self.label)
-        return kernel(self, times, b, **kwargs)
+        return kernel(self, *args, **kwargs)
 
-    monkeypatch.setattr(DirichletGridRelation, "_exp_action", counting)
+    monkeypatch.setattr(DirichletGridRelation, "_krylov", counting)
     f = np.ones((grid.n_nodes, 1))
     perturbation_experiment(masks, limit, lambda_grid=[1.0],
                             t_grid=np.linspace(0.0, 1.0, 5), f_set=f, tol=0.5,
                             items=("i",), samples=0)
     assert sorted(calls) == sorted([m.label for m in masks] + [limit.label])
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e300])
+@pytest.mark.parametrize("kind", ["bump", "random"])
+def test_kernel_is_scale_invariant(c, kind):
+    # each column is scaled by a power of two near its sup norm before the
+    # loop, so β = ‖b‖₂ neither overflows nor underflows
+    grid = Grid(12)
+    rel = DirichletGridRelation(disk_mask(grid, 0.7))
+    f = _data(kind, grid, 3)
+    ts = np.array([0.0, 0.25, 1.0])
+    for name in ("semigroup", "integrated"):
+        ref = getattr(rel, name)(ts, f)
+        got = getattr(rel, name)(ts, c * f)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - c * ref)) <= 1e-14 * c * np.max(np.abs(ref))
+
+
+def test_kernel_scaled_by_a_power_of_two_is_bit_identical():
+    grid = Grid(12)
+    rel = DirichletGridRelation(disk_mask(grid, 0.7))
+    f = bump_function(grid) - 0.3
+    ts = np.array([0.0, 0.25, 1.0])
+    ref = rel._exp_action(ts, f)
+    for k in (-900, -3, 5, 900):
+        assert np.array_equal(rel._exp_action(ts, np.ldexp(f, k)), np.ldexp(ref, k))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("method", ["semigroup", "integrated"])
+def test_kernel_refuses_non_finite_data(bad, method):
+    grid = Grid(12)
+    rel = DirichletGridRelation(disk_mask(grid, 0.7))
+    f = np.ones(grid.n_nodes)
+    f[rel.omega[5]] = bad
+    with pytest.raises(InvalidInput, match="data"):
+        getattr(rel, method)([0.5, 1.0], f)

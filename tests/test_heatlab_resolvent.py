@@ -29,6 +29,7 @@ from relsemi.heatlab import (
     slit_family,
     supnorm_contraction,
 )
+from relsemi.errors import InvalidInput
 from relsemi.spectral import ACCEPT_TOL
 
 SHIFTS = (0.1, 0.5, 1.0, 2.0, 10.0, 1 + 1j, 0.5 + 3j)
@@ -89,9 +90,9 @@ def test_krylov_resolvent_keeps_its_digits_under_refinement(m):
 
 
 def test_one_experiment_factors_each_pole_once(monkeypatch):
-    # the contraction certificate's (N, 1) ones block at λ ∈ {0.5, 1, 2} is
-    # remembered, so the report's λ-grid call factors nothing; mu = 1 + i
-    # is read from a real factor at |mu|
+    # each relation's one Krylov call, on the exponential kernel's pole 1/γ,
+    # serves S(t), the certificate's λ ∈ {0.5, 1, 2} and mu = 1 + i; the
+    # certificate and the report read it back and factor nothing
     grid = Grid(16)
     shifts = collections.Counter()
     factor = heatlab._factor
@@ -101,10 +102,10 @@ def test_one_experiment_factors_each_pole_once(monkeypatch):
                             disk_mask(grid, 0.7), [0.5, 1.0, 2.0],
                             np.linspace(0.0, 1.0, 4), np.ones((grid.n_nodes, 1)),
                             tol=0.5, samples=2)
-    # per relation (3 members and the limit): the pole 2 of the certificate,
-    # |mu| and the exponential kernel's 1/γ; the samples' R(1) on the limit;
-    # per member a graph distance at −i and a deficit eigenvalue at 0
-    assert shifts == {2: 4, abs(1 + 1j): 4, 10: 4, 1: 1, -1j: 3, 0: 3}
+    # per relation (3 members and the limit) the pole 1/γ = 10; the samples'
+    # R(1) on the limit; per member a graph distance at −i and a deficit
+    # eigenvalue at 0
+    assert shifts == {10: 4, 1: 1, -1j: 3, 0: 3}
 
 
 def test_resolvent_logs_one_line_per_call(caplog):
@@ -116,17 +117,17 @@ def test_resolvent_logs_one_line_per_call(caplog):
         again = rel.resolvent([0.5 + 0j, 1.0, 2.0], ones)  # the same shifts
         rel.resolvent([0.0, 1.0], ones)
     messages = [r.getMessage() for r in caplog.records
-                if r.getMessage().startswith(("factor ", "resolvent "))]
+                if r.getMessage().startswith(("factor ", "krylov "))]
     kinds = [msg.split()[0] for msg in messages]
-    assert kinds == ["factor", "resolvent", "resolvent", "factor", "factor", "resolvent"]
+    assert kinds == ["factor", "krylov", "krylov", "factor", "factor", "krylov"]
     assert messages[0].startswith(f"factor n={n} sigma=2.0 ")
-    assert messages[1].startswith(f"resolvent n={n} lams=3 pole=2.0 basis=")
+    assert messages[1].startswith(f"krylov n={n} cols=1 times=0 lams=3 pole=2.0 basis=")
     assert messages[1].endswith(" direct=0 memo=miss")
-    assert messages[2] == (f"resolvent n={n} lams=3 pole=none basis=0 "
-                           "bound=0.000e+00 direct=0 memo=hit")
+    assert messages[2] == (f"krylov n={n} cols=1 times=0 lams=3 pole=none basis=0 "
+                           "bound=0.000e+00 checks=0 direct=0 memo=hit")
     # λ = 0 keeps a factor of its own
     assert messages[4].startswith(f"factor n={n} sigma=0.0 ")
-    assert messages[5].startswith(f"resolvent n={n} lams=2 pole=1.0 ")
+    assert messages[5].startswith(f"krylov n={n} cols=1 times=0 lams=2 pole=1.0 ")
     assert messages[5].endswith(" direct=1 memo=miss")
     bound = float(messages[1].split(" bound=")[1].split()[0])
     assert bound <= EXP_TOL
@@ -148,3 +149,35 @@ def test_contraction_enclosure_contains_the_dense_norm(m, kind):
         exact = lam * np.max(np.abs(np.linalg.inv(lam * np.eye(rel.n_inside) - dense))
                              .sum(axis=1))
         assert norm / (1.0 + rho) <= exact <= norm / (1.0 - rho)
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e300])
+@pytest.mark.parametrize("lams", [(1.0,), (0.0, 0.5, 2.0, 1 + 1j)])
+def test_resolvent_is_scale_invariant(c, lams):
+    # 1 is in the resolvent set whatever the size of the data: every shift,
+    # Krylov or direct, gives c times the unscaled result and passes its gate
+    grid = Grid(12)
+    rel = DirichletGridRelation(disk_mask(grid, 0.7))
+    f = np.column_stack([bump_function(grid),
+                         np.random.default_rng(2).standard_normal(grid.n_nodes)])
+    ref = rel.resolvent(lams, f)
+    got = rel.resolvent(lams, c * f)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - c * ref)) <= 1e-14 * c * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, complex(1.0, np.nan),
+                                 complex(np.inf, 1.0)])
+def test_resolvent_refuses_non_finite_shifts(lam):
+    rel = DirichletGridRelation(disk_mask(Grid(12), 0.7))
+    with pytest.raises(InvalidInput, match="shift"):
+        rel.resolvent([1.0, lam], np.ones(rel.state_dim))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_resolvent_refuses_non_finite_data(bad):
+    rel = DirichletGridRelation(disk_mask(Grid(12), 0.7))
+    f = np.ones(rel.state_dim, dtype=type(bad))
+    f[rel.omega[3]] = bad
+    with pytest.raises(InvalidInput, match="data"):
+        rel.resolvent([0.0, 1.0], f)
