@@ -19,12 +19,15 @@ of ``γ⁻¹ − L``, whose residuals are a scalar times one vector
 whole grid — and every shift with ``Re λ > μ₊ = max(μ∞(L), 0)``
 (``Re λ > 0`` for every stencil) is read from that basis, the shifts as
 rational Krylov with one repeated pole (Güttel, *GAMM-Mitt.* 36, 2013).
-The pole is ``10/max|t|`` when the call has a time ``t ≠ 0``, else
-``max|λ|``; any other shift, such as ``λ = 0``, keeps a factor of its own.
-Each column grows its basis until the a-posteriori bound of Botchev, Grimm
-& Hochbruck (2013) on ``T`` at every time and the bound
-``‖R(λ)‖∞ ≤ 1/(Re λ − μ₊)`` times the residual at every shift are at
-most ``EXP_TOL·‖b‖∞``; neither depends on ``‖L‖ ~ h⁻²``.  Each column is
+The pole is ``10/max|t|`` when the call has a time ``t ≠ 0``; shifts more
+than a hundredfold below it, and every shift of a call without times,
+share a second basis on the pole ``max|λ|`` over them.  Any other shift,
+such as ``λ = 0``, keeps a factor of its own.  Each column grows its basis
+until the a-posteriori bound of Botchev, Grimm & Hochbruck (2013) on ``T``
+at every time and the bound ``‖R(λ)‖∞ ≤ 1/(Re λ − μ₊)`` times the
+residual at every shift are at most ``EXP_TOL·‖b‖∞``; neither depends on
+``‖L‖ ~ h⁻²``.  The second is capped so that it also keeps the residual
+within the resolvent's backward-error gate at any ``Re λ``.  Each column is
 first scaled by a power of two near its sup norm, so data of any finite
 size give the same digits; NaN or infinite data, times or shifts raise
 :class:`InvalidInput`.
@@ -40,14 +43,16 @@ minimum-degree ordering, since Gaussian elimination on it needs no
 pivoting and has growth factor at most 2 (Higham, *Accuracy and Stability
 of Numerical Algorithms*, 2nd ed., Thm 9.9); every other matrix gets
 partial pivoting.  No factor and no basis outlives the call that made it.
-A relation remembers the results of its last Krylov call, never a factor
-or a basis, in one memo: :meth:`DirichletGridRelation.remember` asks for
-every time and shift a study will read, and later calls on those points
-and columns read them back and make no factor.  ``perturbation_experiment``
-does that once per relation, so its contraction certificate, its report
-and its off-mask check share one factor.  Every resolvent column is
-verified by its backward error on every read.  The sector certificate
-makes no solve: it reads the signs of ``op`` alone.
+A relation remembers results, never a factor or a basis, in one memo:
+:meth:`DirichletGridRelation.remember` takes requests ``(times, lams, F)``
+for every point a study will read, in one Krylov call, and later calls on
+those points and columns read them back and make no factor; a call on
+anything else makes its own Krylov call and leaves them in place.
+``perturbation_experiment`` does that once per relation, so its
+contraction certificate, its report and its off-mask check share one
+factor.  Every resolvent column is verified by its backward error on every
+read.  The sector certificate makes no solve: it reads the signs of ``op``
+alone.
 
 Operator norms are sup-norms throughout (max absolute row sums), matching
 the contraction and maximum-principle structure of the M-matrix stencil:
@@ -243,6 +248,7 @@ class DirichletGridRelation:
             raise InvalidInput("operator block does not match the mask")
         self.label = label if label is not None else (mask.label or "mask")
         self._memo = None
+        self._remembered = False
 
     # -- plumbing ---------------------------------------------------------
 
@@ -279,8 +285,8 @@ class DirichletGridRelation:
         """``R(λ) F`` for every shift in ``lams``.
 
         Off the mask ``f`` is absorbed by the multivalued part, so only the
-        masked block ``b`` is solved, by :meth:`remember`'s Krylov call
-        unless the last one already holds these shifts and columns.  Every
+        masked block ``b`` is solved, by one Krylov call unless the memo
+        (:meth:`remember`) already holds these shifts and columns.  Every
         column is verified on every call: its backward error
         ``‖λx − Lx − f‖∞ / (‖f‖∞ + (|λ| + ‖L‖∞)‖x‖∞)`` on the mask must be
         at most ``spectral.ACCEPT_TOL``, else :class:`NotInResolventSet` is
@@ -314,7 +320,7 @@ class DirichletGridRelation:
 
         The sector of the heat semigroup is the open right half-plane, so a
         complex ``z ≠ 0`` with ``Re z ≤ 0`` raises :class:`OutsideSector`.
-        All points come from one Krylov call, or from the last one
+        All points come from one Krylov call, or from the memo
         (:meth:`remember`); the values off the mask are zero (the
         multivalued directions are killed at once).
         """
@@ -329,30 +335,40 @@ class DirichletGridRelation:
     def integrated(self, ts, fs):
         """``S(t) F = ∫₀ᵗ T(s) F ds`` on the mask for every time in ``ts``.
 
-        One Krylov call, within ``t·EXP_TOL·‖f‖∞`` per column, or the last
-        one's results when it holds these times and columns (a report and
+        One Krylov call, within ``t·EXP_TOL·‖f‖∞`` per column, or the
+        memo's results when it holds these times and columns (a report and
         its off-mask check ask twice).
         """
         return self._stack("integrated", _times(np.asarray(ts, dtype=float)), fs)
 
-    def remember(self, times, lams, fs):
-        """Evaluate ``T(t) F``, ``S(t) F`` and ``R(λ) F`` for every time in
-        ``times`` and shift in ``lams`` in one Krylov call, and remember them.
+    def remember(self, *requests):
+        """Evaluate, for each request ``(times, lams, F)``, ``T(t) F``,
+        ``S(t) F`` and ``R(λ) F`` at every time in ``times`` and shift in
+        ``lams``, all in one Krylov call, and remember them.
 
-        The results replace the last call's, so later :meth:`semigroup`,
-        :meth:`integrated` and :meth:`resolvent` calls on any of these
-        points and of the columns of ``fs`` read them and make no factor;
+        A real column that several requests share is evaluated once, at the
+        union of their points.  The results replace the last call's and stay
+        until the next ``remember``: later :meth:`semigroup`,
+        :meth:`integrated` and :meth:`resolvent` calls on points and columns
+        of one request read them and make no factor, and a call on anything
+        else makes its own Krylov call without replacing them.
         :meth:`resolvent` still verifies each column it returns, so a shift
         outside the resolvent set raises when it is asked for, not here.
         The relation keeps results only: the factor and the Krylov bases
         are dropped on return.
         """
-        times = _times(times)
-        lams = _shifts(lams)
-        fs = self._data(fs)
+        requests = [(_times(ts), _shifts(ls), self._data(fs)) for ts, ls, fs in requests]
         if self.n_inside:
-            self._memo = self._krylov(times, lams, _real_columns(fs[self.omega]),
-                                      EXP_MAX_BASIS, "miss")
+            merged = {}  # real column bytes -> [column, times, shifts]
+            for times, lams, fs in requests:
+                for b in _real_columns(fs[self.omega]).T:
+                    entry = merged.setdefault(b.tobytes(), [b, [], []])
+                    entry[1] += times.tolist()
+                    entry[2] += lams.tolist()
+            self._memo = self._krylov(
+                [(b, _distinct(ts), _distinct(ls)) for b, ts, ls in merged.values()],
+                EXP_MAX_BASIS, "miss")
+            self._remembered = True
 
     def _stack(self, kind, points, fs):
         """The full-state stack of ``semigroup`` or ``integrated`` values."""
@@ -365,21 +381,26 @@ class DirichletGridRelation:
     def _read(self, kind, points, b, dtype):
         """``kind`` values on the masked block ``b`` at ``points``, as ``dtype``.
 
-        They come from the memo when it holds every point and every real
+        They come from the memo when it holds every point for every real
         column of ``b`` (matched by value), else from one Krylov call for
-        exactly this request, which then becomes the memo.  A remembered
-        read logs ``krylov … memo=hit``.
+        exactly this request, which then becomes the memo unless
+        :meth:`remember` made it.  A remembered read logs ``krylov …
+        memo=hit``.
         """
         cols = _real_columns(b)
         times, lams = (points[:0], points) if kind == "resolvent" else (points, points[:0])
         vals = None if self._memo is None else _recall(self._memo, kind, points, cols)
         if vals is None:
-            self._memo = self._krylov(times, lams, cols, EXP_MAX_BASIS, "miss")
-            vals = _recall(self._memo, kind, points, cols)
+            memo = self._krylov([(col, times, lams) for col in cols.T], EXP_MAX_BASIS,
+                                "miss")
+            vals = _recall(memo, kind, points, cols)
+            if not self._remembered:
+                self._memo = memo
         else:
             log.debug("krylov n=%d cols=%d times=%d lams=%d pole=none basis=0 "
                       "bound=0.000e+00 checks=0 direct=0 memo=hit", self.n_inside,
-                      cols.shape[1], times.size, lams.size)
+                      cols.shape[1], _distinct(times.tolist()).size,
+                      _distinct(lams.tolist()).size)
         return _complex_columns(vals, b, dtype)
 
     # -- the Krylov call ------------------------------------------------------
@@ -395,65 +416,103 @@ class DirichletGridRelation:
         out = np.zeros((2, times.size) + fs.shape, dtype=np.result_type(fs, times, float))
         if self.n_inside:
             b = fs[self.omega]
-            _, table = self._krylov(times, times[:0], _real_columns(b), max_basis, "off")
+            cols = _real_columns(b)
+            memo = self._krylov([(col, times, times[:0]) for col in cols.T], max_basis, "off")
             for k, kind in enumerate(("semigroup", "integrated")):
-                out[k][:, self.omega] = _complex_columns(table[kind][1], b, out.dtype)
+                out[k][:, self.omega] = _complex_columns(_recall(memo, kind, times, cols),
+                                                         b, out.dtype)
         return out
 
-    def _krylov(self, times, lams, cols, max_basis, memo):
-        """``T(t)``, ``S(t)`` and ``R(λ)`` on the real columns ``cols`` of the
-        masked block, from one shift-and-invert basis per column.
+    def _krylov(self, requests, max_basis, memo):
+        """``T(t)``, ``S(t)`` and ``R(λ)`` for each request ``(b, times,
+        lams)``, ``b`` a real column of the masked block, from one
+        shift-and-invert basis per column.
 
         Times are real ``t ≥ 0`` or complex ``z`` with ``Re z ≥ 0`` (``S``
         then integrates along ``[0, z]``).  The basis is one of
         ``(I − γL)⁻¹``, built on one factorization of ``γ⁻¹ − L`` that serves
-        every column and is dropped on return, with ``γ = max|t| / 10``, or
-        ``γ = 1/max|λ|`` over the Krylov shifts when every time is 0
-        (:func:`_si_column`).  Krylov shifts are those with
+        every column and is dropped on return, with ``γ = max|t| / 10`` over
+        every request (:func:`_si_column`).  Krylov shifts are those with
         ``Re λ > μ₊ = max(μ∞(L), 0)`` (every ``Re λ > 0`` for a stencil or a
-        positive multiplier); any other shift, such as ``λ = 0``, gets a
-        factor of ``λ − L`` of its own.  Resolvent values are not verified
-        here.  Returns ``(cols, table)``, the memo: ``table`` maps
-        ``"semigroup"``, ``"integrated"`` and ``"resolvent"`` to their
-        points and stacks ``(points,) + cols.shape``.  Logs one line,
-        ``krylov n= cols= times= lams= pole= basis= bound= checks= direct=
-        memo=``, with the pole ``γ⁻¹`` (``none`` without a basis), the
+        positive multiplier); they are read from that basis unless they lie
+        more than a hundredfold below ``γ⁻¹``, or every time is 0.  Those
+        share a second basis with ``γ = 1/max|λ|`` over them.  Any other
+        shift, such as ``λ = 0``, gets a factor of ``λ − L`` of its own,
+        which solves every column that asks for it; an exactly singular one
+        leaves NaN values.  Resolvent values are not verified here.
+        Returns the memo: per request ``(b, table)``, ``table`` mapping
+        ``"semigroup"``, ``"integrated"`` and ``"resolvent"`` to their points
+        and values ``(points, n)``.  Logs one line, ``krylov n= cols= times=
+        lams= pole= basis= bound= checks= direct= memo=``, with the distinct
+        times and shifts, the poles ``γ⁻¹`` (``none`` without a basis), the
         largest basis and bound over the columns, the summed bound checks,
-        the shifts factored directly and ``memo`` (``miss`` for a call
-        that becomes the memo, ``off`` for :meth:`_exp_action`).
+        the shifts factored directly and ``memo`` (``miss`` for
+        :meth:`remember` and for a read the memo could not serve, ``off``
+        for :meth:`_exp_action`).
         """
-        n, c = cols.shape
+        n = self.n_inside
         mu = _sup_log_norm(self.op)
-        krylov = lams.real > max(mu, 0.0)
-        shifts = lams[krylov]
-        if np.iscomplexobj(shifts) and not shifts.imag.any():
-            shifts = shifts.real
-        tmax = float(np.max(np.abs(times), initial=0.0))
-        timed = times if tmax > 0.0 else times[:0]
-        exp_vals = np.zeros((2, times.size, n, c), dtype=np.result_type(times, float))
-        res_vals = np.zeros((lams.size, n, c), dtype=np.result_type(lams, float))
-        if tmax == 0.0:
-            exp_vals[0] = cols  # T(0) = I and S(0) = 0 on the mask
-        pole, size, bound, checks = "none", 0, 0.0, 0
-        if timed.size or shifts.size:
-            gamma = tmax / 10.0 if timed.size else 1.0 / float(np.max(np.abs(shifts)))
-            pole = 1.0 / gamma
-            solve = _factor(self.op, pole)
-            for j in range(c):
-                (tj, rj), sj, bj, cj = _si_column(self.op, solve, gamma, mu, cols[:, j],
-                                                   timed, shifts, max_basis)
-                if timed.size:
-                    exp_vals[..., j] = tj
-                res_vals[krylov, :, j] = rj
+        tmax = max((float(np.max(np.abs(ts), initial=0.0)) for _, ts, _ in requests),
+                   default=0.0)
+        gamma = tmax / 10.0
+        poles = [gamma] if tmax > 0.0 else []
+        plans = []
+        for b, times, lams in requests:
+            krylov = lams.real > max(mu, 0.0)
+            shifts = lams[krylov]
+            if np.iscomplexobj(shifts) and not shifts.imag.any():
+                shifts = shifts.real
+            # a shift more than a hundredfold below the time pole would grow
+            # every column's basis (at m = 64 and 96 a second factor is
+            # cheaper beyond about 300), so it joins the shifts' own pole
+            joint = np.abs(shifts) * 100.0 >= 1.0 / gamma if tmax > 0.0 else \
+                np.zeros(shifts.size, dtype=bool)
+            plans.append((krylov, shifts, joint))
+        far = [np.abs(shifts[~joint]) for _, shifts, joint in plans if not joint.all()]
+        if far:
+            poles.append(1.0 / float(np.max(np.concatenate(far))))
+        solves = [_factor(self.op, 1.0 / g) for g in poles]
+        out, size, bound, checks = [], 0, 0.0, 0
+        for (b, times, lams), (krylov, shifts, joint) in zip(requests, plans):
+            exp_vals = np.zeros((2, times.size, n), dtype=np.result_type(times, float))
+            res_vals = np.zeros((lams.size, n), dtype=np.result_type(lams, float))
+            timed = times if np.any(times != 0) else times[:0]
+            if not timed.size:
+                exp_vals[0] = b  # T(0) = I and S(0) = 0 on the mask
+            where = np.flatnonzero(krylov)
+            # the time pole serves the times and the joint shifts, the
+            # shifts' own pole the rest
+            parts = [(timed, joint)] * (tmax > 0.0) + [(times[:0], ~joint)] * bool(far)
+            for g, solve, (ts, pick) in zip(poles, solves, parts):
+                if not (ts.size or pick.any()):
+                    continue
+                (tj, rj), sj, bj, cj = _si_column(self.op, solve, g, mu, b, ts,
+                                                   shifts[pick], max_basis)
+                if ts.size:
+                    exp_vals[...] = tj
+                res_vals[where[pick]] = rj
                 size, bound, checks = max(size, sj), max(bound, bj), checks + cj
-        for k in np.flatnonzero(~krylov):
-            res_vals[k] = _factor(self.op, lams[k])(cols)
+            out.append((b, {"semigroup": (times, exp_vals[0]),
+                            "integrated": (times, exp_vals[1]),
+                            "resolvent": (lams, res_vals)}))
+        direct = _distinct([lam for (_, _, lams), (krylov, _, _) in zip(requests, plans)
+                            for lam in lams[~krylov].tolist()])
+        for lam in direct.tolist():
+            asking = [k for k, (_, _, lams) in enumerate(requests) if np.any(lams == lam)]
+            try:
+                x = _factor(self.op, lam)(np.column_stack([requests[k][0] for k in asking]))
+            except RuntimeError:  # λ − L is exactly singular: resolvent refuses NaN
+                x = np.full((n, len(asking)), np.nan)
+            for j, k in enumerate(asking):
+                points, vals = out[k][1]["resolvent"]
+                vals[points == lam] = x[:, j]
         log.debug("krylov n=%d cols=%d times=%d lams=%d pole=%s basis=%d bound=%.3e "
-                  "checks=%d direct=%d memo=%s", n, c, times.size, lams.size, pole,
-                  size, bound, checks, int(np.count_nonzero(~krylov)), memo)
-        table = {"semigroup": (times, exp_vals[0]), "integrated": (times, exp_vals[1]),
-                 "resolvent": (lams, res_vals)}
-        return cols, table
+                  "checks=%d direct=%d memo=%s", n, len(requests),
+                  _distinct([t for _, ts, _ in requests for t in ts.tolist()]).size,
+                  _distinct([l for _, _, ls in requests for l in ls.tolist()]).size,
+                  ",".join(str(1.0 / g) for g in poles) or "none",
+                  size, bound, checks, direct.size, memo)
+        return out
 
     # -- graph geometry -----------------------------------------------------
 
@@ -625,22 +684,31 @@ def _complex_columns(vals, b, dtype):
     return vals.reshape(vals.shape[:1] + b.shape)
 
 
+def _distinct(points) -> np.ndarray:
+    """The list ``points`` without repeats (by value), in first-seen order."""
+    return np.asarray(list(dict.fromkeys(points)))
+
+
 def _recall(memo, kind, points, cols):
     """The ``kind`` values of ``memo`` at ``points`` on the real columns
-    ``cols``, matched by value; ``None`` unless it holds every one."""
-    stored, table = memo
-    where, vals = table[kind]
-    index = {p: i for i, p in enumerate(where.tolist())}
-    rows = [index.get(p) for p in points.tolist()]
-    if None in rows:
-        return None
+    ``cols``, as ``(points, n, c)``, each column matched by value; ``None``
+    unless one entry of ``memo`` holds every point for each column."""
     picks = []
     for col in cols.T:
-        hit = np.flatnonzero((stored == col[:, None]).all(axis=0))
-        if not hit.size:
+        for b, table in memo:
+            where, vals = table[kind]
+            if not np.array_equal(b, col):
+                continue
+            index = {p: i for i, p in enumerate(where.tolist())}
+            rows = [index.get(p) for p in points.tolist()]
+            if None not in rows:
+                picks.append(vals[rows])
+                break
+        else:
             return None
-        picks.append(hit[0])
-    return vals[rows][..., picks]
+    if not picks:
+        return np.zeros((points.size, cols.shape[0], 0))
+    return np.stack(picks, axis=-1)
 
 
 def _si_arnoldi(op, solve, gamma, b, max_basis, check):
@@ -751,9 +819,11 @@ def _si_column(op, solve, gamma, mu, b, times, lams, max_basis):
     −hβ z_k (I − γL) v_{k+1}`` is a scalar times one vector.  With
     ``‖R(λ)‖∞ ≤ 1/(Re λ − μ₊)`` (:func:`_sup_log_norm`) the bound is
     ``(h/γ)|e_kᵀ H_k⁻¹ y|·‖(I − γL) v_{k+1}‖∞ / (Re λ − μ₊)`` with
-    ``y = βγ H_k z``.  Like the exponential bound it does not count rounding
-    in the Arnoldi relation itself, so the resolvent's backward-error check
-    stays the final gate.
+    ``y = βγ H_k z``, its divisor capped at ``ACCEPT_TOL/(2·EXP_TOL)`` so
+    that a met bound also leaves a residual of at most half what the
+    backward-error check accepts.  Like the exponential bound it does not
+    count rounding in the Arnoldi relation itself, so that check stays the
+    final gate.
     """
     exp_vals = np.zeros((2, times.size, b.size), dtype=np.result_type(times, float))
     res_vals = np.zeros((lams.size, b.size), dtype=np.result_type(lams, float))
@@ -768,7 +838,9 @@ def _si_column(op, solve, gamma, mu, b, times, lams, max_basis):
     angles = np.angle(far)
     ends = [far[angles == a][np.argmax(np.abs(far[angles == a]))]
             for a in np.unique(angles)]
-    margin = lams.real - max(mu, 0.0)
+    # capped so that a met bound also leaves the residual within half the
+    # backward-error gate ACCEPT_TOL·‖b‖∞ (it binds only for Re λ > 5000)
+    margin = np.minimum(lams.real - max(mu, 0.0), 0.5 * ACCEPT_TOL / EXP_TOL)
     coeff = (lams * gamma - 1.0)[:, None, None]
 
     def check(hess, resid):
@@ -1186,25 +1258,25 @@ def perturbation_experiment(masks, limit_mask: DomainMask, lambda_grid, t_grid,
     fixed gap apart, and the domain-convergence criterion plus nearest-pair
     distances carry that role instead.
 
-    Each member and the limit make one Krylov call, on one factor, before
-    the certificate (:meth:`DirichletGridRelation.remember`): ``t_grid``
-    and every shift with ``Re λ > 0`` that the certificate and the report
-    read on ``f_set`` — the positive λ grid, ``lambda_grid`` and ``mu``.
-    Both then read stored results; a shift that fails its backward-error
-    check raises only where it is read.
+    Each member and the limit make one Krylov call before the certificate
+    (:meth:`DirichletGridRelation.remember`) for every point that the
+    certificate, the report and the off-limit check read: ``t_grid``, the
+    positive λ grid, ``lambda_grid`` and ``mu`` on the columns of
+    ``f_set``, and the positive λ grid on the certificate's column of
+    ones.  They then read stored results; a shift that fails its
+    backward-error check raises only where it is read.
     """
     labs = [DirichletGridRelation(mk) for mk in masks]
     lim = DirichletGridRelation(limit_mask)
     pos = [float(l.real) for l in np.atleast_1d(lambda_grid)
            if complex(l).imag == 0 and complex(l).real > 0] or [1.0]
-    # one Krylov call per relation for every time and shift with Re λ > 0
-    # that the certificate and the report read on f_set; they read it back
-    shifts = [*pos, *(lambda_grid if {"ii", "iii"} & set(items) else ()),
-              *([mu] if "iv" in items else ())]
-    shifts = list(dict.fromkeys(complex(l) for l in shifts if complex(l).real > 0))
     f_set = np.atleast_2d(np.asarray(f_set))
+    shifts = [*pos, *(lambda_grid if {"ii", "iii"} & set(items) else ()),
+              *([mu] if "iv" in items and complex(mu).real > 0 else ())]
+    shifts = list(dict.fromkeys(complex(l) for l in shifts))
     for lab in [*labs, lim]:
-        lab.remember(np.asarray(t_grid, dtype=float), shifts, f_set)
+        lab.remember((np.asarray(t_grid, dtype=float), shifts, f_set),
+                     ((), pos, np.ones((lim.state_dim, 1))))
     contraction = {}
     for lab in [*labs, lim]:
         contraction[lab.label] = supnorm_contraction(lab, lams=tuple(pos))

@@ -54,11 +54,13 @@ def test_one_call_serves_times_and_shifts_within_their_bounds(m, radius, scaled,
     f = np.column_stack([bump_function(rel.grid), rng.standard_normal(rel.state_dim)])
     if field == "complex":
         f = f + 1j * rng.standard_normal(f.shape)
-    # a short time grid puts the pole 10/max t far above the shifts
+    # the pole 10/max t lies between the shifts, far above them or, at
+    # max t = 2 (pole 5), below 50, 1e3 and 0.5 + 200i; a shift more than a
+    # hundredfold below it (max t = 0.1 or 1e-3) gets a second pole
     ts = np.concatenate([[0.0], tmax * np.sort(rng.uniform(0.05, 1.0, 3))])
     zs = np.concatenate([ts, [tmax * cmath.exp(1j * angle)]])
-    lams = np.array([0.3, 1.0, 4.0, 1.0 + 1.0j, 0.2 - 3.0j])
-    rel.remember(zs, lams, f)
+    lams = np.array([0.3, 1.0, 4.0, 1.0 + 1.0j, 0.2 - 3.0j, 50.0, 1e3, 0.5 + 200.0j])
+    rel.remember((zs, lams, f))
     made = []
     factor = heatlab._factor
     with pytest.MonkeyPatch.context() as patch:
@@ -99,7 +101,7 @@ def test_one_call_keeps_results_not_its_basis(caplog):
     try:
         before = tracemalloc.get_traced_memory()[0]
         with caplog.at_level(logging.DEBUG, logger="relsemi"):
-            rel.remember(ts, lams, f)
+            rel.remember((ts, lams, f))
         kept, peak = tracemalloc.get_traced_memory()
         kept -= before
         tracemalloc.reset_peak()
@@ -140,3 +142,41 @@ def test_a_failed_shift_raises_only_where_it_is_read(monkeypatch):
     hyp = rep.convergence.mu_hypothesis
     assert hyp["range_full"] is False and hyp["all_in_resolvent"] is False
     assert set(rep.convergence.verdicts) == {"i", "ii", "iii"}
+
+
+@pytest.mark.parametrize("f_name, lambda_grid, items", [
+    ("ones", [0.5, 1.0, 2.0], ("i", "ii", "iii", "iv")),
+    ("bump", [0.5, 1.0, 2.0], ("i", "ii", "iii", "iv")),
+    ("complex", [0.0, 0.5, 2.0 + 1.0j, -0.5], ("i", "ii", "iv")),
+    ("bump", [2.0], ("i",)),
+])
+def test_every_read_of_an_experiment_is_remembered(caplog, f_name, lambda_grid, items):
+    # each relation's remember call comes first; the certificate, the
+    # report and the off-limit check must then only read its results
+    grid = Grid(16)
+    masks = polygon_family(grid, 0.7, sides=(4, 8))
+    f = {"ones": np.ones(grid.n_nodes), "bump": bump_function(grid),
+         "complex": bump_function(grid) * (1.0 + 2.0j)}[f_name]
+    with caplog.at_level(logging.DEBUG, logger="relsemi"):
+        perturbation_experiment(masks, disk_mask(grid, 0.7), lambda_grid,
+                                np.linspace(0.0, 1.0, 4), f[:, None], tol=0.5,
+                                items=items, samples=0)
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("krylov")]
+    calls = len(masks) + 1
+    assert all(line.endswith(" memo=miss") for line in lines[:calls])
+    assert len(lines) > calls
+    assert all(line.endswith(" memo=hit") for line in lines[calls:])
+
+
+def test_a_read_elsewhere_keeps_the_remembered_results(caplog):
+    rel = DirichletGridRelation(disk_mask(Grid(12), 0.7))
+    ones = np.ones((rel.state_dim, 1))
+    rel.remember(([0.0, 1.0], [0.5, 2.0], ones))
+    with caplog.at_level(logging.DEBUG, logger="relsemi"):
+        rel.resolvent([1.0], ones)  # a shift it does not hold
+        rel.integrated([1.0], bump_function(rel.grid))  # a column it does not hold
+        rel.resolvent([0.5, 2.0], ones)
+        rel.integrated([0.0, 1.0], ones)
+    memo = [r.getMessage().split(" memo=")[1] for r in caplog.records
+            if r.getMessage().startswith("krylov")]
+    assert memo == ["miss", "miss", "hit", "hit"]

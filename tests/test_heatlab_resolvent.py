@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relsemi import heatlab
-from relsemi.grids import Grid
+from relsemi.grids import DomainMask, Grid
 from relsemi.heatlab import (
     EXP_TOL,
     DirichletGridRelation,
@@ -29,7 +29,7 @@ from relsemi.heatlab import (
     slit_family,
     supnorm_contraction,
 )
-from relsemi.errors import InvalidInput
+from relsemi.errors import InvalidInput, NotInResolventSet
 from relsemi.spectral import ACCEPT_TOL
 
 SHIFTS = (0.1, 0.5, 1.0, 2.0, 10.0, 1 + 1j, 0.5 + 3j)
@@ -106,6 +106,63 @@ def test_one_experiment_factors_each_pole_once(monkeypatch):
     # R(1) on the limit; per member a graph distance at −i and a deficit
     # eigenvalue at 0
     assert shifts == {10: 4, 1: 1, -1j: 3, 0: 3}
+
+
+@pytest.mark.parametrize("f_name, lambda_grid, t_max, want", [
+    # no column of ones in f_set: the certificate's column rides on the
+    # same factor, with no times
+    ("bump", [0.5, 1.0, 2.0], 1.0, {10: 4, 1: 1, -1j: 3, 0: 3}),
+    # λ = 0 on the grid keeps a factor of its own, made once per relation
+    ("ones", [0.0, 0.5, 1.0, 2.0], 1.0, {10: 4, 1: 1, -1j: 3, 0: 7}),
+    # the shifts lie more than a hundredfold below the pole 10⁴: a second
+    # pole, max|λ| = 2, in the same call
+    ("ones", [0.5, 1.0, 2.0], 1e-3, {1e4: 4, 2: 4, 1: 1, -1j: 3, 0: 3}),
+])
+def test_an_experiment_factors_each_pole_once_on_any_input(monkeypatch, f_name,
+                                                           lambda_grid, t_max, want):
+    grid = Grid(16)
+    shifts = collections.Counter()
+    factor = heatlab._factor
+    monkeypatch.setattr(heatlab, "_factor",
+                        lambda op, sigma: shifts.update([complex(sigma)]) or factor(op, sigma))
+    f = bump_function(grid) if f_name == "bump" else np.ones(grid.n_nodes)
+    perturbation_experiment(polygon_family(grid, 0.7, sides=(3, 4, 6)),
+                            disk_mask(grid, 0.7), lambda_grid,
+                            np.linspace(0.0, t_max, 4), f[:, None], tol=0.5, samples=2)
+    assert shifts == want
+
+
+def test_a_large_shift_meets_the_backward_error_gate():
+    # the resolvent bound divides the residual by Re λ − μ₊; capped, a met
+    # bound also keeps the residual within the gate, so R(1e5) and R(1e7)
+    # on their own pole are accepted at m = 64
+    rel = DirichletGridRelation(disk_mask(Grid(64), 0.7))
+    f = np.column_stack([np.ones(rel.state_dim), bump_function(rel.grid)])
+    lams = (1e5, 1e7)
+    got = rel.resolvent(lams, f)
+    b = f[rel.omega]
+    for lam, x in zip(lams, got):
+        mat = (lam * sp.identity(rel.n_inside, format="csc") - rel.op).tocsc()
+        ref = spl.splu(mat).solve(b)
+        err = np.max(np.abs(x[rel.omega] - ref), axis=0)
+        assert np.all(err <= 2.0 * EXP_TOL * np.max(np.abs(b), axis=0))
+        assert _backward_error(rel, lam, x[rel.omega], b) <= 0.5 * ACCEPT_TOL
+
+
+def test_an_exactly_singular_shift_is_refused_where_it_is_read():
+    # one node: L = [−4/h²], so λ = −4/h² makes λ − L exactly zero
+    grid = Grid(8)
+    flags = np.zeros(grid.n_nodes, dtype=bool)
+    flags[27] = True
+    rel = DirichletGridRelation(DomainMask(grid, flags))
+    eig = float(rel.op.toarray()[0, 0])
+    f = np.ones((grid.n_nodes, 1))
+    rel.remember(([0.5], [1.0, eig], f))  # does not raise
+    assert rel.resolvent([1.0], f)[0, 27, 0] == pytest.approx(1.0 / (1.0 - eig))
+    with pytest.raises(NotInResolventSet):
+        rel.resolvent([eig], f)
+    with pytest.raises(NotInResolventSet):
+        DirichletGridRelation(DomainMask(grid, flags)).resolvent([eig], f)
 
 
 def test_resolvent_logs_one_line_per_call(caplog):
