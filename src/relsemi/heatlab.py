@@ -19,12 +19,13 @@ of ``γ⁻¹ − L``, whose residuals are a scalar times one vector
 whole grid — and every shift with ``Re λ > μ₊ = max(μ∞(L), 0)``
 (``Re λ > 0`` for every stencil) is read from that basis, the shifts as
 rational Krylov with one repeated pole (Güttel, *GAMM-Mitt.* 36, 2013).
-The pole is ``10/max|t|`` when the call has a time ``t ≠ 0``; shifts more
-than a hundredfold below it, and every shift of a call without times,
-share a second basis on the pole ``max|λ|`` over them.  Any other shift,
-such as ``λ = 0``, keeps a factor of its own.  Each column grows its basis
-until the a-posteriori bound of Botchev, Grimm & Hochbruck (2013) on ``T``
-at every time and the bound ``‖R(λ)‖∞ ≤ 1/(Re λ − μ₊)`` times the
+The pole is ``max(10/τ, 8√(‖L‖∞/τ))``, ``τ = max|t|``, when the call has a
+time ``t ≠ 0``; shifts more than a hundredfold below ``10/τ``, and every
+shift of a call without times, share a second basis on the pole ``max|λ|``
+over them.  Any other shift, such as ``λ = 0``, keeps a factor of its own.
+``T(0)`` and ``S(0)`` are exact: the data and zero.  Each column grows its
+basis until the a-posteriori bound of Botchev, Grimm & Hochbruck (2013) on
+``T`` at every time and the bound ``‖R(λ)‖∞ ≤ 1/(Re λ − μ₊)`` times the
 residual at every shift are at most ``EXP_TOL·‖b‖∞``; neither depends on
 ``‖L‖ ~ h⁻²``.  The second is capped so that it also keeps the residual
 within the resolvent's backward-error gate at any ``Re λ``.  Each column is
@@ -246,6 +247,7 @@ class DirichletGridRelation:
             else operator.tocsr()
         if self.op.shape != (self.omega.size, self.omega.size):
             raise InvalidInput("operator block does not match the mask")
+        self._mu, self._norm = _sup_norms(self.op)
         self.label = label if label is not None else (mask.label or "mask")
         self._memo = None
         self._remembered = False
@@ -302,9 +304,8 @@ class DirichletGridRelation:
             b = fs[self.omega]
             x = self._read("resolvent", lams, b, out.dtype)
             bnorm = self.vec_norm(b)
-            opnorm = float(np.max(np.asarray(abs(self.op).sum(axis=1)), initial=0.0))
             for lam, xk in zip(lams, x):
-                scale = bnorm + (abs(lam) + opnorm) * self.vec_norm(xk)
+                scale = bnorm + (abs(lam) + self._norm) * self.vec_norm(xk)
                 err = self.vec_norm(lam * xk - self.op @ xk - b) \
                     / np.maximum(scale, np.finfo(float).tiny)
                 res = float(np.max(err, initial=0.0))
@@ -429,17 +430,22 @@ class DirichletGridRelation:
         shift-and-invert basis per column.
 
         Times are real ``t ≥ 0`` or complex ``z`` with ``Re z ≥ 0`` (``S``
-        then integrates along ``[0, z]``).  The basis is one of
-        ``(I − γL)⁻¹``, built on one factorization of ``γ⁻¹ − L`` that serves
-        every column and is dropped on return, with ``γ = max|t| / 10`` over
-        every request (:func:`_si_column`).  Krylov shifts are those with
-        ``Re λ > μ₊ = max(μ∞(L), 0)`` (every ``Re λ > 0`` for a stencil or a
-        positive multiplier); they are read from that basis unless they lie
-        more than a hundredfold below ``γ⁻¹``, or every time is 0.  Those
-        share a second basis with ``γ = 1/max|λ|`` over them.  Any other
-        shift, such as ``λ = 0``, gets a factor of ``λ − L`` of its own,
-        which solves every column that asks for it; an exactly singular one
-        leaves NaN values.  Resolvent values are not verified here.
+        then integrates along ``[0, z]``); ``T(0)`` is the column itself and
+        ``S(0)`` zero.  The basis is one of ``(I − γL)⁻¹``, built on one
+        factorization of ``γ⁻¹ − L`` that serves every column and is dropped
+        on return, with ``γ = min(τ/10, √(τ/‖L‖∞)/8)``, ``τ = max|t|`` over
+        every request (:func:`_si_column`).  A repeated-pole rational
+        approximation of ``e^{tL}`` converges at a rate set by ``γ`` against
+        ``t`` (van den Eshof & Hochbruck, 2006), while the residual direction
+        ``(I − γL)v_{k+1}`` of its bound grows like ``γ‖L‖∞``; the second
+        term balances the two, and ``τ/10`` stays where ``τ‖L‖∞`` is small.
+        Krylov shifts are those with ``Re λ > μ₊ = max(μ∞(L), 0)`` (every
+        ``Re λ > 0`` for a stencil or a positive multiplier); they are read
+        from that basis unless they lie more than a hundredfold below
+        ``10/τ``, or every time is 0.  Those share a second basis with
+        ``γ = 1/max|λ|`` over them.  Any other shift, such as ``λ = 0``, gets
+        a factor of ``λ − L`` of its own, which solves every column that asks
+        for it; an exactly singular one leaves NaN values.  Resolvent values are not verified here.
         Returns the memo: per request ``(b, table)``, ``table`` mapping
         ``"semigroup"``, ``"integrated"`` and ``"resolvent"`` to their points
         and values ``(points, n)``.  Logs one line, ``krylov n= cols= times=
@@ -451,10 +457,11 @@ class DirichletGridRelation:
         for :meth:`_exp_action`).
         """
         n = self.n_inside
-        mu = _sup_log_norm(self.op)
+        mu = self._mu
         tmax = max((float(np.max(np.abs(ts), initial=0.0)) for _, ts, _ in requests),
                    default=0.0)
-        gamma = tmax / 10.0
+        tenth = tmax / 10.0
+        gamma = min(tenth, math.sqrt(tmax / self._norm) / 8.0) if self._norm else tenth
         poles = [gamma] if tmax > 0.0 else []
         plans = []
         for b, times, lams in requests:
@@ -462,10 +469,10 @@ class DirichletGridRelation:
             shifts = lams[krylov]
             if np.iscomplexobj(shifts) and not shifts.imag.any():
                 shifts = shifts.real
-            # a shift more than a hundredfold below the time pole would grow
-            # every column's basis (at m = 64 and 96 a second factor is
-            # cheaper beyond about 300), so it joins the shifts' own pole
-            joint = np.abs(shifts) * 100.0 >= 1.0 / gamma if tmax > 0.0 else \
+            # a shift more than a hundredfold below 10/max t would grow every
+            # column's basis (at m = 64 and 96 a second factor is cheaper
+            # beyond about 300), so it joins the shifts' own pole
+            joint = np.abs(shifts) * 100.0 >= 1.0 / tenth if tmax > 0.0 else \
                 np.zeros(shifts.size, dtype=bool)
             plans.append((krylov, shifts, joint))
         far = [np.abs(shifts[~joint]) for _, shifts, joint in plans if not joint.all()]
@@ -476,20 +483,19 @@ class DirichletGridRelation:
         for (b, times, lams), (krylov, shifts, joint) in zip(requests, plans):
             exp_vals = np.zeros((2, times.size, n), dtype=np.result_type(times, float))
             res_vals = np.zeros((lams.size, n), dtype=np.result_type(lams, float))
-            timed = times if np.any(times != 0) else times[:0]
-            if not timed.size:
-                exp_vals[0] = b  # T(0) = I and S(0) = 0 on the mask
+            timed = times != 0
+            exp_vals[0][~timed] = b  # T(0) = I and S(0) = 0 on the mask, exactly
             where = np.flatnonzero(krylov)
             # the time pole serves the times and the joint shifts, the
             # shifts' own pole the rest
-            parts = [(timed, joint)] * (tmax > 0.0) + [(times[:0], ~joint)] * bool(far)
+            parts = [(times[timed], joint)] * (tmax > 0.0) + [(times[:0], ~joint)] * bool(far)
             for g, solve, (ts, pick) in zip(poles, solves, parts):
                 if not (ts.size or pick.any()):
                     continue
                 (tj, rj), sj, bj, cj = _si_column(self.op, solve, g, mu, b, ts,
                                                    shifts[pick], max_basis)
                 if ts.size:
-                    exp_vals[...] = tj
+                    exp_vals[:, timed] = tj
                 res_vals[where[pick]] = rj
                 size, bound, checks = max(size, sj), max(bound, bj), checks + cj
             out.append((b, {"semigroup": (times, exp_vals[0]),
@@ -639,11 +645,15 @@ def _residual_integral(lam, weights, z) -> float:
     return float((half * w).ravel() @ np.abs(psi))
 
 
-def _sup_log_norm(op) -> float:
-    """``μ∞(L) = maxᵢ (l_ii + Σ_{j≠i} |l_ij|)``, so ``‖e^{tL}‖∞ ≤ e^{t μ∞(L)}``
-    for ``t ≥ 0`` and ``‖R(λ)‖∞ ≤ 1/(Re λ − μ∞(L))`` for ``Re λ > μ∞(L)``."""
+def _sup_norms(op) -> tuple[float, float]:
+    """``(μ∞(L), ‖L‖∞)`` from one pass over ``|L|``: the logarithmic norm
+    ``μ∞(L) = maxᵢ (l_ii + Σ_{j≠i} |l_ij|)``, so ``‖e^{tL}‖∞ ≤ e^{t μ∞(L)}``
+    for ``t ≥ 0`` and ``‖R(λ)‖∞ ≤ 1/(Re λ − μ∞(L))`` for ``Re λ > μ∞(L)``,
+    and the largest absolute row sum; ``(-inf, 0)`` for an empty block."""
     diag = op.diagonal()
-    return float(np.max(diag + np.asarray(abs(op).sum(axis=1)).ravel() - np.abs(diag)))
+    rowsum = np.asarray(abs(op).sum(axis=1)).ravel()
+    return (float(np.max(diag + rowsum - np.abs(diag), initial=-math.inf)),
+            float(np.max(rowsum, initial=0.0)))
 
 
 def _shifts(lams) -> np.ndarray:
@@ -796,7 +806,10 @@ def _si_column(op, solve, gamma, mu, b, times, lams, max_basis):
     most ``EXP_TOL·‖b‖∞``; a check evaluates the resolvent bound only once
     the exponential one is met, so without shifts, or with shifts the basis
     already serves, the times get the basis and the values they would get
-    alone.
+    alone.  The basis size depends on the pole ``γ⁻¹``: on t = 0:0.05:1 over
+    the disk with ones and the bump, the ``γ = min(τ/10, √(τ/‖L‖∞)/8)`` of
+    :meth:`DirichletGridRelation._krylov` takes 28–39 vectors at m = 32 and
+    63–73 at m = 128, where ``γ = τ/10`` took 45–50 and 135–137.
 
     *Exponential.*  The residual of ``β V_k exp(s T_k) e₁`` as a solution of
     ``u' = L u`` is ``r_k(s) = (h β / γ) (e_kᵀ H_k⁻¹ exp(s T_k) e₁) (I − γL)
@@ -817,7 +830,7 @@ def _si_column(op, solve, gamma, mu, b, times, lams, max_basis):
     ``x_k = βγ V_k H_k z`` with ``z = ((λγ − 1) H_k + I)⁻¹ e₁``, one small
     solve per shift and no ``H_k⁻¹``; its residual ``(λ − L) x_k − b =
     −hβ z_k (I − γL) v_{k+1}`` is a scalar times one vector.  With
-    ``‖R(λ)‖∞ ≤ 1/(Re λ − μ₊)`` (:func:`_sup_log_norm`) the bound is
+    ``‖R(λ)‖∞ ≤ 1/(Re λ − μ₊)`` (:func:`_sup_norms`) the bound is
     ``(h/γ)|e_kᵀ H_k⁻¹ y|·‖(I − γL) v_{k+1}‖∞ / (Re λ − μ₊)`` with
     ``y = βγ H_k z``, its divisor capped at ``ACCEPT_TOL/(2·EXP_TOL)`` so
     that a met bound also leaves a residual of at most half what the
@@ -1331,7 +1344,8 @@ def heat_orbit(rel: DirichletGridRelation, u0, t_grid) -> HeatOrbit:
     middle and last grid times, the integrated form of ``u' ∈ Au``, so at
     most ``√n (1 + τ) EXP_TOL ‖u0‖∞`` by the kernel's error bounds.
     ``T(0)``, the orbit and ``S`` come from one call of the exponential
-    kernel, so from one Krylov basis.
+    kernel, so from one Krylov basis; ``T(0) u0`` is ``P u0`` exactly, so
+    ``projection_defect`` is 0.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0 or np.any(t_grid <= 0) or np.any(np.diff(t_grid) <= 0):

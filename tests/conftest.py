@@ -1,4 +1,5 @@
 import ctypes
+import math
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,14 @@ def bundled_openblas():
                 found.append((path.name, get, set_))
                 break
     return found
+
+
+def time_pole(op, tmax):
+    """The heat lab's exponential pole ``1/γ`` for times up to ``tmax``:
+    ``γ = min(tmax/10, √(tmax/‖L‖∞)/8)``, ``‖L‖∞`` the largest absolute row
+    sum of ``op``."""
+    norm = float(abs(op).sum(axis=1).max())
+    return 1.0 / min(tmax / 10.0, math.sqrt(tmax / norm) / 8.0)
 
 
 def pytest_configure(config):

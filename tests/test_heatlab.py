@@ -445,6 +445,18 @@ def test_heat_orbit_multivalued_datum(small_disk):
     assert orbit.projection_defect <= 1e-12
 
 
+def test_heat_orbit_projection_defect_is_exactly_zero():
+    # T(0)u0 is the projection Pu0 itself, not a Krylov evaluation at t = 0
+    # (which left 5.55e-16 here); S(0)u0 is exactly zero
+    grid = Grid(96)
+    rel = DirichletGridRelation(disk_mask(grid, 0.7))
+    u0 = bump_function(grid)
+    assert heat_orbit(rel, u0, np.arange(1, 21) * 0.05).projection_defect == 0.0
+    ts = np.array([0.0, 0.5, 1.0])
+    traj, integ = rel._exp_action(ts, u0)
+    assert np.array_equal(traj[0][rel.omega], u0[rel.omega]) and not integ[0].any()
+
+
 def test_heat_orbit_validation(small_disk):
     u0 = np.ones(small_disk.state_dim)
     with pytest.raises(InvalidInput):

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spl
+from conftest import time_pole
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -86,7 +87,7 @@ def test_integrated_matches_operator_factor(rel, field, monkeypatch):
     monkeypatch.setattr(heatlab, "_factor",
                         lambda op, sigma: sigmas.append(sigma) or factor(op, sigma))
     got = rel.integrated(ts, fs)
-    assert sigmas == [1.0 / (ts.max() / 10.0)]
+    assert sigmas == [time_pole(rel.op, ts.max())]
     n = rel.n_inside
     lu = _diagonal_lu(rel.op)
     w = rel.semigroup(ts, fs)[:, rel.omega] - fs[rel.omega]
@@ -242,8 +243,9 @@ def test_each_factorization_logs_one_line(monkeypatch, caplog):
         assert line.startswith(f"factor n={n} sigma=") and " nnz=" in line
     # both shifts come from one real factor at the pole max |λ| = √2
     assert lines[0].startswith(f"factor n={rel.n_inside} sigma={abs(1 + 1j)} ")
-    # integrated factors only the Krylov shift 1/γ, γ = max t / 10
-    assert lines[1].startswith(f"factor n={rel.n_inside} sigma=10.0 ")
+    # integrated factors only the Krylov shift 1/γ, γ = min(max t/10,
+    # √(max t/‖L‖∞)/8)
+    assert lines[1].startswith(f"factor n={rel.n_inside} sigma={time_pole(rel.op, 1.0)} ")
     # the shifted stencils and −iI − L are dominant, the augmented system
     # of the multiplier relation is not
     assert lines[2].startswith(f"factor n={rel.n_inside} sigma=-1j ")

@@ -9,14 +9,17 @@ that fails its backward-error check must raise only where it is read.
 """
 
 import cmath
+import contextlib
 import logging
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-from hypothesis import given, settings
+from conftest import time_pole
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relsemi import heatlab
@@ -40,9 +43,30 @@ def _dense_phi1(op, t):
     return sla.expm(aug)[:n, n:]
 
 
+@contextlib.contextmanager
+def _krylov_lines():
+    """The ``krylov`` debug lines logged inside the block."""
+    lines = []
+    handler = logging.Handler(logging.DEBUG)
+    handler.emit = lambda record: lines.append(record.getMessage())
+    logger = logging.getLogger("relsemi")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        yield lines
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    lines[:] = [line for line in lines if line.startswith("krylov ")]
+
+
 @given(m=st.integers(4, 16), radius=st.floats(0.25, 0.6), scaled=st.booleans(),
        field=st.sampled_from(["real", "complex"]), seed=st.integers(0, 10_000),
        angle=st.floats(-1.2, 1.2), tmax=st.sampled_from([1e-3, 0.1, 2.0]))
+# max t·‖L‖∞ = 0.162 keeps the pole 10/max t; 1156 takes 8√(‖L‖∞/max t)
+@example(m=8, radius=0.6, scaled=False, field="real", seed=1, angle=0.5, tmax=1e-3)
+@example(m=16, radius=0.6, scaled=False, field="complex", seed=2, angle=-0.5, tmax=2.0)
 @settings(max_examples=30, deadline=None)
 def test_one_call_serves_times_and_shifts_within_their_bounds(m, radius, scaled, field,
                                                              seed, angle, tmax):
@@ -54,13 +78,15 @@ def test_one_call_serves_times_and_shifts_within_their_bounds(m, radius, scaled,
     f = np.column_stack([bump_function(rel.grid), rng.standard_normal(rel.state_dim)])
     if field == "complex":
         f = f + 1j * rng.standard_normal(f.shape)
-    # the pole 10/max t lies between the shifts, far above them or, at
-    # max t = 2 (pole 5), below 50, 1e3 and 0.5 + 200i; a shift more than a
-    # hundredfold below it (max t = 0.1 or 1e-3) gets a second pole
+    # the time pole max(10/max t, 8√(‖L‖∞/max t)) lies between the shifts or
+    # far above them; at max t = 2 it may lie below 50, 1e3 and 0.5 + 200i.
+    # A shift more than a hundredfold below 10/max t (max t = 0.1 or 1e-3)
+    # gets a second pole
     ts = np.concatenate([[0.0], tmax * np.sort(rng.uniform(0.05, 1.0, 3))])
     zs = np.concatenate([ts, [tmax * cmath.exp(1j * angle)]])
     lams = np.array([0.3, 1.0, 4.0, 1.0 + 1.0j, 0.2 - 3.0j, 50.0, 1e3, 0.5 + 200.0j])
-    rel.remember((zs, lams, f))
+    with _krylov_lines() as lines:
+        rel.remember((zs, lams, f))
     made = []
     factor = heatlab._factor
     with pytest.MonkeyPatch.context() as patch:
@@ -74,6 +100,15 @@ def test_one_call_serves_times_and_shifts_within_their_bounds(m, radius, scaled,
     assert not got_t[:, off].any() and not got_s[:, off].any() and not got_r[:, off].any()
     if rel.n_inside == 0:
         return
+    # the first pole is the time pole, from whichever branch of the formula
+    far = float(np.max(np.abs(zs)))
+    norm = float(abs(rel.op).sum(axis=1).max())
+    pole = float(lines[0].split(" pole=")[1].split()[0].split(",")[0])
+    assert pole == time_pole(rel.op, far)
+    if far * norm <= 100.0 / 64.0:
+        assert pole == 1.0 / (far / 10.0)
+    else:
+        assert pole == 1.0 / (math.sqrt(far / norm) / 8.0) > 10.0 / far
     dense = rel.op.toarray()
     b = f[rel.omega]
     # the kernel's bounds hold per real column of b

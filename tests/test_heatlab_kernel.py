@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from conftest import time_pole
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relsemi import heatlab
 from relsemi.errors import InvalidInput, SolverBreakdown
 from relsemi.grids import DomainMask, Grid
 from relsemi.heatlab import (
+    EXP_MAX_BASIS,
     EXP_TOL,
     DirichletGridRelation,
     bump_function,
@@ -139,11 +142,12 @@ def test_kernel_logs_one_debug_line_per_call(caplog):
     lines = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("krylov")]
     assert len(lines) == 3
-    assert lines[0].startswith(f"krylov n={rel.n_inside} cols=1 times=2 lams=0 pole=10.0 ")
+    pole = time_pole(rel.op, 1.0)
+    assert lines[0].startswith(f"krylov n={rel.n_inside} cols=1 times=2 lams=0 pole={pole} ")
     assert lines[0].endswith(" direct=0 memo=miss")
     assert lines[1] == (f"krylov n={rel.n_inside} cols=2 times=1 lams=0 pole=none "
                         "basis=0 bound=0.000e+00 checks=0 direct=0 memo=hit")
-    assert lines[2].startswith(f"krylov n={rel.n_inside} cols=1 times=1 lams=0 pole=10.0 ")
+    assert lines[2].startswith(f"krylov n={rel.n_inside} cols=1 times=1 lams=0 pole={pole} ")
     assert all("basis=" in line and "bound=" in line for line in lines)
     assert all(" checks=" in line for line in lines)
 
@@ -164,6 +168,27 @@ def test_kernel_checks_its_bound_a_few_times_per_column(monkeypatch, caplog):
     assert " cols=1 " in line and line.endswith(f" checks={len(eigs)} direct=0 memo=off")
     assert 0 < len(eigs) <= 16
     assert float(line.split(" bound=")[1].split()[0]) <= EXP_TOL * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("m, want", [(32, (28, 39)), (64, (41, 52)), (96, (52, 64)),
+                                     (128, (63, 73))])
+def test_the_mesh_aware_pole_builds_smaller_bases_under_refinement(caplog, m, want):
+    # basis sizes for ones and the bump on t = 0:0.05:1 at the pole
+    # max(10, 8√‖L‖∞), measured; the pole 10 alone, which ignores how stiff
+    # L is, needs more at every mesh (45/50 at m = 32, 137/135 at m = 128)
+    rel = DirichletGridRelation(disk_mask(Grid(m), 0.7))
+    ts = np.linspace(0.0, 1.0, 21)
+    solve = heatlab._factor(rel.op, 10.0)
+    for f, size in zip((np.ones(rel.state_dim), bump_function(rel.grid)), want):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="relsemi"):
+            rel._exp_action(ts, f)
+        line = next(r.getMessage() for r in caplog.records
+                    if r.getMessage().startswith("krylov"))
+        assert f" pole={time_pole(rel.op, 1.0)} basis={size} " in line
+        _, old, _, _ = heatlab._si_column(rel.op, solve, 0.1, rel._mu, f[rel.omega], ts,
+                                          np.zeros(0), EXP_MAX_BASIS)
+        assert size < old
 
 
 def test_perturbation_experiment_sweeps_each_mask_once(monkeypatch):
@@ -189,16 +214,22 @@ def test_perturbation_experiment_sweeps_each_mask_once(monkeypatch):
 @pytest.mark.parametrize("kind", ["bump", "random"])
 def test_kernel_is_scale_invariant(c, kind):
     # each column is scaled by a power of two near its sup norm before the
-    # loop, so β = ‖b‖₂ neither overflows nor underflows
+    # loop, so β = ‖b‖₂ neither overflows nor underflows: at c = 1e±300 every
+    # time is within the kernel's bound of dense expm, EXP_TOL·‖b‖∞ on T and
+    # t times that on S, so the scaled and unscaled runs agree within twice it
     grid = Grid(12)
     rel = DirichletGridRelation(disk_mask(grid, 0.7))
     f = _data(kind, grid, 3)
     ts = np.array([0.0, 0.25, 1.0])
-    for name in ("semigroup", "integrated"):
+    scale = np.max(np.abs(f[rel.omega]))
+    for name, oracle, widths in (("semigroup", _dense_exp, np.ones_like(ts)),
+                                 ("integrated", _dense_integral, ts)):
         ref = getattr(rel, name)(ts, f)
         got = getattr(rel, name)(ts, c * f)
         assert np.all(np.isfinite(got))
-        assert np.max(np.abs(got - c * ref)) <= 1e-14 * c * np.max(np.abs(ref))
+        for t, width, got_t, ref_t in zip(ts, widths, got / c, ref):
+            assert np.max(np.abs(got_t - oracle(rel, t, f))) <= width * EXP_TOL * scale
+            assert np.max(np.abs(got_t - ref_t)) <= 2.0 * width * EXP_TOL * scale
 
 
 def test_kernel_scaled_by_a_power_of_two_is_bit_identical():

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spl
+from conftest import time_pole
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -89,6 +90,12 @@ def test_krylov_resolvent_keeps_its_digits_under_refinement(m):
         assert np.all(err <= 2.0 * EXP_TOL * np.max(np.abs(b), axis=0))
 
 
+def _time_poles(masks, t_max):
+    """The time pole of every relation's one Krylov call, counted."""
+    return collections.Counter(complex(time_pole(DirichletGridRelation(mk).op, t_max))
+                               for mk in masks)
+
+
 def test_one_experiment_factors_each_pole_once(monkeypatch):
     # each relation's one Krylov call, on the exponential kernel's pole 1/γ,
     # serves S(t), the certificate's λ ∈ {0.5, 1, 2} and mu = 1 + i; the
@@ -98,25 +105,28 @@ def test_one_experiment_factors_each_pole_once(monkeypatch):
     factor = heatlab._factor
     monkeypatch.setattr(heatlab, "_factor",
                         lambda op, sigma: shifts.update([complex(sigma)]) or factor(op, sigma))
-    perturbation_experiment(polygon_family(grid, 0.7, sides=(3, 4, 6)),
-                            disk_mask(grid, 0.7), [0.5, 1.0, 2.0],
+    masks = [*polygon_family(grid, 0.7, sides=(3, 4, 6)), disk_mask(grid, 0.7)]
+    perturbation_experiment(masks[:-1], masks[-1], [0.5, 1.0, 2.0],
                             np.linspace(0.0, 1.0, 4), np.ones((grid.n_nodes, 1)),
                             tol=0.5, samples=2)
-    # per relation (3 members and the limit) the pole 1/γ = 10; the samples'
-    # R(1) on the limit; per member a graph distance at −i and a deficit
-    # eigenvalue at 0
-    assert shifts == {10: 4, 1: 1, -1j: 3, 0: 3}
+    # per relation (3 members and the limit) its pole 1/γ (here 8√‖L‖∞ ≈ 192,
+    # the same for all four); the samples' R(1) on the limit; per member a
+    # graph distance at −i and a deficit eigenvalue at 0
+    poles = _time_poles(masks, 1.0)
+    assert list(poles.values()) == [4] and 1.0 not in poles
+    assert shifts == poles + collections.Counter({1: 1, -1j: 3, 0: 3})
 
 
 @pytest.mark.parametrize("f_name, lambda_grid, t_max, want", [
     # no column of ones in f_set: the certificate's column rides on the
     # same factor, with no times
-    ("bump", [0.5, 1.0, 2.0], 1.0, {10: 4, 1: 1, -1j: 3, 0: 3}),
+    ("bump", [0.5, 1.0, 2.0], 1.0, {1: 1, -1j: 3, 0: 3}),
     # λ = 0 on the grid keeps a factor of its own, made once per relation
-    ("ones", [0.0, 0.5, 1.0, 2.0], 1.0, {10: 4, 1: 1, -1j: 3, 0: 7}),
-    # the shifts lie more than a hundredfold below the pole 10⁴: a second
-    # pole, max|λ| = 2, in the same call
-    ("ones", [0.5, 1.0, 2.0], 1e-3, {1e4: 4, 2: 4, 1: 1, -1j: 3, 0: 3}),
+    ("ones", [0.0, 0.5, 1.0, 2.0], 1.0, {1: 1, -1j: 3, 0: 7}),
+    # the shifts lie more than a hundredfold below 10/max t = 10⁴, which is
+    # also the pole (max t·‖L‖∞ is small): a second pole, max|λ| = 2, in the
+    # same call
+    ("ones", [0.5, 1.0, 2.0], 1e-3, {2: 4, 1: 1, -1j: 3, 0: 3}),
 ])
 def test_an_experiment_factors_each_pole_once_on_any_input(monkeypatch, f_name,
                                                            lambda_grid, t_max, want):
@@ -126,10 +136,14 @@ def test_an_experiment_factors_each_pole_once_on_any_input(monkeypatch, f_name,
     monkeypatch.setattr(heatlab, "_factor",
                         lambda op, sigma: shifts.update([complex(sigma)]) or factor(op, sigma))
     f = bump_function(grid) if f_name == "bump" else np.ones(grid.n_nodes)
-    perturbation_experiment(polygon_family(grid, 0.7, sides=(3, 4, 6)),
-                            disk_mask(grid, 0.7), lambda_grid,
+    masks = [*polygon_family(grid, 0.7, sides=(3, 4, 6)), disk_mask(grid, 0.7)]
+    perturbation_experiment(masks[:-1], masks[-1], lambda_grid,
                             np.linspace(0.0, t_max, 4), f[:, None], tol=0.5, samples=2)
-    assert shifts == want
+    poles = _time_poles(masks, t_max)
+    assert list(poles.values()) == [4]
+    if t_max < 1.0:
+        assert poles == {1e4: 4}
+    assert shifts == poles + collections.Counter(want)
 
 
 def test_a_large_shift_meets_the_backward_error_gate():
