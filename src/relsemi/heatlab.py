@@ -30,30 +30,29 @@ residual at every shift are at most ``EXP_TOL·‖b‖∞``; neither depends on
 ``‖L‖ ~ h⁻²``.  The second is capped so that it also keeps the residual
 within the resolvent's backward-error gate at any ``Re λ``.  Each column is
 first scaled by a power of two near its sup norm, so data of any finite
-size give the same digits; NaN or infinite data, times or shifts raise
-:class:`InvalidInput`.
+size give the same digits; NaN or infinite data, times, shifts or
+operator entries raise :class:`InvalidInput`.
 
 Every factorization in the lab — the Krylov pole or a shift with
-``Re λ ≤ μ₊``, graph distances and nearest pairs (``−iI − L`` for a
-symmetric stencil's distance, the augmented ``[[I, Lᵀ], [L, −I]]``
-otherwise), the shift-invert Lanczos eigenvalue and the interval solve —
-is one sparse factorization of ``σI − op``, :func:`_factor`.  The pivot
-rule comes from the matrix: one that is diagonally dominant by rows or
-columns, decided exactly, is factored with diagonal pivots on a
-minimum-degree ordering, since Gaussian elimination on it needs no
-pivoting and has growth factor at most 2 (Higham, *Accuracy and Stability
-of Numerical Algorithms*, 2nd ed., Thm 9.9); every other matrix gets
-partial pivoting.  No factor and no basis outlives the call that made it.
-A relation remembers results, never a factor or a basis, in one memo:
-:meth:`DirichletGridRelation.remember` takes requests ``(times, lams, F)``
-for every point a study will read, in one Krylov call, and later calls on
-those points and columns read them back and make no factor; a call on
-anything else makes its own Krylov call and leaves them in place.
-``perturbation_experiment`` does that once per relation, so its
-contraction certificate, its report and its off-mask check share one
-factor.  Every resolvent column is verified by its backward error on every
-read.  The sector certificate makes no solve: it reads the signs of ``op``
-alone.
+``Re λ ≤ μ₊``, graph distances (``−iI − L`` for a symmetric stencil, the
+augmented ``[[I, Lᵀ], [L, −I]]`` otherwise), the shift-invert Lanczos
+eigenvalue and the interval solve — is one sparse factorization of
+``σI − op``, :func:`_factor`.  The pivot rule comes from the matrix: one
+that is diagonally dominant by rows or columns, decided exactly, is
+factored with diagonal pivots on a minimum-degree ordering, since Gaussian
+elimination on it needs no pivoting and has growth factor at most 2
+(Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+Thm 9.9); every other matrix gets partial pivoting.  No factor and no
+basis outlives the call that made it.  :meth:`DirichletGridRelation.remember`
+is the only way into a relation's memo, which holds results, never a
+factor or a basis: it takes requests ``(times, lams, F)`` for every point
+a study will read, in one Krylov call, and later calls on those points and
+columns read them back and make no factor.  A call on anything else makes
+its own Krylov call and keeps nothing.  ``perturbation_experiment`` and
+``heat_orbit`` remember once per relation, so a study's certificate,
+report and checks share one Krylov call.  Every resolvent column is verified
+by its backward error on every read.  The sector certificate makes no
+solve: it reads the signs of ``op`` alone.
 
 Operator norms are sup-norms throughout (max absolute row sums), matching
 the contraction and maximum-principle structure of the M-matrix stencil:
@@ -235,7 +234,8 @@ class DirichletGridRelation:
     ``vec_norm``) on arrays of shifts and times, with
     sup-norm vector norms.  ``operator`` overrides the plain stencil (used
     by multiplier perturbations); it must act on the masked block in flat
-    node order.
+    node order, and a NaN or infinite entry raises :class:`InvalidInput`
+    naming its row.
     """
 
     def __init__(self, mask: DomainMask, operator=None, label: str | None = None):
@@ -247,10 +247,14 @@ class DirichletGridRelation:
             else operator.tocsr()
         if self.op.shape != (self.omega.size, self.omega.size):
             raise InvalidInput("operator block does not match the mask")
+        bad = np.flatnonzero(~np.isfinite(self.op.data))
+        if bad.size:
+            row = int(np.searchsorted(self.op.indptr, bad[0], side="right")) - 1
+            raise InvalidInput(f"operator entry {self.op.data[bad[0]]!r} in row {row} "
+                               "is not finite")
         self._mu, self._norm = _sup_norms(self.op)
         self.label = label if label is not None else (mask.label or "mask")
-        self._memo = None
-        self._remembered = False
+        self._memo = {}  # real column bytes -> what remember evaluated on it
 
     # -- plumbing ---------------------------------------------------------
 
@@ -274,14 +278,6 @@ class DirichletGridRelation:
     def vec_norm(self, x):
         x = np.asarray(x)
         return np.max(np.abs(x), axis=0 if x.ndim == 1 else -2, initial=0.0)
-
-    def m_dissipative_ok(self) -> bool:
-        try:
-            supnorm_contraction(self, lams=(1.0,))
-            surjective_solve(self, np.ones(self.state_dim))
-            return True
-        except (ContractFailed, NotInResolventSet):
-            return False
 
     def resolvent(self, lams, fs):
         """``R(λ) F`` for every shift in ``lams``.
@@ -351,12 +347,12 @@ class DirichletGridRelation:
         union of their points.  The results replace the last call's and stay
         until the next ``remember``: later :meth:`semigroup`,
         :meth:`integrated` and :meth:`resolvent` calls on points and columns
-        of one request read them and make no factor, and a call on anything
-        else makes its own Krylov call without replacing them.
-        :meth:`resolvent` still verifies each column it returns, so a shift
-        outside the resolvent set raises when it is asked for, not here.
-        The relation keeps results only: the factor and the Krylov bases
-        are dropped on return.
+        of one request read them and make no factor.  This is the only way
+        into the memo; a call on anything else makes its own Krylov call and
+        keeps nothing.  :meth:`resolvent` still verifies each column it
+        returns, so a shift outside the resolvent set raises when it is
+        asked for, not here.  The relation keeps results only: the factor
+        and the Krylov bases are dropped on return.
         """
         requests = [(_times(ts), _shifts(ls), self._data(fs)) for ts, ls, fs in requests]
         if self.n_inside:
@@ -367,9 +363,7 @@ class DirichletGridRelation:
                     entry[1] += times.tolist()
                     entry[2] += lams.tolist()
             self._memo = self._krylov(
-                [(b, _distinct(ts), _distinct(ls)) for b, ts, ls in merged.values()],
-                EXP_MAX_BASIS, "miss")
-            self._remembered = True
+                [(b, _distinct(ts), _distinct(ls)) for b, ts, ls in merged.values()])
 
     def _stack(self, kind, points, fs):
         """The full-state stack of ``semigroup`` or ``integrated`` values."""
@@ -382,21 +376,17 @@ class DirichletGridRelation:
     def _read(self, kind, points, b, dtype):
         """``kind`` values on the masked block ``b`` at ``points``, as ``dtype``.
 
-        They come from the memo when it holds every point for every real
-        column of ``b`` (matched by value), else from one Krylov call for
-        exactly this request, which then becomes the memo unless
-        :meth:`remember` made it.  A remembered read logs ``krylov …
-        memo=hit``.
+        They come from the memo when :meth:`remember` evaluated every point
+        on every real column of ``b``, and the read logs ``krylov … memo=hit``;
+        else from one Krylov call for exactly this request, which is not
+        kept.
         """
         cols = _real_columns(b)
         times, lams = (points[:0], points) if kind == "resolvent" else (points, points[:0])
-        vals = None if self._memo is None else _recall(self._memo, kind, points, cols)
+        vals = _recall(self._memo, kind, points, cols)
         if vals is None:
-            memo = self._krylov([(col, times, lams) for col in cols.T], EXP_MAX_BASIS,
-                                "miss")
-            vals = _recall(memo, kind, points, cols)
-            if not self._remembered:
-                self._memo = memo
+            vals = _recall(self._krylov([(col, times, lams) for col in cols.T]),
+                           kind, points, cols)
         else:
             log.debug("krylov n=%d cols=%d times=%d lams=%d pole=none basis=0 "
                       "bound=0.000e+00 checks=0 direct=0 memo=hit", self.n_inside,
@@ -406,25 +396,7 @@ class DirichletGridRelation:
 
     # -- the Krylov call ------------------------------------------------------
 
-    def _exp_action(self, times, fs, max_basis: int = EXP_MAX_BASIS):
-        """``T(t) F`` and ``S(t) F`` for every time in ``times``, as the stack
-        ``(2, len(times)) + F.shape``, ``T`` first: one :meth:`_krylov` call
-        with no shifts that leaves the memo as it is.  Raises
-        :class:`SolverBreakdown` when ``max_basis`` vectors do not suffice.
-        """
-        times = _times(times)
-        fs = self._data(fs)
-        out = np.zeros((2, times.size) + fs.shape, dtype=np.result_type(fs, times, float))
-        if self.n_inside:
-            b = fs[self.omega]
-            cols = _real_columns(b)
-            memo = self._krylov([(col, times, times[:0]) for col in cols.T], max_basis, "off")
-            for k, kind in enumerate(("semigroup", "integrated")):
-                out[k][:, self.omega] = _complex_columns(_recall(memo, kind, times, cols),
-                                                         b, out.dtype)
-        return out
-
-    def _krylov(self, requests, max_basis, memo):
+    def _krylov(self, requests):
         """``T(t)``, ``S(t)`` and ``R(λ)`` for each request ``(b, times,
         lams)``, ``b`` a real column of the masked block, from one
         shift-and-invert basis per column.
@@ -445,16 +417,15 @@ class DirichletGridRelation:
         ``10/τ``, or every time is 0.  Those share a second basis with
         ``γ = 1/max|λ|`` over them.  Any other shift, such as ``λ = 0``, gets
         a factor of ``λ − L`` of its own, which solves every column that asks
-        for it; an exactly singular one leaves NaN values.  Resolvent values are not verified here.
-        Returns the memo: per request ``(b, table)``, ``table`` mapping
-        ``"semigroup"``, ``"integrated"`` and ``"resolvent"`` to their points
-        and values ``(points, n)``.  Logs one line, ``krylov n= cols= times=
-        lams= pole= basis= bound= checks= direct= memo=``, with the distinct
-        times and shifts, the poles ``γ⁻¹`` (``none`` without a basis), the
-        largest basis and bound over the columns, the summed bound checks,
-        the shifts factored directly and ``memo`` (``miss`` for
-        :meth:`remember` and for a read the memo could not serve, ``off``
-        for :meth:`_exp_action`).
+        for it; an exactly singular one leaves NaN values.  Resolvent values
+        are not verified here.  Returns a memo: each column's bytes mapped
+        to a table of ``"semigroup"``, ``"integrated"`` and ``"resolvent"``
+        points and values ``(points, n)``.  Logs one line, ``krylov n= cols=
+        times= lams= pole= basis= bound= checks= direct= memo=miss``, with
+        the distinct times and shifts, the poles ``γ⁻¹`` (``none`` without a
+        basis), the largest basis and bound over the columns, the summed
+        bound checks and the shifts factored directly; a read that the memo
+        serves logs the same line with ``memo=hit`` instead.
         """
         n = self.n_inside
         mu = self._mu
@@ -493,14 +464,14 @@ class DirichletGridRelation:
                 if not (ts.size or pick.any()):
                     continue
                 (tj, rj), sj, bj, cj = _si_column(self.op, solve, g, mu, b, ts,
-                                                   shifts[pick], max_basis)
+                                                   shifts[pick])
                 if ts.size:
                     exp_vals[:, timed] = tj
                 res_vals[where[pick]] = rj
                 size, bound, checks = max(size, sj), max(bound, bj), checks + cj
-            out.append((b, {"semigroup": (times, exp_vals[0]),
-                            "integrated": (times, exp_vals[1]),
-                            "resolvent": (lams, res_vals)}))
+            out.append({"semigroup": (times, exp_vals[0]),
+                        "integrated": (times, exp_vals[1]),
+                        "resolvent": (lams, res_vals)})
         direct = _distinct([lam for (_, _, lams), (krylov, _, _) in zip(requests, plans)
                             for lam in lams[~krylov].tolist()])
         for lam in direct.tolist():
@@ -510,32 +481,17 @@ class DirichletGridRelation:
             except RuntimeError:  # λ − L is exactly singular: resolvent refuses NaN
                 x = np.full((n, len(asking)), np.nan)
             for j, k in enumerate(asking):
-                points, vals = out[k][1]["resolvent"]
+                points, vals = out[k]["resolvent"]
                 vals[points == lam] = x[:, j]
         log.debug("krylov n=%d cols=%d times=%d lams=%d pole=%s basis=%d bound=%.3e "
-                  "checks=%d direct=%d memo=%s", n, len(requests),
+                  "checks=%d direct=%d memo=miss", n, len(requests),
                   _distinct([t for _, ts, _ in requests for t in ts.tolist()]).size,
                   _distinct([l for _, _, ls in requests for l in ls.tolist()]).size,
                   ",".join(str(1.0 / g) for g in poles) or "none",
-                  size, bound, checks, direct.size, memo)
-        return out
+                  size, bound, checks, direct.size)
+        return {b.tobytes(): table for (b, _, _), table in zip(requests, out)}
 
     # -- graph geometry -----------------------------------------------------
-
-    def _nearest_coeff(self):
-        """``coeff(u, f)``: the nearest graph point's ``a`` on the mask.
-
-        ``a`` solves ``(I + LᵀL) a = u + Lᵀf``, here as ``[[I, Lᵀ], [L, −I]]
-        [a; La − f] = [u; f]``, whose condition grows like ``‖L‖``, not like
-        the Gram matrix's ``‖L‖²``.  The returned function holds the one
-        2n×2n factor of that system; it takes 1-D ``u`` and ``f``.
-        :meth:`nearest_pair` uses it for every ``L``, :meth:`graph_distance`
-        only for one that is not symmetric, such as ``diag(m)·L``.
-        """
-        n = self.n_inside
-        eye = sp.identity(n, format="csr")
-        solve = _factor(sp.bmat([[-eye, -self.op.T], [-self.op, eye]]), 0.0)
-        return lambda u, f: solve(np.concatenate([u[self.omega], f[self.omega]]))[:n]
 
     def graph_distance(self, u, f):
         """Euclidean distance from the pair ``(u, f)`` to the graph.
@@ -551,50 +507,43 @@ class DirichletGridRelation:
         digits on pairs near the graph, where ``La − f`` cancels like
         ``‖L‖``; on pairs far from it, such as random ones, it is a few ulps
         less accurate than the augmented form, whose distance is stationary
-        in ``a``.  Any other ``L`` measures the nearest point of
-        :meth:`_nearest_coeff`'s augmented system.  Each column is solved
-        and measured as a contiguous 1-D state, so it matches the ``(N,)``
-        call to the last bit.  Logs one debug line per call.
+        in ``a``.  Any other ``L``, such as ``diag(m)·L``, measures the
+        nearest graph point ``(a, La)``: ``a`` solves ``(I + LᵀL) a = u +
+        Lᵀf``, here as ``[[I, Lᵀ], [L, −I]] [a; La − f] = [u; f]``, one 2n×2n
+        factor whose condition grows like ``‖L‖``, not like the Gram
+        matrix's ``‖L‖²``.  Each column is solved and measured as a
+        contiguous 1-D state, so it matches the ``(N,)`` call to the last
+        bit.  Logs one debug line per call.
         """
         u = np.asarray(u)
         f = np.asarray(f)
         ub, fb = (u[:, None], f[:, None]) if u.ndim == 1 else (u, f)
         dists = np.empty(ub.shape[1])
+        n = self.n_inside
         residual = not np.iscomplexobj(self.op) and (self.op != self.op.T).nnz == 0
-        log.debug("graph_distance n=%d cols=%d form=%s", self.n_inside, dists.size,
+        log.debug("graph_distance n=%d cols=%d form=%s", n, dists.size,
                   "residual" if residual else "augmented")
-        solve = coeff = None
-        if self.n_inside and dists.size:
+        if n and dists.size:
             if residual:
                 solve = _factor(self.op, complex(0.0, -1.0))
             else:
-                coeff = self._nearest_coeff()
+                eye = sp.identity(n, format="csr")
+                solve = _factor(sp.bmat([[-eye, -self.op.T], [-self.op, eye]]), 0.0)
         for j in range(dists.size):
             uj, fj = np.ascontiguousarray(ub[:, j]), np.ascontiguousarray(fb[:, j])
             dists[j] = np.linalg.norm(np.delete(uj, self.omega))
-            if solve is not None:
+            if not n:
+                continue
+            if residual:
                 x = solve(fj[self.omega] - self.op @ uj[self.omega])
                 dists[j] = math.sqrt(dists[j] ** 2 + np.linalg.norm(x) ** 2)
-            elif coeff is not None:
-                a = coeff(uj, fj)
+            else:
+                a = solve(np.concatenate([uj[self.omega], fj[self.omega]]))[:n]
                 du = a - uj[self.omega]
                 df = self.op @ a - fj[self.omega]
                 dists[j] = math.sqrt(dists[j] ** 2 + np.linalg.norm(du) ** 2
                                      + np.linalg.norm(df) ** 2)
         return float(dists[0]) if u.ndim == 1 else dists
-
-    def nearest_pair(self, u, f):
-        """Orthogonal projection of ``(u, f)`` onto the graph (one factor)."""
-        dt = np.result_type(u, f, float)
-        u = np.asarray(u, dtype=dt)
-        f = np.asarray(f, dtype=dt)
-        ustar = np.zeros_like(u)
-        fstar = f.copy()
-        if self.n_inside:
-            a = self._nearest_coeff()(u, f)
-            ustar[self.omega] = a
-            fstar[self.omega] = self.op @ a
-        return ustar, fstar
 
     # -- dense cross-check ---------------------------------------------------
 
@@ -701,27 +650,25 @@ def _distinct(points) -> np.ndarray:
 
 def _recall(memo, kind, points, cols):
     """The ``kind`` values of ``memo`` at ``points`` on the real columns
-    ``cols``, as ``(points, n, c)``, each column matched by value; ``None``
-    unless one entry of ``memo`` holds every point for each column."""
+    ``cols``, as ``(points, n, c)``, each column looked up by its bytes;
+    ``None`` unless ``memo`` holds every point for each column."""
     picks = []
     for col in cols.T:
-        for b, table in memo:
-            where, vals = table[kind]
-            if not np.array_equal(b, col):
-                continue
-            index = {p: i for i, p in enumerate(where.tolist())}
-            rows = [index.get(p) for p in points.tolist()]
-            if None not in rows:
-                picks.append(vals[rows])
-                break
-        else:
+        table = memo.get(col.tobytes())
+        if table is None:
             return None
+        where, vals = table[kind]
+        index = {p: i for i, p in enumerate(where.tolist())}
+        rows = [index.get(p) for p in points.tolist()]
+        if None in rows:
+            return None
+        picks.append(vals[rows])
     if not picks:
         return np.zeros((points.size, cols.shape[0], 0))
     return np.stack(picks, axis=-1)
 
 
-def _si_arnoldi(op, solve, gamma, b, max_basis, check):
+def _si_arnoldi(op, solve, gamma, b, check):
     """One shift-and-invert Arnoldi basis of ``A = (I − γL)⁻¹`` for the real,
     nonzero column ``b``: the loop of :func:`_si_column`.
 
@@ -736,13 +683,13 @@ def _si_arnoldi(op, solve, gamma, b, max_basis, check):
     error bound and what the kernel evaluates from.  Checks are placed where
     the bound's observed geometric decay predicts ``EXP_TOL·‖b‖∞``; the loop
     stops only at a check that meets it, and raises
-    :class:`SolverBreakdown` when ``max_basis`` vectors do not.  Returns
+    :class:`SolverBreakdown` when ``EXP_MAX_BASIS`` vectors do not.  Returns
     ``(V_k, β, state, bound, checks)``.
     """
     n = b.size
     scale = float(np.max(np.abs(b)))
     beta = float(np.linalg.norm(b))
-    cap = min(max_basis, n)
+    cap = min(EXP_MAX_BASIS, n)
     basis = np.empty((cap + 1, n))
     hess = np.zeros((cap + 1, cap))
     basis[0] = b / beta
@@ -794,7 +741,7 @@ def _span(coef, basis):
     return coef @ basis
 
 
-def _si_column(op, solve, gamma, mu, b, times, lams, max_basis):
+def _si_column(op, solve, gamma, mu, b, times, lams):
     """One real column of :meth:`DirichletGridRelation._krylov`: ``T`` and
     ``S`` at ``times`` and ``R`` at the Krylov shifts ``lams``, from one basis.
 
@@ -874,8 +821,7 @@ def _si_column(op, solve, gamma, mu, b, times, lams, max_basis):
             bounds.append(resid * gamma * float(np.max(np.abs(z[:, -1]) / margin)))
         return float(np.max(bounds)), (ritz, hess, z)
 
-    basis, beta, (ritz, hess, z), bound, checks = _si_arnoldi(
-        op, solve, gamma, b, max_basis, check)
+    basis, beta, (ritz, hess, z), bound, checks = _si_arnoldi(op, solve, gamma, b, check)
     if times.size:
         lam, vecs, coef = ritz
         if np.linalg.cond(vecs) > 1e3:
@@ -1343,17 +1289,24 @@ def heat_orbit(rel: DirichletGridRelation, u0, t_grid) -> HeatOrbit:
     Membership is the graph distance of ``(S(τ) u0, T(τ) u0 − P u0)`` at the
     middle and last grid times, the integrated form of ``u' ∈ Au``, so at
     most ``√n (1 + τ) EXP_TOL ‖u0‖∞`` by the kernel's error bounds.
-    ``T(0)``, the orbit and ``S`` come from one call of the exponential
-    kernel, so from one Krylov basis; ``T(0) u0`` is ``P u0`` exactly, so
-    ``projection_defect`` is 0.
+    ``T(0)``, the orbit and ``S`` are remembered by one Krylov call
+    (:meth:`DirichletGridRelation.remember`), which replaces ``rel``'s memo,
+    and read back with no factor; ``T(0) u0`` is ``P u0`` exactly, so
+    ``projection_defect`` is 0.  ``u0`` must be real: a complex state
+    raises :class:`InvalidInput`.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0 or np.any(t_grid <= 0) or np.any(np.diff(t_grid) <= 0):
         raise InvalidInput("time grid must be positive and strictly increasing")
-    u0 = np.asarray(u0, dtype=float)
+    u0 = np.asarray(u0)
     if u0.shape != (rel.state_dim,):
         raise InvalidInput("initial state has the wrong length")
-    traj, integ = rel._exp_action(np.concatenate([[0.0], t_grid]), u0)
+    if np.iscomplexobj(u0):
+        raise InvalidInput("initial state must be real")
+    u0 = u0.astype(float)
+    times = np.concatenate([[0.0], t_grid])
+    rel.remember((times, (), u0))
+    traj, integ = rel.semigroup(times, u0), rel.integrated(times, u0)
     states = traj[1:]
     pu0 = np.zeros_like(u0)
     pu0[rel.omega] = u0[rel.omega]

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 import relsemi
+from relsemi.grids import Grid
+from relsemi.heatlab import DirichletGridRelation, disk_mask
 from relsemi.subspace import Subspace
 
 
@@ -35,3 +37,13 @@ def test_one_rank_cutoff_and_no_one_value_knobs():
                    + sum(d is not None for d in node.args.kw_defaults)
                    for _, node in _defs())
     assert defaults <= 83
+
+
+def test_the_heat_lab_relation_has_no_unlisted_public_attribute():
+    # the evaluator protocol, remember, graph_distance, dense_relation and the
+    # data fields; a new public method has to be added here on purpose
+    rel = DirichletGridRelation(disk_mask(Grid(6), 0.7))
+    public = {name for name in dir(rel) if not name.startswith("_")}
+    assert public == {"state_dim", "resolvent", "semigroup", "integrated", "vec_norm",
+                      "remember", "graph_distance", "dense_relation",
+                      "mask", "grid", "omega", "op", "label", "n_inside"}

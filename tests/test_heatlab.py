@@ -1,9 +1,11 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spl
+from conftest import time_pole
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -94,7 +96,9 @@ def test_dirichlet_relation_parts(small_disk):
     assert p.range.dim == rel.state_dim
     assert p.kernel.dim == 0
     assert p.multivalued.dim == rel.state_dim - rel.n_inside
-    assert rel.m_dissipative_ok()
+    # m-dissipative: a sup-norm contraction at λ = 1, and A u ∋ f solvable
+    assert supnorm_contraction(rel, lams=(1.0,)).ok
+    surjective_solve(rel, np.ones(rel.state_dim))
 
 
 def test_dense_sparse_resolvent_agree(small_disk):
@@ -124,6 +128,19 @@ def test_dense_sparse_semigroup_agree(small_disk):
     assert np.max(rel.vec_norm(rel.semigroup(zs, f) - dense.semigroup(zs, f))) < 1e-9
 
 
+def _nearest_pair(rel, u, f):
+    """The orthogonal projection of ``(u, f)`` onto the graph, by dense
+    least squares: ``a`` minimizes ``‖[I; L]a − [u; f]‖`` on the mask."""
+    stacked = np.vstack([np.eye(rel.n_inside), rel.op.toarray()])
+    a = np.linalg.lstsq(stacked, np.concatenate([u[rel.omega], f[rel.omega]]),
+                        rcond=None)[0]
+    ustar = np.zeros_like(u, dtype=a.dtype)
+    fstar = np.array(f, dtype=a.dtype)
+    ustar[rel.omega] = a
+    fstar[rel.omega] = rel.op @ a
+    return ustar, fstar
+
+
 def test_graph_distance_planted_pair(small_disk):
     rel = small_disk
     u = np.zeros(rel.state_dim)
@@ -134,23 +151,28 @@ def test_graph_distance_planted_pair(small_disk):
     f2 = f.copy()
     f2[rel.omega[0]] += 1.0
     assert rel.graph_distance(u, f2) > 1e-3
-    uu, ff = rel.nearest_pair(u, f2)
+    uu, ff = _nearest_pair(rel, u, f2)
     assert rel.graph_distance(uu, ff) < 1e-9
 
 
-def test_nearest_pair_keeps_complex_data():
-    # the graph is real, so the projection of a complex pair is the
-    # projection of its real part plus i times that of its imaginary part
-    rel = DirichletGridRelation(disk_mask(Grid(12), 0.7))
+def test_graph_distance_keeps_complex_data():
+    # the graph is real, so the squared distance of a complex pair is that of
+    # its real part plus that of its imaginary part, and it is how far the
+    # dense projection moves the pair, in the residual form (the stencil)
+    # and the augmented one (a positive multiplier)
+    stencil = DirichletGridRelation(disk_mask(Grid(12), 0.7))
     rng = np.random.default_rng(12)
-    u, f = (rng.standard_normal((2, rel.state_dim))
-            + 1j * rng.standard_normal((2, rel.state_dim)))
-    uu, ff = rel.nearest_pair(u, f)
-    moved = math.sqrt(np.linalg.norm(u - uu) ** 2 + np.linalg.norm(f - ff) ** 2)
-    assert moved == pytest.approx(rel.graph_distance(u, f), rel=1e-12)
-    ur, fr = rel.nearest_pair(u.real, f.real)
-    ui, fi = rel.nearest_pair(u.imag, f.imag)
-    assert np.array_equal(uu, ur + 1j * ui) and np.array_equal(ff, fr + 1j * fi)
+    scaled = multiplier_relation(rng.uniform(0.5, 2.0, stencil.n_inside), stencil)
+    for rel in (stencil, scaled):
+        u, f = (rng.standard_normal((2, rel.state_dim))
+                + 1j * rng.standard_normal((2, rel.state_dim)))
+        dist = rel.graph_distance(u, f)
+        uu, ff = _nearest_pair(rel, u, f)
+        moved = math.sqrt(np.linalg.norm(u - uu) ** 2 + np.linalg.norm(f - ff) ** 2)
+        assert dist == pytest.approx(moved, rel=1e-12)
+        parts = math.hypot(rel.graph_distance(u.real, f.real),
+                           rel.graph_distance(u.imag, f.imag))
+        assert dist == pytest.approx(parts, rel=1e-12)
 
 
 @given(m=st.integers(4, 14), radius=st.sampled_from([0.3, 0.55]),
@@ -177,11 +199,6 @@ def test_graph_geometry_matches_dense_least_squares(m, radius, operator, field, 
     expected = math.hypot(np.linalg.norm(np.delete(u, rel.omega)),
                           np.linalg.norm(stacked @ a - rhs))
     assert rel.graph_distance(u, f) == pytest.approx(expected, rel=1e-12)
-    ustar, fstar = rel.nearest_pair(u, f)
-    scale = max(np.max(np.abs(u)), np.max(np.abs(f)))
-    assert np.max(np.abs(ustar[rel.omega] - a), initial=0.0) <= 1e-12 * scale
-    assert not ustar[np.delete(np.arange(grid.n_nodes), rel.omega)].any()
-    assert np.array_equal(fstar[rel.omega], rel.op @ ustar[rel.omega])
 
 
 @pytest.mark.parametrize("kind", ["random", "other-graph"])
@@ -325,7 +342,11 @@ def test_surjective_solve_is_the_verified_resolvent_at_zero(corrupt_factor):
     with pytest.raises(NotInResolventSet) as info:
         surjective_solve(rel, np.ones(rel.state_dim))
     assert info.value.residual > ACCEPT_TOL
-    assert not rel.m_dissipative_ok()
+    # the contraction's factor at λ = 1 is sound; a second solve at 0 makes
+    # its own Krylov call and is refused again
+    assert supnorm_contraction(rel, lams=(1.0,)).ok
+    with pytest.raises(NotInResolventSet):
+        surjective_solve(rel, np.ones(rel.state_dim))
 
 
 def test_first_eigenvalue_block_closed_form():
@@ -376,6 +397,23 @@ def test_multiplier_vanishing_rejected(small_disk):
     assert abs(exc.value.value) == 1e-12
     with pytest.raises(InvalidInput):
         multiplier_relation(np.ones(5), rel)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_multiplier_refuses_a_non_finite_value(small_disk, bad):
+    # bad input, named by its row: not a relation with min_abs=nan, nor a
+    # shift refused as outside the resolvent set
+    m_values = np.ones(small_disk.n_inside)
+    m_values[3] = bad
+    with pytest.raises(InvalidInput, match="row 3 "):
+        multiplier_relation(m_values, small_disk)
+
+
+def test_relation_refuses_a_non_finite_operator(small_disk):
+    op = small_disk.op.tocsr(copy=True)
+    op.data[op.indptr[5] + 1] = np.nan
+    with pytest.raises(InvalidInput, match="row 5 "):
+        DirichletGridRelation(small_disk.mask, operator=op)
 
 
 def test_max_principle_on_disk(small_disk):
@@ -453,7 +491,7 @@ def test_heat_orbit_projection_defect_is_exactly_zero():
     u0 = bump_function(grid)
     assert heat_orbit(rel, u0, np.arange(1, 21) * 0.05).projection_defect == 0.0
     ts = np.array([0.0, 0.5, 1.0])
-    traj, integ = rel._exp_action(ts, u0)
+    traj, integ = rel.semigroup(ts, u0), rel.integrated(ts, u0)
     assert np.array_equal(traj[0][rel.omega], u0[rel.omega]) and not integ[0].any()
 
 
@@ -465,6 +503,35 @@ def test_heat_orbit_validation(small_disk):
         heat_orbit(small_disk, u0, [1.0, 0.5])  # not increasing
     with pytest.raises(InvalidInput):
         heat_orbit(small_disk, np.ones(3), [1.0])
+
+
+def test_heat_orbit_refuses_a_complex_state():
+    # refused, not read as its real part: sup_ratio, min_entry and the
+    # nodewise decrease are statements about a real orbit
+    grid = Grid(12)
+    rel = DirichletGridRelation(disk_mask(grid, 0.7))
+    with pytest.raises(InvalidInput, match="real"):
+        heat_orbit(rel, bump_function(grid) * (1.0 + 1.0j), [0.5, 1.0])
+
+
+def test_heat_orbit_remembers_once_and_reads_with_no_factor(monkeypatch, caplog):
+    # one Krylov call for T and S at every time; the two reads are served by
+    # it, so the only other factor is graph_distance's at −i
+    grid = Grid(16)
+    rel = DirichletGridRelation(disk_mask(grid, 0.7))
+    made, calls = [], []
+    factor, kernel = heatlab._factor, DirichletGridRelation._krylov
+    monkeypatch.setattr(heatlab, "_factor",
+                        lambda op, sigma: made.append(sigma) or factor(op, sigma))
+    monkeypatch.setattr(DirichletGridRelation, "_krylov",
+                        lambda self, asked: calls.append(asked) or kernel(self, asked))
+    with caplog.at_level(logging.DEBUG, logger="relsemi"):
+        heat_orbit(rel, bump_function(grid), np.linspace(0.1, 1.0, 10))
+    assert len(calls) == 1
+    assert made == [time_pole(rel.op, 1.0), -1j]
+    memo = [r.getMessage().split(" memo=")[1] for r in caplog.records
+            if r.getMessage().startswith("krylov")]
+    assert memo == ["miss", "hit", "hit"]
 
 
 @pytest.mark.parametrize("m", [32, 64, 128])
@@ -647,7 +714,11 @@ def test_contraction_refuses_a_corrupted_solve(small_disk, corrupt_factor):
     with pytest.raises(NotInResolventSet) as exc:
         supnorm_contraction(rel, lams=(1.0,))
     assert exc.value.lam == 1.0 and exc.value.residual > ACCEPT_TOL
-    assert not rel.m_dissipative_ok()
+    # no refused read is kept: a second certificate solves again and is
+    # refused again, while the solve at 0 has a sound factor of its own
+    with pytest.raises(NotInResolventSet):
+        supnorm_contraction(rel, lams=(1.0,))
+    surjective_solve(rel, np.ones(rel.state_dim))
 
 
 def test_supnorm_contraction_reads_offdiagonal_signs_exactly(small_disk):

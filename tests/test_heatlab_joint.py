@@ -163,8 +163,8 @@ def test_a_failed_shift_raises_only_where_it_is_read(monkeypatch):
     n_limit = int(limit.values.sum())
     column = heatlab._si_column
 
-    def skewed(op, solve, gamma, mu, b, times, lams, max_basis):
-        (exp_vals, res_vals), *rest = column(op, solve, gamma, mu, b, times, lams, max_basis)
+    def skewed(op, solve, gamma, mu, b, times, lams):
+        (exp_vals, res_vals), *rest = column(op, solve, gamma, mu, b, times, lams)
         if op.shape[0] == n_limit:
             res_vals[lams.imag != 0] *= 1.01
         return (exp_vals, res_vals), *rest
@@ -215,3 +215,29 @@ def test_a_read_elsewhere_keeps_the_remembered_results(caplog):
     memo = [r.getMessage().split(" memo=")[1] for r in caplog.records
             if r.getMessage().startswith("krylov")]
     assert memo == ["miss", "miss", "hit", "hit"]
+
+
+def test_a_read_remember_did_not_serve_keeps_nothing():
+    # remember is the only way into the memo: a read it did not serve, on a
+    # fresh relation or after a remember, leaves the memo as it was, and the
+    # relation holds on to none of that read's results
+    grid = Grid(48)
+    rel = DirichletGridRelation(disk_mask(grid, 0.7))
+    ones, bump = np.ones((rel.state_dim, 1)), bump_function(grid)[:, None]
+    ts = np.linspace(0.0, 1.0, 11)
+    DirichletGridRelation(rel.mask).integrated(ts, ones)  # warm up imports and caches
+    for remembered in (False, True):
+        if remembered:
+            rel.remember(([0.5], [2.0], bump))
+        memo = dict(rel._memo)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rel.integrated(ts, ones)
+            rel.resolvent([0.5, 1.0], ones)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert rel._memo.keys() == memo.keys()
+        assert all(rel._memo[key] is table for key, table in memo.items())
+        assert kept < ts.size * rel.n_inside * 8  # less than one kept result

@@ -15,7 +15,6 @@ from relsemi import heatlab
 from relsemi.errors import InvalidInput, SolverBreakdown
 from relsemi.grids import DomainMask, Grid
 from relsemi.heatlab import (
-    EXP_MAX_BASIS,
     EXP_TOL,
     DirichletGridRelation,
     bump_function,
@@ -124,11 +123,12 @@ def test_empty_mask_kernel():
     assert not rel.semigroup([1.0 + 1.0j], f[:, None]).any()
 
 
-def test_basis_cap_raises_solver_breakdown():
+def test_basis_cap_raises_solver_breakdown(monkeypatch):
     grid = Grid(12)
     rel = DirichletGridRelation(disk_mask(grid, 0.7))
+    monkeypatch.setattr(heatlab, "EXP_MAX_BASIS", 2)
     with pytest.raises(SolverBreakdown):
-        rel._exp_action([0.5, 1.0], bump_function(grid), max_basis=2)
+        rel.semigroup([0.5, 1.0], bump_function(grid))
 
 
 def test_kernel_logs_one_debug_line_per_call(caplog):
@@ -136,18 +136,23 @@ def test_kernel_logs_one_debug_line_per_call(caplog):
     rel = DirichletGridRelation(disk_mask(grid, 0.7))
     with caplog.at_level(logging.DEBUG, logger="relsemi"):
         rel.semigroup([0.5, 1.0], np.ones(grid.n_nodes))
-        # both columns and the time were in the last call: read back
+        # both columns and the time were in the last call, but only what
+        # remember evaluated is kept, so this read makes its own call
         rel.semigroup([1.0], np.ones((grid.n_nodes, 2)))
+        rel.semigroup([1.0], bump_function(grid))
+        rel.remember(([1.0], (), bump_function(grid)))
         rel.semigroup([1.0], bump_function(grid))
     lines = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("krylov")]
-    assert len(lines) == 3
+    assert len(lines) == 5
+    head = f"krylov n={rel.n_inside} cols="
     pole = time_pole(rel.op, 1.0)
-    assert lines[0].startswith(f"krylov n={rel.n_inside} cols=1 times=2 lams=0 pole={pole} ")
-    assert lines[0].endswith(" direct=0 memo=miss")
-    assert lines[1] == (f"krylov n={rel.n_inside} cols=2 times=1 lams=0 pole=none "
+    assert lines[0].startswith(f"{head}1 times=2 lams=0 pole={pole} ")
+    assert lines[1].startswith(f"{head}2 times=1 lams=0 pole={pole} ")
+    assert lines[2].startswith(f"{head}1 times=1 lams=0 pole={pole} ")
+    assert all(line.endswith(" direct=0 memo=miss") for line in lines[:4])
+    assert lines[4] == (f"{head}1 times=1 lams=0 pole=none "
                         "basis=0 bound=0.000e+00 checks=0 direct=0 memo=hit")
-    assert lines[2].startswith(f"krylov n={rel.n_inside} cols=1 times=1 lams=0 pole={pole} ")
     assert all("basis=" in line and "bound=" in line for line in lines)
     assert all(" checks=" in line for line in lines)
 
@@ -162,10 +167,10 @@ def test_kernel_checks_its_bound_a_few_times_per_column(monkeypatch, caplog):
     eig = np.linalg.eig
     monkeypatch.setattr(np.linalg, "eig", lambda a: eigs.append(a.shape) or eig(a))
     with caplog.at_level(logging.DEBUG, logger="relsemi"):
-        rel._exp_action(np.linspace(0.0, 1.0, 5), bump_function(grid))
+        rel.integrated(np.linspace(0.0, 1.0, 5), bump_function(grid))
     line = next(r.getMessage() for r in caplog.records
                 if r.getMessage().startswith("krylov"))
-    assert " cols=1 " in line and line.endswith(f" checks={len(eigs)} direct=0 memo=off")
+    assert " cols=1 " in line and line.endswith(f" checks={len(eigs)} direct=0 memo=miss")
     assert 0 < len(eigs) <= 16
     assert float(line.split(" bound=")[1].split()[0]) <= EXP_TOL * np.max(np.abs(b))
 
@@ -182,12 +187,12 @@ def test_the_mesh_aware_pole_builds_smaller_bases_under_refinement(caplog, m, wa
     for f, size in zip((np.ones(rel.state_dim), bump_function(rel.grid)), want):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="relsemi"):
-            rel._exp_action(ts, f)
+            rel.semigroup(ts, f)
         line = next(r.getMessage() for r in caplog.records
                     if r.getMessage().startswith("krylov"))
         assert f" pole={time_pole(rel.op, 1.0)} basis={size} " in line
         _, old, _, _ = heatlab._si_column(rel.op, solve, 0.1, rel._mu, f[rel.omega], ts,
-                                          np.zeros(0), EXP_MAX_BASIS)
+                                          np.zeros(0))
         assert size < old
 
 
@@ -237,9 +242,10 @@ def test_kernel_scaled_by_a_power_of_two_is_bit_identical():
     rel = DirichletGridRelation(disk_mask(grid, 0.7))
     f = bump_function(grid) - 0.3
     ts = np.array([0.0, 0.25, 1.0])
-    ref = rel._exp_action(ts, f)
-    for k in (-900, -3, 5, 900):
-        assert np.array_equal(rel._exp_action(ts, np.ldexp(f, k)), np.ldexp(ref, k))
+    for read in (rel.semigroup, rel.integrated):
+        ref = read(ts, f)
+        for k in (-900, -3, 5, 900):
+            assert np.array_equal(read(ts, np.ldexp(f, k)), np.ldexp(ref, k))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -185,21 +185,28 @@ def test_resolvent_logs_one_line_per_call(caplog):
     ones = np.ones((rel.state_dim, 1))
     with caplog.at_level(logging.DEBUG, logger="relsemi"):
         first = rel.resolvent([0.5, 1.0, 2.0], ones)
-        again = rel.resolvent([0.5 + 0j, 1.0, 2.0], ones)  # the same shifts
+        # the same shifts; only what remember evaluated is kept, so this
+        # read makes its own call
+        again = rel.resolvent([0.5 + 0j, 1.0, 2.0], ones)
+        rel.resolvent([0.0, 1.0], ones)
+        rel.remember(((), [0.0, 1.0], ones))
         rel.resolvent([0.0, 1.0], ones)
     messages = [r.getMessage() for r in caplog.records
                 if r.getMessage().startswith(("factor ", "krylov "))]
     kinds = [msg.split()[0] for msg in messages]
-    assert kinds == ["factor", "krylov", "krylov", "factor", "factor", "krylov"]
+    assert kinds == (["factor", "krylov"] * 2 + ["factor", "factor", "krylov"] * 2
+                     + ["krylov"])
     assert messages[0].startswith(f"factor n={n} sigma=2.0 ")
     assert messages[1].startswith(f"krylov n={n} cols=1 times=0 lams=3 pole=2.0 basis=")
     assert messages[1].endswith(" direct=0 memo=miss")
-    assert messages[2] == (f"krylov n={n} cols=1 times=0 lams=3 pole=none basis=0 "
-                           "bound=0.000e+00 checks=0 direct=0 memo=hit")
+    assert messages[3] == messages[1]
     # λ = 0 keeps a factor of its own
-    assert messages[4].startswith(f"factor n={n} sigma=0.0 ")
-    assert messages[5].startswith(f"krylov n={n} cols=1 times=0 lams=2 pole=1.0 ")
-    assert messages[5].endswith(" direct=1 memo=miss")
+    assert messages[5].startswith(f"factor n={n} sigma=0.0 ")
+    assert messages[6].startswith(f"krylov n={n} cols=1 times=0 lams=2 pole=1.0 ")
+    assert messages[6].endswith(" direct=1 memo=miss")
+    assert messages[9] == messages[6]
+    assert messages[10] == (f"krylov n={n} cols=1 times=0 lams=2 pole=none basis=0 "
+                            "bound=0.000e+00 checks=0 direct=0 memo=hit")
     bound = float(messages[1].split(" bound=")[1].split()[0])
     assert bound <= EXP_TOL
     assert again.dtype == complex and np.array_equal(again, first)
