@@ -121,6 +121,19 @@ class LinearRelation:
         multivalued = Subspace.from_spanning(v @ null_basis(u, scale_floor=1.0), d)
         return RelationParts(domain, rng, kernel, multivalued)
 
+    @cached_property
+    def graph_complement(self) -> np.ndarray:
+        """Orthonormal basis ``N = [N1; N2]`` of the graph's orthogonal
+        complement in ``K^{2d}``: the last ``2d - dim`` columns of a complete
+        QR factorization of the graph basis (copied out, so the square
+        factor is not kept).
+
+        ``||N^H (x; y)||`` is the distance of a pair to the graph, and
+        ``[N2; -N1]`` is a graph basis of the adjoint.
+        """
+        q = np.linalg.qr(self.graph.basis, mode="complete")[0]
+        return np.ascontiguousarray(q[:, self.dim:])
+
     def sample_pairs(self, rng: np.random.Generator, count: int):
         """Draw ``count`` random graph elements; returns ``(X, Y)`` columns."""
         c = rng.standard_normal((self.dim, count))
@@ -143,12 +156,12 @@ class LinearRelation:
 
         ``(a, b)`` belongs to the adjoint iff ``<y, a> = <x, b>`` for every
         ``(x, y)`` in the relation; for the graph of a matrix ``M`` this is
-        the graph of ``M^H``.
+        the graph of ``M^H``.  Its graph basis ``[N2; -N1]`` comes from the
+        cached :attr:`graph_complement`.
         """
-        u, v = self.blocks()
-        flipped = np.vstack([v, -u])  # orthonormal columns, no re-orth needed
-        basis = null_basis(flipped.conj().T)
-        return LinearRelation(self.state_dim, Subspace(2 * self.state_dim, basis))
+        d = self.state_dim
+        n = self.graph_complement
+        return LinearRelation(d, Subspace(2 * d, np.vstack([n[d:], -n[:d]])))
 
     def shift(self, lam) -> "LinearRelation":
         """The relation ``lam - A = {(x, lam*x - y)}``."""

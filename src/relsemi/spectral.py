@@ -32,6 +32,10 @@ ACCEPT_TOL = 1e-9
 PSEUDO_TOL = 1e-10  # resolvent-identity residual a pseudo-resolvent table may carry
 #: Bound on the entries ``k * d**2`` of one stacked block of ``k`` resolvents.
 BLOCK_ENTRIES = 4096
+#: :func:`neumann_extend` sums until its tail bound is below ``NEUMANN_TAIL``,
+#: and refuses a series that needs more than ``NEUMANN_TERMS`` terms for that.
+NEUMANN_TAIL = 1e-15
+NEUMANN_TERMS = 500
 
 log = logging.getLogger("relsemi")
 
@@ -45,6 +49,11 @@ class ResolventSample:
     backward error of the linear solve for that column (the raw solve residual
     grows like ``|lam|`` even for perfect arithmetic, so it is normalized by
     ``‖lam U - V‖ ‖c‖ + 1``, with the norm the solve's own largest singular value).
+    The distance is the norm of the pair's coordinates on the cached
+    orthonormal complement of the graph
+    (:attr:`~relsemi.relation.LinearRelation.graph_complement`), which
+    agrees with the projector form ``‖(I - P)(R e_i, lam R e_i - e_i)‖`` to
+    round-off, not bit for bit.
     """
 
     lam: complex
@@ -71,20 +80,46 @@ class ResolventBlock:
     residuals: np.ndarray
 
     def norms(self) -> np.ndarray:
-        """``||R(lam)||_2`` at the accepted points, by one stacked SVD."""
-        return _largest_singular_values(self.matrices)
+        """``||R(lam)||_2`` at the accepted points, by one stacked
+        ``eigvalsh`` (:func:`_two_norms`)."""
+        return _two_norms(self.matrices)
 
     def scaled_norms(self) -> np.ndarray:
-        """``||lam R(lam)||_2`` at the accepted points, by one stacked SVD."""
-        return _largest_singular_values(self.values[:, None, None] * self.matrices)
+        """``||lam R(lam)||_2`` at the accepted points, by one stacked
+        ``eigvalsh`` (:func:`_two_norms`)."""
+        return _two_norms(self.values[:, None, None] * self.matrices)
 
 
-def _largest_singular_values(x: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(x, 2, axis=(1, 2))``: the same SVD gufunc, without the
-    wrapper's ``moveaxis`` and ``amax`` (singular values come sorted)."""
-    if x.shape[-1] == 0:
-        return np.zeros(x.shape[0])
-    return np.linalg.svd(x, compute_uv=False)[:, 0]
+def _two_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, 2, axis=(1, 2))`` as the square root of the largest
+    eigenvalue of each Gram matrix ``y^H y``, clamped at 0: one stacked
+    ``eigvalsh`` instead of one stacked SVD, equal to round-off of order
+    ``d eps`` relative to the norm.  ``y`` is ``x`` scaled exactly by the
+    power of two that brings its largest entry into ``[1/2, 1)``, so the
+    Gram matrix neither overflows nor underflows."""
+    k, d = x.shape[0], x.shape[-1]
+    if d == 0:
+        return np.zeros(k)
+    # a subnormal largest entry keeps the scale 2**1021, which is finite
+    exp = np.maximum(np.frexp(np.abs(x).reshape(k, d * d).max(axis=1))[1], -1021)
+    y = x * np.ldexp(1.0, -exp)[:, None, None]
+    top = np.linalg.eigvalsh(y.conj().transpose(0, 2, 1) @ y)[:, -1]
+    return np.ldexp(np.sqrt(np.maximum(top, 0.0)), exp)
+
+
+def _graph_distances(rel: LinearRelation, r: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Distances of the pairs ``(R e_i, lam R e_i - e_i)`` to the graph, for a
+    stack ``r`` of ``R`` and its ``lam``: the column norms of the pairs'
+    coordinates ``N1^H R + lam N2^H R - N2^H`` on the graph's cached
+    orthonormal complement ``N = [N1; N2]``, from one product
+    ``[N1^H; N2^H] R``.  Built on ``R`` (not on the solve's coefficients),
+    the error is the projector form's, ``eps (1 + ||pair||)``."""
+    d = rel.state_dim
+    nh = rel.graph_complement.conj().T  # [N1^H, N2^H]
+    c = len(nh)
+    coords = np.vstack([nh[:, :d], nh[:, d:]]) @ r
+    return np.linalg.norm(
+        coords[:, :c] + vals[:, None, None] * coords[:, c:] - nh[:, d:], axis=1)
 
 
 def _gelsd_failed(err, flag):
@@ -110,7 +145,8 @@ def _lstsq_stack(m: np.ndarray, eye: np.ndarray):
 
 def _certify(rel: LinearRelation, lams: list, accept_tol: float) -> ResolventBlock:
     """One block: one stacked gelsd call (:func:`_lstsq_stack`) gives every
-    point's rank, solve and scale."""
+    point's rank, solve and scale; :func:`_graph_distances` gives the
+    membership residuals."""
     d = rel.state_dim
     u, v = rel.blocks()
     vals = np.asarray(lams)
@@ -131,9 +167,7 @@ def _certify(rel: LinearRelation, lams: list, accept_tol: float) -> ResolventBlo
     rmat = u @ coef
     scale = s[full, :1] * np.linalg.norm(coef, axis=1) + 1.0
     solve_res = np.linalg.norm(m[full] @ coef - eye, axis=1) / scale
-    stacked = np.concatenate([rmat, vals[full, None, None] * rmat - eye], axis=1)
-    basis = rel.graph.basis
-    member_res = np.linalg.norm(stacked - basis @ (basis.conj().T @ stacked), axis=1)
+    member_res = _graph_distances(rel, rmat, vals[full])
     residual = np.max(member_res + solve_res, axis=1, initial=0.0)  # d = 0: no columns
     over = residual > accept_tol
     for j in np.flatnonzero(over):
@@ -222,9 +256,11 @@ def resolvent_identity_residual(s1: ResolventSample, s2: ResolventSample) -> flo
 def neumann_extend(base: ResolventSample, lam) -> np.ndarray:
     """Resolvent at ``lam`` by the series around ``base.lam``.
 
-    Requires ``|lam - base.lam| * ||R(base.lam)||_2 < 1``; otherwise the
-    series diverges and :class:`DivergentSeries` is raised.  Summation stops
-    at the first term of 2-norm below 1e-15, or after 500 terms.
+    With ``q = |lam - base.lam| * ||R(base.lam)||_2`` the terms after the
+    ``k``-th sum to at most ``||R(base.lam)||_2 q^(k+1) / (1 - q)`` in 2-norm;
+    summation stops once that tail bound is below ``NEUMANN_TAIL``.  When
+    ``q >= 1``, or when ``NEUMANN_TERMS`` terms cannot meet the bound,
+    :class:`DivergentSeries` is raised before any term is summed.
     """
     r0 = base.matrix
     norm0 = float(np.linalg.norm(r0, 2))
@@ -232,14 +268,19 @@ def neumann_extend(base: ResolventSample, lam) -> np.ndarray:
     if q >= 1.0:
         raise DivergentSeries(
             f"|lam - lam0| * ||R(lam0)|| = {q:.3f} >= 1")
+    terms, tail = 0, norm0 * q / (1.0 - q)
+    while tail >= NEUMANN_TAIL:
+        if terms == NEUMANN_TERMS:
+            raise DivergentSeries(
+                f"|lam - lam0| * ||R(lam0)|| = {q:.6f}: {NEUMANN_TERMS} terms leave "
+                f"a tail bound above {NEUMANN_TAIL:.0e}")
+        terms, tail = terms + 1, tail * q
     step = (base.lam - lam) * r0  # dtype promotes to complex when needed
     term = np.array(r0, dtype=step.dtype)
     total = term.copy()
-    for _ in range(500):
+    for _ in range(terms):
         term = term @ step
         total = total + term
-        if np.linalg.norm(term, 2) < 1e-15:
-            break
     return total
 
 

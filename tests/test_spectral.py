@@ -95,6 +95,19 @@ def test_neumann_extension_agrees_with_direct(m_dissipative_battery):
         assert np.max(np.abs(ext - direct)) < 1e-9
 
 
+def test_neumann_refuses_a_series_500_terms_cannot_sum():
+    # ||R(0)|| = 1 and q = 0.995: after 500 terms the tail bound is still
+    # 0.995**501 / 0.005 = 16.2; summing them anyway returned a matrix 16.2
+    # from R(-0.995) in 2-norm (whose norm is 200) and raised nothing
+    rel = LinearRelation.from_operator(np.diag([-1.0, -2.0]))
+    base = resolvent(rel, 0.0)
+    with pytest.raises(DivergentSeries, match="500 terms"):
+        neumann_extend(base, -0.995)
+    # q = 0.9 needs 349 terms for a tail bound below 1e-15
+    ext = neumann_extend(base, -0.9)
+    assert np.linalg.norm(ext - resolvent(rel, -0.9).matrix, 2) <= 1e-12
+
+
 def test_neumann_divergence_guard():
     rel = LinearRelation.from_operator(np.array([[-1.0]]))
     base = resolvent(rel, 1.0)  # R = 1/2, radius of convergence 2

@@ -1,8 +1,14 @@
-"""Stacked resolvents against the per-point scalar certificate, bit for bit."""
+"""Stacked resolvents against the per-point scalar certificate.
+
+Solves, ranks and refusals match one ``lstsq`` per point bit for bit;
+membership residuals (graph complement against projector) and 2-norms
+(Gram eigenvalue against SVD) match their scalar oracles to the stated
+round-off bounds."""
 
 import importlib
 import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,7 +21,7 @@ import relsemi.spectral as spectral
 from relsemi.dissipative import LAMBDA_DECADES, is_m_dissipative
 from relsemi.errors import NotInResolventSet
 from relsemi.heatlab import interval_relation
-from relsemi.relation import LinearRelation
+from relsemi.relation import LinearRelation, gap_relations
 from relsemi.sampling import random_m_dissipative, random_relation, random_unitary
 from relsemi.semigroup import SECTOR_SLACK, SectorSpec, sector_verify
 from relsemi.spectral import (
@@ -27,12 +33,22 @@ from relsemi.spectral import (
     resolvent_points,
     resolvent_set_scan,
 )
-from relsemi.subspace import RANK_TOL, numerical_rank
+from relsemi.subspace import RANK_TOL, Subspace, null_basis, numerical_rank
 
 try:  # the module whose ``svd`` numpy.linalg.norm calls
     _linalg = importlib.import_module("numpy.linalg._linalg")
 except ImportError:  # NumPy 1.x
     _linalg = importlib.import_module("numpy.linalg.linalg")
+
+
+EPS = np.finfo(float).eps
+#: |residual - oracle| <= RESIDUAL_SLACK * eps * (1 + the largest column norm
+#: of the oracle's pairs (R e_i, lam R e_i - e_i)); measured at most 8.8 over
+#: 45,000 points of random and m-dissipative relations, d = 1..32
+RESIDUAL_SLACK = 16
+#: |norm - oracle| <= NORM_SLACK * d * eps * oracle; measured at most 1.5
+#: on the same points
+NORM_SLACK = 8
 
 
 # -- the per-point references ------------------------------------------------
@@ -42,7 +58,8 @@ def _reference(rel, lam, accept_tol=ACCEPT_TOL):
     """The scalar certificate, one ``lam`` at a time.
 
     One ``lstsq`` call gives the solve and the singular values that decide
-    the rank and scale the backward error.
+    the rank and scale the backward error; the membership residual is the
+    projector form ``||(I - P)(R e_i, lam R e_i - e_i)||``.
     """
     d = rel.state_dim
     u, v = rel.blocks()
@@ -72,11 +89,31 @@ def _reference(rel, lam, accept_tol=ACCEPT_TOL):
     return rmat, residual
 
 
+def _residual_slack(lam, matrix):
+    """Bound on ``|residual - oracle|`` at ``lam`` (see ``RESIDUAL_SLACK``)."""
+    pairs = np.vstack([matrix, lam * matrix - np.eye(len(matrix))])
+    return RESIDUAL_SLACK * EPS * (1.0 + np.max(np.linalg.norm(pairs, axis=0), initial=0.0))
+
+
+def _norm_slack(rel, norm):
+    """Bound on ``|norm - oracle|`` (see ``NORM_SLACK``)."""
+    return NORM_SLACK * max(rel.state_dim, 1) * EPS * norm
+
+
+def _oracle_slack(rel, lam):
+    """The residual slack at ``lam``; 0 where the oracle refuses the rank."""
+    try:
+        return _residual_slack(lam, _reference(rel, lam, math.inf)[0])
+    except NotInResolventSet:
+        return 0.0
+
+
 def _reference_sector(rel, spec, eps, radii, rays):
+    """``sector_verify`` point by point, plus the norm at every accepted point."""
     theta_max = spec.alpha + math.pi / 2 - eps
     bound = spec.bound / math.sin(eps)
     worst_norm, worst_lam = -math.inf, complex("nan")
-    failures = []
+    failures, norms = [], {}
     for th in np.linspace(-theta_max, theta_max, rays):
         for r in np.logspace(-3, 6, radii):
             lam = r * complex(math.cos(th), math.sin(th))
@@ -86,11 +123,12 @@ def _reference_sector(rel, spec, eps, radii, rays):
                 failures.append((lam, f"resolvent: {exc}"))
                 continue
             norm = float(np.linalg.norm(lam * matrix, 2))
+            norms[lam] = norm
             if norm > worst_norm:
                 worst_norm, worst_lam = norm, lam
             if norm > bound + SECTOR_SLACK:
                 failures.append((lam, f"norm {norm:.6g} > {bound:.6g}"))
-    return not failures, bound, worst_norm, worst_lam, tuple(failures)
+    return not failures, bound, worst_norm, worst_lam, tuple(failures), norms
 
 
 def _reference_scan(rel, grid, accept_tol=ACCEPT_TOL):
@@ -120,18 +158,45 @@ def _reference_checks(rel):
     return tuple(checks), defect, None
 
 
-# -- resolvent itself ------------------------------------------------------------
+# -- comparisons with the references ------------------------------------------------
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?")
 
 
-def _same_refusal(got, want):
+def _same_message(got, want, slack):
+    """Equal text; the printed numbers agree to their printed digits or
+    within ``slack`` (the residual slack of the message's point)."""
+    assert _NUMBER.sub("#", got) == _NUMBER.sub("#", want)
+    for g, w in zip(_NUMBER.findall(got), _NUMBER.findall(want)):
+        assert math.isclose(float(g), float(w), rel_tol=1e-3, abs_tol=slack), (got, want)
+
+
+def _close(got, want, slack):
+    """Within ``slack``; NaN matches NaN (a row with no number)."""
+    if math.isnan(want):
+        return math.isnan(got)
+    return abs(got - want) <= slack
+
+
+def _same_refusal(got, want, slack=0.0):
+    """Same class, caller's ``lam``, rank and message; a residual refusal's
+    residual within ``slack`` of the oracle's."""
     assert type(got) is type(want)
-    assert str(got) == str(want)
     assert repr(got.lam) == repr(want.lam)
-    assert (got.rank, got.residual) == (want.rank, want.residual)
+    assert got.rank == want.rank
+    if want.residual is None:
+        assert got.residual is None and str(got) == str(want)
+    else:
+        assert abs(got.residual - want.residual) <= slack
+        assert str(got).replace(f"{got.residual:.3e}", f"{want.residual:.3e}") == str(want)
 
 
 def _matches_reference(rel, lams, accept_tol=ACCEPT_TOL):
-    """Compare every point with the scalar body; return the refused flags."""
+    """Compare every point with the scalar body; return the refused flags.
+
+    Verdicts, refusal classes, ranks and matrices are exact; residuals are
+    within ``_residual_slack`` of the oracle's.
+    """
     points = list(resolvent_points(rel, lams, lambda b: zip(b.matrices, b.residuals),
                                    accept_tol))
     assert len(points) == len(lams)
@@ -142,16 +207,74 @@ def _matches_reference(rel, lams, accept_tol=ACCEPT_TOL):
             want_matrix, want_residual = _reference(rel, lam, accept_tol)
         except NotInResolventSet as exc:
             assert kept is None
-            _same_refusal(refusal, exc)
+            _same_refusal(refusal, exc, _oracle_slack(rel, lam))
             refused.append(True)
             continue
         assert refusal is None
         matrix, residual = kept
         assert matrix.dtype == want_matrix.dtype
         assert np.array_equal(matrix, want_matrix)
-        assert residual == want_residual
+        assert abs(residual - want_residual) <= _residual_slack(lam, want_matrix)
         refused.append(False)
     return refused
+
+
+def _cutoff_with_margin(rel, lams):
+    """A tolerance with the stacked and the oracle residual of every point
+    of ``lams`` on the same side of it, so both refuse the same points: the
+    middle of the widest gap the residual pairs leave open, which refuses
+    some points and accepts the others.  Where no gap is open (at small
+    ``d`` every residual is round-off and the pairs overlap), -1, which
+    refuses every point."""
+    got = [kept for _, _, kept in resolvent_points(rel, lams, lambda b: b.residuals,
+                                                   math.inf)]
+    want = [_reference(rel, lam, math.inf)[1] for lam in lams]
+    spans = sorted((min(g, w), max(g, w)) for g, w in zip(got, want))
+    width, i = max((spans[i][0] - max(high for _, high in spans[:i]), i)
+                   for i in range(1, len(spans)))
+    return spans[i][0] - width / 2 if width > 0 else -1.0
+
+
+def _matches_sector(rel, ev, spec, eps, radii, rays):
+    passed, bound, worst_norm, worst_lam, failures, norms = \
+        _reference_sector(rel, spec, eps, radii, rays)
+    assert (ev.passed, ev.bound_used) == (passed, bound)
+    if norms:
+        slack = _norm_slack(rel, worst_norm)
+        assert abs(ev.worst_norm - worst_norm) <= slack
+        # a round-off tie (the mirrored ray of a real relation) may move
+        # the worst point to another one of the same oracle norm
+        assert ev.worst_lambda == worst_lam or \
+            abs(norms[ev.worst_lambda] - worst_norm) <= 2 * slack
+    else:
+        assert repr((ev.worst_norm, ev.worst_lambda)) == repr((worst_norm, worst_lam))
+    assert [repr(lam) for lam, _ in ev.failures] == [repr(lam) for lam, _ in failures]
+    for (lam, got), (_, want) in zip(ev.failures, failures):
+        _same_message(got, want, _oracle_slack(rel, lam))
+
+
+def _matches_scan(rel, grid, accept_tol=ACCEPT_TOL):
+    rows = resolvent_set_scan(rel, grid, accept_tol)
+    want = _reference_scan(rel, grid, accept_tol)
+    assert [(repr(r.lam), r.in_set) for r in rows] == [(repr(w.lam), w.in_set) for w in want]
+    for lam, row, ref in zip(grid, rows, want):
+        assert _close(row.norm, ref.norm, _norm_slack(rel, ref.norm))
+        assert _close(row.residual, ref.residual, _oracle_slack(rel, lam))
+
+
+def _matches_checks(rel, ev):
+    checks, defect, failure = _reference_checks(rel)
+    assert [lam for lam, _ in ev.lambda_checks] == [lam for lam, _ in checks]
+    slacks = [_norm_slack(rel, norm) for _, norm in checks]
+    for (_, got), (_, want), slack in zip(ev.lambda_checks, checks, slacks):
+        assert abs(got - want) <= slack
+    assert _close(ev.defect, defect, max(slacks, default=0.0))
+    assert (ev.failure is None) == (failure is None)
+    if failure is not None:
+        _same_message(ev.failure, failure, _oracle_slack(rel, LAMBDA_DECADES[len(checks)]))
+
+
+# -- resolvent itself ------------------------------------------------------------
 
 
 def _diagonal_relation(d, field):
@@ -260,10 +383,11 @@ def test_stacked_resolvents_match_the_scalar_certificate(d, field):
     for lam, (matrix, residual) in zip(kept, values):
         assert matrix.dtype == (np.float64 if field == "real" else np.complex128)
         want_matrix, want_residual = _reference(rel, lam)
-        assert np.array_equal(matrix, want_matrix) and residual == want_residual
+        assert np.array_equal(matrix, want_matrix)
+        assert abs(residual - want_residual) <= _residual_slack(lam, want_matrix)
 
     # residual refusals under a tight tolerance, in order
-    tight = max(_reference(rel, lam, math.inf)[1] for lam in lams[:40]) / 2
+    tight = _cutoff_with_margin(rel, lams[:40])
     assert any(_matches_reference(rel, list(lams[:40]), tight))
 
     # rank refusals at exact eigenvalues, spread over the blocks;
@@ -276,9 +400,10 @@ def test_stacked_resolvents_match_the_scalar_certificate(d, field):
     assert any(refused)
     with pytest.raises(NotInResolventSet) as exc:
         accepted(resolvent_points(diag, np.array(at), lambda b: b.matrices))
+    first = at[refused.index(True)]
     with pytest.raises(NotInResolventSet) as want:
-        _reference(diag, at[refused.index(True)])
-    _same_refusal(exc.value, want.value)
+        _reference(diag, first)
+    _same_refusal(exc.value, want.value, _oracle_slack(diag, first))
 
     # graph-dimension refusals: every point, with the caller's objects
     wrong = random_relation(rng, d, field, graph_dim=d + 1)
@@ -293,6 +418,68 @@ def test_refusals_keep_the_callers_lambda():
     lams = (0.001, 1, 2.0)
     objs = [obj for obj, _, _ in resolvent_points(rel, lams, lambda b: b.residuals)]
     assert all(obj is lam for obj, lam in zip(objs, lams))
+
+
+# -- the kernels against their dense oracles ----------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(0, 4), d=st.integers(0, 7), field=st.sampled_from(["real", "complex"]),
+       kind=st.sampled_from(["random", "zero", "rank1"]), scale=st.integers(-300, 300),
+       seed=st.integers(0, 10_000))
+def test_gram_norms_match_the_svd_norm(k, d, field, kind, scale, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((k, d, d))
+    if field == "complex":
+        x = x + 1j * rng.standard_normal((k, d, d))
+    if kind == "zero":
+        x = 0 * x
+    elif kind == "rank1":
+        x = x[:, :, :1] * x[:, :1, :]
+    x = x * 10.0 ** scale
+    got = spectral._two_norms(x)
+    assert got.shape == (k,)
+    for norm, mat in zip(got, x):
+        want = np.linalg.norm(mat, 2)
+        assert abs(norm - want) <= NORM_SLACK * max(d, 1) * EPS * want
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(0, 9), dim_shift=st.sampled_from([0, 0, -1, 1]),
+       field=st.sampled_from(["real", "complex"]), push=st.integers(-12, 1),
+       seed=st.integers(0, 10_000))
+def test_complement_distances_match_the_projector(d, dim_shift, field, push, seed):
+    # pairs (R e_i, lam R e_i - e_i) for a resolvent-like R pushed off the
+    # graph by 10**push, on graphs of dimension d and d -/+ 1
+    assume(0 <= d + dim_shift <= 2 * d)
+    rng = np.random.default_rng(seed)
+    rel = random_relation(rng, d, field, graph_dim=d + dim_shift)
+    u, v = rel.blocks()
+    lams = rng.uniform(-3.0, 3.0, 3) * 10.0 ** rng.uniform(-3, 6, 3)
+    if field == "complex":
+        lams = lams * np.exp(1j * rng.uniform(-3.0, 3.0, 3))
+    r = np.stack([u @ np.linalg.pinv(lam * u - v) for lam in lams])
+    r = r + 10.0 ** push * rng.standard_normal(r.shape)
+    got = spectral._graph_distances(rel, r, lams)
+    basis = rel.graph.basis
+    for dist, lam, mat in zip(got, lams, r):
+        pairs = np.vstack([mat, lam * mat - np.eye(d)])
+        want = np.linalg.norm(pairs - basis @ (basis.conj().T @ pairs), axis=0)
+        assert np.all(np.abs(dist - want) <= _residual_slack(lam, mat))
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(0, 9), field=st.sampled_from(["real", "complex"]),
+       seed=st.integers(0, 10_000), data=st.data())
+def test_adjoint_matches_the_null_basis_adjoint(d, field, seed, data):
+    graph_dim = data.draw(st.integers(0, 2 * d))
+    rel = random_relation(np.random.default_rng(seed), d, field, graph_dim=graph_dim)
+    u, v = rel.blocks()
+    want = LinearRelation(d, Subspace(2 * d, null_basis(np.vstack([v, -u]).conj().T)))
+    got = rel.adjoint()
+    assert got.dim == want.dim == 2 * d - rel.dim
+    assert got.field == want.field
+    assert gap_relations(got, want) <= 1e-14
 
 
 # -- the callers -------------------------------------------------------------
@@ -311,29 +498,25 @@ def _callers_battery():
 
 @pytest.mark.parametrize("rel", _callers_battery(), ids=lambda rel: f"d{rel.state_dim}")
 def test_callers_match_their_per_point_loops(rel, monkeypatch):
-    # repr compares floats exactly and treats NaN as equal to NaN
+    # verdicts, refusals and refused lam exact; numbers to the stated slacks
     for spec, eps, radii, rays in ((SectorSpec(math.pi / 4, 2.0), math.pi / 2, 13, 7),
                                    (SectorSpec(math.pi / 3, 1.0), 0.2, 25, 13)):
         ev = sector_verify(rel, spec, eps, radii=radii, rays=rays)
-        got = (ev.passed, ev.bound_used, ev.worst_norm, ev.worst_lambda, ev.failures)
-        assert repr(got) == repr(_reference_sector(rel, spec, eps, radii, rays))
-    grid = np.linspace(-2.0, 2.0, 41)
-    assert repr(resolvent_set_scan(rel, grid)) == repr(_reference_scan(rel, grid))
+        _matches_sector(rel, ev, spec, eps, radii, rays)
+    _matches_scan(rel, np.linspace(-2.0, 2.0, 41))
     mixed = [-5.0, -4, 0.5 + 0.25j, 3.0, 2.0j, 1.5]  # each point in its own dtype
     for tol in (ACCEPT_TOL, 1e-14):
-        assert repr(resolvent_set_scan(rel, mixed, tol)) == \
-            repr(_reference_scan(rel, mixed, tol))
+        _matches_scan(rel, mixed, tol)
 
     ev = is_m_dissipative(rel)
     if ev.certificate.dissipative and ev.range_full:
-        assert repr((ev.lambda_checks, ev.defect, ev.failure)) == \
-            repr(_reference_checks(rel))
+        _matches_checks(rel, ev)
         # a tight acceptance refuses some decades; the first one is reported
-        monkeypatch.setattr(dissipative, "EVIDENCE_ACCEPT_TOL", 1e-16)
+        monkeypatch.setattr(dissipative, "EVIDENCE_ACCEPT_TOL",
+                            _cutoff_with_margin(rel, LAMBDA_DECADES))
         ev = is_m_dissipative(rel)
         assert not ev.ok
-        assert repr((ev.lambda_checks, ev.defect, ev.failure)) == \
-            repr(_reference_checks(rel))
+        _matches_checks(rel, ev)
 
 
 # -- work and memory ---------------------------------------------------------------
@@ -356,6 +539,7 @@ def _count_inputs(monkeypatch, module, name, *more):
 def test_sector_verify_solves_each_point_once_and_stacks_norms(monkeypatch, caplog):
     rel = random_m_dissipative(np.random.default_rng(5), 8, "complex", dom_dim=5)
     svds = _count_inputs(monkeypatch, np.linalg, "svd", _linalg)
+    eigs = _count_inputs(monkeypatch, np.linalg, "eigvalsh", _linalg)
     solves = _count_inputs(monkeypatch, spectral, "_gelsd")
     with caplog.at_level(logging.DEBUG, logger="relsemi"):
         ev = sector_verify(rel, SectorSpec(math.pi / 4, 2.0), math.pi / 2,
@@ -363,10 +547,12 @@ def test_sector_verify_solves_each_point_once_and_stacks_norms(monkeypatch, capl
         assert ev.passed
         # 91 points in blocks of 4096 // 64 = 64: the rank, the solve and
         # the scale of every point of a block come from one stacked
-        # least-squares call, and the only SVDs are one stack per block for
-        # the norms
+        # least-squares call, the norms from one stacked eigvalsh of Gram
+        # matrices per block, and no SVD runs (the membership residual
+        # reads the graph complement, a QR, made once per relation)
         assert solves == [64, 27]
-        assert svds == [64, 27]
+        assert eigs == [64, 27]
+        assert svds == []
         is_m_dissipative(rel)
     lines = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("resolvent_stack")]
