@@ -28,6 +28,7 @@ from .subspace import Subspace
 from .relation import LinearRelation, RelationParts
 from .spectral import resolvent, resolvent_set_scan
 from .dissipative import (
+    decide_m_dissipative,
     dissipativity_l2,
     dissipativity_sampled,
     is_m_dissipative,
@@ -76,6 +77,7 @@ __all__ = [
     "SolverBreakdown",
     "Subspace",
     "VanishingMultiplier",
+    "decide_m_dissipative",
     "decompose",
     "dissipativity_l2",
     "dissipativity_sampled",

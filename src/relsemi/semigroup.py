@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as spla
 
-from .dissipative import CERT_TOL, MDissipativityEvidence, is_m_dissipative
+from .dissipative import CERT_TOL, MDissipativityDecision, decide_m_dissipative
 from .errors import (
     DecompositionFailure,
     InvalidInput,
@@ -37,7 +37,7 @@ from .errors import (
     OutsideSector,
 )
 from .relation import LinearRelation
-from .spectral import ResolventBlock, resolvent, resolvent_points
+from .spectral import ACCEPT_TOL, ResolventBlock, reaccepted, resolvent, resolvent_points
 
 log = logging.getLogger("relsemi")
 
@@ -57,6 +57,10 @@ class SemigroupData:
     in the coordinates of ``domain_basis``, and ``coord_map`` is the matrix
     ``E`` with ``P = domain_basis @ E``.  ``P`` is formed on first use, so
     a decomposition that never needs it does not hold a ``d x d`` matrix.
+    ``evidence`` is the m-dissipativity decision
+    (:func:`~relsemi.dissipative.decide_m_dissipative`), not sampled
+    evidence: its certified ``R(1)`` (``range_witness``) and the theorem's
+    bound on ``||lam R(lam)||_2`` for ``lam > 0`` (``resolvent_bound``).
     """
 
     relation: LinearRelation
@@ -64,7 +68,7 @@ class SemigroupData:
     null_basis: np.ndarray
     generator_matrix: np.ndarray
     coord_map: np.ndarray
-    evidence: MDissipativityEvidence
+    evidence: MDissipativityDecision
 
     @property
     def state_dim(self) -> int:
@@ -87,14 +91,22 @@ class SemigroupData:
 def decompose(rel: LinearRelation) -> SemigroupData:
     """Split the state space and extract the generator matrix.
 
-    Raises :class:`NotMDissipative` when the evidence check fails and
+    m-dissipativity is decided, not sampled: by
+    :func:`~relsemi.dissipative.decide_m_dissipative` (the ``l2`` form
+    certificate, one certified ``R(1)`` and the closed-form resolvent
+    bound), whose refusal raises
+    :class:`NotMDissipative` with its failure text.  Raises
     :class:`DecompositionFailure` when the domain and multivalued part do
     not span ``K^d`` (which cannot happen for a genuinely m-dissipative
     input and indicates inconsistent data).
     """
-    ev = is_m_dissipative(rel)
+    ev = decide_m_dissipative(rel)
+    witness = ev.range_witness
+    log.debug("m_dissipative witness=%.3e range_residual=%.3e bound=%.17g",
+              ev.certificate.witness, math.nan if witness is None else witness.residual,
+              ev.resolvent_bound(1.0))
     if not ev.ok:
-        raise NotMDissipative(ev.failure or "m-dissipativity evidence failed")
+        raise NotMDissipative(ev.failure)
     d = rel.state_dim
     b1 = rel.parts.domain.basis
     b0 = rel.parts.multivalued.basis
@@ -300,8 +312,11 @@ def laplace_residual(sd: SemigroupData, lam, horizon: float = 40.0,
     matrix ``e^{tB}`` carries ``e^{-lam t} S(t)`` (unembedded) in its
     top-right block, so the integral is that block of ``H phi1(H B)``.
     Either is one ``expm`` of an augmented matrix, with no quadrature error.
-    Both must reproduce ``R(lam, A)``; the truncation tail is bounded using
-    ``||T(t)|| <= 1`` (resp. ``||S(t)|| <= t``).
+    Both must reproduce ``R(lam, A)``, which at the real ``lam = 1`` is
+    the decomposition's certified ``R(1)`` (``sd.evidence.range_witness``),
+    accepted and refused as :func:`~relsemi.spectral.resolvent` would; the
+    truncation tail is bounded using ``||T(t)|| <= 1`` (resp.
+    ``||S(t)|| <= t``).
     """
     re = float(np.real(lam))
     if re <= 0:
@@ -328,7 +343,10 @@ def laplace_residual(sd: SemigroupData, lam, horizon: float = 40.0,
     if transform == "integrated":
         acc = lam * acc
     log.debug("laplace transform=%s matrices=1 size=%d", transform, 2 * size)
-    target = resolvent(sd.relation, lam).matrix
+    if isinstance(lam, numbers.Real) and lam == 1.0:
+        target = reaccepted(sd.evidence.range_witness, lam, ACCEPT_TOL).matrix
+    else:
+        target = resolvent(sd.relation, lam).matrix
     return LaplaceCheck(float(np.linalg.norm(acc - target, 2)), bound)
 
 

@@ -79,6 +79,11 @@ class ResolventBlock:
     matrices: np.ndarray
     residuals: np.ndarray
 
+    def samples(self) -> list:
+        """The accepted points as :class:`ResolventSample`."""
+        return [ResolventSample(complex(lam), matrix, float(residual))
+                for lam, matrix, residual in zip(self.values, self.matrices, self.residuals)]
+
     def norms(self) -> np.ndarray:
         """``||R(lam)||_2`` at the accepted points, by one stacked
         ``eigvalsh`` (:func:`_two_norms`)."""
@@ -143,10 +148,20 @@ def _lstsq_stack(m: np.ndarray, eye: np.ndarray):
     return coef[..., :d], s
 
 
+def _residual_refusal(lam, residual: float, accept_tol: float) -> NotInResolventSet:
+    return NotInResolventSet(
+        lam, reason=f"residual {residual:.3e} exceeds {accept_tol:.1e}", residual=residual)
+
+
 def _certify(rel: LinearRelation, lams: list, accept_tol: float) -> ResolventBlock:
     """One block: one stacked gelsd call (:func:`_lstsq_stack`) gives every
     point's rank, solve and scale; :func:`_graph_distances` gives the
-    membership residuals."""
+    membership residuals.  The rank is relative to the point's largest
+    singular value floored at 1, the scale of the orthonormal graph blocks
+    (as in :attr:`LinearRelation.parts`): a ``d = 1`` point has no smaller
+    singular value to compare.  A floor at the upper bound
+    ``sqrt(|lam|^2 + 1)`` of ``||lam U - V||_2`` would refuse stiff points,
+    where ``||U||`` and so ``||lam U - V||`` are far below that bound."""
     d = rel.state_dim
     u, v = rel.blocks()
     vals = np.asarray(lams)
@@ -158,7 +173,7 @@ def _certify(rel: LinearRelation, lams: list, accept_tol: float) -> ResolventBlo
     m = vals[:, None, None] * u - v
     eye = np.eye(d, dtype=m.dtype)
     coef, s = _lstsq_stack(m, eye)
-    rank = numerical_rank(s)
+    rank = numerical_rank(s, 1.0)
     for i in np.flatnonzero(rank < d):
         refusals[i] = NotInResolventSet(
             lams[i], reason=f"rank(lam*U - V) = {rank[i]} < {d}", rank=int(rank[i]))
@@ -171,10 +186,7 @@ def _certify(rel: LinearRelation, lams: list, accept_tol: float) -> ResolventBlo
     residual = np.max(member_res + solve_res, axis=1, initial=0.0)  # d = 0: no columns
     over = residual > accept_tol
     for j in np.flatnonzero(over):
-        res = float(residual[j])
-        refusals[full[j]] = NotInResolventSet(
-            lams[full[j]], reason=f"residual {res:.3e} exceeds {accept_tol:.1e}",
-            residual=res)
+        refusals[full[j]] = _residual_refusal(lams[full[j]], float(residual[j]), accept_tol)
     return ResolventBlock(lams, refusals, vals[full[~over]], rmat[~over], residual[~over])
 
 
@@ -234,9 +246,17 @@ def resolvent(rel: LinearRelation, lam, accept_tol: float = ACCEPT_TOL) -> Resol
     """
     if np.ndim(lam):
         raise InvalidInput("resolvent takes one lam; resolvent_points takes many")
-    [(matrix, residual)] = accepted(resolvent_points(
-        rel, [lam], lambda block: zip(block.matrices, block.residuals), accept_tol))
-    return ResolventSample(complex(lam), matrix, float(residual))
+    [sample] = accepted(resolvent_points(rel, [lam], ResolventBlock.samples, accept_tol))
+    return sample
+
+
+def reaccepted(sample: ResolventSample, lam, accept_tol: float) -> ResolventSample:
+    """``sample``, certified at ``lam`` under a looser tolerance, if its
+    residual is within ``accept_tol``; else raise the refusal
+    :func:`resolvent` raises for it at ``lam`` (the caller's object)."""
+    if sample.residual > accept_tol:
+        raise _residual_refusal(lam, sample.residual, accept_tol)
+    return sample
 
 
 def in_resolvent_set(rel: LinearRelation, lam) -> bool:

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -83,6 +84,29 @@ def test_spec_scan_debug_line_goes_to_stderr_only(tmp_path, capsys):
     assert proc.stdout == quiet
     assert proc.stderr.splitlines() == [
         "DEBUG relsemi: resolvent_stack lams=9 blocks=1 refused=0"]
+
+
+def test_semigroup_run_logs_its_decision_to_stderr_only(rel_file, tmp_path, capsys):
+    x = tmp_path / "x.json"
+    write_json(str(x), vector_to_json(np.array([1.0, 0.0])))
+    argv = ["semigroup", "run", rel_file, "--x", str(x), "--grid", "0:0.5:2", "--out"]
+    assert main(argv + [str(tmp_path / "quiet")]) == 0
+    quiet = capsys.readouterr().out
+    src = str(Path(relsemi.__file__).resolve().parents[1])
+    env = {**os.environ, "RELSEMI_LOG": "debug",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "relsemi.cli", *argv,
+                           str(tmp_path / "debug")], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == quiet
+    for name in ("trajectory.csv", "trajectory.svg"):
+        assert (tmp_path / "debug" / name).read_bytes() == \
+            (tmp_path / "quiet" / name).read_bytes()
+    decisions = [line for line in proc.stderr.splitlines() if "m_dissipative" in line]
+    # A = [[-1, 0.5], [-0.5, -2]] is strictly dissipative: w+ = 2 eps
+    assert len(decisions) == 1
+    assert re.fullmatch(r"DEBUG relsemi: m_dissipative witness=-\d\.\d{3}e-\d\d "
+                        r"range_residual=\d\.\d{3}e-\d\d bound=1\.0+\d*", decisions[0])
 
 
 def test_config_errors_exit_2(rel_file):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,13 +12,15 @@ from relsemi.dissipative import (
     EVIDENCE_ACCEPT_TOL,
     LAMBDA_DECADES,
     DissipativityCertificate,
+    decide_m_dissipative,
     dissipativity_l2,
     dissipativity_sampled,
     is_m_dissipative,
     lumer_phillips_invert,
     maximal_dissipative_extension,
 )
-from relsemi.errors import NotDissipative, NotInResolventSet, NotSurjective
+import relsemi.dissipative as dissipative
+from relsemi.errors import NotDissipative, NotInResolventSet, NotMDissipative, NotSurjective
 from relsemi.relation import LinearRelation, gap_relations
 from relsemi.sampling import (
     random_dissipative_nonmaximal,
@@ -250,6 +254,18 @@ def test_range_condition_matches_the_shifted_parts(kind, field, d, seed):
         assert (ev.ok, ev.failure) == (False, "not dissipative")
         # a graph wider than d has a full shifted range but no resolvent
         assert ev.range_full == (range_full and rel.dim == d)
+    decision = decide_m_dissipative(rel)
+    assert (decision.ok, decision.range_full) == (ev.ok, ev.range_full)
+    if not (ev.certificate.dissipative and ev.range_full):
+        assert decision.failure == ev.failure
+
+
+def test_lumer_phillips_refuses_the_zero_operator_built_with_round_off():
+    # V = -3.1e-16: the rank of 0 - A is 0, not 1
+    rel = graph_of([[-1.0]]).add_operator(np.array([[1.0]]))
+    assert rel.parts.range.dim == 0
+    with pytest.raises(NotSurjective):
+        lumer_phillips_invert(rel)
 
 
 def test_range_condition_of_a_wide_graph_is_the_graph_dimension():
@@ -269,6 +285,7 @@ def test_range_conditions_build_no_shifted_relation(monkeypatch, rng):
             random_relation(rng, 3, "real"), graph_of(np.eye(2))]
     for rel in rels:
         is_m_dissipative(rel)
+        decide_m_dissipative(rel)
         assert "parts" not in rel.__dict__
     assert calls == []
     fresh = random_dissipative_surjective(rng, 5, "complex")
@@ -279,3 +296,125 @@ def test_range_conditions_build_no_shifted_relation(monkeypatch, rng):
         lumer_phillips_invert(proper)
     assert isinstance(exc.value.__cause__, NotInResolventSet)
     assert "parts" not in proper.__dict__ and calls == []
+
+
+# -- the m-dissipativity decision ----------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def _skew_relation(rng, d, field):
+    """A skew-adjoint operator: ``||lam R(lam)||_2 = 1`` at every ``lam > 0``."""
+    s = random_relation(rng, d, field, graph_dim=d).blocks()[0]
+    return LinearRelation.from_operator((s - s.conj().T) / 2.0)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@given(d=st.integers(0, 8), dom=st.integers(0, 8), eps=st.sampled_from([0.2, 0.0]),
+       skew=st.booleans(), seed=st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_the_theorems_bound_covers_every_sampled_decade(field, d, dom, eps, skew, seed):
+    # the decades that is_m_dissipative samples are the oracle of the bound
+    rng = np.random.default_rng(seed)
+    rel = (_skew_relation(rng, d, field) if skew
+           else random_m_dissipative(rng, d, field, dom_dim=min(dom, d), eps=eps))
+    decision, ev = decide_m_dissipative(rel), is_m_dissipative(rel)
+    assert decision.ok and ev.ok and decision.failure is None
+    assert max(decision.certificate.witness, 0.0) <= decision.form_bound <= \
+        max(decision.certificate.witness, 0.0) + d * EPS
+    u, v = rel.blocks()
+    for lam, norm in ev.lambda_checks:
+        # the round-off of a norm read from a solve of condition kappa
+        kappa = np.linalg.cond(lam * u - v) if d else 1.0
+        assert norm <= decision.resolvent_bound(lam) + max(d, 1) * EPS * kappa * norm
+
+
+def test_the_bound_is_the_theorems_formula():
+    decision = decide_m_dissipative(graph_of(np.zeros((0, 0))))
+    assert decision.form_bound == 0.0
+    assert [decision.resolvent_bound(lam) for lam in (1e-300, 1.0, 1e300)] == [1.0] * 3
+    assert decision.resolvent_bound(0.0) == math.inf
+    wide = dataclasses.replace(decision, form_bound=0.25)  # 2 w+ = 1/2
+    assert [wide.resolvent_bound(lam) for lam in (0.5, 1.0, 2.0, 2.5)] == \
+        [math.inf, 1.0 / math.sqrt(0.5), 1.0 / math.sqrt(0.75), math.inf]
+    assert decide_m_dissipative(graph_of([[1.0]])).resolvent_bound(1.0) == math.inf
+
+
+def test_a_slightly_expansive_scalar_fails_the_bound_as_it_fails_the_evidence():
+    # A = a > 0 within CERT_TOL of dissipative: the form certificate accepts
+    # it, and ||lam R(lam)|| = lam / (lam - a) exceeds 1 by about a / lam;
+    # the theorem's bound encloses that and exceeds 1 + CERT_TOL at 1e-3
+    from relsemi.semigroup import decompose
+
+    a = 1e-11
+    rel = graph_of([[a]])
+    decision, ev = decide_m_dissipative(rel), is_m_dissipative(rel)
+    assert decision.certificate.dissipative and decision.range_full
+    assert (decision.ok, decision.failure) == (ev.ok, ev.failure) == \
+        (False, "resolvent bound defect 1.000e-08")
+    assert decision.resolvent_bound(1.0) == math.inf
+    bound = dataclasses.replace(decision, ok=True).resolvent_bound
+    for lam in (1e-10, 1e-8, 1e-3, 1.0, 1e6):
+        assert lam / (lam - a) <= bound(lam) <= 1.0 + 2 * a / lam
+    assert bound(2 * a) == math.inf
+    with pytest.raises(NotMDissipative, match="^resolvent bound defect 1.000e-08$"):
+        decompose(rel)
+    # within the first decade's slack both accept
+    slack = graph_of([[1e-14]])
+    assert decide_m_dissipative(slack).ok and is_m_dissipative(slack).ok
+
+
+def _pool_relations(monkeypatch):
+    """Every pool relation of the two dense benchmark workloads, with the
+    Trotter-Kato families and limits of ``dense-spectral``'s tk item."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    for name in ("dense-spectral", "dense-semigroup"):
+        inputs = workloads.WORKLOADS[name].pool_inputs()
+        yield from (rel for _, _, (rel, _, _) in inputs["items"])
+        for _, _, (family, limit) in inputs.get("tk", ()):
+            yield from family
+            yield limit
+
+
+def test_the_decision_is_the_evidence_verdict_on_the_benchmark_pools(monkeypatch):
+    count = 0
+    for rel in _pool_relations(monkeypatch):
+        assert decide_m_dissipative(rel).ok == is_m_dissipative(rel).ok
+        count += 1
+    assert count == 693
+
+
+def _refused_at_one_first():
+    """A relation and a tolerance that refuse ``R(1)`` for its residual and
+    accept every smaller decade."""
+    rel = random_m_dissipative(np.random.default_rng(17), 3, "real")
+    residuals = [kept for _, _, kept in resolvent_points(
+        rel, LAMBDA_DECADES[:4], lambda block: block.residuals, math.inf)]
+    below, at_one = max(residuals[:3]), residuals[3]
+    assert at_one > 2 * below
+    return rel, math.sqrt(below * at_one)
+
+
+@pytest.mark.parametrize("case", ["expansive", "proper range", "residual at 1"])
+def test_the_decision_fails_with_the_evidence_text(case, monkeypatch):
+    from relsemi.semigroup import decompose
+
+    if case == "expansive":
+        rel, why = graph_of([[1.0]]), "not dissipative"
+    elif case == "proper range":
+        rel, why = random_dissipative_nonmaximal(np.random.default_rng(0), 4), \
+            "ran(1 - A) proper"
+    else:
+        rel, tol = _refused_at_one_first()
+        monkeypatch.setattr(dissipative, "EVIDENCE_ACCEPT_TOL", tol)
+        why = is_m_dissipative(rel).failure
+        assert why.startswith("lam=1: lambda=1.0 is not certified") and "residual" in why
+    ev, decision = is_m_dissipative(rel), decide_m_dissipative(rel)
+    assert (ev.ok, ev.failure) == (False, why)
+    assert (decision.ok, decision.failure, decision.range_full) == (False, why, ev.range_full)
+    assert decision.resolvent_bound(1.0) == math.inf
+    with pytest.raises(NotMDissipative) as exc:
+        decompose(rel)
+    assert str(exc.value) == why

@@ -6,10 +6,11 @@ import pytest
 import scipy.linalg as spla
 
 import relsemi.semigroup as semigroup_module
+import relsemi.spectral as spectral
 
 from relsemi.converge import DenseEvaluator
 from relsemi.dissipative import is_m_dissipative
-from relsemi.errors import InvalidInput, NotMDissipative, OutsideSector
+from relsemi.errors import InvalidInput, NotInResolventSet, NotMDissipative, OutsideSector
 from relsemi.relation import LinearRelation
 from relsemi.sampling import random_m_dissipative
 from relsemi.semigroup import (
@@ -227,18 +228,68 @@ def test_laplace_and_functional_equation_on_stiff_generators(scale):
 
 def test_wellposedness_check_gathers_the_evidence_once(monkeypatch):
     calls = []
-    check = semigroup_module.is_m_dissipative
+    check = semigroup_module.decide_m_dissipative
 
     def counting(*args, **kwargs):
         calls.append(args[0])
         return check(*args, **kwargs)
 
-    monkeypatch.setattr(semigroup_module, "is_m_dissipative", counting)
+    monkeypatch.setattr(semigroup_module, "decide_m_dissipative", counting)
     for mat, ok in (([[-1.0]], True), ([[1.0]], False)):
         calls.clear()
         verdict = wellposedness_check(graph_of(np.array(mat)))
         assert verdict.m_dissipative is ok
         assert len(calls) == 1
+
+
+def _count_certified(monkeypatch):
+    """Patch the stacked least-squares call of the resolvent certificate to
+    record each certified ``lam``."""
+    lams = []
+    certify = spectral._certify
+
+    def counting(rel, block, accept_tol):
+        lams.extend(block)
+        return certify(rel, block, accept_tol)
+
+    monkeypatch.setattr(spectral, "_certify", counting)
+    return lams
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_decompose_certifies_one_resolvent_and_laplace_reuses_it(field, monkeypatch):
+    rel = random_m_dissipative(np.random.default_rng(4), 5, field, dom_dim=3)
+    lams = _count_certified(monkeypatch)
+    sd = decompose(rel)
+    # the decision: one R(1), at real lam = 1, and no sampled decades
+    assert [(type(lam), lam) for lam in lams] == [(float, 1.0)]
+    lams.clear()
+    for lam in (1.0, np.float64(1.0), 1):
+        for transform in ("semigroup", "integrated"):
+            assert laplace_residual(sd, lam, transform=transform).total <= 1e-12
+    assert lams == []
+    laplace_residual(sd, 2.0 + 1.0j)
+    assert lams == [2.0 + 1.0j]
+    # the witness is what resolvent(rel, 1.0) returns, bit for bit
+    monkeypatch.undo()
+    want = spectral.resolvent(rel, 1.0)
+    witness = sd.evidence.range_witness
+    assert (witness.lam, witness.residual) == (want.lam, want.residual)
+    assert witness.matrix.dtype == want.matrix.dtype
+    assert np.array_equal(witness.matrix, want.matrix)
+
+
+def test_laplace_at_one_refuses_as_the_resolvent_does(monkeypatch):
+    sd = decompose(random_m_dissipative(np.random.default_rng(4), 5, "real", dom_dim=3))
+    tight = sd.evidence.range_witness.residual / 2
+    with pytest.raises(NotInResolventSet) as want:
+        spectral.resolvent(sd.relation, 1.0, tight)
+    monkeypatch.setattr(semigroup_module, "ACCEPT_TOL", tight)
+    with pytest.raises(NotInResolventSet) as got:
+        laplace_residual(sd, 1.0)
+    assert str(got.value) == str(want.value)
+    assert (got.value.lam, got.value.rank, got.value.residual) == \
+        (want.value.lam, want.value.rank, want.value.residual)
 
 
 def _count_expm_inputs(monkeypatch, sizes=None):

@@ -42,6 +42,33 @@ def test_eigenvalue_is_rejected_with_rank_diagnostics():
     assert "rank" in str(exc.value)
 
 
+def test_a_singular_one_dimensional_point_is_refused_for_rank():
+    # d = 1: the only singular value is the largest one, so a rank test
+    # relative to it alone passed and the point was refused for a residual
+    rel = LinearRelation.from_operator(np.array([[-1.0]]))
+    with pytest.raises(NotInResolventSet) as exc:
+        resolvent(rel, -1.0)
+    assert (exc.value.rank, exc.value.residual) == (0, None)
+    assert "rank(lam*U - V) = 0 < 1" in str(exc.value)
+
+
+@pytest.mark.parametrize("rel, lam, want", [
+    # ||U|| = 1e-6: lam U - V = 5e-5, far below the bound sqrt(|lam|^2 + 1)
+    (LinearRelation.from_operator(np.array([[-1e6]])), -1e6 + 50.0, 0.02),
+    (LinearRelation.from_operator(np.array([[-1e12]])), 1e11, 1.0 / (1e11 + 1e12)),
+    # the purely multivalued relation {0} x K: R(lam) = 0
+    (LinearRelation.from_pairs(np.zeros((1, 1)), np.ones((1, 1))), 1e10, 0.0),
+])
+def test_stiff_points_are_ranked_against_the_graph_scale(rel, lam, want):
+    # the graph basis holds U = 1e-6 (1e-12) to eps absolute, so R(lam)
+    # carries a relative error of about 1e-6 (1e-4) that no rank rule removes
+    sample = resolvent(rel, lam)
+    assert sample.matrix[0, 0] == pytest.approx(want, rel=1e-3, abs=0.0)
+    assert in_resolvent_set(rel, lam)
+    [row] = resolvent_set_scan(rel, [lam])
+    assert row.in_set and row.norm == pytest.approx(abs(want), rel=1e-3, abs=0.0)
+
+
 def test_wrong_graph_dimension_is_rejected():
     rel = LinearRelation.from_pairs(np.eye(2)[:, :1], np.eye(2)[:, 1:])
     with pytest.raises(NotInResolventSet) as exc:

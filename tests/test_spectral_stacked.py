@@ -71,7 +71,8 @@ def _reference(rel, lam, accept_tol=ACCEPT_TOL):
     m = lam * u - v
     eye = np.eye(d, dtype=m.dtype)
     coef, _, _, s = np.linalg.lstsq(m, eye, rcond=None)
-    rank = 0 if (s.size == 0 or s[0] == 0.0) else int(np.sum(s > RANK_TOL * s[0]))
+    # relative to the largest singular value, floored at the graph blocks' scale 1
+    rank = int(np.sum(s > RANK_TOL * max(s[0] if s.size else 0.0, 1.0)))
     if rank < d:
         raise NotInResolventSet(
             lam, reason=f"rank(lam*U - V) = {rank} < {d}", rank=rank)
