@@ -1,10 +1,10 @@
 """Degenerate semigroups generated by m-dissipative relations.
 
 An m-dissipative relation ``A`` on ``K^d`` splits the space into its
-(closed) domain ``X1`` and multivalued part ``X0``; the operator part of
-``A`` acts on ``X1`` as a matrix ``M1``.  The associated semigroup is
-``T(t) = embed(exp(t M1)) P`` with ``P`` the projection onto ``X1`` along
-``X0`` — a *degenerate* semigroup: ``T(0) = P`` rather than the identity.
+(closed) domain ``X1`` and the orthogonal multivalued part ``X0``; the
+operator part of ``A`` acts on ``X1`` as a matrix ``M1``.  The semigroup is
+``T(t) = embed(exp(t M1)) P`` with ``P`` the orthogonal projection onto
+``X1`` — a *degenerate* semigroup: ``T(0) = P`` rather than the identity.
 Its primitive ``S(t) = integral_0^t T`` is the once-integrated semigroup
 that carries the mild solutions of ``u' in A u``; its primitive ``V(t)`` is
 ``embed(t^2 phi2(t M1)) P``, with ``phi_k(Z) = sum_j Z^j / (j + k)!``.
@@ -38,12 +38,13 @@ from .errors import (
 )
 from .relation import LinearRelation
 from .spectral import ACCEPT_TOL, ResolventBlock, reaccepted, resolvent, resolvent_points
+from .subspace import ORTHO_TOL
 
 log = logging.getLogger("relsemi")
 
 WELLPOSED_TOL = 1e-8      # largest mild-solution defect of a well-posed verdict
 WELLPOSED_GRID = np.linspace(0.1, 3.0, 10)  # times of wellposedness_check's mild solutions
-SECTOR_SLACK = 1e-8       # slack of sector_verify's norm bound
+SECTOR_SLACK = 1e-8       # slack of sector_verify's and holomorphic_at's norm bounds
 SECTOR_BISECTIONS = 40    # certified_sector_angle steps: (pi/2) / 2**40 = 1.4e-12 rad
 NON_FINITE_TIME = "semigroup times must be finite"
 
@@ -52,11 +53,11 @@ NON_FINITE_TIME = "semigroup times must be finite"
 class SemigroupData:
     """Decomposition of an m-dissipative relation for evaluation.
 
-    ``projector`` is ``P`` (projection onto the domain along the
-    multivalued part, oblique in general), ``generator_matrix`` is ``M1``
-    in the coordinates of ``domain_basis``, and ``coord_map`` is the matrix
-    ``E`` with ``P = domain_basis @ E``.  ``P`` is formed on first use, so
-    a decomposition that never needs it does not hold a ``d x d`` matrix.
+    ``projector`` is the orthogonal projection ``P = B1 B1^H`` onto the
+    domain (``B1`` is ``domain_basis``, orthogonal to ``null_basis``) and
+    ``generator_matrix`` is ``M1`` in the coordinates of ``B1``, so
+    ``T(t) = B1 exp(t M1) B1^H``.  ``P`` is formed on first use, so a
+    decomposition that never needs it does not hold a ``d x d`` matrix.
     ``evidence`` is the m-dissipativity decision
     (:func:`~relsemi.dissipative.decide_m_dissipative`), not sampled
     evidence: its certified ``R(1)`` (``range_witness``) and the theorem's
@@ -67,7 +68,6 @@ class SemigroupData:
     domain_basis: np.ndarray
     null_basis: np.ndarray
     generator_matrix: np.ndarray
-    coord_map: np.ndarray
     evidence: MDissipativityDecision
 
     @property
@@ -80,7 +80,7 @@ class SemigroupData:
 
     @cached_property
     def projector(self) -> np.ndarray:
-        return self.domain_basis @ self.coord_map
+        return self.domain_basis @ self.domain_basis.conj().T
 
     @cached_property
     def sector_angle(self) -> float:
@@ -94,11 +94,16 @@ def decompose(rel: LinearRelation) -> SemigroupData:
     m-dissipativity is decided, not sampled: by
     :func:`~relsemi.dissipative.decide_m_dissipative` (the ``l2`` form
     certificate, one certified ``R(1)`` and the closed-form resolvent
-    bound), whose refusal raises
-    :class:`NotMDissipative` with its failure text.  Raises
-    :class:`DecompositionFailure` when the domain and multivalued part do
-    not span ``K^d`` (which cannot happen for a genuinely m-dissipative
-    input and indicates inconsistent data).
+    bound), whose refusal raises :class:`NotMDissipative` with its failure
+    text.  ``Re <y + t v, x> <= 0`` for all ``t`` makes ``mul A`` orthogonal
+    to ``dom A`` (Lumer and Phillips 1961), so a lean ``||B1^H B0||_2`` past
+    ``100 * ORTHO_TOL`` raises it too, unless the rank decision cut a
+    singular value ``s = ||U V^H B0||_2 > dim eps`` of ``U`` into ``mul A``:
+    ``Herm(V^H U) <= 0`` then allows ``(sqrt(2 s) + s) / sigma_k``, with
+    ``sigma_k >= 1 / ||C||_F`` the least kept one, at that error in ``T``.
+    Raises :class:`DecompositionFailure` when the domain and multivalued
+    part do not span ``K^d`` (which cannot happen for a genuinely
+    m-dissipative input and indicates inconsistent data).
     """
     ev = decide_m_dissipative(rel)
     witness = ev.range_witness
@@ -114,29 +119,28 @@ def decompose(rel: LinearRelation) -> SemigroupData:
     if d1 + d0 != d:
         raise DecompositionFailure(
             f"dim(dom) + dim(mul) = {d1}+{d0} != {d}")
-    dt = np.result_type(b1.dtype, b0.dtype)
-    basis = np.hstack([b1.astype(dt), b0.astype(dt)])
-    sing = np.linalg.svd(basis, compute_uv=False)
-    if sing.size and sing[-1] < 1e-8:
-        raise DecompositionFailure(
-            f"domain and multivalued part are nearly dependent "
-            f"(sigma_min {sing[-1]:.2e})")
-    coord_map = np.linalg.inv(basis)[:d1].copy()  # a view would pin the whole inverse
-    # operator part: solve (b1_j, y) in A with y in X1
+    # operator part: solve (b1_j, y) = (U, V) C in A; M1 is the X1 component of y
     u, v = rel.blocks()
     if d1:
         coef, *_ = np.linalg.lstsq(u, b1, rcond=None)
         if np.linalg.norm(u @ coef - b1) > 1e-8:
             raise DecompositionFailure("domain basis is not reachable in the graph")
-        y1 = (b1 @ coord_map) @ (v @ coef)
-        m1 = b1.conj().T @ y1
+        defect = float(np.linalg.norm(b1.conj().T @ b0, 2)) if d0 else 0.0
+        allowed = 100 * ORTHO_TOL
+        s = float(np.linalg.norm(u @ (v.conj().T @ b0), 2)) if defect > allowed else 0.0
+        if s > rel.dim * np.finfo(np.float64).eps:  # a singular value of U cut into mul A
+            allowed = max(allowed, (math.sqrt(2.0 * s) + s) * float(np.linalg.norm(coef)))
+        if defect > allowed:
+            raise NotMDissipative(f"multivalued part is not orthogonal to the domain "
+                                  f"(||B1^H B0||_2 = {defect:.3e} > {allowed:.3e})")
+        m1 = b1.conj().T @ (v @ coef)
         herm_top = float(np.linalg.eigvalsh((m1 + m1.conj().T) / 2.0)[-1])
         if herm_top > 10 * CERT_TOL:
             raise DecompositionFailure(
                 f"operator part is not dissipative (Herm top {herm_top:.2e})")
     else:
-        m1 = np.zeros((0, 0), dtype=dt)
-    return SemigroupData(rel, b1, b0, m1, coord_map, ev)
+        m1 = np.zeros((0, 0), dtype=b1.dtype)
+    return SemigroupData(rel, b1, b0, m1, ev)
 
 
 def _phis(z: np.ndarray, k: int) -> list:
@@ -224,7 +228,7 @@ def _evaluate(sd: SemigroupData, zs: np.ndarray, integrated: bool = False) -> np
         if integrated:
             core = z * core
     _require_finite(core, "the evaluation overflows at these times")
-    out = sd.domain_basis @ core @ sd.coord_map
+    out = sd.domain_basis @ core @ sd.domain_basis.conj().T
     return out if zs.ndim else out[0]
 
 
@@ -282,8 +286,8 @@ def functional_equation_residual(sd: SemigroupData, t: float,
         _, p1, p2 = _phis(z * sd.generator_matrix, 2)
         s_z, v_z = z * p1, z * z * p2
     _require_finite((s_z, v_z), "S or V overflows at these times")
-    s_t, s_s, _ = sd.domain_basis @ s_z @ sd.coord_map
-    v_t, v_s, v_ts = sd.domain_basis @ v_z @ sd.coord_map
+    s_t, s_s, _ = sd.domain_basis @ s_z @ sd.domain_basis.conj().T
+    v_t, v_s, v_ts = sd.domain_basis @ v_z @ sd.domain_basis.conj().T
     window = v_ts - v_t - v_s
     log.debug("functional_equation matrices=3 size=%d", 3 * sd.domain_dim)
     return FunctionalEquationCheck(
@@ -316,7 +320,7 @@ def laplace_residual(sd: SemigroupData, lam, horizon: float = 40.0,
     the decomposition's certified ``R(1)`` (``sd.evidence.range_witness``),
     accepted and refused as :func:`~relsemi.spectral.resolvent` would; the
     truncation tail is bounded using ``||T(t)|| <= 1`` (resp.
-    ``||S(t)|| <= t``).
+    ``||S(t)|| <= t``), exact as ``P`` is orthogonal.
     """
     re = float(np.real(lam))
     if re <= 0:
@@ -339,7 +343,7 @@ def laplace_residual(sd: SemigroupData, lam, horizon: float = 40.0,
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         core = horizon * _phis(horizon * gen, 1)[1][:sd.domain_dim, size - sd.domain_dim:]
     _require_finite(core, "the transform overflows at this horizon")
-    acc = sd.domain_basis @ core @ sd.coord_map
+    acc = sd.domain_basis @ core @ sd.domain_basis.conj().T
     if transform == "integrated":
         acc = lam * acc
     log.debug("laplace transform=%s matrices=1 size=%d", transform, 2 * size)
@@ -380,15 +384,15 @@ def _mild_block(sd: SemigroupData, xs, ts: np.ndarray):
     whole block.  Returns the states ``(len(ts), d, c)``, the membership
     residuals ``(len(ts), c)`` and the Lipschitz defects ``(c,)``.
     """
-    xs = np.asarray(xs, dtype=np.result_type(sd.coord_map.dtype, xs.dtype))
+    xs = np.asarray(xs, dtype=np.result_type(sd.domain_basis.dtype, xs.dtype))
     if ts.ndim != 1 or ts.size == 0:
         raise InvalidInput("t_grid must be a non-empty flat array")
     _require_finite(ts, NON_FINITE_TIME)
     if np.any(np.diff(ts) <= 0) or ts[0] < 0:
         raise InvalidInput("t_grid must be increasing and nonnegative")
     s_t, v_t, matrices = _grid_primitives(sd.generator_matrix, ts)
-    states = sd.domain_basis @ s_t @ sd.coord_map @ xs
-    running = sd.domain_basis @ v_t @ sd.coord_map @ xs  # V(t) x
+    states = sd.domain_basis @ s_t @ sd.domain_basis.conj().T @ xs
+    running = sd.domain_basis @ v_t @ sd.domain_basis.conj().T @ xs  # V(t) x
     log.debug("mild_block times=%d columns=%d matrices=%d",
               ts.size, xs.shape[1], matrices)
     # one (2d, len(ts)) block of graph pairs per datum
@@ -428,7 +432,7 @@ def wellposedness_check(rel: LinearRelation) -> WellPosednessVerdict:
     except NotMDissipative as exc:
         return WellPosednessVerdict(False, False, str(exc), math.nan, math.nan,
                                     _growth_witness(rel))
-    xs = np.eye(rel.state_dim, dtype=sd.coord_map.dtype)
+    xs = np.eye(rel.state_dim, dtype=sd.domain_basis.dtype)
     _, residuals, defects = _mild_block(sd, xs, WELLPOSED_GRID)
     worst_res = float(np.max(residuals, initial=0.0))
     worst_lip = float(np.max(defects, initial=0.0))
@@ -559,11 +563,12 @@ def holomorphic_at(sd: SemigroupData, z) -> np.ndarray:
     sector (``z = 0`` returns the projector); the certified angle is
     computed only when some point lies off that half-line, and a point with
     ``|arg z|`` at or beyond it (a negative real ``z`` among them) raises
-    :class:`OutsideSector`.  When the norm of an off-axis result exceeds
-    the conservative sector bound ``1 + 2 e pi / sin(eps)`` (``eps`` the
-    distance of ``arg z`` to the certified angle) a warning is logged (never
-    raised): that bound is a coarse a-priori estimate and exceeding it
-    signals a data problem upstream.
+    :class:`OutsideSector`.  Inside the certified sector the numerical
+    range of ``e^{i arg z} M1`` lies in the closed left half-plane (up to
+    the certificate's ``1e-12 ||M1||_2``) and ``B1`` is orthonormal, so
+    ``||T(z)||_2 = ||e^{z M1}||_2 <= 1``; an off-axis norm above
+    ``1 + SECTOR_SLACK`` is logged as a warning (never raised): it signals
+    a data problem upstream.
     """
     zs = np.asarray(z, dtype=complex)
     _require_finite(zs, NON_FINITE_TIME)
@@ -576,10 +581,9 @@ def holomorphic_at(sd: SemigroupData, z) -> np.ndarray:
         raise OutsideSector(f"|arg z| = {arg:.6f} >= certified angle {alpha:.6f}")
     out = _evaluate(sd, zs)
     values = out.reshape(flat.shape + out.shape[-2:])
-    for zk, arg, value in zip(flat[off_axis], args[off_axis], values[off_axis]):
-        soft = 1.0 + 2.0 * math.e * math.pi / math.sin(min(alpha - arg, math.pi / 2))
+    for zk, value in zip(flat[off_axis], values[off_axis]):
         norm = float(np.linalg.norm(value, 2))
-        if norm > soft:
+        if norm > 1.0 + SECTOR_SLACK:
             log.warning("holomorphic evaluation at z=%s has norm %.3e beyond "
-                        "the sector estimate %.3e", complex(zk), norm, soft)
+                        "the contraction bound 1", complex(zk), norm)
     return out

@@ -83,7 +83,7 @@ def _blocked_evaluate(sd, zs, integrated=False):
         z = zs[start:start + 64, None, None]
         m = _scaled(z, sd.generator_matrix)
         core = z * _blocked_phi1(m) if integrated else spla.expm(m)
-        out.append(sd.domain_basis @ core @ sd.coord_map)
+        out.append(sd.domain_basis @ core @ sd.domain_basis.conj().T)
     return np.concatenate(out)
 
 
