@@ -446,6 +446,14 @@ def _out(p, required=False):
                                               else " (default: stdout)"))
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer, as NumPy's generators take."""
+    seed = int(text)
+    if seed < 0:
+        raise ConfigError(f"{seed} is negative", field="--seed")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="relsemi",
                                  description="relation-semigroup experiments")
@@ -474,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = dis.add_parser("check", help="certify or refute dissipativity")
     p.add_argument("relation")
     p.add_argument("--norm", choices=("l2", "sup"), default="l2")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_seed, default=0,
                    help="RNG seed of the sup-norm sampling (default 0)")
     _out(p)
     p.set_defaults(func=cmd_dissip_check)
@@ -504,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, help="mask family JSON")
     p.add_argument("--tol", type=float, default=None,
                    help="override the family's tolerance")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_seed, default=0,
                    help="RNG seed of the nearest-pair samples (default 0)")
     _out(p, required=True)
     p.set_defaults(func=cmd_heat_converge)
@@ -523,8 +531,8 @@ def main(argv=None) -> int:
         level={"error": logging.ERROR, "info": logging.INFO,
                "debug": logging.DEBUG}.get(level, logging.ERROR),
         format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, InvalidInput) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -67,7 +67,7 @@ class NotMDissipative(RelsemiError):
 
 
 class DecompositionFailure(RelsemiError):
-    """State space did not split into domain and multivalued parts."""
+    """The split into domain and multivalued parts failed a safety check."""
 
 
 class OutsideSector(RelsemiError):

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as spla
 
 from .errors import InvalidInput, NotSurjective
-from .subspace import Subspace, gap, null_basis, numerical_rank, orth_basis
+from .subspace import Subspace, gap, numerical_rank
 
 __all__ = [
     "LinearRelation",
@@ -29,12 +28,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RelationParts:
-    """The four canonical subspaces attached to a relation."""
+    """The four canonical subspaces attached to a relation, and the graph
+    coefficients ``C`` of the domain basis ``B1``: ``U C = B1``, so ``(B1, V C)``
+    are graph pairs and ``V C`` (modulo ``multivalued``) is the operator part."""
 
     domain: Subspace
     range: Subspace
     kernel: Subspace
     multivalued: Subspace
+    domain_coefficients: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -106,20 +108,28 @@ class LinearRelation:
 
     @cached_property
     def parts(self) -> RelationParts:
-        """Domain, range, kernel and multivalued part.
+        """Domain, range, kernel and multivalued part from one full SVD of each
+        graph block, ``U = W_U S_U Q_U^H`` and ``V = W_V S_V Q_V^H``.
 
-        The dimensions obey ``dim(domain) + dim(multivalued) = dim(graph)``
-        and ``dim(range) + dim(kernel) = dim(graph)``.
+        Ranks ``r_U`` and ``r_V`` are :func:`numerical_rank` with floor 1 (the
+        blocks have scale <= 1, so an all-noise block reads as zero).  dom is
+        ``W_U[:, :r_U]``, ran ``W_V[:, :r_V]``, mul ``V Q_U[:, r_U:]`` and ker
+        ``U Q_V[:, r_V:]``, orthonormal up to the cut singular values squared as
+        ``U^H U + V^H V = I``, so ``dim(domain) + dim(multivalued) = dim(range)
+        + dim(kernel) = dim(graph)``; ``C = Q_U[:, :r_U] S_U^{-1}``.
         """
+        def split(block):  # column space, its graph coefficients, null space
+            w, s, qh = np.linalg.svd(block, full_matrices=True)
+            r = numerical_rank(s, 1.0)
+            q = qh.conj().T
+            return np.ascontiguousarray(w[:, :r]), q[:, :r] / s[:r], q[:, r:]
+
         d = self.state_dim
         u, v = self.blocks()
-        # blocks of an orthonormal graph basis have scale <= 1, so the rank
-        # cutoff is pinned to 1: an all-noise block must read as zero
-        domain = Subspace(d, orth_basis(u, scale_floor=1.0))
-        rng = Subspace(d, orth_basis(v, scale_floor=1.0))
-        kernel = Subspace.from_spanning(u @ null_basis(v, scale_floor=1.0), d)
-        multivalued = Subspace.from_spanning(v @ null_basis(u, scale_floor=1.0), d)
-        return RelationParts(domain, rng, kernel, multivalued)
+        dom, coef, u_null = split(u)
+        ran, _, v_null = split(v)
+        return RelationParts(Subspace(d, dom), Subspace(d, ran), Subspace(d, u @ v_null),
+                             Subspace(d, v @ u_null), coef)
 
     @cached_property
     def graph_complement(self) -> np.ndarray:
@@ -189,31 +199,17 @@ class LinearRelation:
     # -- moduli --------------------------------------------------------------
 
     def injectivity_modulus(self) -> float:
-        """Largest ``alpha`` with ``alpha*||x|| <= ||y||`` for all graph pairs.
-
-        Returns ``math.inf`` when the domain is trivial (no constraints);
-        the value is 0 exactly when the kernel is nontrivial.
+        """Largest ``alpha`` with ``alpha*||x|| <= ||y||`` for all graph pairs:
+        ``sigma_min((I - P_mul) V C)`` with ``C`` from :attr:`parts`, as
+        ``||B1 c|| = ||c||``.  Returns ``math.inf`` when the domain is trivial
+        (no constraints); the value is 0 exactly when the kernel is nontrivial.
         """
-        u, v = self.blocks()
-        r = self.dim
-        if r == 0:
+        p = self.parts
+        if p.domain.dim == 0:
             return math.inf
-        uu, us, uvh = np.linalg.svd(u, full_matrices=True)
-        ru = numerical_rank(us, scale_floor=1.0)
-        if ru == 0:
-            return math.inf  # domain is {0}
-        w = uvh[:ru].conj().T          # coefficients reaching the domain
-        n = uvh[ru:].conj().T          # coefficients of multivalued directions
-        vw = v @ w
-        if n.shape[1]:
-            qm = orth_basis(v @ n, scale_floor=1.0)
-            vw = vw - qm @ (qm.conj().T @ vw)
-        uw = u @ w
-        q, rmat = spla.qr(uw, mode="economic")
-        # x = vw @ inv(rmat): solve rmat^T x^T = vw^T (plain transpose)
-        xt = spla.solve_triangular(rmat.T, vw.T, lower=True)
-        sing = np.linalg.svd(xt.T, compute_uv=False)
-        return float(sing[-1])
+        vc = self.blocks()[1] @ p.domain_coefficients
+        op = vc - p.multivalued.project(vc)
+        return float(np.linalg.svd(op, compute_uv=False)[-1])
 
     def surjectivity_modulus(self) -> float:
         """Injectivity modulus of the adjoint; positive iff surjective."""

@@ -101,9 +101,9 @@ def decompose(rel: LinearRelation) -> SemigroupData:
     singular value ``s = ||U V^H B0||_2 > dim eps`` of ``U`` into ``mul A``:
     ``Herm(V^H U) <= 0`` then allows ``(sqrt(2 s) + s) / sigma_k``, with
     ``sigma_k >= 1 / ||C||_F`` the least kept one, at that error in ``T``.
-    Raises :class:`DecompositionFailure` when the domain and multivalued
-    part do not span ``K^d`` (which cannot happen for a genuinely
-    m-dissipative input and indicates inconsistent data).
+    ``C`` comes from :attr:`LinearRelation.parts`.  Raises
+    :class:`DecompositionFailure` when ``U C`` misses ``B1`` or ``M1`` is not
+    dissipative (safety checks; neither happens on consistent data).
     """
     ev = decide_m_dissipative(rel)
     witness = ev.range_witness
@@ -112,20 +112,15 @@ def decompose(rel: LinearRelation) -> SemigroupData:
               ev.resolvent_bound(1.0))
     if not ev.ok:
         raise NotMDissipative(ev.failure)
-    d = rel.state_dim
-    b1 = rel.parts.domain.basis
-    b0 = rel.parts.multivalued.basis
-    d1, d0 = b1.shape[1], b0.shape[1]
-    if d1 + d0 != d:
-        raise DecompositionFailure(
-            f"dim(dom) + dim(mul) = {d1}+{d0} != {d}")
-    # operator part: solve (b1_j, y) = (U, V) C in A; M1 is the X1 component of y
+    parts = rel.parts
+    b1, b0 = parts.domain.basis, parts.multivalued.basis
+    # operator part: (b1_j, y) = (U, V) C is in A; M1 is the X1 component of y
     u, v = rel.blocks()
-    if d1:
-        coef, *_ = np.linalg.lstsq(u, b1, rcond=None)
+    if b1.shape[1]:
+        coef = parts.domain_coefficients
         if np.linalg.norm(u @ coef - b1) > 1e-8:
             raise DecompositionFailure("domain basis is not reachable in the graph")
-        defect = float(np.linalg.norm(b1.conj().T @ b0, 2)) if d0 else 0.0
+        defect = float(np.linalg.norm(b1.conj().T @ b0, 2)) if b0.shape[1] else 0.0
         allowed = 100 * ORTHO_TOL
         s = float(np.linalg.norm(u @ (v.conj().T @ b0), 2)) if defect > allowed else 0.0
         if s > rel.dim * np.finfo(np.float64).eps:  # a singular value of U cut into mul A
@@ -446,14 +441,13 @@ def _growth_witness(rel: LinearRelation):
     parts = rel.parts
     if parts.multivalued.dim or parts.domain.dim != rel.state_dim:
         return None
-    u, v = rel.blocks()
-    coef, *_ = np.linalg.lstsq(u, np.eye(rel.state_dim, dtype=u.dtype), rcond=None)
-    mat = v @ coef
-    vals, vecs = np.linalg.eig(mat)
+    # A = V C B1^H on K^d = dom A, similar to B1^H V C
+    vals = np.linalg.eigvals(parts.domain.basis.conj().T
+                             @ (rel.blocks()[1] @ parts.domain_coefficients))
     k = int(np.argmax(np.real(vals)))
     if np.real(vals[k]) <= 0:
         return None
-    lam, vec = vals[k], vecs[:, k]
+    lam = vals[k]
     tmax = float(WELLPOSED_GRID[-1])
     ratio = abs((np.exp(lam * tmax) - 1.0) / lam) / tmax  # ||u(t)|| / (t ||x||)
     return {"eigenvalue": complex(lam), "t": tmax, "lipschitz_ratio": float(ratio)}

@@ -54,7 +54,7 @@ def numerical_rank(s, scale_floor: float = 0.0):
     return np.sum(s > RANK_TOL * np.maximum(s[..., :1], scale_floor), axis=-1)
 
 
-def orth_basis(a: np.ndarray, scale_floor: float = 0.0) -> np.ndarray:
+def orth_basis(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column space, rank by :func:`numerical_rank`.
 
     An all-zero (or empty) input yields a basis with 0 columns.
@@ -62,16 +62,16 @@ def orth_basis(a: np.ndarray, scale_floor: float = 0.0) -> np.ndarray:
     if a.shape[1] == 0:
         return a.copy()
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return np.ascontiguousarray(u[:, :numerical_rank(s, scale_floor)])
+    return np.ascontiguousarray(u[:, :numerical_rank(s)])
 
 
-def null_basis(a: np.ndarray, scale_floor: float = 0.0) -> np.ndarray:
+def null_basis(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the nullspace of ``a``, rank by :func:`numerical_rank`."""
     m, n = a.shape
     if n == 0:
         return a[:0, :0].reshape(0, 0) if m == 0 else np.zeros((n, 0), dtype=a.dtype)
     u, s, vh = np.linalg.svd(a, full_matrices=True)
-    return np.ascontiguousarray(vh[numerical_rank(s, scale_floor):].conj().T)
+    return np.ascontiguousarray(vh[numerical_rank(s):].conj().T)
 
 
 @dataclass(frozen=True)

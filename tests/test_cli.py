@@ -287,7 +287,7 @@ DISK = {"kind": "disk", "center": [0.0, 0.0], "radius": 0.7}
 @pytest.mark.parametrize("case", [
     "spec --imag nan", "spec --tol=-1", "orbit --grid nan:0.1:1",
     "orbit --grid 0:0.1:inf", "heat t_grid NaN", "heat lambda_grid NaN", "heat t_grid Infinity", "heat mu NaN",
-    "heat tol 0", "heat --tol=inf", "tk tol -1"])
+    "heat tol 0", "heat --tol=inf", "tk tol -1", "dissip --seed -1", "heat --seed=-3"])
 def test_non_finite_or_nonpositive_input_exits_2(case, rel_file, tmp_path, capsys):
     # each of these once ended in a traceback (exit 1), or for a negative
     # tolerance ran and reported every point outside the resolvent set
@@ -298,6 +298,7 @@ def test_non_finite_or_nonpositive_input_exits_2(case, rel_file, tmp_path, capsy
     argv = {
         "spec --imag nan": ["spec", "scan", rel_file, "--grid=0:0.5:1", "--imag", "nan"],
         "spec --tol=-1": ["spec", "scan", rel_file, "--grid=0:0.5:1", "--tol=-1"],
+        "dissip --seed -1": ["dissip", "check", rel_file, "--norm", "sup", "--seed", "-1"],
         "orbit --grid nan:0.1:1": ["heat", "orbit", "--mask", str(mask),
                                    "--grid", "nan:0.1:1", "--out", out],
         "orbit --grid 0:0.1:inf": ["heat", "orbit", "--mask", str(mask),
@@ -316,7 +317,9 @@ def test_non_finite_or_nonpositive_input_exits_2(case, rel_file, tmp_path, capsy
         fam = _relations_family(tmp_path, (4, 16), tol=-1.0)
         argv = ["converge", "tk", "--family", fam]
     assert main(argv) == 2
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    assert "--seed" not in case or "config error: --seed:" in err
 
 
 @pytest.mark.parametrize("case", ["tk family", "heat family", "mask", "builder",

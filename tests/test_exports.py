@@ -36,7 +36,7 @@ def test_one_rank_cutoff_and_no_one_value_knobs():
     defaults = sum(len(node.args.defaults)
                    + sum(d is not None for d in node.args.kw_defaults)
                    for _, node in _defs())
-    assert defaults <= 83
+    assert defaults <= 80
 
 
 def test_the_heat_lab_relation_has_no_unlisted_public_attribute():

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relsemi.errors import InvalidInput, NotSurjective
 from relsemi.relation import LinearRelation, gap_relations
-from relsemi.sampling import random_matrix, random_relation
-from relsemi.subspace import complement, gap, intersect
+from relsemi.sampling import random_m_dissipative, random_matrix, random_relation
+from relsemi.subspace import complement, gap, intersect, numerical_rank
 
 
 def graph_of(mat):
@@ -125,6 +126,60 @@ def test_injectivity_modulus_ignores_multivalued_directions():
     ys = np.array([[2.0, 0.0], [0.0, 1.0]])
     rel = LinearRelation.from_pairs(xs, ys)
     assert abs(rel.injectivity_modulus() - 2.0) < 1e-12
+
+
+def _qr_injectivity_modulus(rel):
+    """The injectivity modulus by its own SVD of ``U``, the multivalued
+    projection, a QR of ``U W``, a triangular solve and a last SVD (the
+    pipeline that :attr:`LinearRelation.parts` replaced), as the oracle."""
+    u, v = rel.blocks()
+    if rel.dim == 0:
+        return math.inf
+    _, us, uvh = np.linalg.svd(u, full_matrices=True)
+    ru = numerical_rank(us, 1.0)
+    if ru == 0:
+        return math.inf
+    w, n = uvh[:ru].conj().T, uvh[ru:].conj().T
+    vw = v @ w
+    if n.shape[1]:
+        wm, sm, _ = np.linalg.svd(v @ n, full_matrices=False)
+        qm = wm[:, :numerical_rank(sm, 1.0)]
+        vw = vw - qm @ (qm.conj().T @ vw)
+    _, rmat = spla.qr(u @ w, mode="economic")
+    xt = spla.solve_triangular(rmat.T, vw.T, lower=True)  # vw @ inv(rmat)
+    return float(np.linalg.svd(xt.T, compute_uv=False)[-1])
+
+
+EPS = np.finfo(float).eps
+#: round-off of the operator part, in units of d eps ||C||_2: ||U C - B1||_2,
+#: the graph distance of (B1, V C) and the moduli's difference measured at
+#: most 14.5, 7.9 and 2.1 over 120,000 relations, d = 0..8
+PARTS_SLACK = 32
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@given(d=st.integers(0, 8), graph=st.integers(0, 16), dissipative=st.booleans(),
+       seed=st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_parts_carry_the_operator_part(field, d, graph, dissipative, seed):
+    rng = np.random.default_rng(seed)
+    rel = random_m_dissipative(rng, d, field) if dissipative else \
+        random_relation(rng, d, field, graph_dim=min(graph, 2 * d))
+    p = rel.parts
+    assert p.domain.dim + p.multivalued.dim == rel.dim
+    assert p.range.dim + p.kernel.dim == rel.dim
+    c = p.domain_coefficients
+    assert c.shape == (rel.dim, p.domain.dim)
+    if not p.domain.dim:
+        assert rel.injectivity_modulus() == _qr_injectivity_modulus(rel) == math.inf
+        return
+    slack = PARTS_SLACK * max(d, 1) * EPS * np.linalg.norm(c, 2)
+    u, v = rel.blocks()
+    b1 = p.domain.basis
+    assert np.linalg.norm(u @ c - b1, 2) <= slack
+    pairs = np.vstack([b1, v @ c])
+    assert np.linalg.norm(pairs - rel.graph.project(pairs), 2) <= slack
+    assert abs(rel.injectivity_modulus() - _qr_injectivity_modulus(rel)) <= slack
 
 
 def test_surjectivity_modulus_matches_adjoint():

@@ -127,12 +127,12 @@ def test_json_real_has_zero_imag_block(rng):
 
 
 # the three spellings of the rank cutoff that numerical_rank replaced
-def _basis_spelling(s, floor):  # orth_basis and null_basis
+def _basis_spelling(s, floor):  # orth_basis, null_basis (0) and parts (1)
     ref = max(float(s[0]) if s.size else 0.0, floor)
     return 0 if ref == 0.0 else int(np.sum(s > RANK_TOL * ref))
 
 
-def _injectivity_spelling(us):  # LinearRelation.injectivity_modulus
+def _injectivity_spelling(us):  # injectivity_modulus's SVD of U, now parts'
     if us.size == 0 or us[0] <= RANK_TOL:
         return 0  # the early return: domain is {0}
     return int(np.sum(us > RANK_TOL * max(us[0], 1.0)))
