@@ -94,8 +94,12 @@ def _parse_time_grid(expr: str) -> np.ndarray:
     a, step, b = (_finite(p, "--grid", float) for p in parts)
     if step <= 0 or b < a:
         raise ConfigError("grid needs step > 0 and b >= a", field="--grid")
-    count = int(math.floor((b - a) / step + 1e-9)) + 1
-    return a + step * np.arange(count)
+    try:
+        count = int(math.floor((b - a) / step + 1e-9)) + 1
+        return a + step * np.arange(count)
+    except (OverflowError, ValueError) as exc:  # a count NumPy cannot allocate
+        raise ConfigError(f"grid {expr!r} has too many points ({exc})",
+                          field="--grid") from exc
 
 
 def _load_json(path: str):

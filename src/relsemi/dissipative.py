@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NotDissipative, NotInResolventSet, NotSurjective
 from .relation import LinearRelation
-from .spectral import ResolventBlock, ResolventSample, resolvent, resolvent_points
+from .spectral import ResolventBlock, resolvent, resolvent_points
 from .subspace import null_basis
 
 #: Slack allowed on exact certificates.
@@ -26,7 +26,7 @@ CERT_TOL = 1e-10
 #: Decades of ``lam`` on which :func:`is_m_dissipative` samples its evidence.
 LAMBDA_DECADES = tuple(10.0 ** k for k in range(-3, 7))
 
-EVIDENCE_ACCEPT_TOL = 1e-8  # acceptance residual of R(1) and of the resolvents on LAMBDA_DECADES
+EVIDENCE_ACCEPT_TOL = 1e-8  # acceptance residual of the sampled resolvents on LAMBDA_DECADES
 SAMPLED_PAIRS = 200         # random graph pairs of the sampled sup-norm check,
 SAMPLED_LAMBDAS = np.logspace(-3, 3, 13)  # its lam grid
 SAMPLED_TOL = 1e-12         # and its slack
@@ -96,21 +96,6 @@ def dissipativity_sampled(rel: LinearRelation, seed: int = 0) -> DissipativityCe
                                     SAMPLED_TOL, detail)
 
 
-def _verdict(cert: DissipativityCertificate, refusal) -> tuple:
-    """``(range_full, failure)`` that the m-dissipativity decision and the
-    sampled evidence share, from the Hermitian-form certificate and the
-    refusal (``None`` when accepted) of ``R(1)`` at ``EVIDENCE_ACCEPT_TOL``.
-    A rank or graph-dimension refusal means ``ran(1 - A)`` is proper; a
-    residual refusal comes after the rank stage passed, so the range is
-    full, and fails the decision."""
-    range_full = refusal is None or refusal.residual is not None
-    if not cert.dissipative:
-        return range_full, "not dissipative"
-    if not range_full:
-        return range_full, "ran(1 - A) proper"
-    return True, None if refusal is None else f"lam={refusal.lam:g}: {refusal}"
-
-
 def _theorem_bound(w: float, lam: float) -> float:
     """``(1 - 2 w / lam)^(-1/2)`` for ``2 w < lam <= 1 / (2 w)``, else ``inf``."""
     top = math.inf if w == 0.0 else 1.0 / (2.0 * w)
@@ -126,18 +111,14 @@ class MDissipativityDecision:
     ``ok`` is the Lumer–Phillips theorem's hypothesis, a dissipative
     ``certificate`` and ``ran(1 - A) = K^d``, with the theorem's bound on
     the decades ``LAMBDA_DECADES`` within ``CERT_TOL`` of 1.
-    ``range_witness`` is the certified ``R(1)`` that shows the range
-    condition (``None`` where that point was refused).  ``form_bound`` is
-    ``w+ = max(witness, 0)`` plus a heuristic rounding allowance ``dim *
-    eps`` for the computed largest eigenvalue (``||Herm(U^H V)||_2 <= 1``
-    on the orthonormal graph basis), so that ``Re <x, y> <= w+ (||x||^2 +
-    ||y||^2)`` on the graph.
+    ``form_bound`` is ``w+ = max(witness, 0)`` plus a heuristic rounding
+    allowance ``dim * eps`` for the computed largest eigenvalue
+    (``||Herm(U^H V)||_2 <= 1`` on the orthonormal graph basis), so that
+    ``Re <x, y> <= w+ (||x||^2 + ||y||^2)`` on the graph.
     """
 
     ok: bool
     certificate: DissipativityCertificate
-    range_full: bool
-    range_witness: Optional[ResolventSample]
     form_bound: float
     failure: Optional[str] = None
 
@@ -154,12 +135,14 @@ class MDissipativityDecision:
 
 
 def decide_m_dissipative(rel: LinearRelation) -> MDissipativityDecision:
-    """Decide m-dissipativity by the Lumer–Phillips theorem.
+    """Decide m-dissipativity by the Lumer–Phillips theorem, with no resolvent solve.
 
-    This is a decision, not evidence: :func:`dissipativity_l2` and one
-    certified ``R(1)`` at ``EVIDENCE_ACCEPT_TOL``, whose rank stage is the
-    range condition ``ran(1 - A) = K^d`` (see :func:`_verdict`).  The bound
-    on ``||lam R(lam)||_2`` then holds by the theorem
+    This is a decision, not evidence: :func:`dissipativity_l2` and the range
+    condition ``ran(1 - A) = K^d`` as a count.  On the orthonormal graph
+    basis ``[U; V]``, ``||(U - V) c||^2 = ||c||^2 - 2 c^H Herm(U^H V) c >=
+    (1 - 2 w) ||c||^2`` for the form witness ``w <= CERT_TOL``, so
+    ``ran(1 - A) = ran(U - V)`` is ``K^d`` exactly when ``dim(graph) = d``.
+    The bound on ``||lam R(lam)||_2`` then holds by the theorem
     (:meth:`MDissipativityDecision.resolvent_bound`) and is not sampled;
     since it falls with ``lam``, the decision holds it to ``1 + CERT_TOL``
     at the first decade, which covers every decade that
@@ -168,14 +151,15 @@ def decide_m_dissipative(rel: LinearRelation) -> MDissipativityDecision:
     below ``1 + CERT_TOL``.
     """
     cert = dissipativity_l2(rel)
-    [(_, refusal, witness)] = resolvent_points(rel, [1.0], ResolventBlock.samples,
-                                                  EVIDENCE_ACCEPT_TOL)
-    range_full, failure = _verdict(cert, refusal)
     w = max(cert.witness, 0.0) + rel.dim * float(np.finfo(np.float64).eps)
-    defect = _theorem_bound(w, LAMBDA_DECADES[0]) - 1.0
-    if failure is None and defect > CERT_TOL:
-        failure = f"resolvent bound defect {defect:.3e}"
-    return MDissipativityDecision(failure is None, cert, range_full, witness, w, failure)
+    if not cert.dissipative:
+        failure = "not dissipative"
+    elif rel.dim != rel.state_dim:
+        failure = "ran(1 - A) proper"
+    else:
+        defect = _theorem_bound(w, LAMBDA_DECADES[0]) - 1.0
+        failure = f"resolvent bound defect {defect:.3e}" if defect > CERT_TOL else None
+    return MDissipativityDecision(failure is None, cert, w, failure)
 
 
 @dataclass(frozen=True)
@@ -191,21 +175,23 @@ class MDissipativityEvidence:
 def is_m_dissipative(rel: LinearRelation) -> MDissipativityEvidence:
     """Check m-dissipativity and collect sampled resolvent-bound evidence.
 
-    The form certificate and the range condition are read as in
-    :func:`decide_m_dissipative` (:func:`_verdict`), from the ``lam = 1``
-    point of the decades ``LAMBDA_DECADES``.  Where the decision bounds
-    ``||lam R(lam, A)||_2`` in closed form, this evidence samples it: it
-    verifies ``||lam R(lam, A)||_2 <= 1 + CERT_TOL`` on every decade
-    (resolvents accepted at ``EVIDENCE_ACCEPT_TOL``), which the theorem
-    guarantees and which guards against implementation drift.  A refused
-    decade fails the evidence with the first refused decade's text.
+    The form certificate is read as in :func:`decide_m_dissipative`; the
+    range condition is the rank stage of the ``lam = 1`` decade (a rank or
+    graph-dimension refusal of ``R(1)`` means ``ran(1 - A)`` is proper).
+    Where the decision bounds ``||lam R(lam, A)||_2`` in closed form, this
+    evidence samples it: it verifies ``||lam R(lam, A)||_2 <= 1 + CERT_TOL``
+    on every decade (resolvents accepted at ``EVIDENCE_ACCEPT_TOL``), which
+    the theorem guarantees and which guards against implementation drift.
+    A refused decade fails the evidence with the first refused decade's text.
     """
     cert = dissipativity_l2(rel)
     lams = LAMBDA_DECADES if cert.dissipative else (1.0,)
     points = resolvent_points(rel, lams, ResolventBlock.scaled_norms,
                               EVIDENCE_ACCEPT_TOL)
-    range_full, failure = _verdict(cert, points[lams.index(1.0)][1])
+    at_one = points[lams.index(1.0)][1]
+    range_full = at_one is None or at_one.residual is not None
     if not (cert.dissipative and range_full):
+        failure = "ran(1 - A) proper" if cert.dissipative else "not dissipative"
         return MDissipativityEvidence(False, cert, range_full, (), math.nan, failure)
     checks = []
     defect = -math.inf

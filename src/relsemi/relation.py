@@ -167,8 +167,13 @@ class LinearRelation:
         ``(a, b)`` belongs to the adjoint iff ``<y, a> = <x, b>`` for every
         ``(x, y)`` in the relation; for the graph of a matrix ``M`` this is
         the graph of ``M^H``.  Its graph basis ``[N2; -N1]`` comes from the
-        cached :attr:`graph_complement`.
+        cached :attr:`graph_complement`.  The adjoint is built once and
+        cached, so every caller shares its :attr:`parts`.
         """
+        return self._adjoint
+
+    @cached_property
+    def _adjoint(self) -> "LinearRelation":
         d = self.state_dim
         n = self.graph_complement
         return LinearRelation(d, Subspace(2 * d, np.vstack([n[d:], -n[:d]])))
@@ -239,7 +244,7 @@ class LinearRelation:
         try:
             d = int(obj["state_dim"])
             graph = Subspace.from_json(obj["graph"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"bad relation JSON: {exc}") from exc
         return LinearRelation(d, graph)
 

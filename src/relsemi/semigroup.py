@@ -37,7 +37,7 @@ from .errors import (
     OutsideSector,
 )
 from .relation import LinearRelation
-from .spectral import ACCEPT_TOL, ResolventBlock, reaccepted, resolvent, resolvent_points
+from .spectral import ResolventBlock, resolvent, resolvent_points
 from .subspace import ORTHO_TOL
 
 log = logging.getLogger("relsemi")
@@ -60,8 +60,8 @@ class SemigroupData:
     decomposition that never needs it does not hold a ``d x d`` matrix.
     ``evidence`` is the m-dissipativity decision
     (:func:`~relsemi.dissipative.decide_m_dissipative`), not sampled
-    evidence: its certified ``R(1)`` (``range_witness``) and the theorem's
-    bound on ``||lam R(lam)||_2`` for ``lam > 0`` (``resolvent_bound``).
+    evidence: the form certificate and the theorem's bound on ``||lam
+    R(lam)||_2`` for ``lam > 0`` (``resolvent_bound``).
     """
 
     relation: LinearRelation
@@ -93,22 +93,20 @@ def decompose(rel: LinearRelation) -> SemigroupData:
 
     m-dissipativity is decided, not sampled: by
     :func:`~relsemi.dissipative.decide_m_dissipative` (the ``l2`` form
-    certificate, one certified ``R(1)`` and the closed-form resolvent
-    bound), whose refusal raises :class:`NotMDissipative` with its failure
-    text.  ``Re <y + t v, x> <= 0`` for all ``t`` makes ``mul A`` orthogonal
-    to ``dom A`` (Lumer and Phillips 1961), so a lean ``||B1^H B0||_2`` past
-    ``100 * ORTHO_TOL`` raises it too, unless the rank decision cut a
-    singular value ``s = ||U V^H B0||_2 > dim eps`` of ``U`` into ``mul A``:
-    ``Herm(V^H U) <= 0`` then allows ``(sqrt(2 s) + s) / sigma_k``, with
-    ``sigma_k >= 1 / ||C||_F`` the least kept one, at that error in ``T``.
-    ``C`` comes from :attr:`LinearRelation.parts`.  Raises
+    certificate, the graph dimension and the closed-form resolvent bound,
+    with no resolvent solve), whose refusal raises :class:`NotMDissipative`
+    with its failure text.  ``Re <y + t v, x> <= 0`` for all ``t`` makes
+    ``mul A`` orthogonal to ``dom A`` (Lumer and Phillips 1961), so a lean
+    ``||B1^H B0||_2`` past ``100 * ORTHO_TOL`` raises it too, unless the rank
+    decision cut a singular value ``s = ||U V^H B0||_2 > dim eps`` of ``U``
+    into ``mul A``: ``Herm(V^H U) <= 0`` then allows ``(sqrt(2 s) + s) /
+    sigma_k``, with ``sigma_k >= 1 / ||C||_F`` the least kept one, at that
+    error in ``T``.  ``C`` comes from :attr:`LinearRelation.parts`.  Raises
     :class:`DecompositionFailure` when ``U C`` misses ``B1`` or ``M1`` is not
     dissipative (safety checks; neither happens on consistent data).
     """
     ev = decide_m_dissipative(rel)
-    witness = ev.range_witness
-    log.debug("m_dissipative witness=%.3e range_residual=%.3e bound=%.17g",
-              ev.certificate.witness, math.nan if witness is None else witness.residual,
+    log.debug("m_dissipative witness=%.3e bound=%.17g", ev.certificate.witness,
               ev.resolvent_bound(1.0))
     if not ev.ok:
         raise NotMDissipative(ev.failure)
@@ -311,9 +309,8 @@ def laplace_residual(sd: SemigroupData, lam, horizon: float = 40.0,
     matrix ``e^{tB}`` carries ``e^{-lam t} S(t)`` (unembedded) in its
     top-right block, so the integral is that block of ``H phi1(H B)``.
     Either is one ``expm`` of an augmented matrix, with no quadrature error.
-    Both must reproduce ``R(lam, A)``, which at the real ``lam = 1`` is
-    the decomposition's certified ``R(1)`` (``sd.evidence.range_witness``),
-    accepted and refused as :func:`~relsemi.spectral.resolvent` would; the
+    Both must reproduce ``R(lam, A)``, certified by
+    :func:`~relsemi.spectral.resolvent`, which raises where it refuses; the
     truncation tail is bounded using ``||T(t)|| <= 1`` (resp.
     ``||S(t)|| <= t``), exact as ``P`` is orthogonal.
     """
@@ -342,10 +339,7 @@ def laplace_residual(sd: SemigroupData, lam, horizon: float = 40.0,
     if transform == "integrated":
         acc = lam * acc
     log.debug("laplace transform=%s matrices=1 size=%d", transform, 2 * size)
-    if isinstance(lam, numbers.Real) and lam == 1.0:
-        target = reaccepted(sd.evidence.range_witness, lam, ACCEPT_TOL).matrix
-    else:
-        target = resolvent(sd.relation, lam).matrix
+    target = resolvent(sd.relation, lam).matrix
     return LaplaceCheck(float(np.linalg.norm(acc - target, 2)), bound)
 
 

@@ -250,15 +250,6 @@ def resolvent(rel: LinearRelation, lam, accept_tol: float = ACCEPT_TOL) -> Resol
     return sample
 
 
-def reaccepted(sample: ResolventSample, lam, accept_tol: float) -> ResolventSample:
-    """``sample``, certified at ``lam`` under a looser tolerance, if its
-    residual is within ``accept_tol``; else raise the refusal
-    :func:`resolvent` raises for it at ``lam`` (the caller's object)."""
-    if sample.residual > accept_tol:
-        raise _residual_refusal(lam, sample.residual, accept_tol)
-    return sample
-
-
 def in_resolvent_set(rel: LinearRelation, lam) -> bool:
     try:
         resolvent(rel, lam)

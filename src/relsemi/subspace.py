@@ -170,6 +170,15 @@ class Subspace:
             re_cols = obj["basis_real"]
             im_cols = obj["basis_imag"]
             rank_tol = float(obj.get("rank_tol", RANK_TOL))
+            if m < 0:
+                raise ValueError(f"ambient_dim {m} is negative")
+            cols = _json_columns(re_cols, m)
+            if fieldtag == "complex":
+                im = _json_columns(im_cols, m)
+                if im.shape != cols.shape:
+                    raise ValueError(f"{cols.shape[1]} real and {im.shape[1]} "
+                                     f"imaginary basis columns")
+                cols = cols + 1j * im
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"bad subspace JSON: {exc}") from exc
         if rank_tol != RANK_TOL:
@@ -177,11 +186,16 @@ class Subspace:
                                f"{RANK_TOL!r}")
         if fieldtag not in ("real", "complex"):
             raise InvalidInput(f"bad field tag {fieldtag!r}")
-        cols = np.array(re_cols, dtype=float).reshape(len(re_cols), m).T
-        if fieldtag == "complex":
-            cols = cols + 1j * np.array(im_cols, dtype=float).reshape(len(im_cols), m).T
         # re-orthonormalize; serialized decimals may carry round-off
         return Subspace.from_spanning(cols, ambient_dim=m)
+
+
+def _json_columns(cols, m: int) -> np.ndarray:
+    """A JSON list of length-``m`` columns as an ``m x len(cols)`` matrix."""
+    a = np.array(cols, dtype=float)
+    if len(cols) and a.shape != (len(cols), m):
+        raise ValueError(f"basis columns must be lists of length {m}")
+    return a.reshape(len(cols), m).T
 
 
 def promote(s1: Subspace, s2: Subspace):

@@ -256,9 +256,31 @@ def test_range_condition_matches_the_shifted_parts(kind, field, d, seed):
         # a graph wider than d has a full shifted range but no resolvent
         assert ev.range_full == (range_full and rel.dim == d)
     decision = decide_m_dissipative(rel)
-    assert (decision.ok, decision.range_full) == (ev.ok, ev.range_full)
+    assert decision.ok == ev.ok
     if not (ev.certificate.dissipative and ev.range_full):
         assert decision.failure == ev.failure
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("kind", sorted(_MAKERS))
+@given(d=st.integers(0, 8), seed=st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_the_range_condition_of_a_dissipative_graph_is_its_dimension(kind, field, d, seed):
+    # the rank stage of R(1), at an infinite acceptance so that only the
+    # rank can refuse, is the oracle of the count the decision makes
+    assume(d >= {"non-maximal": 2, "general": 1}.get(kind, 0))
+    rel = _MAKERS[kind](np.random.default_rng(seed), d, field)
+    cert = dissipativity_l2(rel)
+    if not cert.dissipative:
+        return
+    [(_, refusal, _)] = resolvent_points(rel, [1.0], ResolventBlock.samples, math.inf)
+    assert (rel.dim == d) == (refusal is None)
+    decision = decide_m_dissipative(rel)
+    assert (decision.failure == "ran(1 - A) proper") == (refusal is not None)
+    # ||(U - V) c||^2 >= (1 - 2 w) ||c||^2: the count has a margin of about 1
+    u, v = rel.blocks()
+    sigma = np.linalg.svd(u - v, compute_uv=False)
+    assert sigma.min(initial=1.0) >= math.sqrt(1.0 - 2.0 * max(cert.witness, 0.0)) - 1e-12
 
 
 def test_lumer_phillips_refuses_the_zero_operator_built_with_round_off():
@@ -354,7 +376,7 @@ def test_a_slightly_expansive_scalar_fails_the_bound_as_it_fails_the_evidence():
     a = 1e-11
     rel = graph_of([[a]])
     decision, ev = decide_m_dissipative(rel), is_m_dissipative(rel)
-    assert decision.certificate.dissipative and decision.range_full
+    assert decision.certificate.dissipative and rel.dim == rel.state_dim
     assert (decision.ok, decision.failure) == (ev.ok, ev.failure) == \
         (False, "resolvent bound defect 1.000e-08")
     assert decision.resolvent_bound(1.0) == math.inf
@@ -418,7 +440,11 @@ def test_the_decision_fails_with_the_evidence_text(case, monkeypatch):
         assert why.startswith("lam=1: lambda=1.0 is not certified") and "residual" in why
     ev, decision = is_m_dissipative(rel), decide_m_dissipative(rel)
     assert (ev.ok, ev.failure) == (False, why)
-    assert (decision.ok, decision.failure, decision.range_full) == (False, why, ev.range_full)
+    if case == "residual at 1":
+        # the decision solves no resolvent, so the evidence's tolerance never reaches it
+        assert decision.ok and decision.failure is None
+        return
+    assert (decision.ok, decision.failure) == (False, why)
     assert decision.resolvent_bound(1.0) == math.inf
     with pytest.raises(NotMDissipative) as exc:
         decompose(rel)

@@ -187,6 +187,21 @@ def test_surjectivity_modulus_matches_adjoint():
     assert abs(rel.surjectivity_modulus() - 2.0) < 1e-12
 
 
+def test_the_adjoint_is_built_once_and_shares_its_parts(rng, monkeypatch):
+    rel = random_m_dissipative(rng, 6, "complex", dom_dim=4)
+    assert rel.adjoint() is rel.adjoint()
+    parts = rel.adjoint().parts
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: calls.append(
+        (a.shape, kwargs.get("compute_uv", True))) or svd(a, *args, **kwargs))
+    modulus = rel.surjectivity_modulus()
+    # only the modulus's own sigma_min; the adjoint's blocks are factored once
+    assert calls == [((6, 4), False)]
+    assert rel.adjoint().parts is parts
+    assert modulus == rel.adjoint().injectivity_modulus()
+
+
 def test_surjectivity_modulus_of_pure_multivalued():
     # {0} x K is onto with no constraint on the adjoint side
     rel = LinearRelation.from_pairs(np.zeros((1, 1)), np.eye(1))

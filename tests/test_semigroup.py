@@ -336,34 +336,28 @@ def _count_certified(monkeypatch):
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
-def test_decompose_certifies_one_resolvent_and_laplace_reuses_it(field, monkeypatch):
+def test_decompose_certifies_no_resolvent(field, monkeypatch):
     rel = random_m_dissipative(np.random.default_rng(4), 5, field, dom_dim=3)
     lams = _count_certified(monkeypatch)
     sd = decompose(rel)
-    # the decision: one R(1), at real lam = 1, and no sampled decades
-    assert [(type(lam), lam) for lam in lams] == [(float, 1.0)]
-    lams.clear()
+    # the decision counts dimensions and certifies no lam
+    assert lams == []
     for lam in (1.0, np.float64(1.0), 1):
         for transform in ("semigroup", "integrated"):
             assert laplace_residual(sd, lam, transform=transform).total <= 1e-12
-    assert lams == []
+    assert lams == [1.0] * 6
+    lams.clear()
     laplace_residual(sd, 2.0 + 1.0j)
     assert lams == [2.0 + 1.0j]
-    # the witness is what resolvent(rel, 1.0) returns, bit for bit
-    monkeypatch.undo()
-    want = spectral.resolvent(rel, 1.0)
-    witness = sd.evidence.range_witness
-    assert (witness.lam, witness.residual) == (want.lam, want.residual)
-    assert witness.matrix.dtype == want.matrix.dtype
-    assert np.array_equal(witness.matrix, want.matrix)
 
 
 def test_laplace_at_one_refuses_as_the_resolvent_does(monkeypatch):
     sd = decompose(random_m_dissipative(np.random.default_rng(4), 5, "real", dom_dim=3))
-    tight = sd.evidence.range_witness.residual / 2
+    tight = spectral.resolvent(sd.relation, 1.0).residual / 2
     with pytest.raises(NotInResolventSet) as want:
         spectral.resolvent(sd.relation, 1.0, tight)
-    monkeypatch.setattr(semigroup_module, "ACCEPT_TOL", tight)
+    monkeypatch.setattr(semigroup_module, "resolvent",
+                        lambda rel, lam: spectral.resolvent(rel, lam, tight))
     with pytest.raises(NotInResolventSet) as got:
         laplace_residual(sd, 1.0)
     assert str(got.value) == str(want.value)
