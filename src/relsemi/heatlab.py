@@ -34,17 +34,19 @@ size give the same digits; NaN or infinite data, times, shifts or
 operator entries raise :class:`InvalidInput`.
 
 Every factorization in the lab — the Krylov pole or a shift with
-``Re λ ≤ μ₊``, graph distances (``−iI − L`` for a symmetric stencil, the
-augmented ``[[I, Lᵀ], [L, −I]]`` otherwise), the shift-invert Lanczos
-eigenvalue and the interval solve — is one sparse factorization of
-``σI − op``, :func:`_factor`.  The pivot rule comes from the matrix: one
-that is diagonally dominant by rows or columns, decided exactly, is
-factored with diagonal pivots on a minimum-degree ordering, since Gaussian
-elimination on it needs no pivoting and has growth factor at most 2
-(Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-Thm 9.9); every other matrix gets partial pivoting.  No factor and no
-basis outlives the call that made it.  :meth:`DirichletGridRelation.remember`
-is the only way into a relation's memo, which holds results, never a
+``Re λ ≤ μ₊``, a symmetric stencil's graph distances (``−iI − L``), the
+shift-invert Lanczos eigenvalue and the interval solve — is one sparse
+factorization of ``σI − op``, :func:`_factor`, on a minimum-degree ordering
+of its symmetric pattern with SuperLU's threshold partial pivoting.  That
+rule keeps the diagonal pivot of a column-dominant matrix, such as every
+stencil shift with ``Re σ ≥ 0``, at every step, where Gaussian elimination
+has growth factor at most 2 (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2nd ed., §9.5).  The one other factor is the graph distance's
+augmented ``[[I, Lᵀ], [L, −I]]`` for a non-symmetric ``L``, on SuperLU's
+default ordering.  The operator is real: a complex one raises
+:class:`InvalidInput`.  No factor and no basis outlives the call that made
+it.  :meth:`DirichletGridRelation.remember` is the only way into a
+relation's memo, which holds results, never a
 factor or a basis: it takes requests ``(times, lams, F)`` for every point
 a study will read, in one Krylov call, and later calls on those points and
 columns read them back and make no factor.  A call on anything else makes
@@ -98,96 +100,36 @@ ARGMAX_COLUMNS = 16        # sample columns per argmax copy in max_principle_che
 GAUSS8 = np.polynomial.legendre.leggauss(8)  # panel rule of _residual_integral on [-1, 1]
 
 
-def _dominant(mat) -> bool:
-    """Whether each line of ``mat`` (a row of CSR, a column of CSC) is dominated
-    by its diagonal entry, decided exactly.
-
-    A line passes when its diagonal entry is nonzero and at least the sum of
-    its off-diagonal entries, sizes taken as ``|Re a_ii|`` on the diagonal
-    and ``|Re a_ij| + |Im a_ij|`` off it: ``|a|`` for real entries, and for
-    complex ones a condition that implies dominance in modulus.  ``mat``
-    must be canonical.  Rounded line sums settle every line but near-ties;
-    those are summed in integers, or by ``math.fsum`` when one holds an
-    entry below ``2⁻⁴`` of the power of two just above its diagonal.
-    """
-    ptr = mat.indptr
-    entries = mat.diagonal()
-    diag = np.abs(entries.real)
-    if not np.all(diag > 0.0):
-        return False
-    parts = [np.abs(mat.data.real)] + (
-        [np.abs(mat.data.imag)] if np.iscomplexobj(mat.data) else [])
-    rowsum = np.add.reduceat(sum(parts), ptr[:-1])  # every line holds its diagonal
-    total = 2.0 * diag + np.abs(entries.imag) - rowsum
-    slack = 4.0 * np.finfo(float).eps * np.diff(ptr) * rowsum  # ≥ the rounding error
-    if np.any(total < -slack):
-        return False
-    tie = total <= slack
-    if not tie.any():
-        return True
-    # the signed terms of a tie lie below 2^top, top the exponent after its
-    # diagonal's; those within 2⁻⁴ of that are integers in units of
-    # 2^(top − 57), fewer than 33 fit in a tie, so it sums exactly in int64
-    line = np.repeat(np.arange(diag.size), np.diff(ptr))
-    on = mat.indices == line
-    terms = np.stack([np.where(on, parts[0], -parts[0])]
-                     + [np.where(on, 0.0, -p) for p in parts[1:]], axis=-1)
-    frac, expo = np.frexp(terms)
-    shift = (np.frexp(diag)[1] + 1)[line, None] - expo
-    live = frac != 0.0
-    fits = ~live | ((shift >= 0) & (shift <= 4))
-    ints = (frac * 2.0 ** 53).astype(np.int64) << np.where(live & fits, 4 - shift, 0)
-    sums = np.add.reduceat(np.where(fits, ints, 0).sum(axis=1), ptr[:-1])
-    wide = tie & np.logical_or.reduceat(~fits.all(axis=1), ptr[:-1])
-    if np.any(sums[tie & ~wide] < 0):
-        return False
-    return all(math.fsum(terms[ptr[i]:ptr[i + 1]].ravel()) >= 0.0
-               for i in np.flatnonzero(wide))
-
-
 def _factor(op, sigma):
-    """Solve with ``σI − op`` for real or complex right-hand sides.
+    """``solve(b)`` with ``σI − op`` over one sparse LU factorization.
 
-    Returns ``solve(b)`` over one sparse LU factorization.  A real ``σ``
-    gives a real factor, which takes a complex ``b`` as two real solves.
-    When ``σI − op`` is diagonally dominant by rows or by columns (checked
-    exactly by :func:`_dominant`), Gaussian elimination needs no pivoting:
-    it exists and its growth factor is at most 2 (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2nd ed., Thm 9.9).  Such a matrix —
-    every stencil shift with ``Re σ ≥ 0``, ``−iI − L`` and every
-    ``diag(m)·L`` with ``m > 0`` — is factored on a minimum-degree ordering
-    of its symmetric pattern with diagonal pivots; any other, such as the
-    augmented graph-distance system, by SuperLU's default COLAMD ordering
-    with partial pivoting.  Every resolvent column is still verified by its
-    backward error.  Each factorization logs one debug line with its size,
-    fill and pivot rule.
+    A real ``σ`` gives a real factor, which takes real ``b`` only; a complex
+    one takes either.  The matrix is factored on a minimum-degree ordering of
+    its symmetric pattern with SuperLU's threshold partial pivoting, which
+    keeps a diagonal pivot whenever it is the largest entry left in its
+    column (Demmel et al., *SIAM J. Matrix Anal. Appl.* 20, 1999).  On a
+    matrix diagonally dominant by columns that holds at every step, so
+    Gaussian elimination runs with no row exchange and growth factor at most
+    2 (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    §9.5): every stencil shift with ``Re σ ≥ 0`` and ``−iI − L``.  Any other
+    matrix may pivot off the diagonal, and every resolvent column is still
+    verified by its backward error.  Logs one line (:func:`_logged`).
     """
     sigma = complex(sigma)
-    real = sigma.imag == 0.0
-    dt = float if real else complex
-    rows = (sigma.real if real else sigma) * sp.identity(
-        op.shape[0], dtype=dt, format="csr") - op.astype(dt)
-    rows.sum_duplicates()
-    mat = rows.tocsc()
-    diagonal = _dominant(rows) or _dominant(mat)
-    if diagonal:
-        lu = spl.splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                      options={"SymmetricMode": True})
-    else:
-        lu = spl.splu(mat)
-    log.debug("factor n=%d sigma=%s nnz=%d pivot=%s", op.shape[0],
-              sigma.real if real else sigma, lu.nnz,
-              "diagonal" if diagonal else "partial")
+    sigma, dt = (sigma.real, float) if sigma.imag == 0.0 else (sigma, complex)
+    mat = sigma * sp.identity(op.shape[0], dtype=dt, format="csr") - op.astype(dt)
+    lu = spl.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                  options={"SymmetricMode": True})
+    return _logged(lu, sigma).solve
 
-    def solve(b):
-        if real and np.iscomplexobj(b):
-            return lu.solve(np.ascontiguousarray(b.real)) \
-                + 1j * lu.solve(np.ascontiguousarray(b.imag))
-        if not real:
-            b = np.asarray(b, dtype=complex)
-        return lu.solve(np.ascontiguousarray(b))
 
-    return solve
+def _logged(lu, sigma):
+    """``lu`` after one debug line with its size, shift ``sigma``, fill and
+    pivots: ``diagonal`` when SuperLU kept every diagonal entry as its pivot
+    (``perm_r`` equals ``perm_c``), else ``partial``."""
+    log.debug("factor n=%d sigma=%s nnz=%d pivot=%s", lu.shape[0], sigma, lu.nnz,
+              "diagonal" if np.array_equal(lu.perm_r, lu.perm_c) else "partial")
+    return lu
 
 
 def stencil_on_flags(grid: Grid, flags) -> sp.csr_matrix:
@@ -233,9 +175,9 @@ class DirichletGridRelation:
     (``state_dim``, ``resolvent``, ``semigroup``, ``integrated``,
     ``vec_norm``) on arrays of shifts and times, with
     sup-norm vector norms.  ``operator`` overrides the plain stencil (used
-    by multiplier perturbations); it must act on the masked block in flat
-    node order, and a NaN or infinite entry raises :class:`InvalidInput`
-    naming its row.
+    by multiplier perturbations); it must be a real matrix acting on the
+    masked block in flat node order, and a complex operator or a NaN or
+    infinite entry raises :class:`InvalidInput`, the latter naming its row.
     """
 
     def __init__(self, mask: DomainMask, operator=None, label: str | None = None):
@@ -247,6 +189,8 @@ class DirichletGridRelation:
             else operator.tocsr()
         if self.op.shape != (self.omega.size, self.omega.size):
             raise InvalidInput("operator block does not match the mask")
+        if np.iscomplexobj(self.op):
+            raise InvalidInput("operator must be real")
         bad = np.flatnonzero(~np.isfinite(self.op.data))
         if bad.size:
             row = int(np.searchsorted(self.op.indptr, bad[0], side="right")) - 1
@@ -497,8 +441,8 @@ class DirichletGridRelation:
         """Euclidean distance from the pair ``(u, f)`` to the graph.
 
         ``u`` and ``f`` are ``(N,)`` states, which give a float, or ``(N, s)``
-        blocks, which give one distance per column from one factor.  For a
-        real ``L`` that is exactly symmetric (every stencil; decided with no
+        blocks, which give one distance per column from one factor.  For an
+        ``L`` that is exactly symmetric (every stencil; decided with no
         tolerance) let ``g = f − Lu`` on the mask: the squared distance on
         the mask is min over δ of ``‖δ‖² + ‖Lδ − g‖² = gᴴ(I + L²)⁻¹g``, and
         ``I + L² = (I − iL)(I + iL)`` makes that ``‖(I − iL)⁻¹g‖²``, the
@@ -510,17 +454,23 @@ class DirichletGridRelation:
         in ``a``.  Any other ``L``, such as ``diag(m)·L``, measures the
         nearest graph point ``(a, La)``: ``a`` solves ``(I + LᵀL) a = u +
         Lᵀf``, here as ``[[I, Lᵀ], [L, −I]] [a; La − f] = [u; f]``, one 2n×2n
-        factor whose condition grows like ``‖L‖``, not like the Gram
-        matrix's ``‖L‖²``.  Each column is solved and measured as a
-        contiguous 1-D state, so it matches the ``(N,)`` call to the last
-        bit.  Logs one debug line per call.
+        real factor on SuperLU's default COLAMD ordering, whose condition
+        grows like ``‖L‖``, not like the Gram matrix's ``‖L‖²``; its ±1
+        diagonal is far below the entries of ``L``, so it pivots off the
+        diagonal, and a complex column is solved as its real and imaginary
+        parts.  Each column is solved and measured as a contiguous 1-D
+        state, so it matches the ``(N,)`` call to the last bit.  ``u`` and
+        ``f`` must have one shape and finite entries, else
+        :class:`InvalidInput`.  Logs one debug line per call.
         """
-        u = np.asarray(u)
-        f = np.asarray(f)
+        u, f = self._data(u), self._data(f)
+        if u.shape != f.shape:
+            raise InvalidInput(f"states of shapes {u.shape} and {f.shape} "
+                               "do not form pairs")
         ub, fb = (u[:, None], f[:, None]) if u.ndim == 1 else (u, f)
         dists = np.empty(ub.shape[1])
         n = self.n_inside
-        residual = not np.iscomplexobj(self.op) and (self.op != self.op.T).nnz == 0
+        residual = (self.op != self.op.T).nnz == 0
         log.debug("graph_distance n=%d cols=%d form=%s", n, dists.size,
                   "residual" if residual else "augmented")
         if n and dists.size:
@@ -528,7 +478,13 @@ class DirichletGridRelation:
                 solve = _factor(self.op, complex(0.0, -1.0))
             else:
                 eye = sp.identity(n, format="csr")
-                solve = _factor(sp.bmat([[-eye, -self.op.T], [-self.op, eye]]), 0.0)
+                aug = sp.bmat([[eye, self.op.T], [self.op, -eye]], format="csc")
+                lu = _logged(spl.splu(aug), 0.0)
+
+                def solve(b):
+                    if np.iscomplexobj(b):
+                        return lu.solve(b.real) + 1j * lu.solve(b.imag)
+                    return lu.solve(b)
         for j in range(dists.size):
             uj, fj = np.ascontiguousarray(ub[:, j]), np.ascontiguousarray(fb[:, j])
             dists[j] = np.linalg.norm(np.delete(uj, self.omega))
@@ -1019,12 +975,16 @@ class MultiplierEvidence:
 def multiplier_relation(m_values, rel: DirichletGridRelation) -> DirichletGridRelation:
     """Output-scaled relation ``(u, m·f)`` for a nonvanishing multiplier.
 
-    ``m_values`` may live on the whole grid or only on the masked nodes;
+    ``m_values`` are real and may live on the whole grid or only on the
+    masked nodes; complex ones raise :class:`InvalidInput`, and
     ``|m| < MULTIPLIER_MIN`` on the mask raises :class:`VanishingMultiplier`.
     For strictly positive multipliers the sup-norm contraction certificate
     is re-derived on the scaled stencil.
     """
-    m_values = np.asarray(m_values, dtype=float).ravel()
+    m_values = np.asarray(m_values)
+    if np.iscomplexobj(m_values):
+        raise InvalidInput("multiplier must be real")
+    m_values = m_values.astype(float).ravel()
     if m_values.size == rel.state_dim:
         mvals = m_values[rel.omega]
     elif m_values.size == rel.n_inside:

@@ -162,23 +162,24 @@ class Subspace:
         """Inverse of :meth:`to_json`.
 
         Older files carry a ``rank_tol`` key; it must be ``RANK_TOL``, since
-        any other cutoff would have given other ranks.
+        any other cutoff would have given other ranks.  A file tagged
+        ``"real"`` must have no nonzero imaginary entry.
         """
         try:
             m = int(obj["ambient_dim"])
             fieldtag = obj["field"]
-            re_cols = obj["basis_real"]
-            im_cols = obj["basis_imag"]
             rank_tol = float(obj.get("rank_tol", RANK_TOL))
             if m < 0:
                 raise ValueError(f"ambient_dim {m} is negative")
-            cols = _json_columns(re_cols, m)
+            cols = _json_columns(obj["basis_real"], m)
+            im = _json_columns(obj["basis_imag"], m)
             if fieldtag == "complex":
-                im = _json_columns(im_cols, m)
                 if im.shape != cols.shape:
                     raise ValueError(f"{cols.shape[1]} real and {im.shape[1]} "
                                      f"imaginary basis columns")
                 cols = cols + 1j * im
+            elif im.any():
+                raise ValueError(f"field {fieldtag!r} with nonzero imaginary entries")
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"bad subspace JSON: {exc}") from exc
         if rank_tol != RANK_TOL:

@@ -56,6 +56,8 @@ def _malformed_relation(case):
         graph["basis_imag"] = []
     elif case == "two imaginary columns":  # once read as a 2-dimensional graph
         graph["basis_imag"] = [[0.0, 0.8], [0.8, 0.0]]
+    elif case == "real tag with imaginary entries":  # once read as span(e1)
+        graph["field"] = rel["field"] = "real"
     elif case == "short column":
         graph["basis_real"] = [[0.6]]
     elif case == "non-numeric entry":
@@ -68,7 +70,8 @@ def _malformed_relation(case):
 
 
 @pytest.mark.parametrize("case", [
-    "no imaginary column", "two imaginary columns", "short column",
+    "no imaginary column", "two imaginary columns", "real tag with imaginary entries",
+    "short column",
     "non-numeric entry", "negative ambient_dim", "state_dim abc"])
 def test_malformed_relation_json_exits_2(case, tmp_path, capsys):
     path = tmp_path / "rel.json"

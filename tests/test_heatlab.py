@@ -416,6 +416,39 @@ def test_relation_refuses_a_non_finite_operator(small_disk):
         DirichletGridRelation(small_disk.mask, operator=op)
 
 
+def test_relation_refuses_a_complex_operator(small_disk):
+    # the Krylov kernel's basis is real: (1 + 0.5i)·L once gave a semigroup
+    # 0.27 off dense expm in the sup norm, with only a ComplexWarning
+    with pytest.raises(InvalidInput, match="real"):
+        DirichletGridRelation(small_disk.mask, operator=(1 + 0.5j) * small_disk.op)
+
+
+def test_multiplier_refuses_complex_values(small_disk):
+    # once cut to their real part, with only a ComplexWarning
+    with pytest.raises(InvalidInput, match="real"):
+        multiplier_relation(np.full(small_disk.n_inside, 1 + 0.5j), small_disk)
+
+
+@pytest.mark.parametrize("case", ["nan", "inf", "short", "unlike blocks", "three axes"])
+def test_graph_distance_refuses_bad_data(small_disk, case):
+    # once a distance of nan, 0.0 for a short state, two distances for blocks
+    # of 2 and 3 columns, and a silent read of (N, 2, 2) arrays
+    n = small_disk.state_dim
+    u, f = np.ones(n), np.ones(n)
+    if case == "nan":
+        f[4] = np.nan
+    elif case == "inf":
+        u[small_disk.omega[0]] = np.inf
+    elif case == "short":
+        u, f = np.ones(n - 3), np.ones(n - 3)
+    elif case == "unlike blocks":
+        u, f = np.ones((n, 2)), np.ones((n, 3))
+    else:
+        u, f = np.ones((n, 2, 2)), np.ones((n, 2, 2))
+    with pytest.raises(InvalidInput):
+        small_disk.graph_distance(u, f)
+
+
 def test_max_principle_on_disk(small_disk):
     rep = max_principle_check(small_disk, samples=200)
     assert rep.samples_used + rep.skipped == 200

@@ -126,6 +126,15 @@ def test_json_real_has_zero_imag_block(rng):
     assert blob["field"] == "real"
 
 
+def test_json_real_tag_refuses_imaginary_entries():
+    blob = {"ambient_dim": 2, "field": "real",
+            "basis_real": [[0.6, 0.0]], "basis_imag": [[0.0, 0.8]]}
+    with pytest.raises(InvalidInput, match="nonzero imaginary"):
+        Subspace.from_json(blob)
+    blob["basis_imag"] = [[0.0, 0.0]]
+    assert Subspace.from_json(blob).contains(np.array([1.0, 0.0]))
+
+
 # the three spellings of the rank cutoff that numerical_rank replaced
 def _basis_spelling(s, floor):  # orth_basis, null_basis (0) and parts (1)
     ref = max(float(s[0]) if s.size else 0.0, floor)
