@@ -27,6 +27,8 @@ from .converge import (
 from .dissipative import dissipativity_l2, dissipativity_sampled
 from .errors import ConfigError, InconsistentEquivalence, InvalidInput, RelsemiError
 from .grids import (
+    POINT,
+    POSITIVE,
     array_of,
     check_keys,
     grid_from_spec,
@@ -71,8 +73,6 @@ HEAT_KEYS = {"grid": None, "limit": None, "members": None, "builder": None,
 # heat family builders; a builder dict carries "name" and any of the builder's
 # parameters, each with the test its value must pass
 NUMBER = (is_number, "a finite number")
-POSITIVE = (lambda v: is_number(v) and v > 0, "a positive number")
-POINT = (lambda v: array_of(is_number)(v) and len(v) == 2, "a point [x, y]")
 BUILDERS = {
     "polygons": (heatlab.polygon_family, {
         "radius": POSITIVE, "center": POINT, "phase": NUMBER,

@@ -45,10 +45,6 @@ class Grid:
     def n_nodes(self) -> int:
         return self.m * self.m
 
-    def axis_coords(self) -> np.ndarray:
-        lo = self.box.center[0] - self.box.half_width
-        return lo + self.h * (np.arange(self.m) + 1)
-
     def node_coords(self) -> np.ndarray:
         """All node coordinates, shape (m*m, 2), row-major in (ix, iy)."""
         cx, cy = self.box.center
@@ -100,18 +96,15 @@ def inscribed_polygon(center, radius, sides: int, phase: float = 0.0) -> dict:
     return polygon(verts)
 
 
-# the keys each shape kind carries; any other key is a configuration error
-SHAPE_KEYS = {"disk": ("kind", "center", "radius"), "polygon": ("kind", "vertices"),
-              "halfplane": ("kind", "point", "normal"),
-              "slit": ("kind", "p0", "p1", "width")}
-
-
 def shape_contains(shape: dict, pts: np.ndarray) -> np.ndarray:
     """Vectorized inside test for one shape spec on an (n, 2) point array."""
     kind = require_object(shape, "shape").get("kind")
     if kind not in SHAPE_KEYS:
         raise ConfigError(f"unknown shape kind {kind!r}", field="shape.kind")
     check_keys(shape, SHAPE_KEYS[kind], f"{kind} shape", "")
+    missing = [key for key in SHAPE_KEYS[kind] if key not in shape]
+    if missing:
+        raise ConfigError(f"missing from {kind} shape", field=missing[0])
     x, y = pts[:, 0], pts[:, 1]
     if kind == "disk":
         cx, cy = shape["center"]
@@ -243,16 +236,14 @@ def mask_from_shapes(grid: Grid, shapes, ops=None, label: str = "") -> DomainMas
 
 def grid_from_spec(spec: dict) -> Grid:
     """Build a grid from a JSON-style dict: ``{m, box?: {center?, half_width?}}``."""
-    check_keys(spec, ("m", "box"), "grid spec", "")
+    check_keys(spec, {"m": (lambda v: is_count(v) and v >= 1, "a positive integer"),
+                      "box": None}, "grid spec", "")
+    if "m" not in spec:
+        raise ConfigError("missing from grid spec", field="m")
     box = spec.get("box", {})
-    check_keys(box, ("center", "half_width"), "grid box", "")
-    try:
-        m = int(spec["m"])
-        center = tuple(box.get("center", (0.0, 0.0)))
-        half = float(box.get("half_width", 1.0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad grid spec: {exc}", field="grid") from exc
-    return Grid(m, Box(center, half))
+    check_keys(box, {"center": POINT, "half_width": POSITIVE}, "grid box", "")
+    return Grid(spec["m"], Box(tuple(box.get("center", (0.0, 0.0))),
+                               float(box.get("half_width", 1.0))))
 
 
 def require_object(value, where: str) -> dict:
@@ -292,8 +283,8 @@ def is_number(value) -> bool:
 
 
 def array_of(test):
-    """A test for a JSON array whose entries all pass ``test``."""
-    return lambda value: isinstance(value, list) and all(test(v) for v in value)
+    """A test for a JSON array (or a tuple) whose entries all pass ``test``."""
+    return lambda value: isinstance(value, (list, tuple)) and all(test(v) for v in value)
 
 
 def one_of(names):
@@ -301,9 +292,26 @@ def one_of(names):
     return lambda value: isinstance(value, str) and value in names
 
 
+# value rules of check_keys tables, and the keys each shape kind carries with
+# the rule of each value; any other key or value is a configuration error
+POSITIVE = (lambda v: is_number(v) and v > 0, "a positive number")
+POINT = (lambda v: array_of(is_number)(v) and len(v) == 2, "a point [x, y]")
+SHAPE_KEYS = {
+    "disk": {"kind": None, "center": POINT, "radius": POSITIVE},
+    "polygon": {"kind": None, "vertices": (lambda v: array_of(POINT[0])(v) and len(v) >= 3,
+                                           "an array of at least 3 points [x, y]")},
+    "halfplane": {"kind": None, "point": POINT,
+                  "normal": (lambda v: POINT[0](v) and any(v), "a nonzero vector [x, y]")},
+    "slit": {"kind": None, "p0": POINT, "p1": POINT, "width": POSITIVE}}
+
+
 def mask_from_spec(spec: dict) -> DomainMask:
     """Build a mask from a JSON-style dict: ``{grid, shape(s), ops?, label?}``."""
-    check_keys(spec, ("grid", "shape", "shapes", "ops", "label"), "mask spec", "")
+    ops = ("union", "difference", "intersect")
+    check_keys(spec, {"grid": None, "shape": None, "label": None,
+                      "shapes": (lambda v: isinstance(v, list), "an array of shapes"),
+                      "ops": (array_of(one_of(ops)), f"an array of ops from {ops}")},
+               "mask spec", "")
     grid = grid_from_spec(spec.get("grid", {}))
     shapes = spec.get("shapes", spec.get("shape"))
     if shapes is None:

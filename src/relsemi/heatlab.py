@@ -175,9 +175,10 @@ class DirichletGridRelation:
     (``state_dim``, ``resolvent``, ``semigroup``, ``integrated``,
     ``vec_norm``) on arrays of shifts and times, with
     sup-norm vector norms.  ``operator`` overrides the plain stencil (used
-    by multiplier perturbations); it must be a real matrix acting on the
-    masked block in flat node order, and a complex operator or a NaN or
-    infinite entry raises :class:`InvalidInput`, the latter naming its row.
+    by multiplier perturbations); it must be a real matrix, sparse or
+    dense, acting on the masked block in flat node order.  A non-numeric or
+    complex operator, or a NaN or infinite entry, raises
+    :class:`InvalidInput`, the last naming its row.
     """
 
     def __init__(self, mask: DomainMask, operator=None, label: str | None = None):
@@ -185,8 +186,13 @@ class DirichletGridRelation:
         self.grid = mask.grid
         self.state_dim = mask.grid.n_nodes
         self.omega = mask.indices()
-        self.op = stencil_on_flags(mask.grid, mask.values) if operator is None \
-            else operator.tocsr()
+        if operator is None:
+            operator = stencil_on_flags(mask.grid, mask.values)
+        try:
+            self.op = sp.csr_matrix(operator)
+        except (TypeError, ValueError):
+            raise InvalidInput(f"operator of type {type(operator).__name__} is not a "
+                               "numeric matrix") from None
         if self.op.shape != (self.omega.size, self.omega.size):
             raise InvalidInput("operator block does not match the mask")
         if np.iscomplexobj(self.op):
@@ -239,21 +245,18 @@ class DirichletGridRelation:
         """
         lams = _shifts(lams)
         fs = self._data(fs)
-        out = np.zeros((lams.size,) + fs.shape, dtype=np.result_type(fs, lams))
-        if self.n_inside:
-            b = fs[self.omega]
-            x = self._read("resolvent", lams, b, out.dtype)
-            bnorm = self.vec_norm(b)
-            for lam, xk in zip(lams, x):
-                scale = bnorm + (abs(lam) + self._norm) * self.vec_norm(xk)
-                err = self.vec_norm(lam * xk - self.op @ xk - b) \
-                    / np.maximum(scale, np.finfo(float).tiny)
-                res = float(np.max(err, initial=0.0))
-                if not res <= ACCEPT_TOL:  # a NaN is refused too
-                    raise NotInResolventSet(
-                        complex(lam), residual=res,
-                        reason=f"backward error {res:.3e} exceeds {ACCEPT_TOL:.1e}")
-            out[:, self.omega] = x
+        out = self._stack("resolvent", lams, fs)
+        b = fs[self.omega]
+        bnorm = self.vec_norm(b)
+        for lam, xk in zip(lams, out[:, self.omega]):
+            scale = bnorm + (abs(lam) + self._norm) * self.vec_norm(xk)
+            err = self.vec_norm(lam * xk - self.op @ xk - b) \
+                / np.maximum(scale, np.finfo(float).tiny)
+            res = float(np.max(err, initial=0.0))
+            if not res <= ACCEPT_TOL:  # a NaN is refused too
+                raise NotInResolventSet(
+                    complex(lam), residual=res,
+                    reason=f"backward error {res:.3e} exceeds {ACCEPT_TOL:.1e}")
         return out
 
     def semigroup(self, zs, fs):
@@ -271,7 +274,7 @@ class DirichletGridRelation:
             if outside.any():
                 raise OutsideSector(f"z={complex(zs[outside][0])!r} outside the "
                                     "right half-plane")
-        return self._stack("semigroup", _times(zs), fs)
+        return self._stack("semigroup", _times(zs), self._data(fs))
 
     def integrated(self, ts, fs):
         """``S(t) F = ∫₀ᵗ T(s) F ds`` on the mask for every time in ``ts``.
@@ -280,7 +283,8 @@ class DirichletGridRelation:
         memo's results when it holds these times and columns (a report and
         its off-mask check ask twice).
         """
-        return self._stack("integrated", _times(np.asarray(ts, dtype=float)), fs)
+        return self._stack("integrated", _times(np.asarray(ts, dtype=float)),
+                           self._data(fs))
 
     def remember(self, *requests):
         """Evaluate, for each request ``(times, lams, F)``, ``T(t) F``,
@@ -310,8 +314,9 @@ class DirichletGridRelation:
                 [(b, _distinct(ts), _distinct(ls)) for b, ts, ls in merged.values()])
 
     def _stack(self, kind, points, fs):
-        """The full-state stack of ``semigroup`` or ``integrated`` values."""
-        fs = self._data(fs)
+        """The full-state stack of ``kind`` values at ``points`` for the
+        data ``fs`` that :meth:`_data` checked, zero off the mask, of dtype
+        ``result_type(fs, points, float)``."""
         out = np.zeros((points.size,) + fs.shape, dtype=np.result_type(fs, points, float))
         if self.n_inside:
             out[:, self.omega] = self._read(kind, points, fs[self.omega], out.dtype)
@@ -624,26 +629,82 @@ def _recall(memo, kind, points, cols):
     return np.stack(picks, axis=-1)
 
 
-def _si_arnoldi(op, solve, gamma, b, check):
-    """One shift-and-invert Arnoldi basis of ``A = (I − γL)⁻¹`` for the real,
-    nonzero column ``b``: the loop of :func:`_si_column`.
+def _span(coef, basis):
+    """``coef @ basis`` for a real basis, complex ``coef`` as two real
+    products, so no complex copy of the basis is made."""
+    if np.iscomplexobj(coef):
+        return coef.real @ basis + 1j * (coef.imag @ basis)
+    return coef @ basis
 
-    ``solve`` solves with ``γ⁻¹ I − L``.  Multiplying the Arnoldi relation
-    ``A V_k = V_k H_k + h v_{k+1} e_kᵀ`` by ``I − γL`` gives
-    ``L V_k = V_k T_k + (h/γ) w e_kᵀ H_k⁻¹`` with ``T_k = (I − H_k⁻¹)/γ``
-    and ``w = (I − γL) v_{k+1}``, so any approximation ``β V_k g(T_k) e₁``
-    leaves a residual that is a scalar times the one vector ``w``: computing
-    it cancels nothing.  At each check, ``check(H_k, ρ)`` gets the
-    Hessenberg block and ``ρ = (hβ/γ)‖w‖∞`` (``0`` once the space is
-    invariant, which makes the projection exact) and returns the kernel's
-    error bound and what the kernel evaluates from.  Checks are placed where
-    the bound's observed geometric decay predicts ``EXP_TOL·‖b‖∞``; the loop
-    stops only at a check that meets it, and raises
-    :class:`SolverBreakdown` when ``EXP_MAX_BASIS`` vectors do not.  Returns
-    ``(V_k, β, state, bound, checks)``.
+
+def _si_column(op, solve, gamma, mu, b, times, lams):
+    """One real column of :meth:`DirichletGridRelation._krylov`: ``T`` and
+    ``S`` at ``times`` and ``R`` at the Krylov shifts ``lams``, from one
+    shift-and-invert Arnoldi basis of ``A = (I − γL)⁻¹``, ``solve`` solving
+    with ``γ⁻¹ I − L``.  Returns ``((T and S as (2, len(times), n), R as
+    (len(lams), n)), basis size, bound, checks)``.  ``b`` is first divided
+    by the power of two that puts its sup norm in ``[1, 2)``, which is
+    exact, so ``β = ‖b‖₂`` neither overflows nor underflows, and the values
+    and the bound are scaled back.
+
+    Each vector is orthogonalized by classical Gram–Schmidt, repeated once.
+    Multiplying the Arnoldi relation ``A V_k = V_k H_k + h v_{k+1} e_kᵀ`` by
+    ``I − γL`` gives ``L V_k = V_k T_k + (h/γ) w e_kᵀ H_k⁻¹`` with ``T_k =
+    (I − H_k⁻¹)/γ`` and ``w = (I − γL) v_{k+1}``, so any approximation
+    ``β V_k g(T_k) e₁`` leaves a residual that is a scalar times the one
+    vector ``w``, and ``ρ = (hβ/γ)‖w‖∞`` is computed with no cancellation
+    (``ρ = 0`` once the space is invariant, which makes the projection
+    exact).  The basis grows until both bounds below are at most
+    ``EXP_TOL·‖b‖∞``, checked where their geometric decay since the last
+    check predicts that target, at most half the basis ahead (one step when
+    they did not decay); :class:`SolverBreakdown` when ``EXP_MAX_BASIS``
+    vectors do not meet it.  A check evaluates the resolvent bound only once
+    the exponential one is met, so the times get the basis and the values
+    they would get alone.  On t = 0:0.05:1 over the disk with ones and the
+    bump, the pole of :meth:`DirichletGridRelation._krylov` takes 28–39
+    vectors at m = 32 and 63–73 at m = 128, where ``γ = τ/10`` took 45–50
+    and 135–137.
+
+    *Exponential.*  ``β V_k exp(s T_k) e₁`` leaves the residual ``r_k(s) =
+    (hβ/γ)(e_kᵀ H_k⁻¹ exp(s T_k) e₁) w`` in ``u' = L u``; the bound is
+    ``e^{t μ∞(L)} ∫₀ᵗ ‖r_k(s)‖∞ ds`` at the farthest time of each ray (along
+    ``[0, z]`` for complex ``z``, an estimate), which covers the ray, and
+    ``t`` times it bounds ``S(t)b``.  The values and the scalar go through
+    ``H_k = X Θ X⁻¹`` (``T_k`` has eigenvalues ``(1 − 1/θ)/γ``), one
+    ``eig`` per check, which must be well conditioned, else
+    :class:`SolverBreakdown`: ``T`` is ``β V_k exp(t T_k) e₁`` and ``S``
+    takes ``t φ₁(tλ) = expm1(tλ)/λ`` (``t`` at ``λ = 0``).
+
+    *Resolvent* (rational Krylov with one repeated pole; Güttel, 2013).  A
+    shift with ``Re λ > μ₊ = max(μ, 0)`` is read as ``x_k = β V_k (λ −
+    T_k)⁻¹ e₁ = βγ V_k H_k z`` with ``z = ((λγ − 1) H_k + I)⁻¹ e₁``, since
+    ``λ − T_k = H_k⁻¹((λγ − 1) H_k + I)/γ``: one small solve per shift and
+    no ``H_k⁻¹``.  Its residual ``(λ − L) x_k − b = −hβ z_k w`` is a scalar
+    times the same ``w``, so with ``‖R(λ)‖∞ ≤ 1/(Re λ − μ₊)``
+    (:func:`_sup_norms`) the bound is ``ργ|z_k| / (Re λ − μ₊)``, its divisor
+    capped at ``ACCEPT_TOL/(2·EXP_TOL)`` so that a met bound also leaves a
+    residual of at most half what the backward-error check accepts.
+    Neither bound counts rounding in the Arnoldi relation itself, so that
+    check stays the final gate.
     """
     n = b.size
-    scale = float(np.max(np.abs(b)))
+    exp_vals = np.zeros((2, times.size, n), dtype=np.result_type(times, float))
+    res_vals = np.zeros((lams.size, n), dtype=np.result_type(lams, float))
+    sup = float(np.max(np.abs(b)))
+    if sup == 0.0:
+        return (exp_vals, res_vals), 0, 0.0, 0
+    unit = math.ldexp(1.0, math.frexp(sup)[1] - 1)
+    b = b / unit
+    target = EXP_TOL * float(np.max(np.abs(b)))
+    # the bound grows along each ray, so its farthest point covers the rest
+    far = times[times != 0]
+    angles = np.angle(far)
+    ends = [far[angles == a][np.argmax(np.abs(far[angles == a]))]
+            for a in np.unique(angles)]
+    # capped so that a met bound also leaves the residual within half the
+    # backward-error gate ACCEPT_TOL·‖b‖∞ (it binds only for Re λ > 5000)
+    margin = np.minimum(lams.real - max(mu, 0.0), 0.5 * ACCEPT_TOL / EXP_TOL)
+    coeff = (lams * gamma - 1.0)[:, None, None]
     beta = float(np.linalg.norm(b))
     cap = min(EXP_MAX_BASIS, n)
     basis = np.empty((cap + 1, n))
@@ -670,116 +731,35 @@ def _si_arnoldi(op, solve, gamma, b, check):
         if not exhausted:
             v = basis[size]
             resid = float(np.max(np.abs(v - gamma * (op @ v)))) * hess[size, k] * beta / gamma
-        bound, state = check(hess[:size, :size], resid)  # 0 when exhausted
-        if exhausted or bound <= EXP_TOL * scale:
-            break
-        # the next check is where the bound's decay since the last check
-        # reaches the target, at most half the basis ahead; one step when
-        # it did not decay
-        step = 1
-        if last is not None and bound < last[1]:
-            rate = math.log(last[1] / bound) / (size - last[0])
-            step = max(1, min(math.ceil(math.log(bound / (EXP_TOL * scale)) / rate),
-                              size // 2))
-        last, due = (size, bound), size + step
-    else:
-        raise SolverBreakdown(
-            f"shift-and-invert kernel: {cap} basis vectors leave the error bound "
-            f"{bound:.2e} above {EXP_TOL * scale:.2e}")
-    return basis[:size], beta, state, bound, checks
-
-
-def _span(coef, basis):
-    """``coef @ basis`` for a real basis, complex ``coef`` as two real
-    products, so no complex copy of the basis is made."""
-    if np.iscomplexobj(coef):
-        return coef.real @ basis + 1j * (coef.imag @ basis)
-    return coef @ basis
-
-
-def _si_column(op, solve, gamma, mu, b, times, lams):
-    """One real column of :meth:`DirichletGridRelation._krylov`: ``T`` and
-    ``S`` at ``times`` and ``R`` at the Krylov shifts ``lams``, from one basis.
-
-    Returns ``((T and S as (2, len(times), n), R as (len(lams), n)), basis
-    size, bound, checks)`` of :func:`_si_arnoldi`.  ``b`` is first divided by
-    the power of two that puts its sup norm in ``[1, 2)``, which is exact,
-    so ``β = ‖b‖₂`` neither overflows nor underflows, and the values and the
-    bound are scaled back.  The basis grows until both bounds below are at
-    most ``EXP_TOL·‖b‖∞``; a check evaluates the resolvent bound only once
-    the exponential one is met, so without shifts, or with shifts the basis
-    already serves, the times get the basis and the values they would get
-    alone.  The basis size depends on the pole ``γ⁻¹``: on t = 0:0.05:1 over
-    the disk with ones and the bump, the ``γ = min(τ/10, √(τ/‖L‖∞)/8)`` of
-    :meth:`DirichletGridRelation._krylov` takes 28–39 vectors at m = 32 and
-    63–73 at m = 128, where ``γ = τ/10`` took 45–50 and 135–137.
-
-    *Exponential.*  The residual of ``β V_k exp(s T_k) e₁`` as a solution of
-    ``u' = L u`` is ``r_k(s) = (h β / γ) (e_kᵀ H_k⁻¹ exp(s T_k) e₁) (I − γL)
-    v_{k+1}``, and the bound is ``e^{t μ∞(L)} ∫₀ᵗ ‖r_k(s)‖∞ ds`` at the
-    farthest time of each ray (for complex ``z`` the integral runs along
-    ``[0, z]`` and is an estimate).  That bound grows along each ray, so the
-    error of ``S(t)b`` is at most ``t`` times it.  Both that scalar factor
-    and the values go through the eigendecomposition ``H_k = X Θ X⁻¹``
-    (``T_k`` has eigenvalues ``(1 − 1/θ)/γ``), which must be well
-    conditioned, else :class:`SolverBreakdown`; ``T`` is
-    ``β V_k exp(t T_k) e₁`` and ``S`` takes ``t φ₁(tλ) = expm1(tλ)/λ``
-    (``t`` at ``λ = 0``) on the same Ritz values.  Each check costs an
-    ``eig`` of ``H_k``.
-
-    *Resolvent* (rational Krylov with one repeated pole; Güttel, 2013).  Each
-    shift, ``Re λ > μ₊ = max(μ, 0)``, is read as ``x_k = β V_k (λ − T_k)⁻¹
-    e₁``.  Since ``λ − T_k = H_k⁻¹((λγ − 1) H_k + I)/γ``, that is
-    ``x_k = βγ V_k H_k z`` with ``z = ((λγ − 1) H_k + I)⁻¹ e₁``, one small
-    solve per shift and no ``H_k⁻¹``; its residual ``(λ − L) x_k − b =
-    −hβ z_k (I − γL) v_{k+1}`` is a scalar times one vector.  With
-    ``‖R(λ)‖∞ ≤ 1/(Re λ − μ₊)`` (:func:`_sup_norms`) the bound is
-    ``(h/γ)|e_kᵀ H_k⁻¹ y|·‖(I − γL) v_{k+1}‖∞ / (Re λ − μ₊)`` with
-    ``y = βγ H_k z``, its divisor capped at ``ACCEPT_TOL/(2·EXP_TOL)`` so
-    that a met bound also leaves a residual of at most half what the
-    backward-error check accepts.  Like the exponential bound it does not
-    count rounding in the Arnoldi relation itself, so that check stays the
-    final gate.
-    """
-    exp_vals = np.zeros((2, times.size, b.size), dtype=np.result_type(times, float))
-    res_vals = np.zeros((lams.size, b.size), dtype=np.result_type(lams, float))
-    sup = float(np.max(np.abs(b)))
-    if sup == 0.0:
-        return (exp_vals, res_vals), 0, 0.0, 0
-    unit = math.ldexp(1.0, math.frexp(sup)[1] - 1)
-    b = b / unit
-    target = EXP_TOL * float(np.max(np.abs(b)))  # _si_arnoldi's stopping target
-    # the bound grows along each ray, so its farthest point covers the rest
-    far = times[times != 0]
-    angles = np.angle(far)
-    ends = [far[angles == a][np.argmax(np.abs(far[angles == a]))]
-            for a in np.unique(angles)]
-    # capped so that a met bound also leaves the residual within half the
-    # backward-error gate ACCEPT_TOL·‖b‖∞ (it binds only for Re λ > 5000)
-    margin = np.minimum(lams.real - max(mu, 0.0), 0.5 * ACCEPT_TOL / EXP_TOL)
-    coeff = (lams * gamma - 1.0)[:, None, None]
-
-    def check(hess, resid):
-        bounds, ritz, z = [], None, None
+        h = hess[:size, :size]
+        bounds = []
         if times.size:
-            theta, vecs = np.linalg.eig(hess)
+            theta, vecs = np.linalg.eig(h)
             lam = (1.0 - 1.0 / theta) / gamma
-            coef = np.linalg.solve(vecs, np.eye(hess.shape[0])[:, 0])
-            ritz = (lam, vecs, coef)
+            coef = np.linalg.solve(vecs, np.eye(size)[:, 0])
             weights = vecs[-1] / theta * coef
             bounds.append(0.0 if resid == 0.0 else max(
                 math.exp(max(0.0, mu * abs(end))) * resid
                 * _residual_integral(lam, weights, end) for end in ends))
         if lams.size and max(bounds, default=0.0) <= target:
-            e1 = np.zeros((lams.size, hess.shape[0], 1))
+            e1 = np.zeros((lams.size, size, 1))
             e1[:, 0] = 1.0
-            z = spla.solve(coeff * hess + np.eye(hess.shape[0]), e1)[..., 0]
+            z = spla.solve(coeff * h + np.eye(size), e1)[..., 0]
             bounds.append(resid * gamma * float(np.max(np.abs(z[:, -1]) / margin)))
-        return float(np.max(bounds)), (ritz, hess, z)
-
-    basis, beta, (ritz, hess, z), bound, checks = _si_arnoldi(op, solve, gamma, b, check)
+        bound = float(np.max(bounds))
+        if exhausted or bound <= target:
+            break
+        step = 1
+        if last is not None and bound < last[1]:
+            rate = math.log(last[1] / bound) / (size - last[0])
+            step = max(1, min(math.ceil(math.log(bound / target) / rate), size // 2))
+        last, due = (size, bound), size + step
+    else:
+        raise SolverBreakdown(
+            f"shift-and-invert kernel: {cap} basis vectors leave the error bound "
+            f"{bound:.2e} above {target:.2e}")
+    basis = basis[:size]
     if times.size:
-        lam, vecs, coef = ritz
         if np.linalg.cond(vecs) > 1e3:
             raise SolverBreakdown("exponential kernel: ill-conditioned Ritz basis")
         tl = np.outer(times, lam)
@@ -790,8 +770,8 @@ def _si_column(op, solve, gamma, mu, b, times, lams):
         exp_vals[...] = beta * _span(small if np.iscomplexobj(exp_vals) else small.real,
                                      basis) * unit
     if lams.size:
-        res_vals[...] = beta * gamma * _span(z @ hess.T, basis) * unit
-    return (exp_vals, res_vals), basis.shape[0], bound * unit, checks
+        res_vals[...] = beta * gamma * _span(z @ h.T, basis) * unit
+    return (exp_vals, res_vals), size, bound * unit, checks
 
 
 # -- certificates ---------------------------------------------------------
@@ -1312,14 +1292,15 @@ def slit_family(grid: Grid, radius: float = 0.7, center=(0.0, 0.0),
     The slit thins *and* retracts toward the boundary, so the family is
     nested and the capsule tip — which dominates the sup-norm error —
     strictly recedes (a fixed-length slit would keep removing the same tip
-    node at every width, freezing the error).  Widths are in node rows; the
-    capsule is padded by a quarter spacing so a width-w slit removes
-    exactly w rows (no floating-point ties against the lattice), and the
-    slit line is snapped to a node row.
+    node at every width, freezing the error).  The slit line is snapped
+    to the nearest node row, and a width-w capsule is ``(w + 1/2)h`` wide,
+    so it removes the rows within ``(w/2 + 1/4)h`` of that line, with no
+    floating-point ties against the lattice: ``w + 1`` rows for an even
+    ``w`` and ``w`` for an odd one (9, 5, 3 and 1 for the default widths).
     """
     if len(inner_x) != len(widths):
         raise InvalidInput("need one inner endpoint per width")
-    coords = grid.axis_coords()
+    coords = grid.node_coords()[:grid.m, 1]  # the y of each node row
     y0 = float(coords[np.argmin(np.abs(coords - y))])
     masks = []
     for w, x0 in zip(widths, inner_x):

@@ -396,6 +396,38 @@ def test_unknown_config_key_exits_2(case, tmp_path, capsys):
     assert f"config error: {key}: unknown key" in capsys.readouterr().err
 
 
+GRID_OR_SHAPE_CASES = {
+    "m 24.9": ("m", {"grid": {"m": 24.9}, "shape": DISK}),
+    "m '24'": ("m", {"grid": {"m": "24"}, "shape": DISK}),
+    "half_width '2'": ("half_width", {"grid": {"m": 24, "box": {"half_width": "2"}},
+                                      "shape": DISK}),
+    "3-entry center": ("center", {"grid": {"m": 24, "box": {"center": [0.0, 0.0, 0.0]}},
+                                  "shape": DISK}),
+    "radius -0.7": ("radius", {"grid": {"m": 24}, "shape": {**DISK, "radius": -0.7}}),
+    "radius '0.7'": ("radius", {"grid": {"m": 24}, "shape": {**DISK, "radius": "0.7"}}),
+    "no radius": ("radius", {"grid": {"m": 24},
+                             "shape": {"kind": "disk", "center": [0.0, 0.0]}}),
+    "2 vertices": ("vertices", {"grid": {"m": 24}, "shape": {
+        "kind": "polygon", "vertices": [[-0.5, 0.0], [0.5, 0.0]]}}),
+    "ops 5": ("ops", {"grid": {"m": 24}, "shapes": [DISK, DISK], "ops": 5}),
+    "shapes 5": ("shapes", {"grid": {"m": 24}, "shapes": 5}),
+    "zero normal": ("normal", {"grid": {"m": 24}, "shape": {
+        "kind": "halfplane", "point": [0.0, 0.0], "normal": [0.0, 0.0]}}),
+}
+
+
+@pytest.mark.parametrize("case", GRID_OR_SHAPE_CASES)
+def test_wrong_grid_or_shape_value_exits_2(case, tmp_path, capsys):
+    # each once ran on a value the user did not give (m = 24.9 as 24, radius
+    # -0.7 as 0.7, two vertices or a zero normal as an empty mask) or ended in
+    # a traceback
+    key, spec = GRID_OR_SHAPE_CASES[case]
+    mask = tmp_path / "mask.json"
+    mask.write_text(json.dumps(spec))
+    assert main(["heat", "orbit", "--mask", str(mask), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {key}: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("changes", [{"builder": "polygons"}, {"limit": ["disk"]},
                                      {"members": ["disk"]}, {"members": 5},
                                      {"grid": {"m": 12, "box": 2.0}}])

@@ -17,7 +17,7 @@ from relsemi.errors import (
     VanishingMultiplier,
 )
 from relsemi import heatlab
-from relsemi.grids import DomainMask, Grid, disk, mask_from_shapes
+from relsemi.grids import Box, DomainMask, Grid, disk, mask_from_shapes
 from relsemi.heatlab import (
     DirichletGridRelation,
     bump_function,
@@ -423,6 +423,22 @@ def test_relation_refuses_a_complex_operator(small_disk):
         DirichletGridRelation(small_disk.mask, operator=(1 + 0.5j) * small_disk.op)
 
 
+@pytest.mark.parametrize("form", ["ndarray", "list"])
+def test_relation_reads_a_dense_operator(small_disk, form):
+    # a dense operator once raised AttributeError: no tocsr
+    dense = small_disk.op.toarray()
+    rel = DirichletGridRelation(small_disk.mask,
+                                operator=dense if form == "ndarray" else dense.tolist())
+    f = np.random.default_rng(4).standard_normal(small_disk.state_dim)
+    lams = [0.0, 0.5, 1 + 1j]
+    assert np.array_equal(rel.resolvent(lams, f), small_disk.resolvent(lams, f))
+
+
+def test_relation_refuses_a_non_numeric_operator(small_disk):
+    with pytest.raises(InvalidInput, match="numeric"):
+        DirichletGridRelation(small_disk.mask, operator="laplacian")
+
+
 def test_multiplier_refuses_complex_values(small_disk):
     # once cut to their real part, with only a ComplexWarning
     with pytest.raises(InvalidInput, match="real"):
@@ -723,6 +739,18 @@ def test_builders():
     b = bump_function(g)
     assert b.shape == (g.n_nodes,)
     assert b.max() == 1.0 and b.min() > 0.0 and b.min() < 1e-6
+
+
+@pytest.mark.parametrize("m", [32, 64])
+@pytest.mark.parametrize("center", [(0.0, 0.0), (0.0, 0.03)])
+def test_slits_remove_whole_node_rows(m, center):
+    # the slit line was once snapped to the box's x coordinates, so on the
+    # box about (0, 0.03) it fell between node rows: 8, 4, 2, 2 rows at m = 32
+    grid = Grid(m, Box(center, 1.0))
+    full = disk_mask(grid, 0.7).values
+    rows = [np.unique(np.flatnonzero(full & ~s.values) % m).size
+            for s in slit_family(grid, 0.7)]
+    assert rows == [9, 5, 3, 1]
 
 
 def test_resolvent_refuses_a_corrupted_solve(small_disk, corrupt_factor):

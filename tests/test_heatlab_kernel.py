@@ -131,6 +131,15 @@ def test_basis_cap_raises_solver_breakdown(monkeypatch):
         rel.semigroup([0.5, 1.0], bump_function(grid))
 
 
+def test_ill_conditioned_ritz_basis_raises_solver_breakdown(monkeypatch):
+    # the values go through H_k = X Θ X⁻¹, so a badly conditioned X is refused
+    grid = Grid(12)
+    rel = DirichletGridRelation(disk_mask(grid, 0.7))
+    monkeypatch.setattr(np.linalg, "cond", lambda vecs: 1e4)
+    with pytest.raises(SolverBreakdown, match="ill-conditioned Ritz basis"):
+        rel.semigroup([0.5, 1.0], bump_function(grid))
+
+
 def test_kernel_logs_one_debug_line_per_call(caplog):
     grid = Grid(12)
     rel = DirichletGridRelation(disk_mask(grid, 0.7))

@@ -259,3 +259,12 @@ def test_resolvent_refuses_non_finite_data(bad):
     f[rel.omega[3]] = bad
     with pytest.raises(InvalidInput, match="data"):
         rel.resolvent([0.0, 1.0], f)
+
+
+def test_resolvent_of_integer_data_is_float():
+    # integer shifts and data once gave an int64 stack: every value cut to 0
+    rel = DirichletGridRelation(disk_mask(Grid(16), 0.7))
+    got = rel.resolvent([1], np.ones((rel.state_dim, 1), dtype=int))
+    want = rel.resolvent([1.0], np.ones((rel.state_dim, 1)))
+    assert got.dtype == np.float64 and got.any()
+    assert np.array_equal(got, want)
